@@ -1,8 +1,6 @@
 """Exception types shared across the toolkit.
 
-Every error that a pipeline command can surface maps to a distinct
-process exit code (see EXIT_CODES); library callers catch the classes
-directly.
+Every error derives from TagbridgeError; callers catch the classes directly.
 """
 
 
@@ -86,43 +84,3 @@ class NoCommonIds(TagbridgeError):
 
 class TooFewPoints(TagbridgeError):
     """Fewer than two common points for pairwise statistics."""
-
-
-class ParseError(TagbridgeError):
-    """A serialized file failed to parse."""
-
-    def __init__(self, path, line, reason):
-        self.path = path
-        self.line = line
-        self.reason = reason
-        super().__init__(f"{path}: line {line}: {reason}")
-
-
-# One distinct nonzero exit code per error class, for the CLI.
-EXIT_CODES = {
-    ParseError: 2,
-    InsufficientObservations: 3,
-    DegenerateGeometry: 4,
-    TooFewCorrespondences: 5,
-    MissingPose: 6,
-    ReflectionRequired: 7,
-    GaugeNotFixed: 8,
-    Underconstrained: 9,
-    SingularNormalEquations: 10,
-    ImageTooSmall: 11,
-    DimensionMismatch: 12,
-    DistortionInversionDiverged: 13,
-    InvalidSpec: 14,
-    NoCommonIds: 15,
-    TooFewPoints: 16,
-    BehindCamera: 17,
-    GimbalLock: 18,
-}
-
-
-def exit_code_for(exc) -> int:
-    """Exit code for an exception instance (99 for unmapped toolkit errors)."""
-    for cls, code in EXIT_CODES.items():
-        if isinstance(exc, cls):
-            return code
-    return 99

@@ -1,16 +1,19 @@
 """Voxel-based fusion of per-frame point clouds.
 
 Clouds accumulated along a trajectory are binned into a sparse voxel grid
-(counts, compensated position sums, color histograms). Filtering removes
-voxels by occupancy and by the fraction of points carrying RGB; the survivors
-are emitted as one centroid per voxel. A voxel-walking occlusion test guards
-color assignment from a separate RGB camera.
+held as columns: one sorted int64 key per occupied voxel, with its point
+count, compensated position sum and colored count beside it, and every
+voxel's color histogram in one (voxel key, rgb code, count) table. Filtering
+removes voxels by occupancy and by the fraction of points carrying RGB; the
+survivors are emitted as one centroid per voxel. An occlusion test that walks
+every viewing ray through the grid at once guards color assignment from a
+separate RGB camera.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +23,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_VOXEL_SIZE = 0.1
 DEFAULT_OCCLUSION_THRESHOLD = 1
+
+_AXIS_BITS = 21  # per axis in a packed voxel key
+_HALF_SPAN = 1 << (_AXIS_BITS - 1)  # offsets from the base voxel lie in [-2**20, 2**20)
 
 
 @dataclass
@@ -52,148 +58,201 @@ class PointCloud:
         return len(self.positions)
 
 
-class _Voxel:
-    __slots__ = ("count", "csum", "comp", "colored", "hist")
-
-    def __init__(self):
-        self.count = 0
-        self.csum = np.zeros(3)
-        self.comp = np.zeros(3)
-        self.colored = 0
-        self.hist = {}
-
-    def add(self, n, vec_sum, n_colored, color_counts):
-        self.count += n
-        # Kahan step keeps centroids permutation-invariant to ~1e-14
-        y = vec_sum - self.comp
-        t = self.csum + y
-        self.comp = (t - self.csum) - y
-        self.csum = t
-        self.colored += n_colored
-        for code, cnt in color_counts:
-            self.hist[code] = self.hist.get(code, 0) + cnt
-
-    def centroid(self):
-        return (self.csum + self.comp) / self.count
-
-    def majority_color(self):
-        # highest count wins; ties break on the smallest encoded rgb
-        code = min(self.hist, key=lambda c: (-self.hist[c], c))
-        return np.array([(code >> 16) & 0xFF, (code >> 8) & 0xFF, code & 0xFF],
-                        dtype=np.uint8)
-
-
 @dataclass
 class VoxelGrid:
-    """Sparse accumulation grid; points on a boundary go to the higher-index voxel."""
+    """Sparse accumulation grid; points on a boundary go to the higher-index voxel.
+
+    One row per occupied voxel, rows sorted by `_keys`. A key packs the
+    voxel's (x, y, z) indices, 21 bits per axis, as offsets from `_base`:
+    the voxel of the first point that the first non-empty `accumulate` bins.
+    Offsets in [-2**20, 2**20) pack, about +-52 km at 0.05 m voxels, so
+    UTM-size coordinates fit; `accumulate` raises ValueError for a point
+    beyond that span. The offset is the same on every axis of every voxel,
+    so key order is the lexicographic (x, y, z) order of the voxel indices.
+
+    Beside the keys: `_count`, the Kahan sum `_csum` and its compensation
+    `_comp` ((V, 3) each), and `_colored`, the number of points with valid
+    RGB. `_hist` holds (voxel key, rgb code, count) rows sorted by key, then
+    code. `_clouds` keeps every accumulated cloud alive for the
+    `min_points=0` pass-through of `filter_voxels`.
+    """
 
     voxel_size: float = DEFAULT_VOXEL_SIZE
     origin: np.ndarray = None
-    _voxels: dict = field(default_factory=dict, repr=False)
-    _clouds: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if not self.voxel_size > 0:
             raise ValueError("voxel size must be positive")
         self.origin = (np.zeros(3) if self.origin is None
                        else np.asarray(self.origin, dtype=float).reshape(3))
+        self._base = None  # (3,) int64, fixed by the first non-empty accumulate
+        self._keys = np.zeros(0, np.int64)
+        self._count = np.zeros(0, np.int64)
+        self._csum = np.zeros((0, 3))
+        self._comp = np.zeros((0, 3))
+        self._colored = np.zeros(0, np.int64)
+        self._hist = np.zeros((0, 3), np.int64)
+        self._clouds = []
 
     def voxel_indices(self, points: np.ndarray) -> np.ndarray:
         return np.floor((np.asarray(points, dtype=float) - self.origin)
                         / self.voxel_size).astype(np.int64)
 
     def count(self, key) -> int:
-        v = self._voxels.get(tuple(key))
-        return v.count if v is not None else 0
+        if self._base is None:
+            return 0
+        keys, inside = _pack(np.asarray(key, dtype=np.int64).reshape(1, 3), self._base)
+        pos, found = _lookup(self._keys, keys)
+        return int(self._count[pos[0]]) if inside[0] and found[0] else 0
 
     def occupied(self, key, threshold: int = DEFAULT_OCCLUSION_THRESHOLD) -> bool:
         return self.count(key) >= threshold
 
     @property
     def n_voxels(self) -> int:
-        return len(self._voxels)
+        return len(self._keys)
 
     @property
     def n_points(self) -> int:
-        return sum(v.count for v in self._voxels.values())
+        return int(self._count.sum())
+
+
+def _pack(vox: np.ndarray, base: np.ndarray):
+    """Packed keys of (N, 3) voxel indices, and the mask of those within the span.
+
+    Keys outside the span are meaningless; callers mask them out or reject them.
+    """
+    off = vox - base + _HALF_SPAN
+    inside = np.all((off >= 0) & (off < 2 * _HALF_SPAN), axis=1)
+    keys = (off[:, 0] << 2 * _AXIS_BITS) | (off[:, 1] << _AXIS_BITS) | off[:, 2]
+    return keys, inside
+
+
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray):
+    """Insertion position of each key in sorted_keys, and whether it is there."""
+    pos = np.searchsorted(sorted_keys, keys)
+    found = np.zeros(len(keys), dtype=bool)
+    within = pos < len(sorted_keys)
+    found[within] = sorted_keys[pos[within]] == keys[within]
+    return pos, found
+
+
+def _runs(values: np.ndarray) -> np.ndarray:
+    """Start of each run of equal values in a sorted, non-empty 1-D array."""
+    return np.flatnonzero(np.append(True, values[1:] != values[:-1]))
+
+
+def _run_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each run of rows, added in row order like `values[s:e].sum(axis=0)`.
+
+    `np.add.reduceat` adds in another order, which moves centroids in the
+    last bits; centroids of a regular pixel grid project onto pixel-rounding
+    ties, so those bits would change which pixel colors a point.
+    """
+    sums = values[starts]
+    by_size = np.argsort(-counts, kind="stable")
+    alive = np.searchsorted(-counts[by_size], -np.arange(1, counts.max()), side="left")
+    for rank, n_runs in enumerate(alive, start=1):
+        runs = by_size[:n_runs]  # the runs longer than rank
+        sums[runs] += values[starts[runs] + rank]
+    return sums
 
 
 def accumulate(grid: VoxelGrid, cloud: PointCloud) -> VoxelGrid:
     """Bin a cloud into the grid (counts, position sums, color histograms).
 
     Re-adding the same cloud re-counts it; the caller deduplicates by frame
-    id. Returns the (mutated) grid.
+    id. Raises ValueError, leaving the grid unchanged, when a point lies
+    beyond the packable span around the grid's base voxel. Returns the
+    (mutated) grid.
     """
     if len(cloud) == 0:
         return grid
-    grid._clouds.append(cloud)
     vox = grid.voxel_indices(cloud.positions)
-    order = np.lexsort((vox[:, 2], vox[:, 1], vox[:, 0]))
-    sorted_vox = vox[order]
-    change = np.nonzero(np.any(np.diff(sorted_vox, axis=0) != 0, axis=1))[0] + 1
-    starts = np.concatenate([[0], change, [len(order)]])
+    base = vox[0].copy() if grid._base is None else grid._base
+    keys, inside = _pack(vox, base)
+    if not inside.all():
+        far = cloud.positions[np.argmin(inside)]
+        raise ValueError(f"point {far.tolist()} lies beyond +-2**{_AXIS_BITS - 1} "
+                         f"voxels of the grid's base voxel {base.tolist()}")
+    grid._base = base
+    grid._clouds.append(cloud)
 
-    has_color = cloud.colors is not None
-    if has_color:
-        codes = (cloud.colors[:, 0].astype(np.int64) << 16) \
-            | (cloud.colors[:, 1].astype(np.int64) << 8) \
-            | cloud.colors[:, 2].astype(np.int64)
+    order = np.argsort(keys, kind="stable")
+    starts = _runs(keys[order])
+    new_keys = keys[order[starts]]
+    pos, found = _lookup(grid._keys, new_keys)
+    if not found.all():
+        at = pos[~found]
+        grid._keys = np.insert(grid._keys, at, new_keys[~found])
+        grid._count = np.insert(grid._count, at, 0)
+        grid._csum = np.insert(grid._csum, at, 0.0, axis=0)
+        grid._comp = np.insert(grid._comp, at, 0.0, axis=0)
+        grid._colored = np.insert(grid._colored, at, 0)
+        pos = np.searchsorted(grid._keys, new_keys)
 
-    for s, e in zip(starts[:-1], starts[1:]):
-        members = order[s:e]
-        key = tuple(sorted_vox[s])
-        voxel = grid._voxels.get(key)
-        if voxel is None:
-            voxel = grid._voxels[key] = _Voxel()
-        vec_sum = cloud.positions[members].sum(axis=0)
-        if has_color:
-            valid = members[cloud.color_valid[members]]
-            uniq, cnts = np.unique(codes[valid], return_counts=True)
-            voxel.add(len(members), vec_sum, len(valid),
-                      list(zip(uniq.tolist(), cnts.tolist())))
-        else:
-            voxel.add(len(members), vec_sum, 0, ())
+    counts = np.diff(np.append(starts, len(keys)))
+    grid._count[pos] += counts
+    # Kahan step keeps centroids permutation-invariant to ~1e-14
+    y = _run_sums(cloud.positions[order], starts, counts) - grid._comp[pos]
+    t = grid._csum[pos] + y
+    grid._comp[pos] = (t - grid._csum[pos]) - y
+    grid._csum[pos] = t
+
+    if cloud.colors is not None and cloud.color_valid.any():
+        valid = cloud.color_valid[order]
+        grid._colored[pos] += np.add.reduceat(valid.astype(np.int64), starts)
+        # (grid row << 24 | rgb code) sorts histogram rows by (voxel key, code)
+        c = cloud.colors[order[valid]].astype(np.int64)
+        pairs = np.concatenate([
+            (np.searchsorted(grid._keys, grid._hist[:, 0]) << 24) | grid._hist[:, 1],
+            (np.repeat(pos, counts)[valid] << 24) | (c[:, 0] << 16) | (c[:, 1] << 8) | c[:, 2]])
+        n = np.concatenate([grid._hist[:, 2], np.ones(len(c), np.int64)])
+        by_pair = np.argsort(pairs, kind="stable")
+        first = _runs(pairs[by_pair])
+        pairs = pairs[by_pair[first]]
+        grid._hist = np.column_stack([grid._keys[pairs >> 24], pairs & 0xFFFFFF,
+                                      np.add.reduceat(n[by_pair], first)])
     return grid
 
 
 def filter_voxels(grid: VoxelGrid, min_points: int,
                   min_rgb_fraction: float = 0.0) -> PointCloud:
-    """One centroid per surviving voxel.
+    """One centroid per surviving voxel, in lexicographic voxel-index order.
 
     Voxels with fewer than min_points points are removed. With
     min_rgb_fraction > 0, voxels whose colored fraction falls below it are
     removed too; with min_rgb_fraction = 0, colorless voxels survive as
-    geometry-only centroids. min_points = 0 is the raw pass-through sentinel:
-    all accumulated points are returned unfiltered.
+    geometry-only centroids. A colored voxel gets its majority color: the
+    highest count wins, ties break on the smallest encoded rgb. min_points = 0
+    is the raw pass-through sentinel: all accumulated points are returned
+    unfiltered.
     """
     if not 0.0 <= min_rgb_fraction <= 1.0:
         raise ValueError("min_rgb_fraction must be in [0, 1]")
     if min_points == 0:
         return _concatenate(grid._clouds)
 
-    positions, colors, valid = [], [], []
-    for key in sorted(grid._voxels):
-        v = grid._voxels[key]
-        if v.count < min_points:
-            continue
-        frac = v.colored / v.count
-        if min_rgb_fraction > 0.0 and frac < min_rgb_fraction:
-            continue
-        positions.append(v.centroid())
-        if v.colored > 0:
-            colors.append(v.majority_color())
-            valid.append(True)
-        else:
-            colors.append(np.zeros(3, dtype=np.uint8))
-            valid.append(False)
-
-    if not positions:
+    keep = grid._count >= min_points
+    if min_rgb_fraction > 0.0:
+        keep &= grid._colored / grid._count >= min_rgb_fraction
+    if not keep.any():
         return PointCloud(positions=np.zeros((0, 3)))
-    positions = np.array(positions)
-    valid = np.array(valid)
+    positions = (grid._csum[keep] + grid._comp[keep]) / grid._count[keep, None]
+    valid = grid._colored[keep] > 0
     if not valid.any():
         return PointCloud(positions=positions)
-    return PointCloud(positions=positions, colors=np.array(colors), color_valid=valid)
+
+    # one histogram run per colored voxel, in key order; its majority is the
+    # first row holding the run's highest count, as codes ascend within a run
+    hist = grid._hist
+    starts = _runs(hist[:, 0])
+    run = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(hist))))
+    top = np.flatnonzero(hist[:, 2] == np.maximum.reduceat(hist[:, 2], starts)[run])
+    codes = hist[top[_runs(run[top])], 1]
+    colors = np.zeros((grid.n_voxels, 3), dtype=np.uint8)
+    colors[grid._colored > 0] = np.column_stack([codes >> 16, codes >> 8, codes]) & 0xFF
+    return PointCloud(positions=positions, colors=colors[keep], color_valid=valid)
 
 
 def _concatenate(clouds) -> PointCloud:
@@ -221,7 +280,10 @@ def _concatenate(clouds) -> PointCloud:
 
 
 def _walk_voxels(start_voxel, end_voxel, start_point, direction, grid):
-    """Integer voxel traversal from start to end (both included in the yield)."""
+    """Integer voxel traversal from start to end (both included in the yield).
+
+    One ray at a time; the test oracle for the batched walk in `_occluded`.
+    """
     v = np.array(start_voxel, dtype=np.int64)
     end = np.array(end_voxel, dtype=np.int64)
     step = np.sign(direction).astype(np.int64)
@@ -243,6 +305,49 @@ def _walk_voxels(start_voxel, end_voxel, start_point, direction, grid):
     yield tuple(end)
 
 
+def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray,
+              threshold: int) -> np.ndarray:
+    """Whether an occupied voxel lies on each segment from start_point to a point.
+
+    All rays step together through the grid (Amanatides & Woo, "A Fast Voxel
+    Traversal Algorithm", 1987) with the arithmetic of `_walk_voxels`, so
+    each visits the same voxels in the same order.
+    """
+    occupied = grid._keys[grid._count >= threshold]
+    occluded = np.zeros(len(points), dtype=bool)
+    if len(occupied) == 0:
+        return occluded
+    start = grid.voxel_indices(start_point[None, :])
+    end = grid.voxel_indices(points)
+    direction = points - start_point
+    step = np.sign(direction).astype(np.int64)
+    moving = direction != 0
+    boundary = grid.origin + (start + (step > 0)) * grid.voxel_size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_max = np.where(moving, (boundary - start_point) / direction, np.inf)
+        t_delta = np.where(moving, grid.voxel_size / np.abs(direction), np.inf)
+    limit = np.abs(end - start).sum(axis=1) + 3
+
+    rays = np.arange(len(points))
+    v = np.repeat(start, len(points), axis=0)
+    taken = 0
+    while len(rays):
+        arrived = np.all(v == end, axis=1)
+        keys, inside = _pack(v, grid._base)
+        _, hit = _lookup(occupied, keys)
+        hit &= inside & ~arrived & ~np.all(v == start, axis=1)
+        occluded[rays[hit]] = True
+        go = ~(arrived | hit) & (taken + 1 < limit)
+        rays, v, end, step, t_max, t_delta, limit = (
+            a[go] for a in (rays, v, end, step, t_max, t_delta, limit))
+        r = np.arange(len(rays))
+        axis = np.argmin(t_max, axis=1)  # ties go to the lowest axis
+        v[r, axis] += step[r, axis]
+        t_max[r, axis] += t_delta[r, axis]
+        taken += 1
+    return occluded
+
+
 def colorize_with_occlusion(cloud: PointCloud, grid: VoxelGrid, rgb: np.ndarray,
                             intrinsics: CameraIntrinsics, rgb_pose: Pose,
                             occlusion_threshold: int = DEFAULT_OCCLUSION_THRESHOLD,
@@ -253,39 +358,37 @@ def colorize_with_occlusion(cloud: PointCloud, grid: VoxelGrid, rgb: np.ndarray,
     strictly between the camera and the point's own voxel along the viewing
     ray; the camera's voxel and the point's own voxel never count as
     occluders. Points outside the frustum or behind the camera stay uncolored.
+
+    Every candidate ray starts in the camera's voxel and steps into the
+    neighbour across the nearest voxel boundary; where boundaries tie (the
+    ray crosses a voxel edge or corner), the lowest axis (x, then y, then z)
+    steps first. A ray checks at most |dx| + |dy| + |dz| + 3 voxels, the
+    camera's own included, where (dx, dy, dz) is the index difference between
+    the point's voxel and the camera's; a ray that has not reached its
+    point's voxel by then stops, and its point counts as visible. Voxels
+    beyond the packable span around the grid's base are empty.
     """
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError("rgb must be an (H, W, 3) raster")
+    if occlusion_threshold < 1:
+        raise ValueError("occlusion_threshold must be at least 1")
     H, W = rgb.shape[:2]
 
     pixels, in_front = project_points(intrinsics, rgb_pose, cloud.positions)
     pixels = np.nan_to_num(pixels, nan=-1.0)  # behind-camera pixels are masked below
     cols = np.round(pixels[:, 0]).astype(int)
     rows = np.round(pixels[:, 1]).astype(int)
-    candidates = in_front & (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H)
+    candidates = np.flatnonzero(in_front & (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H))
+    visible = candidates[~_occluded(grid, rgb_pose.t, cloud.positions[candidates],
+                                    occlusion_threshold)]
 
-    cam_voxel = tuple(grid.voxel_indices(rgb_pose.t[None, :])[0])
-    point_voxels = grid.voxel_indices(cloud.positions)
-
+    if len(visible) == 0:
+        return PointCloud(positions=cloud.positions.copy(), frame_ids=cloud.frame_ids)
     n = len(cloud)
     colors = np.zeros((n, 3), dtype=np.uint8)
     valid = np.zeros(n, dtype=bool)
-    for i in np.nonzero(candidates)[0]:
-        own = tuple(point_voxels[i])
-        direction = cloud.positions[i] - rgb_pose.t
-        occluded = False
-        for key in _walk_voxels(cam_voxel, own, rgb_pose.t, direction, grid):
-            if key == cam_voxel or key == own:
-                continue
-            if grid.occupied(key, occlusion_threshold):
-                occluded = True
-                break
-        if not occluded:
-            colors[i] = rgb[rows[i], cols[i]]
-            valid[i] = True
-
-    if not valid.any():
-        return PointCloud(positions=cloud.positions.copy(), frame_ids=cloud.frame_ids)
+    colors[visible] = rgb[rows[visible], cols[visible]]
+    valid[visible] = True
     return PointCloud(positions=cloud.positions.copy(), colors=colors,
                       color_valid=valid, frame_ids=cloud.frame_ids)

@@ -6,11 +6,12 @@ import pytest
 from tagbridge.fusion import (
     PointCloud,
     VoxelGrid,
+    _walk_voxels,
     accumulate,
     colorize_with_occlusion,
     filter_voxels,
 )
-from tagbridge.geometry import CameraIntrinsics, Pose
+from tagbridge.geometry import CameraIntrinsics, Pose, project_points
 
 
 def small_cam():
@@ -21,6 +22,88 @@ def small_cam():
 def nadirless_pose(x=0.0, y=0.0, z=0.0):
     # camera at origin looking along +Z (identity rotation)
     return Pose(t=np.array([x, y, z]), r=np.zeros(3))
+
+
+def wide_cam():
+    # 250 px focal length on a square sensor: rays up to 45 degrees off axis
+    return CameraIntrinsics(f=1.2, pixel_pitch=0.0048, x0=320.0, y0=320.0,
+                            width=640, height=640)
+
+
+def reference_filter(clouds, grid, min_points):
+    """Per-voxel accumulation over a dict, then filter_voxels' selection.
+
+    Each cloud adds its per-voxel `.sum(axis=0)` with one Kahan step, as the
+    grid does; returns (centroids, colors, color_valid) in voxel-index order.
+    """
+    voxels = {}
+    for cloud in clouds:
+        for i, key in enumerate(map(tuple, grid.voxel_indices(cloud.positions))):
+            voxels.setdefault(key, {}).setdefault(id(cloud), []).append(i)
+    positions, colors, valid = [], [], []
+    for key in sorted(voxels):
+        count, colored, hist = 0, 0, {}
+        csum, comp = np.zeros(3), np.zeros(3)
+        for cloud in clouds:
+            members = np.array(voxels[key].get(id(cloud), []), dtype=int)
+            if len(members) == 0:
+                continue
+            count += len(members)
+            y = cloud.positions[members].sum(axis=0) - comp
+            t = csum + y
+            comp = (t - csum) - y
+            csum = t
+            if cloud.colors is not None:
+                for rgb in cloud.colors[members[cloud.color_valid[members]]]:
+                    colored += 1
+                    hist[tuple(rgb)] = hist.get(tuple(rgb), 0) + 1
+        if count < min_points:
+            continue
+        positions.append((csum + comp) / count)
+        valid.append(colored > 0)
+        colors.append(min(hist, key=lambda c: (-hist[c], c)) if hist else (0, 0, 0))
+    return np.array(positions), np.array(colors, dtype=np.uint8), np.array(valid)
+
+
+def reference_colorize(cloud, grid, rgb, intrinsics, rgb_pose, occlusion_threshold=1):
+    """One `_walk_voxels` walk per candidate point; returns (colors, color_valid)."""
+    H, W = rgb.shape[:2]
+    pixels, in_front = project_points(intrinsics, rgb_pose, cloud.positions)
+    pixels = np.nan_to_num(pixels, nan=-1.0)
+    cols = np.round(pixels[:, 0]).astype(int)
+    rows = np.round(pixels[:, 1]).astype(int)
+    candidates = in_front & (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H)
+    cam_voxel = tuple(grid.voxel_indices(rgb_pose.t[None, :])[0])
+    point_voxels = grid.voxel_indices(cloud.positions)
+    colors = np.zeros((len(cloud), 3), dtype=np.uint8)
+    valid = np.zeros(len(cloud), dtype=bool)
+    for i in np.nonzero(candidates)[0]:
+        own = tuple(point_voxels[i])
+        direction = cloud.positions[i] - rgb_pose.t
+        occluded = False
+        for key in _walk_voxels(cam_voxel, own, rgb_pose.t, direction, grid):
+            if key == cam_voxel or key == own:
+                continue
+            if grid.occupied(key, occlusion_threshold):
+                occluded = True
+                break
+        if not occluded:
+            colors[i] = rgb[rows[i], cols[i]]
+            valid[i] = True
+    return colors, valid
+
+
+def assert_colorize_matches_reference(cloud, grid, cam, pose, threshold=1):
+    """Batched and per-point colorize agree exactly; returns the visible mask."""
+    rgb = np.random.default_rng(99).integers(0, 256, (cam.height, cam.width, 3), dtype=np.uint8)
+    out = colorize_with_occlusion(cloud, grid, rgb, cam, pose, occlusion_threshold=threshold)
+    colors, valid = reference_colorize(cloud, grid, rgb, cam, pose, threshold)
+    if out.colors is None:
+        assert not valid.any()
+    else:
+        assert np.array_equal(out.color_valid, valid)
+        assert np.array_equal(out.colors, colors)
+    return valid
 
 
 class TestAccumulate:
@@ -36,8 +119,8 @@ class TestAccumulate:
         accumulate(grid, PointCloud(positions=pts))
         assert grid.n_voxels == 1
         assert grid.count((3, 3, 3)) == 10
-        v = grid._voxels[(3, 3, 3)]
-        assert np.allclose(v.centroid(), pts.mean(axis=0), atol=1e-12)
+        centroid = filter_voxels(grid, min_points=1).positions[0]
+        assert np.allclose(centroid, pts.mean(axis=0), atol=1e-12)
 
     def test_boundary_point_goes_to_higher_voxel(self):
         grid = VoxelGrid(voxel_size=0.1)
@@ -53,19 +136,29 @@ class TestAccumulate:
     def test_order_independent_centroids(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(-5, 5, (2000, 3)) * np.array([1, 1, 0.3]) + 50.0
-        grid_a = VoxelGrid(voxel_size=0.25)
-        # one big cloud
-        accumulate(grid_a, PointCloud(positions=pts))
-        # three shuffled chunks
         perm = rng.permutation(len(pts))
+        # three codes, so majorities and ties both occur across the chunks
+        colors = np.array([[9, 0, 0], [0, 9, 0], [0, 0, 9]], np.uint8)[rng.integers(0, 3, len(pts))]
+        valid = rng.random(len(pts)) < 0.8
+        # one big cloud
+        grid_a = VoxelGrid(voxel_size=0.25)
+        accumulate(grid_a, PointCloud(positions=pts, colors=colors, color_valid=valid))
+        # three shuffled chunks
         grid_b = VoxelGrid(voxel_size=0.25)
-        for chunk in np.array_split(pts[perm], 3):
-            accumulate(grid_b, PointCloud(positions=chunk))
+        for chunk in np.array_split(perm, 3):
+            accumulate(grid_b, PointCloud(positions=pts[chunk], colors=colors[chunk],
+                                          color_valid=valid[chunk]))
         assert grid_a.n_voxels == grid_b.n_voxels
-        for key, va in grid_a._voxels.items():
-            vb = grid_b._voxels[key]
-            assert va.count == vb.count
-            assert np.max(np.abs(va.centroid() - vb.centroid())) < 1e-12
+        for key in {tuple(k) for k in grid_a.voxel_indices(pts)}:
+            assert grid_a.count(key) == grid_b.count(key)
+        # rows of both grids are in (x, y, z) voxel order, whatever their base
+        assert np.array_equal(grid_a._colored, grid_b._colored)
+        assert np.count_nonzero(grid_a._colored >= 2) > 20
+        out_a = filter_voxels(grid_a, min_points=1)
+        out_b = filter_voxels(grid_b, min_points=1)
+        assert np.max(np.abs(out_a.positions - out_b.positions)) < 1e-12
+        assert np.array_equal(out_a.color_valid, out_b.color_valid)
+        assert np.array_equal(out_a.colors, out_b.colors)
 
     def test_color_counting(self):
         pts = np.zeros((4, 3)) + 0.05
@@ -73,10 +166,31 @@ class TestAccumulate:
         valid = np.array([True, True, True, False])
         grid = VoxelGrid(voxel_size=0.1)
         accumulate(grid, PointCloud(positions=pts, colors=colors, color_valid=valid))
-        v = grid._voxels[(0, 0, 0)]
-        assert v.count == 4
-        assert v.colored == 3
-        assert np.array_equal(v.majority_color(), (255, 0, 0))
+        assert grid.count((0, 0, 0)) == 4
+        assert grid._colored.tolist() == [3]
+        assert np.array_equal(filter_voxels(grid, min_points=1).colors[0], (255, 0, 0))
+
+    def test_matches_per_voxel_reference(self):
+        # dense voxels and several clouds: centroids and colors are bit-identical
+        # to summing each voxel's points in cloud order with one Kahan step per cloud
+        rng = np.random.default_rng(8)
+        grid = VoxelGrid(voxel_size=0.2)
+        clouds = []
+        for _ in range(3):
+            n = 3000
+            pts = rng.normal(0.0, 0.4, (n, 3)) + 1e3
+            colors = rng.integers(0, 3, (n, 3)).astype(np.uint8) * 100
+            clouds.append(PointCloud(positions=pts, colors=colors,
+                                     color_valid=rng.random(n) < 0.9))
+            accumulate(grid, clouds[-1])
+        clouds.append(PointCloud(positions=rng.normal(0.0, 0.4, (500, 3)) + 1e3))
+        accumulate(grid, clouds[-1])
+        positions, colors, valid = reference_filter(clouds, grid, min_points=2)
+        out = filter_voxels(grid, min_points=2)
+        assert grid._count.max() > 50
+        assert np.array_equal(out.positions, positions)
+        assert np.array_equal(out.color_valid, valid)
+        assert np.array_equal(out.colors, colors)
 
 
 class TestFilterVoxels:
@@ -228,3 +342,131 @@ class TestColorize:
         rgb = np.full((480, 640, 3), 1, np.uint8)
         out = colorize_with_occlusion(cloud, grid, rgb, cam, pose)
         assert 0 < out.color_valid.sum() < len(cloud)
+
+    @pytest.mark.parametrize("threshold", [1, 2, 3])
+    @pytest.mark.parametrize("camera", [(1.0, 1.0, -0.5), (1.1, 0.9, 1.05)],
+                             ids=["outside", "inside"])
+    def test_batched_walk_matches_reference(self, threshold, camera):
+        rng = np.random.default_rng(10 + threshold)
+        pts = rng.uniform(0.0, 2.0, (1500, 3))
+        grid = accumulate(VoxelGrid(voxel_size=0.25), PointCloud(positions=pts))
+        assert grid._count.max() > threshold
+        visible = assert_colorize_matches_reference(
+            PointCloud(positions=pts), grid, wide_cam(), nadirless_pose(*camera), threshold)
+        assert 0 < visible.sum() < len(pts)
+
+    def test_axis_parallel_rays_match_reference(self):
+        # one or two zero direction components: t_max stays inf on those axes
+        rng = np.random.default_rng(12)
+        cx, cy, cz = 1.05, 0.95, -0.4
+        z = rng.uniform(0.0, 2.0, 60)
+        xy = rng.uniform(0.0, 2.0, (60, 2))
+        queries = np.concatenate([
+            np.column_stack([np.full(60, cx), np.full(60, cy), z]),  # dx = dy = 0
+            np.column_stack([np.full(60, cx), xy[:, 1], z]),  # dx = 0
+            np.column_stack([xy[:, 0], np.full(60, cy), z]),  # dy = 0
+        ])
+        clutter = rng.uniform(0.0, 2.0, (300, 3))
+        grid = accumulate(VoxelGrid(voxel_size=0.1), PointCloud(positions=clutter))
+        accumulate(grid, PointCloud(positions=queries))
+        visible = assert_colorize_matches_reference(
+            PointCloud(positions=queries), grid, wide_cam(), nadirless_pose(cx, cy, cz))
+        assert 0 < visible.sum() < len(queries)
+
+    @pytest.mark.parametrize("camera", [(0.25, 0.25, 0.25), (0.0, 0.0, 0.0)],
+                             ids=["voxel_centre", "voxel_corner"])
+    def test_edge_and_corner_ties_match_reference(self, camera):
+        # 0.5 m voxels and half-voxel offsets are exact in binary, so rays along
+        # (+-1, +-1, 1) and (+-1, 0.5, 1) cross edges and corners with t_max tied
+        rng = np.random.default_rng(13)
+        cam = np.array(camera)
+        steps = np.array([[sx, sy, 1.0] for sx in (-1.0, 1.0) for sy in (-1.0, -0.5, 0.5, 1.0)])
+        queries = np.concatenate([cam + k * 0.5 * steps for k in range(1, 7)])
+        clutter = cam + rng.integers(-6, 7, (80, 3)) * 0.5 + np.array([0.0, 0.0, 1.5])
+        grid = accumulate(VoxelGrid(voxel_size=0.5), PointCloud(positions=clutter))
+        accumulate(grid, PointCloud(positions=queries))
+        visible = assert_colorize_matches_reference(
+            PointCloud(positions=queries), grid, wide_cam(), nadirless_pose(*camera))
+        assert 0 < visible.sum() < len(queries)
+
+    def test_point_in_camera_voxel_colored(self):
+        pose = nadirless_pose(1.05, 1.05, 0.95)
+        rng = np.random.default_rng(14)
+        clutter = rng.uniform(0.0, 2.0, (400, 3))
+        own = pose.t + np.array([0.02, -0.01, 0.03])  # same 0.1 m voxel as the camera
+        cloud = PointCloud(positions=np.vstack([own, clutter]))
+        grid = accumulate(VoxelGrid(voxel_size=0.1), cloud)
+        accumulate(grid, PointCloud(positions=np.repeat(own[None, :], 5, axis=0)))
+        visible = assert_colorize_matches_reference(cloud, grid, wide_cam(), pose, threshold=2)
+        assert visible[0]
+
+    def test_threshold_below_one_rejected(self):
+        cloud = PointCloud(positions=np.array([[0.0, 0.0, 3.0]]))
+        grid = accumulate(VoxelGrid(voxel_size=0.1), cloud)
+        rgb = np.zeros((480, 640, 3), np.uint8)
+        with pytest.raises(ValueError):
+            colorize_with_occlusion(cloud, grid, rgb, small_cam(), nadirless_pose(),
+                                    occlusion_threshold=0)
+
+
+class TestKeyPacking:
+    def test_utm_scale_coordinates(self):
+        rng = np.random.default_rng(15)
+        corner = np.array([5.0e5, 5.4e6, 120.0])  # UTM-size easting and northing
+        pts = corner + rng.uniform(0.0, 0.6, (3000, 3))
+        colors = rng.integers(0, 2, (3000, 3)).astype(np.uint8) * 200
+        cloud = PointCloud(positions=pts, colors=colors)
+        grid = accumulate(VoxelGrid(voxel_size=0.05), cloud)
+
+        vox, inverse, counts = np.unique(grid.voxel_indices(pts), axis=0,
+                                         return_inverse=True, return_counts=True)
+        assert grid.n_voxels == len(vox)
+        assert grid.n_points == len(pts)
+        assert all(grid.count(k) == c for k, c in zip(map(tuple, vox[::97]), counts[::97]))
+        out = filter_voxels(grid, min_points=1)
+        means = np.zeros((len(vox), 3))
+        np.add.at(means, inverse.ravel(), pts - corner)
+        assert np.max(np.abs(out.positions - corner - means / counts[:, None])) < 1e-8
+        positions, ref_colors, _ = reference_filter([cloud], grid, min_points=1)
+        assert np.array_equal(out.positions, positions)
+        assert np.array_equal(out.colors, ref_colors)
+
+        pose = nadirless_pose(*(corner + np.array([0.3, 0.3, -0.5])))
+        visible = assert_colorize_matches_reference(out, grid, wide_cam(), pose)
+        assert 0 < visible.sum() < len(out)
+
+    @pytest.mark.parametrize("far", [2 ** 20, -2 ** 20 - 1])
+    def test_beyond_span_raises_and_leaves_grid(self, far):
+        size = 0.05
+        grid = VoxelGrid(voxel_size=size)
+        accumulate(grid, PointCloud(positions=[[0.01, 0.01, 0.01]]))  # base voxel (0, 0, 0)
+        near = np.sign(far) * (abs(far) - 1)  # the last packable index on that side
+        accumulate(grid, PointCloud(positions=[[(near + 0.2) * size, 0.01, 0.01]]))
+        assert grid.count((near, 0, 0)) == 1
+        with pytest.raises(ValueError):
+            accumulate(grid, PointCloud(positions=[[0.5, 0.5, 0.5], [(far + 0.2) * size, 0.01, 0.01]]))
+        assert (grid.n_voxels, grid.n_points) == (2, 2)
+        assert len(filter_voxels(grid, min_points=0)) == 2
+        assert grid.count((far, 0, 0)) == 0
+
+    def test_first_cloud_wider_than_span_raises(self):
+        grid = VoxelGrid(voxel_size=0.05)
+        with pytest.raises(ValueError):
+            accumulate(grid, PointCloud(positions=[[0.0, 0.0, 0.0], [0.0, 0.05 * 2 ** 21, 0.0]]))
+        assert grid.n_voxels == 0
+        accumulate(grid, PointCloud(positions=[[0.0, 0.05 * 2 ** 21, 0.0]]))
+        assert grid.count((0, 2 ** 21, 0)) == 1
+
+    def test_walk_beyond_span_counts_as_empty(self):
+        # The camera's voxel and the ray's next voxel lie one row past the +y
+        # edge of the span; packed without the span check, that next voxel
+        # would alias the occupied voxel (1, -2**20, 1) on the far -y edge.
+        size = 0.5
+        grid = VoxelGrid(voxel_size=size)
+        accumulate(grid, PointCloud(positions=[[0.25, 0.25, 0.25]]))  # base voxel (0, 0, 0)
+        accumulate(grid, PointCloud(positions=[[0.75, -2 ** 20 * size + 0.25, 0.75]]))
+        assert grid.count((1, -2 ** 20, 1)) == 1
+        pose = nadirless_pose(0.25, 2 ** 20 * size + 0.25, 0.25)
+        point = PointCloud(positions=[[0.25, (2 ** 20 - 1) * size + 0.25, 1.25]])
+        visible = assert_colorize_matches_reference(point, grid, wide_cam(), pose)
+        assert visible[0]
