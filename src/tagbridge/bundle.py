@@ -1,9 +1,21 @@
 """Bundle block adjustment: refine exterior (and optionally interior)
 orientation by minimizing reprojection error with Levenberg-Marquardt.
 
-Dense normal equations throughout; the blocks handled here stay well below
-~10^3 parameters, where correctness and verifiability beat sparse tricks.
-The Jacobian is evaluated by central differences (relative step 1e-7).
+The Jacobian is closed-form, built in one vectorized pass over the
+measurements that shares the projection with the residuals: per
+measurement a 2x6 pose block (t, omega, phi, kappa), a 2x3 point block and
+the interior-orientation columns (f, x0, y0, k_i). The normal equations
+are accumulated by block: U, dense over the camera unknowns (free poses
+and interior orientation); V, one 3x3 block per point; W between them.
+Each LM trial eliminates the points by the Schur complement, solves the
+reduced camera system and back-substitutes the points (Triggs et al.,
+"Bundle Adjustment -- A Modern Synthesis", 2000; Lourakis & Argyros, SBA,
+2009). V stays block-diagonal and W is n_cam x 3 n_points: no matrix over
+pairs of points is formed, and the dense, cubic solve is over the camera
+unknowns only, so it puts no cap on the number of points (dense normal
+equations over every unknown would cap a block at about 10^3 parameters).
+`numeric_jacobian` (central differences) is kept as the oracle the
+closed-form blocks are tested against.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from .geometry import (
     BEHIND_CAMERA_EPS,
     CameraIntrinsics,
     Pose,
-    distort_normalized,
+    distortion_factor,
     rotation_from_angles,
 )
 
@@ -89,7 +101,13 @@ class ResidualEvaluation:
 
 
 class _Packer:
-    """Maps between a flat parameter vector and problem state, vectorized."""
+    """Maps between a flat parameter vector and problem state, vectorized.
+
+    The vector holds the free poses as (t, omega, phi, kappa) rows, then the
+    free interior-orientation values in (f, x0, y0, k0, k1, ...) order (the
+    first `n_cam` entries: the camera unknowns), then the points as (x, y, z)
+    rows when they are free.
+    """
 
     def __init__(self, problem: BundleProblem):
         self.problem = problem
@@ -102,99 +120,187 @@ class _Packer:
         self.meas_pose = np.array([pose_index[m[0]] for m in problem.measurements], dtype=int)
         self.meas_point = np.array([point_index[m[1]] for m in problem.measurements], dtype=int)
 
-        self.base_t = np.array([problem.poses[p].t for p in self.pose_ids])
-        self.base_r = np.array([problem.poses[p].r for p in self.pose_ids])
+        self.base_pose = np.array([np.concatenate([problem.poses[p].t, problem.poses[p].r])
+                                   for p in self.pose_ids]).reshape(-1, 6)
         self.base_pts = np.array([problem.points[p] for p in self.point_ids]).reshape(-1, 3)
+        intr = problem.intrinsics
+        self.base_io = np.array([intr.f, intr.x0, intr.y0, *intr.k])
 
         mask = problem.mask
-        self.free_pose_rows = [i for i, p in enumerate(self.pose_ids)
-                               if mask.poses and p not in problem.anchors]
+        pose_free = np.array([mask.poses and p not in problem.anchors for p in self.pose_ids],
+                             dtype=bool)
+        self.free_pose_rows = np.flatnonzero(pose_free)
+        self.n_free = len(self.free_pose_rows)
         self.free_points = mask.points
-        self.n_k = len(problem.intrinsics.k)
+        self.io_free = np.array([mask.f, mask.principal_point, mask.principal_point]
+                                + [mask.distortion] * len(intr.k), dtype=bool)
+        self.n_cam = 6 * self.n_free + int(self.io_free.sum())
+        self.n_params = self.n_cam + (3 * len(self.point_ids) if self.free_points else 0)
 
-        n = 6 * len(self.free_pose_rows)
-        if self.free_points:
-            n += 3 * len(self.point_ids)
-        self.io_slots = []
-        if mask.f:
-            self.io_slots.append("f")
-        if mask.principal_point:
-            self.io_slots += ["x0", "y0"]
-        if mask.distortion:
-            self.io_slots += [f"k{i}" for i in range(self.n_k)]
-        self.n_params = n + len(self.io_slots)
+        # Camera columns of each measurement: its pose's six (when any pose is
+        # free), then the free interior orientation. A measurement on a fixed
+        # pose gets zero entries in its pose columns, indexed at column 0.
+        n_io = self.n_cam - 6 * self.n_free
+        self.cam_cols = np.broadcast_to(6 * self.n_free + np.arange(n_io),
+                                        (len(self.meas_pose), n_io))
+        self.meas_pose_free = pose_free[self.meas_pose]
+        if self.n_free:
+            free_rank = np.cumsum(pose_free) - 1
+            pose_cols = 6 * np.where(self.meas_pose_free, free_rank[self.meas_pose], 0)
+            self.cam_cols = np.concatenate([pose_cols[:, None] + np.arange(6), self.cam_cols],
+                                           axis=1)
+
+    def pose_block(self, x: np.ndarray) -> np.ndarray:
+        """The free poses in x as (n_free, 6) rows of (t, omega, phi, kappa)."""
+        return x[:6 * self.n_free].reshape(-1, 6)
 
     def initial_vector(self) -> np.ndarray:
-        parts = []
-        for i in self.free_pose_rows:
-            parts.append(self.base_t[i])
-            parts.append(self.base_r[i])
-        if self.free_points:
-            parts.append(self.base_pts.ravel())
-        intr = self.problem.intrinsics
-        io_vals = {"f": intr.f, "x0": intr.x0, "y0": intr.y0}
-        io_vals.update({f"k{i}": intr.k[i] for i in range(self.n_k)})
-        parts.append(np.array([io_vals[s] for s in self.io_slots]))
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return np.concatenate([self.base_pose[self.free_pose_rows].ravel(),
+                               self.base_io[self.io_free],
+                               self.base_pts.ravel() if self.free_points else []])
 
     def unpack(self, x: np.ndarray):
-        t = self.base_t.copy()
-        r = self.base_r.copy()
-        off = 0
-        for i in self.free_pose_rows:
-            t[i] = x[off:off + 3]
-            r[i] = x[off + 3:off + 6]
-            off += 6
-        if self.free_points:
-            pts = x[off:off + 3 * len(self.point_ids)].reshape(-1, 3)
-            off += 3 * len(self.point_ids)
-        else:
-            pts = self.base_pts
-        intr = self.problem.intrinsics
-        f, x0, y0 = intr.f, intr.x0, intr.y0
-        k = list(intr.k)
-        for slot in self.io_slots:
-            v = float(x[off])
-            off += 1
-            if slot == "f":
-                f = v
-            elif slot == "x0":
-                x0 = v
-            elif slot == "y0":
-                y0 = v
-            else:
-                k[int(slot[1:])] = v
-        return t, r, pts, (f, x0, y0, tuple(k))
+        """(t, r, points, io) at x; io is (f, x0, y0, k0, k1, ...)."""
+        pose = self.base_pose.copy()
+        pose[self.free_pose_rows] = self.pose_block(x)
+        io = self.base_io.copy()
+        io[self.io_free] = x[6 * self.n_free:self.n_cam]
+        pts = x[self.n_cam:].reshape(-1, 3) if self.free_points else self.base_pts
+        return pose[:, :3], pose[:, 3:], pts, io
 
-    def residuals(self, x: np.ndarray):
-        t, r, pts, (f, x0, y0, k) = self.unpack(x)
-        R = rotation_from_angles(r)
+    def _project(self, x: np.ndarray):
+        t, r, pts, io = self.unpack(x)
+        R = rotation_from_angles(r)[self.meas_pose]
         d = pts[self.meas_point] - t[self.meas_pose]
-        R_sel = R[self.meas_pose]
-        cam = np.einsum("mji,mj->mi", R_sel, d)
+        cam = np.einsum("mji,mj->mi", R, d)
         depth = cam[:, 2]
         behind = depth <= BEHIND_CAMERA_EPS
         safe = np.where(behind, 1.0, depth)
         norm = cam[:, :2] / safe[:, None]
-        dist = distort_normalized(k, norm)
-        focal = f / self.problem.intrinsics.pixel_pitch
-        px = np.empty_like(dist)
-        px[:, 0] = x0 + focal * dist[:, 0]
-        px[:, 1] = y0 + focal * dist[:, 1]
-        res = self.obs - px
+        r2 = np.sum(norm * norm, axis=1, keepdims=True)
+        scale = distortion_factor(io[3:], r2)
+        dist = norm * scale
+        focal = io[0] / self.problem.intrinsics.pixel_pitch
+        res = self.obs - (io[1:3] + focal * dist)
         res[behind] = BEHIND_RESIDUAL
+        return res, behind, (R, d, r, safe, norm, r2, scale, dist, focal, io)
+
+    def residuals(self, x: np.ndarray):
+        res, behind, _ = self._project(x)
         return res.ravel(), behind
 
+    def linearize(self, x: np.ndarray):
+        """Residuals at x and their closed-form Jacobian blocks.
+
+        Returns (residuals (M, 2), J_cam (M, 2, q), J_point (M, 2, 3)):
+        J_cam holds each measurement's derivatives in the camera columns
+        `cam_cols` (M, q); J_point those in its point's columns
+        n_cam + 3 * meas_point + (0, 1, 2), which exist only when the points
+        are free.
+        Rows of behind-camera measurements are zero: their residual is the
+        constant BEHIND_RESIDUAL.
+        """
+        res, behind, (R, d, r, depth, norm, r2, scale, dist, focal, io) = self._project(x)
+        k = io[3:]
+        dscale = np.zeros_like(scale)  # d scale / d r^2
+        for i in range(len(k) - 1, 0, -1):
+            dscale = dscale * r2 + i * k[i]
+        # d pixel / d normalized = focal (scale I + 2 scale' n n^T), and
+        # d normalized / d camera point = [I | -n] / depth
+        dpx_dn = 2.0 * dscale[:, :, None] * norm[:, :, None] * norm[:, None, :]
+        dpx_dn[:, [0, 1], [0, 1]] += scale
+        dn_dcam = np.zeros((len(norm), 2, 3))
+        dn_dcam[:, [0, 1], [0, 1]] = 1.0
+        dn_dcam[:, :, 2] = -norm
+        dpx_dcam = focal * dpx_dn @ (dn_dcam / depth[:, None, None])
+        # camera point = R^T (P - t), so d pixel / d P = dpx_dcam R^T
+        dpx_dP = np.einsum("mik,mjk->mij", dpx_dcam, R)
+
+        blocks = []
+        if self.n_free:
+            # d R / d angle = [a]x R with a = R e_x (omega), Rz(kappa) e_y (phi)
+            # and e_z (kappa), so d camera point / d angle = R^T ((P - t) x a)
+            kappa = r[self.meas_pose, 2]
+            axes = np.zeros((len(norm), 3, 3))
+            axes[:, 0] = R[:, :, 0]
+            axes[:, 1, 0] = -np.sin(kappa)
+            axes[:, 1, 1] = np.cos(kappa)
+            axes[:, 2, 2] = 1.0
+            dpx_dangles = np.einsum("mij,maj->mia", dpx_dP, np.cross(d[:, None, :], axes))
+            pose_block = np.concatenate([-dpx_dP, dpx_dangles], axis=2)
+            blocks.append(pose_block * self.meas_pose_free[:, None, None])
+        dpx_dio = np.empty((len(norm), 2, len(io)))
+        dpx_dio[:, :, 0] = dist / self.problem.intrinsics.pixel_pitch
+        dpx_dio[:, :, 1:3] = np.eye(2)
+        dpx_dio[:, :, 3:] = focal * norm[:, :, None] * r2[:, :, None] ** np.arange(len(k))
+        blocks.append(dpx_dio[:, :, self.io_free])
+
+        J_cam = -np.concatenate(blocks, axis=2)
+        J_cam[behind] = 0.0
+        J_point = -dpx_dP
+        J_point[behind] = 0.0
+        return res, J_cam, J_point
+
     def rebuild_problem(self, x: np.ndarray) -> BundleProblem:
-        t, r, pts, (f, x0, y0, k) = self.unpack(x)
+        t, r, pts, io = self.unpack(x)
         poses = {p: Pose(t=t[i], r=r[i]) for i, p in enumerate(self.pose_ids)}
         points = {p: pts[i].copy() for i, p in enumerate(self.point_ids)}
-        intr = replace(self.problem.intrinsics, f=f, x0=x0, y0=y0, k=tuple(k))
+        intr = replace(self.problem.intrinsics, f=float(io[0]), x0=float(io[1]),
+                       y0=float(io[2]), k=tuple(io[3:]))
         return BundleProblem(
             intrinsics=intr, poses=poses, points=points,
             measurements=list(self.problem.measurements),
             mask=self.problem.mask, anchors=self.problem.anchors,
         )
+
+
+class _NormalEquations:
+    """J^T J and g = J^T r at x, by block: U over the camera unknowns (dense),
+    V as one 3x3 block per point, W (n_cam, 3 n_points) between them."""
+
+    def __init__(self, packer: _Packer, x: np.ndarray):
+        res, J_cam, J_point = packer.linearize(x)
+        nc = packer.n_cam
+        cols = packer.cam_cols
+        self.U = np.bincount((cols[:, :, None] * nc + cols[:, None, :]).ravel(),
+                             np.einsum("mia,mib->mab", J_cam, J_cam).ravel(),
+                             minlength=nc * nc).reshape(nc, nc)
+        g_cam = np.bincount(cols.ravel(), np.einsum("mia,mi->ma", J_cam, res).ravel(),
+                            minlength=nc)
+        if packer.free_points:
+            n_pts = len(packer.point_ids)
+            pt = packer.meas_point[:, None] * 3 + np.arange(3)  # point columns
+            self.V = np.bincount((pt[:, :, None] * 3 + np.arange(3)).ravel(),
+                                 np.einsum("mia,mib->mab", J_point, J_point).ravel(),
+                                 minlength=9 * n_pts).reshape(n_pts, 3, 3)
+            self.W = np.bincount((cols[:, :, None] * 3 * n_pts + pt[:, None, :]).ravel(),
+                                 np.einsum("mia,mib->mab", J_cam, J_point).ravel(),
+                                 minlength=nc * 3 * n_pts).reshape(nc, 3 * n_pts)
+            g_point = np.bincount(pt.ravel(), np.einsum("mia,mi->ma", J_point, res).ravel(),
+                                  minlength=3 * n_pts)
+        else:  # nothing to eliminate: the step solves U alone
+            self.V = np.zeros((0, 3, 3))
+            self.W = np.zeros((nc, 0))
+            g_point = np.zeros(0)
+        self.g = np.concatenate([g_cam, g_point])
+
+    def step(self, lam: float) -> np.ndarray:
+        """Solve (J^T J + lam diag(max(diag(J^T J), 1e-12))) delta = -g.
+
+        The points are eliminated by the Schur complement; raises
+        np.linalg.LinAlgError when a system is singular.
+        """
+        nc = len(self.U)
+        g_cam, g_point = self.g[:nc], self.g[nc:].reshape(-1, 3)
+        U = self.U + lam * np.diag(np.maximum(np.diag(self.U), 1e-12))
+        V = self.V.copy()
+        V[:, [0, 1, 2], [0, 1, 2]] += lam * np.maximum(self.V[:, [0, 1, 2], [0, 1, 2]], 1e-12)
+        V_inv = np.linalg.inv(V)
+        W = self.W
+        W_V_inv = np.einsum("cpi,pij->cpj", W.reshape(nc, len(V), 3), V_inv).reshape(W.shape)
+        d_cam = np.linalg.solve(U - W_V_inv @ W.T, W_V_inv @ g_point.ravel() - g_cam)
+        d_point = -np.einsum("pij,pj->pi", V_inv, g_point + (W.T @ d_cam).reshape(-1, 3))
+        return np.concatenate([d_cam, d_point.ravel()])
 
 
 def _rms(residuals: np.ndarray) -> float:
@@ -217,7 +323,10 @@ def reprojection_residuals(problem: BundleProblem) -> ResidualEvaluation:
 
 
 def numeric_jacobian(fun, x: np.ndarray, rel_step: float = JACOBIAN_REL_STEP) -> np.ndarray:
-    """Central-difference Jacobian of fun(x) -> (N,) at x (step relative, floor 1)."""
+    """Central-difference Jacobian of fun(x) -> (N,) at x (step relative, floor 1).
+
+    The oracle for the closed-form Jacobian blocks; `solve` does not use it.
+    """
     r0 = fun(x)
     J = np.empty((r0.size, x.size))
     for j in range(x.size):
@@ -253,9 +362,13 @@ def solve(problem: BundleProblem, max_iters: int = 100,
           gradient_tol: float = 1e-10, step_tol: float = 1e-12):
     """Levenberg-Marquardt over the free parameter blocks.
 
-    Damping starts at 1e-3, x10 on a rejected step, /10 on an accepted one.
-    Terminates on max |J^T r| < gradient_tol, step norm < step_tol, or
-    max_iters. Cost never increases. Returns (updated problem, SolveReport).
+    Each iteration builds the closed-form Jacobian blocks and the block
+    normal equations; each trial solves them with the points eliminated by
+    the Schur complement (when the points are fixed, the camera block is
+    solved directly). Damping starts at 1e-3, x10 on a rejected step, /10
+    on an accepted one; it scales max(diag(J^T J), 1e-12). Terminates on
+    max |J^T r| < gradient_tol, step norm < step_tol, or max_iters. Cost
+    never increases. Returns (updated problem, SolveReport).
     """
     packer = _Packer(problem)
     _check_preconditions(problem, packer)
@@ -279,26 +392,23 @@ def solve(problem: BundleProblem, max_iters: int = 100,
             initial_rms, initial_rms, 0, True, trace, [cost])
 
     for iterations in range(1, max_iters + 1):
-        J = numeric_jacobian(fun, x)
-        g = J.T @ r
-        if np.max(np.abs(g)) < gradient_tol:
+        normal = _NormalEquations(packer, x)
+        if np.max(np.abs(normal.g)) < gradient_tol:
             converged = True
             iterations -= 1
             break
-        A = J.T @ J
-        diag = np.maximum(np.diag(A), 1e-12)
 
         accepted = False
         while lam <= LAMBDA_MAX:
             try:
-                delta = np.linalg.solve(A + lam * np.diag(diag), -g)
+                delta = normal.step(lam)
             except np.linalg.LinAlgError as err:
                 raise SingularNormalEquations(str(err)) from None
             if np.linalg.norm(delta) < step_tol * (np.linalg.norm(x) + step_tol):
                 converged = True
                 break
             x_new = x + delta
-            phi = _phi_values(packer, x_new)
+            phi = packer.pose_block(x_new)[:, 4]
             if phi.size and np.max(np.abs(phi)) >= max_phi:
                 lam *= 10.0
                 trace.append(lam)
@@ -325,12 +435,3 @@ def solve(problem: BundleProblem, max_iters: int = 100,
         logger.warning("LM stopped without convergence after %d iterations (rms %.3e px)",
                        iterations, final_rms)
     return packer.rebuild_problem(x), report
-
-
-def _phi_values(packer: _Packer, x: np.ndarray) -> np.ndarray:
-    vals = []
-    off = 0
-    for _ in packer.free_pose_rows:
-        vals.append(x[off + 4])
-        off += 6
-    return np.asarray(vals)

@@ -10,7 +10,7 @@ fixed transform (inverse normal CDF on open-interval uniforms).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -33,7 +33,6 @@ _KEY_TIE_POINTS = 2
 _KEY_OBSERVATIONS = 3
 _KEY_SIGHTINGS = 4
 _KEY_TEXTURE = 5
-_KEY_POSE_NOISE = 6
 
 
 def _stream(seed, *key):
@@ -61,19 +60,10 @@ class WalkPlan:
 
 
 @dataclass(frozen=True)
-class NoiseModel:
-    pixel_sigma: float = 0.0
-    position_sigma: float = 0.0
-    angle_sigma: float = 0.0
-
-
-@dataclass(frozen=True)
 class SceneSpec:
     tags: dict = None
-    buildings: tuple = ()
     flight: FlightPlan = FlightPlan()
     walk: WalkPlan = WalkPlan()
-    noise: NoiseModel = NoiseModel()
     seed: int = 0
     n_tie_points: int = 40
     world_from_local: RigidTransform = None
@@ -279,21 +269,6 @@ def render_sightings(scene: Scene, sigma_m: float = 0.0, seed: int = 0):
         sightings.append(LocalTagSighting(tag_id=tag_id, local_vector=local,
                                           timestamp=stamp))
     return sightings
-
-
-def perturb_poses(poses: dict, sigma_t: float, sigma_angles: float, seed: int = 0,
-                  skip=()) -> dict:
-    """Add Gaussian noise to pose translations/angles (ids in `skip` untouched)."""
-    out = {}
-    for i, image_id in enumerate(sorted(poses)):
-        pose = poses[image_id]
-        if image_id in skip:
-            out[image_id] = pose
-            continue
-        rng = _stream(seed, _KEY_POSE_NOISE, i)
-        out[image_id] = Pose(t=pose.t + gaussian(rng, (3,)) * sigma_t,
-                             r=pose.r + gaussian(rng, (3,)) * sigma_angles)
-    return out
 
 
 @dataclass

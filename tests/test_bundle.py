@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from tagbridge.bundle import (
+    LAMBDA_INIT,
+    LAMBDA_MAX,
+    MAX_PHI_DEG,
     BundleProblem,
     ParameterMask,
+    _NormalEquations,
+    _Packer,
     numeric_jacobian,
     reprojection_residuals,
     solve,
@@ -74,6 +79,66 @@ def aligned_pose_errors(est_poses, est_points, true_poses, true_points):
         R_aligned = T.rotation @ est_poses[i].rotation()
         rot_err.append(rotation_angle(R_aligned.T @ true_poses[i].rotation()))
     return np.max(pos_err), np.max(rot_err)
+
+
+def analytic_jacobian(packer, x):
+    """Dense J assembled from the closed-form blocks and their column indices."""
+    res, J_cam, J_point = packer.linearize(x)
+    m = len(res)
+    J = np.zeros((2 * m, packer.n_params))
+    rows = np.arange(2 * m).reshape(m, 2, 1)
+    np.add.at(J, (rows, packer.cam_cols[:, None, :]), J_cam)
+    if packer.free_points:
+        point_cols = packer.n_cam + 3 * packer.meas_point[:, None] + np.arange(3)
+        np.add.at(J, (rows, point_cols[:, None, :]), J_point)
+    return J, res.ravel()
+
+
+def reference_solve(problem, max_iters=100, gradient_tol=1e-10, step_tol=1e-12):
+    """The LM loop on a central-difference Jacobian and dense normal equations.
+
+    Same rules as `solve`; returns (final cost, converged).
+    """
+    packer = _Packer(problem)
+
+    def fun(v):
+        return packer.residuals(v)[0]
+
+    x = packer.initial_vector()
+    r = fun(x)
+    cost = float(r @ r)
+    lam = LAMBDA_INIT
+    converged = False
+    for _ in range(max_iters):
+        J = numeric_jacobian(fun, x)
+        g = J.T @ r
+        if np.max(np.abs(g)) < gradient_tol:
+            converged = True
+            break
+        A = J.T @ J
+        diag = np.maximum(np.diag(A), 1e-12)
+        accepted = False
+        while lam <= LAMBDA_MAX:
+            delta = np.linalg.solve(A + lam * np.diag(diag), -g)
+            if np.linalg.norm(delta) < step_tol * (np.linalg.norm(x) + step_tol):
+                converged = True
+                break
+            x_new = x + delta
+            phi = packer.pose_block(x_new)[:, 4]
+            if phi.size and np.max(np.abs(phi)) >= math.radians(MAX_PHI_DEG):
+                lam *= 10.0
+                continue
+            r_new = fun(x_new)
+            cost_new = float(r_new @ r_new)
+            if cost_new < cost:
+                x, r, cost = x_new, r_new, cost_new
+                lam = max(lam / 10.0, 1e-12)
+                accepted = True
+                break
+            lam *= 10.0
+        if converged or not accepted:
+            break
+    return cost, converged
 
 
 class TestResiduals:
@@ -231,6 +296,93 @@ class TestJacobian:
         mask = scale > 1e-3  # ignore structurally tiny entries
         rel = np.abs(J1 - J2)[mask] / scale[mask]
         assert np.max(rel) < 1e-4
+
+    @pytest.mark.parametrize("mask, distorted", [
+        (ParameterMask(points=False), False),
+        (ParameterMask(poses=False), False),
+        (ParameterMask(), False),
+        (ParameterMask(f=True), False),
+        (ParameterMask(principal_point=True), False),
+        (ParameterMask(distortion=True), True),
+    ], ids=["poses", "points", "poses+points", "f", "principal_point", "distortion"])
+    def test_analytic_matches_numeric(self, aerial_cam, mask, distorted):
+        from dataclasses import replace
+
+        cam = replace(aerial_cam, k=(2e-3, -0.05, 0.02)) if distorted else aerial_cam
+        poses, points, meas = synthetic_block(cam, n_cams=4, n_points=8, sigma=0.3, seed=2)
+        # a point above the cameras: behind every one of them
+        points[99] = np.array([0.0, 0.0, 300.0])
+        meas = meas + [("img_0001", 99, np.array([100.0, 100.0])),
+                       ("img_0002", 99, np.array([900.0, 100.0]))]
+        problem = BundleProblem(cam, poses, points, meas, mask=mask, anchors={"img_0000"})
+        packer = _Packer(problem)
+        rng = np.random.default_rng(3)
+        x = packer.initial_vector()
+        x = x + rng.normal(0, 1e-3, x.size) * np.maximum(np.abs(x), 1.0)
+
+        J, r = analytic_jacobian(packer, x)
+        # rel_step 1e-5: at 1e-7 the roundoff of ~2000 px residuals reaches
+        # ~1e-6 of the smallest columns (point z), at 1e-5 it is ~1e-9
+        J_num = numeric_jacobian(lambda v: packer.residuals(v)[0], x, rel_step=1e-5)
+        assert J.shape == J_num.shape == (2 * len(meas), packer.n_params)
+        behind = packer.residuals(x)[1]
+        assert behind.sum() == 2 and behind[-2:].all()
+        assert not J[-4:].any() and not J_num[-4:].any()
+        for j in range(packer.n_params):  # the behind point's own columns are all zero
+            scale = np.max(np.abs(J_num[:, j]))
+            assert np.max(np.abs(J[:, j] - J_num[:, j])) <= 1e-6 * scale, j
+
+        # the block normal equations are J^T J and J^T r of the same J
+        normal = _NormalEquations(packer, x)
+        A = J.T @ J
+        nc = packer.n_cam
+        tol = 1e-12 * np.max(np.abs(A))
+        assert np.allclose(normal.g, J.T @ r, rtol=0, atol=1e-12 * np.max(np.abs(J.T @ r)))
+        assert np.allclose(normal.U, A[:nc, :nc], rtol=0, atol=tol)
+        assert np.allclose(normal.W, A[:nc, nc:], rtol=0, atol=tol)
+        n_pts = len(normal.V)
+        blocks = A[nc:, nc:].reshape(n_pts, 3, n_pts, 3).transpose(0, 2, 1, 3)
+        assert np.allclose(normal.V, blocks[np.arange(n_pts), np.arange(n_pts)], rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("mask", [ParameterMask(), ParameterMask(points=False),
+                                      ParameterMask(poses=False)],
+                             ids=["poses+points", "poses", "points"])
+    @pytest.mark.parametrize("lam", [1e-12, 1e-3, 1e3])
+    def test_schur_step_matches_dense_solve(self, aerial_cam, mask, lam):
+        poses, points, meas = synthetic_block(aerial_cam, n_cams=6, n_points=20, sigma=0.5,
+                                              seed=3)
+        # two anchors fix the scale, which one anchor leaves free when the
+        # points move: at lam 1e-12 J^T J would be singular to rounding
+        anchors = {"img_0000", "img_0005"}
+        start = perturb(poses, anchors, dt=0.3, dr_deg=0.3, seed=5)
+        problem = BundleProblem(aerial_cam, start, points, meas, mask=mask, anchors=anchors)
+        packer = _Packer(problem)
+        x = packer.initial_vector()
+        J, r = analytic_jacobian(packer, x)
+        A = J.T @ J
+        dense = np.linalg.solve(A + lam * np.diag(np.maximum(np.diag(A), 1e-12)), -J.T @ r)
+        step = _NormalEquations(packer, x).step(lam)
+        assert np.linalg.norm(step - dense) <= 1e-8 * np.linalg.norm(dense)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("block", ["monotone", "noise_100", "noise_101", "noise_102"])
+    def test_final_cost_matches_central_difference_solver(self, aerial_cam, block):
+        if block == "monotone":
+            poses, points, meas = synthetic_block(aerial_cam, n_points=15, sigma=0.5, seed=4)
+            poses = perturb(poses, {"img_0000"}, dt=0.3, dr_deg=0.3, seed=5)
+            max_iters = 100
+        else:
+            poses, points, meas = synthetic_block(aerial_cam, n_cams=6, n_points=50, sigma=0.5,
+                                                  seed=int(block[-3:]))
+            max_iters = 30
+        problem = BundleProblem(aerial_cam, dict(poses), dict(points), meas,
+                                anchors={"img_0000"})
+        ref_cost, ref_converged = reference_solve(problem, max_iters=max_iters)
+        _, report = solve(problem, max_iters=max_iters)
+        assert ref_converged and report.converged
+        assert abs(report.cost_trace[-1] - ref_cost) <= 1e-9 * ref_cost
+        assert all(b <= a for a, b in zip(report.cost_trace, report.cost_trace[1:]))
 
 
 class TestNoiseFloor:

@@ -7,7 +7,6 @@ from tagbridge.errors import InvalidSpec
 from tagbridge.geometry import apply_transform, project, project_points
 from tagbridge.synth import (
     FlightPlan,
-    NoiseModel,
     Scene,
     SceneSpec,
     StereoPair,
