@@ -7,7 +7,10 @@ optional conversion of the disparity map to a 3D point cloud.
 
 Matching cost is census + Hamming: deterministic, offset-invariant, and
 checkable against small exhaustive oracles. Costs are small unsigned
-integers bounded by the census bit count; aggregated costs are float32.
+integers bounded by the census bit count. Aggregated costs are uint16 and
+exact: with integer P1 and P2 a path value is at most max(C) + P2, so the
+n-path sum is at most n * (max(C) + P2), 1 152 for a 5x5 census at the
+defaults; `aggregate_costs` rejects volumes whose bound exceeds 65 535.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ FLAG_OUT_OF_RANGE = 4
 PATHS_4 = ((0, 1), (0, -1), (1, 0), (-1, 0))
 PATHS_8 = PATHS_4 + ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
+# Rows per block in select_disparity: its float32 temporaries are a few
+# (SELECT_BLOCK_ROWS, W, D) slabs, whatever the image height.
+SELECT_BLOCK_ROWS = 16
+UINT16_MAX = np.iinfo(np.uint16).max
+
 
 @dataclass(frozen=True)
 class SgmParams:
@@ -48,6 +56,8 @@ class SgmParams:
             raise ValueError("d_min must be < d_max")
         if not (0 < self.p1 < self.p2):
             raise ValueError("penalties must satisfy 0 < P1 < P2")
+        if not (float(self.p1).is_integer() and float(self.p2).is_integer()):
+            raise ValueError("penalties P1 and P2 must be integer-valued")
         if self.n_paths not in (4, 8):
             raise ValueError("n_paths must be 4 or 8")
         h, w = self.census_window
@@ -67,13 +77,15 @@ class SgmParams:
 class CostVolume:
     """Per-pixel, per-disparity matching costs C(x, y, d), d = d_min..d_max.
 
-    `base` records which image the volume is anchored to ("left": matches at
-    x - d in the other image; "right": matches at x + d). `max_cost` is the
-    census bit count, also used for out-of-bounds cells. After aggregation,
-    `raw` keeps the pre-aggregation matching costs: the uniqueness test runs
-    on them, because path accumulation seeds a spurious unique minimum from
-    the out-of-bounds border wedge even when every true matching cost ties
-    (textureless input).
+    `costs` is uint16, both for matching costs and for the path sums that
+    `aggregate_costs` returns. `base` records which image the volume is
+    anchored to ("left": matches at x - d in the other image; "right":
+    matches at x + d). `max_cost` is the census bit count, also used for
+    out-of-bounds cells. After aggregation, `raw` keeps the pre-aggregation
+    matching costs: the uniqueness test runs on them, because path
+    accumulation seeds a spurious unique minimum from the out-of-bounds
+    border wedge even when every true matching cost ties (textureless
+    input).
     """
 
     costs: np.ndarray  # (H, W, D)
@@ -229,15 +241,71 @@ def aggregate_one_path(volume: CostVolume, direction, p1: float, p2: float) -> n
     return np.ascontiguousarray(L)
 
 
-def aggregate_costs(volume: CostVolume, params: SgmParams) -> CostVolume:
-    """Sum of single-path accumulations over the configured path set.
+class _PathStep:
+    """`_path_step` on uint16 states of one shape, into preallocated buffers."""
 
-    Paths are processed and summed in the fixed PATHS_4/PATHS_8 order so the
-    result is bit-identical run to run.
+    def __init__(self, shape, p1: int, p2: int):
+        self.p1, self.p2 = np.uint16(p1), np.uint16(p2)
+        self.m = np.empty(shape[:-1] + (1,), np.uint16)
+        self.m_p2 = np.empty_like(self.m)
+        self.prev_p1 = np.empty(shape, np.uint16)
+
+    def __call__(self, prev: np.ndarray, out: np.ndarray) -> None:
+        m, m_p2, prev_p1 = self.m, self.m_p2, self.prev_p1
+        np.min(prev, axis=-1, keepdims=True, out=m)
+        np.add(m, self.p2, out=m_p2)
+        np.minimum(prev, m_p2, out=out)
+        np.add(prev, self.p1, out=prev_p1)
+        np.minimum(out[..., 1:], prev_p1[..., :-1], out=out[..., 1:])
+        np.minimum(out[..., :-1], prev_p1[..., 1:], out=out[..., :-1])
+        np.subtract(out, m, out=out)
+
+
+def _sweep(C: np.ndarray, total: np.ndarray, paths, p1: int, p2: int) -> None:
+    """Add the paths' accumulated costs to `total`, all paths stepped together.
+
+    C and total are (n, W, D) views whose first axis is the sweep axis. Path
+    (reverse, dx) visits the lines 0..n-1, or n-1..0 if `reverse`, and
+    continues at column x from column x - dx of the line before. A path
+    that starts at a border reads a zero state, which steps to exactly 0,
+    so L = C there.
     """
-    total = np.zeros(volume.costs.shape, dtype=np.float32)
-    for direction in params.directions:
-        total += aggregate_one_path(volume, direction, params.p1, params.p2)
+    n, W, D = C.shape
+    L = np.zeros((len(paths), W, D), np.uint16)
+    stepped = np.zeros((len(paths), W + 2, D), np.uint16)  # columns 0, W + 1 stay 0
+    step = _PathStep(L.shape, p1, p2)
+    for t in range(n):
+        step(L, out=stepped[:, 1:W + 1])
+        for i, (reverse, dx) in enumerate(paths):
+            y = n - 1 - t if reverse else t
+            np.add(C[y], stepped[i, 1 - dx:1 - dx + W], out=L[i])
+            total[y] += L[i]
+
+
+def aggregate_costs(volume: CostVolume, params: SgmParams) -> CostVolume:
+    """Sum of the path accumulations over `params.directions`, as uint16.
+
+    Three sweeps cover every path: down the rows (the paths with dy = +1 as
+    one (k, W, D) state, the diagonals reading the previous row shifted by
+    one column), up the rows (dy = -1), and along x, where (0, +1) at column
+    x and (0, -1) at column W-1-x step together as one (2, H, D) state.
+    Each sums straight into one uint16 total. Every value is an exact
+    integer below the bound checked here, so the result is bit-identical
+    to summing `aggregate_one_path` (the float32 test oracle) over the
+    directions, in any order.
+    """
+    C = volume.costs
+    n = len(params.directions)
+    if n * (int(C.max()) + params.p2) > UINT16_MAX:
+        raise ValueError(f"{n} paths x (max cost {int(C.max())} + P2 {params.p2:g}) "
+                         f"exceeds the uint16 range")
+    p1, p2 = int(params.p1), int(params.p2)
+    dirs = params.directions
+    total = np.zeros(C.shape, np.uint16)
+    _sweep(C, total, [(False, dx) for dy, dx in dirs if dy == 1], p1, p2)
+    _sweep(C, total, [(True, dx) for dy, dx in dirs if dy == -1], p1, p2)
+    _sweep(C.transpose(1, 0, 2), total.transpose(1, 0, 2),
+           [(dx < 0, 0) for dy, dx in dirs if dy == 0], p1, p2)
     raw = volume.raw if volume.raw is not None else volume.costs
     return CostVolume(costs=total, d_min=volume.d_min, d_max=volume.d_max,
                       max_cost=volume.max_cost, base=volume.base, raw=raw)
@@ -251,16 +319,14 @@ def _in_bounds_mask(W: int, d_min: int, D: int, base: str) -> np.ndarray:
     return (other >= 0) & (other < W)
 
 
-def _wta(volume: CostVolume):
-    """Masked winner-take-all with parabolic subpixel refinement.
+def _wta(costs: np.ndarray, in_bounds: np.ndarray, d_min: int):
+    """Masked winner-take-all with parabolic subpixel refinement on a row block.
 
-    Returns (disparity float32 (H, W), valid bool, best_cost, best_idx,
-    masked costs with out-of-bounds cells at +inf).
+    `in_bounds` is the (W, D) mask of `_in_bounds_mask`. Returns (disparity
+    float32 (h, W), valid bool, best_idx).
     """
-    H, W, D = volume.costs.shape
-    mask = _in_bounds_mask(W, volume.d_min, D, volume.base)
-    masked = np.where(mask[None, :, :], volume.costs.astype(np.float32),
-                      np.float32(np.inf))
+    D = costs.shape[2]
+    masked = np.where(in_bounds, costs, np.float32(np.inf))
 
     best_idx = np.argmin(masked, axis=2)
     best = np.take_along_axis(masked, best_idx[..., None], axis=2)[..., 0]
@@ -279,8 +345,20 @@ def _wta(volume: CostVolume):
     offset = np.where(usable & (denom > 1e-12), offset, 0.0)
     offset = np.clip(offset, -0.5, 0.5)
 
-    disparity = (volume.d_min + best_idx + offset).astype(np.float32)
-    return disparity, valid, best, best_idx, masked
+    disparity = (d_min + best_idx + offset).astype(np.float32)
+    return disparity, valid, best_idx
+
+
+def _unique(raw: np.ndarray, in_bounds: np.ndarray, best_idx: np.ndarray,
+            ratio: float) -> np.ndarray:
+    """Does the best raw competitor beyond best_idx +- 1 exceed best * ratio?"""
+    masked = np.where(in_bounds, raw, np.float32(np.inf))
+    idx = best_idx[..., None]
+    best = np.take_along_axis(masked, idx, axis=2)[..., 0]
+    near = np.clip(idx + np.array([-1, 0, 1]), 0, raw.shape[2] - 1)
+    np.put_along_axis(masked, near, np.float32(np.inf), axis=2)
+    second = masked.min(axis=2)
+    return np.isfinite(second) & (second > best * ratio)
 
 
 def select_disparity(aggregated: CostVolume, params: SgmParams,
@@ -292,47 +370,48 @@ def select_disparity(aggregated: CostVolume, params: SgmParams,
     best * uniqueness_ratio; ties, as in textureless input, fail. Left-right:
     |d_L(x, y) - d_R(x - d_L, y)| <= lr_max_diff, checked when a right-base
     aggregated volume is supplied. Failing pixels are INVALID with the
-    corresponding provenance flag set.
+    corresponding provenance flag set. Rows are selected SELECT_BLOCK_ROWS
+    at a time, so the temporaries stay small beside the volumes.
     """
     H, W, D = aggregated.costs.shape
-    disparity, valid, best, best_idx, masked = _wta(aggregated)
-    flags = np.zeros((H, W), dtype=np.uint8)
-    flags[~valid] |= FLAG_OUT_OF_RANGE
-
-    # uniqueness on raw costs; aggregation would break the all-tie case via
-    # the border wedge (see CostVolume.raw)
-    raw_src = aggregated.raw if aggregated.raw is not None else aggregated.costs
-    mask = _in_bounds_mask(W, aggregated.d_min, D, aggregated.base)
-    masked_raw = np.where(mask[None, :, :], raw_src.astype(np.float32),
-                          np.float32(np.inf))
-    d_idx = np.arange(D)[None, None, :]
-    near_winner = np.abs(d_idx - best_idx[..., None]) <= 1
-    competitors = np.where(near_winner, np.float32(np.inf), masked_raw)
-    second = competitors.min(axis=2)
-    best_raw = np.take_along_axis(masked_raw, best_idx[..., None], axis=2)[..., 0]
-    unique_ok = np.isfinite(second) & (second > best_raw * params.uniqueness_ratio)
-    fail_unique = valid & ~unique_ok
-    flags[fail_unique] |= FLAG_UNIQUENESS_FAILED
-    valid &= unique_ok
-
     if right_aggregated is not None:
         if right_aggregated.base != "right":
             raise ValueError("right_aggregated must be a right-base volume")
         if right_aggregated.costs.shape != aggregated.costs.shape:
             raise DimensionMismatch("left and right volumes differ in shape")
-        d_right, r_valid, *_ = _wta(right_aggregated)
-        xr = np.rint(np.arange(W)[None, :] - disparity).astype(int)
-        in_img = (xr >= 0) & (xr < W)
-        xr_safe = np.clip(xr, 0, W - 1)
-        rows = np.arange(H)[:, None]
-        dr = d_right[rows, xr_safe]
-        rv = r_valid[rows, xr_safe]
-        lr_ok = in_img & rv & (np.abs(disparity - dr) <= params.lr_max_diff)
-        fail_lr = valid & ~lr_ok
-        flags[fail_lr] |= FLAG_LR_FAILED
-        valid &= lr_ok
+        r_in_bounds = _in_bounds_mask(W, right_aggregated.d_min, D, right_aggregated.base)
+    in_bounds = _in_bounds_mask(W, aggregated.d_min, D, aggregated.base)
+    # uniqueness on raw costs; aggregation would break the all-tie case via
+    # the border wedge (see CostVolume.raw)
+    raw = aggregated.raw if aggregated.raw is not None else aggregated.costs
 
-    values = np.where(valid, disparity, np.float32(INVALID_DISPARITY))
+    values = np.empty((H, W), np.float32)
+    valid = np.empty((H, W), bool)
+    flags = np.zeros((H, W), np.uint8)
+    for y0 in range(0, H, SELECT_BLOCK_ROWS):
+        rows = slice(y0, y0 + SELECT_BLOCK_ROWS)
+        disparity, ok, best_idx = _wta(aggregated.costs[rows], in_bounds, aggregated.d_min)
+        f = flags[rows]
+        f[~ok] |= FLAG_OUT_OF_RANGE
+
+        unique_ok = _unique(raw[rows], in_bounds, best_idx, params.uniqueness_ratio)
+        f[ok & ~unique_ok] |= FLAG_UNIQUENESS_FAILED
+        ok &= unique_ok
+
+        if right_aggregated is not None:
+            d_right, r_valid, _ = _wta(right_aggregated.costs[rows], r_in_bounds,
+                                       right_aggregated.d_min)
+            xr = np.rint(np.arange(W)[None, :] - disparity).astype(int)
+            in_img = (xr >= 0) & (xr < W)
+            xr_safe = np.clip(xr, 0, W - 1)
+            r = np.arange(len(xr))[:, None]
+            lr_ok = (in_img & r_valid[r, xr_safe]
+                     & (np.abs(disparity - d_right[r, xr_safe]) <= params.lr_max_diff))
+            f[ok & ~lr_ok] |= FLAG_LR_FAILED
+            ok &= lr_ok
+
+        valid[rows] = ok
+        values[rows] = np.where(ok, disparity, np.float32(INVALID_DISPARITY))
     return DisparityMap(values=values, valid=valid, flags=flags)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from tagbridge.errors import DimensionMismatch, ImageTooSmall
 from tagbridge.geometry import Pose
 from tagbridge.sgm import (
+    UINT16_MAX,
     CostVolume,
     SgmParams,
     aggregate_costs,
@@ -211,6 +213,37 @@ class TestAggregation:
             total += aggregate_one_path(vol, direction, p.p1, p.p2)
         assert np.array_equal(agg.costs, total)
 
+    @pytest.mark.parametrize("base", ["left", "right"])
+    @pytest.mark.parametrize("n_paths", [4, 8])
+    @pytest.mark.parametrize("shape", [(1, 9, 5), (8, 1, 5), (6, 8, 1), (1, 1, 1),
+                                       (5, 11, 7), (11, 4, 3)])
+    def test_sweeps_equal_sum_of_oracle_paths(self, shape, n_paths, base):
+        p = params(n_paths=n_paths)
+        rng = np.random.default_rng(sum(shape) * n_paths)
+        ceiling = UINT16_MAX // n_paths - int(p.p2)  # largest max(C) the bound admits
+        for high in (24, ceiling):
+            C = rng.integers(0, high + 1, shape).astype(np.uint16)
+            C.flat[0] = high
+            vol = CostVolume(costs=C, d_min=0, d_max=shape[2] - 1, max_cost=high, base=base)
+            agg = aggregate_costs(vol, p)
+            oracle = np.zeros(shape, np.float32)
+            for direction in p.directions:
+                oracle += aggregate_one_path(vol, direction, p.p1, p.p2)
+            assert agg.costs.dtype == np.uint16
+            assert agg.base == base
+            assert np.array_equal(agg.costs, oracle)
+
+    def test_sum_beyond_uint16_rejected(self):
+        p = params(d_max=3)
+        ceiling = UINT16_MAX // 8 - int(p.p2)
+        C = np.zeros((3, 4, 4), np.uint16)
+        C[1, 2, 3] = ceiling
+        # the bound reads max(C) from the volume, not from max_cost
+        aggregate_costs(CostVolume(costs=C, d_min=0, d_max=3, max_cost=UINT16_MAX), p)
+        C[1, 2, 3] = ceiling + 1
+        with pytest.raises(ValueError, match="uint16"):
+            aggregate_costs(CostVolume(costs=C, d_min=0, d_max=3, max_cost=24), p)
+
     def test_backtracked_dp_solution_is_optimal(self):
         # energy of the DP-chosen sequence equals the enumerated optimum (slack 0)
         rng = np.random.default_rng(8)
@@ -235,6 +268,15 @@ class TestAggregation:
                 for s in itertools.product(range(4), repeat=8)
             )
             assert sequence_energy(C, seq, p1, p2) == best_enum
+
+
+class TestParams:
+    def test_non_integer_penalties_rejected(self):
+        params(p1=10.0, p2=120.0)
+        with pytest.raises(ValueError, match="integer"):
+            params(p1=10.5)
+        with pytest.raises(ValueError, match="integer"):
+            params(p2=120.25)
 
 
 class TestSelectDisparity:
@@ -285,6 +327,24 @@ class TestSelectDisparity:
         b = run_sgm(left, right, p, with_lr=True)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.flags, b.flags)
+
+    def test_aggregate_and_select_memory_bounded(self):
+        # beyond the two uint16 sums (1x the raw volumes) only row buffers
+        # and select's per-block temporaries may be allocated
+        shape = (128, 256, 128)
+        p = params(d_max=shape[2] - 1)
+        rng = np.random.default_rng(14)
+        left, right = (CostVolume(costs=rng.integers(0, 25, shape, dtype=np.uint16),
+                                  d_min=0, d_max=shape[2] - 1, max_cost=24, base=base)
+                       for base in ("left", "right"))
+        raw_bytes = left.costs.nbytes + right.costs.nbytes
+        tracemalloc.start()
+        try:
+            select_disparity(aggregate_costs(left, p), p, aggregate_costs(right, p))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * raw_bytes
 
     def test_p2_monotonically_smooths(self):
         # total count of >1 px jumps (over 10 seeds) must not grow with P2
