@@ -5,11 +5,9 @@ world-frame point cloud."""
 from .geometry import (
     CameraIntrinsics,
     Pose,
-    Ray,
     RigidTransform,
     angles_from_rotation,
     apply_transform,
-    pixel_to_ray,
     project,
     project_points,
     rotation_from_angles,
@@ -20,11 +18,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CameraIntrinsics",
     "Pose",
-    "Ray",
     "RigidTransform",
     "angles_from_rotation",
     "apply_transform",
-    "pixel_to_ray",
     "project",
     "project_points",
     "rotation_from_angles",

@@ -7,7 +7,6 @@ offset cancels exactly, exposing the net internal accuracy).
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 
@@ -19,33 +18,12 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass
-class PairRow:
-    """Pairwise separations of one id pair in both sets, plus their differences."""
-
-    id_a: object
-    id_b: object
-    sep_est: np.ndarray  # (|dx|, |dy|, |dz|) estimated
-    sep_true: np.ndarray
-    dist_est: float
-    dist_true: float
-
-    @property
-    def sep_diff(self) -> np.ndarray:
-        return np.abs(self.sep_est - self.sep_true)
-
-    @property
-    def dist_diff(self) -> float:
-        return abs(self.dist_est - self.dist_true)
-
-
-@dataclass
 class AccuracyReport:
     absolute_mean: np.ndarray  # signed, per axis
     relative_mean: np.ndarray  # mean |delta separation| per axis
     relative_mean_distance: float  # supplementary: Euclidean pair distances
     n_points: int
     n_pairs: int
-    pairs: list  # PairRow
     only_estimated: list
     only_truth: list
 
@@ -56,7 +34,9 @@ def _as_point_map(points) -> dict:
     return {k: np.asarray(v, dtype=float).reshape(3) for k, v in points}
 
 
-def _common_ids(estimated, truth):
+def _common_points(estimated, truth):
+    """(estimated (n, 3), truth (n, 3), only estimated, only truth): the rows
+    of the common ids in sorted order, then the ids in one set only."""
     est = _as_point_map(estimated)
     tru = _as_point_map(truth)
     common = sorted(set(est) & set(tru), key=str)
@@ -64,16 +44,28 @@ def _common_ids(estimated, truth):
     only_tru = sorted(set(tru) - set(est), key=str)
     if only_est or only_tru:
         logger.info("ids only estimated: %s; only truth: %s", only_est, only_tru)
-    return est, tru, common, only_est, only_tru
+    return (np.array([est[i] for i in common]).reshape(-1, 3),
+            np.array([tru[i] for i in common]).reshape(-1, 3), only_est, only_tru)
+
+
+def _relative(est, tru):
+    i, j = np.triu_indices(len(est), 1)
+    sep_est, sep_tru = est[i] - est[j], tru[i] - tru[j]
+    axis_means = np.mean(np.abs(np.abs(sep_est) - np.abs(sep_tru)), axis=0)
+    dist_diff = np.abs(np.linalg.norm(sep_est, axis=1) - np.linalg.norm(sep_tru, axis=1))
+    return axis_means, float(np.mean(dist_diff)), len(i)
+
+
+def _absolute(est, tru):
+    if not len(est):
+        raise NoCommonIds("no ids shared between estimated and truth sets")
+    return (est - tru).mean(axis=0)
 
 
 def absolute_offsets(estimated, truth) -> np.ndarray:
     """Per-axis mean signed difference (estimated - truth) over common ids."""
-    est, tru, common, _, _ = _common_ids(estimated, truth)
-    if not common:
-        raise NoCommonIds("no ids shared between estimated and truth sets")
-    diffs = np.array([est[i] - tru[i] for i in common])
-    return diffs.mean(axis=0)
+    est, tru, _, _ = _common_points(estimated, truth)
+    return _absolute(est, tru)
 
 
 def relative_distance_stats(estimated, truth):
@@ -82,42 +74,29 @@ def relative_distance_stats(estimated, truth):
     For every unordered pair of common ids the per-axis separations
     (|dx|, |dy|, |dz|) are computed in both sets; the report is the mean of
     their absolute differences, plus the Euclidean distance column as a
-    supplement. Returns (per-axis means (3,), mean distance diff, [PairRow]).
+    supplement. Returns (per-axis means (3,), mean distance diff, number of
+    pairs).
     """
-    est, tru, common, _, _ = _common_ids(estimated, truth)
-    if len(common) < 2:
-        raise TooFewPoints(f"{len(common)} common id(s); need at least 2 for pairs")
-    rows = []
-    for a, b in itertools.combinations(common, 2):
-        sep_e = np.abs(est[a] - est[b])
-        sep_t = np.abs(tru[a] - tru[b])
-        rows.append(PairRow(
-            id_a=a, id_b=b, sep_est=sep_e, sep_true=sep_t,
-            dist_est=float(np.linalg.norm(est[a] - est[b])),
-            dist_true=float(np.linalg.norm(tru[a] - tru[b])),
-        ))
-    axis_means = np.mean([r.sep_diff for r in rows], axis=0)
-    dist_mean = float(np.mean([r.dist_diff for r in rows]))
-    return axis_means, dist_mean, rows
+    est, tru, _, _ = _common_points(estimated, truth)
+    if len(est) < 2:
+        raise TooFewPoints(f"{len(est)} common id(s); need at least 2 for pairs")
+    return _relative(est, tru)
 
 
 def assess(estimated, truth) -> AccuracyReport:
     """Full accuracy report: absolute offsets plus relative pair statistics."""
-    est, tru, common, only_est, only_tru = _common_ids(estimated, truth)
-    if not common:
-        raise NoCommonIds("no ids shared between estimated and truth sets")
-    absolute = absolute_offsets(estimated, truth)
-    if len(common) >= 2:
-        relative, dist_mean, rows = relative_distance_stats(estimated, truth)
+    est, tru, only_est, only_tru = _common_points(estimated, truth)
+    absolute = _absolute(est, tru)
+    if len(est) >= 2:
+        relative, dist_mean, n_pairs = _relative(est, tru)
     else:
-        relative, dist_mean, rows = np.zeros(3), 0.0, []
+        relative, dist_mean, n_pairs = np.zeros(3), 0.0, 0
     return AccuracyReport(
         absolute_mean=absolute,
         relative_mean=relative,
         relative_mean_distance=dist_mean,
-        n_points=len(common),
-        n_pairs=len(rows),
-        pairs=rows,
+        n_points=len(est),
+        n_pairs=n_pairs,
         only_estimated=only_est,
         only_truth=only_tru,
     )

@@ -8,27 +8,19 @@ Conventions used throughout the toolkit:
 * Camera frame: +Z is the viewing axis, +X points right (increasing pixel u),
   +Y points down (increasing pixel v).
 * Pixel origin at the top-left, pixel centers on integer coordinates.
-* Angles are radians in memory; file formats carry degrees (see formats).
+* Angles are radians.
 """
 
 from __future__ import annotations
 
-import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BehindCamera, DistortionInversionDiverged
 
-logger = logging.getLogger(__name__)
-
 # Depth below which a point counts as behind the camera (meters).
 BEHIND_CAMERA_EPS = 1e-9
-
-# Conversion constant shared by all readers/writers so that parsed angles
-# survive a write/read cycle bit-exactly.
-RAD_PER_DEG = math.pi / 180.0
 
 
 def _as_vec(x, n, name):
@@ -150,27 +142,6 @@ class RigidTransform:
         return M
 
 
-@dataclass(frozen=True)
-class Ray:
-    """World-frame ray with unit direction."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        o = _as_vec(self.origin, 3, "origin")
-        d = _as_vec(self.direction, 3, "direction")
-        if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-            raise ValueError("direction must be a unit vector")
-        o.flags.writeable = False
-        d.flags.writeable = False
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "direction", d)
-
-    def point_at(self, s: float) -> np.ndarray:
-        return self.origin + s * self.direction
-
-
 def rotation_from_angles(r) -> np.ndarray:
     """Rotation matrix R = Rz(kappa) @ Ry(phi) @ Rx(omega).
 
@@ -196,25 +167,25 @@ def rotation_from_angles(r) -> np.ndarray:
     return R[0] if single else R
 
 
-def angles_from_rotation(R: np.ndarray) -> np.ndarray:
+def angles_from_rotation(R) -> np.ndarray:
     """Inverse of rotation_from_angles (phi in [-pi/2, pi/2]).
 
-    At the gimbal-locked poles (|phi| = 90 deg) omega is set to zero.
+    Accepts one (3, 3) matrix or an (N, 3, 3) stack of them; returns (3,) or
+    (N, 3) accordingly. At the gimbal-locked poles (|phi| = 90 deg) omega is
+    set to zero.
     """
     R = np.asarray(R, dtype=float)
-    sp = -R[2, 0]
-    sp = min(1.0, max(-1.0, sp))
-    phi = math.asin(sp)
-    if abs(abs(sp) - 1.0) < 1e-12:
-        omega = 0.0
-        if sp > 0:
-            kappa = -math.atan2(R[0, 1], R[0, 2])
-        else:
-            kappa = math.atan2(-R[0, 1], -R[0, 2])
-    else:
-        omega = math.atan2(R[2, 1], R[2, 2])
-        kappa = math.atan2(R[1, 0], R[0, 0])
-    return np.array([omega, phi, kappa])
+    single = R.ndim == 2
+    R = R.reshape(-1, 3, 3)
+    sp = np.clip(-R[:, 2, 0], -1.0, 1.0)
+    pole = np.abs(np.abs(sp) - 1.0) < 1e-12
+    r01, r02 = R[:, 0, 1], R[:, 0, 2]
+    kappa_pole = np.where(sp > 0, -np.arctan2(r01, r02), np.arctan2(-r01, -r02))
+    angles = np.empty((len(R), 3))
+    angles[:, 0] = np.where(pole, 0.0, np.arctan2(R[:, 2, 1], R[:, 2, 2]))
+    angles[:, 1] = np.arcsin(sp)
+    angles[:, 2] = np.where(pole, kappa_pole, np.arctan2(R[:, 1, 0], R[:, 0, 0]))
+    return angles[0] if single else angles
 
 
 def distortion_factor(k, r2):
@@ -288,8 +259,12 @@ def project(intrinsics: CameraIntrinsics, pose: Pose, point) -> np.ndarray:
     return pixels[0]
 
 
-def pixels_to_directions(intrinsics: CameraIntrinsics, pose: Pose, pixels: np.ndarray) -> np.ndarray:
-    """World-frame unit viewing directions for (N, 2) pixel coordinates."""
+def pixels_to_directions(intrinsics: CameraIntrinsics, rotation, pixels: np.ndarray) -> np.ndarray:
+    """World-frame unit viewing directions for (N, 2) pixel coordinates.
+
+    `rotation` is the camera-to-world matrix (Pose.rotation()): one (3, 3)
+    for every pixel, or an (N, 3, 3) stack with one per pixel.
+    """
     pixels = np.asarray(pixels, dtype=float)
     focal = intrinsics.focal_px
     dist = np.empty_like(pixels)
@@ -297,18 +272,8 @@ def pixels_to_directions(intrinsics: CameraIntrinsics, pose: Pose, pixels: np.nd
     dist[:, 1] = (pixels[:, 1] - intrinsics.y0) / focal
     norm = undistort_normalized(intrinsics.k, dist)
     dirs_cam = np.concatenate([norm, np.ones((len(norm), 1))], axis=1)
-    dirs_world = dirs_cam @ pose.rotation().T
+    dirs_world = (np.asarray(rotation, dtype=float) @ dirs_cam[:, :, None])[:, :, 0]
     return dirs_world / np.linalg.norm(dirs_world, axis=1, keepdims=True)
-
-
-def pixel_to_ray(intrinsics: CameraIntrinsics, pose: Pose, pixel) -> Ray:
-    """Back-project a pixel to a world-frame ray through the projection center."""
-    pixel = _as_vec(pixel, 2, "pixel")
-    if not intrinsics.in_bounds(pixel):
-        logger.warning("pixel (%.2f, %.2f) outside %dx%d sensor", pixel[0], pixel[1],
-                       intrinsics.width, intrinsics.height)
-    direction = pixels_to_directions(intrinsics, pose, pixel[None, :])[0]
-    return Ray(origin=pose.t, direction=direction)
 
 
 def apply_transform(T: RigidTransform, points: np.ndarray) -> np.ndarray:

@@ -9,12 +9,19 @@ scale, for diagnostics) is estimated in closed form.
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateGeometry, ReflectionRequired, TooFewCorrespondences
-from .geometry import Pose, RigidTransform, angles_from_rotation, apply_transform
+from .geometry import (
+    Pose,
+    RigidTransform,
+    angles_from_rotation,
+    apply_transform,
+    rotation_from_angles,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -46,27 +53,48 @@ class LocalTagSighting:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Timestamped pose sequence; timestamps strictly increasing."""
+class Trajectory(Sequence):
+    """Timestamped poses stored as columns, read as a sequence of Pose.
+
+    Row i of `t` (N, 3) and `r` (N, 3) holds the projection center and the
+    (omega, phi, kappa) angles at timestamps[i]; timestamps strictly
+    increase. All three are read-only copies. Indexing builds a Pose only for
+    the index read.
+    """
 
     timestamps: np.ndarray
-    poses: tuple
+    t: np.ndarray
+    r: np.ndarray
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=float)
-        if ts.ndim != 1 or len(ts) != len(self.poses):
-            raise ValueError("one timestamp per pose required")
+        ts = np.array(self.timestamps, dtype=float)
+        t = np.array(self.t, dtype=float)
+        r = np.array(self.r, dtype=float)
+        if ts.ndim != 1 or t.shape != (len(ts), 3) or r.shape != (len(ts), 3):
+            raise ValueError("one timestamp and one (N, 3) row of t and r per pose required")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(r))):
+            raise ValueError("t and r must be finite")
         if len(ts) > 1 and not np.all(np.diff(ts) > 0):
             raise ValueError("timestamps must be strictly increasing")
-        ts.flags.writeable = False
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "poses", tuple(self.poses))
+        for name, a in (("timestamps", ts), ("t", t), ("r", r)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def __len__(self):
-        return len(self.poses)
+        return len(self.timestamps)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        return Pose(t=self.t[i], r=self.r[i])
+
+    @property
+    def poses(self) -> "Trajectory":
+        """The poses; the trajectory is itself their sequence."""
+        return self
 
     def positions(self) -> np.ndarray:
-        return np.array([p.t for p in self.poses])
+        return self.t
 
 
 @dataclass
@@ -172,13 +200,10 @@ def estimate_rigid_transform(local, world, estimate_scale=False):
 
 def apply_to_trajectory(T: RigidTransform, traj: Trajectory) -> Trajectory:
     """Map every pose through T: positions transformed, rotations left-composed."""
-    poses = []
-    for pose in traj.poses:
-        poses.append(Pose(
-            t=apply_transform(T, pose.t),
-            r=angles_from_rotation(T.rotation @ pose.rotation()),
-        ))
-    return Trajectory(timestamps=traj.timestamps.copy(), poses=tuple(poses))
+    R = T.rotation[None]
+    t = T.scale * (R @ traj.t[:, :, None])[:, :, 0] + T.translation
+    r = angles_from_rotation(R @ rotation_from_angles(traj.r))
+    return Trajectory(timestamps=traj.timestamps, t=t, r=r)
 
 
 def sightings_from_ranges(ranges, traj: Trajectory, tol: float = POSE_LOOKUP_TOL):
@@ -201,10 +226,10 @@ def sightings_from_ranges(ranges, traj: Trajectory, tol: float = POSE_LOOKUP_TOL
         nearest = lo if abs(ts[lo] - stamp) <= abs(ts[hi] - stamp) else hi
         if lo != hi and ts[lo] <= stamp <= ts[hi]:
             w = (stamp - ts[lo]) / (ts[hi] - ts[lo])
-            translation = (1 - w) * traj.poses[lo].t + w * traj.poses[hi].t
+            translation = (1 - w) * traj.t[lo] + w * traj.t[hi]
         else:
-            translation = traj.poses[nearest].t
-        R = traj.poses[nearest].rotation()
+            translation = traj.t[nearest]
+        R = rotation_from_angles(traj.r[nearest])
         local = translation + R @ np.asarray(vec, dtype=float)
         out.append(LocalTagSighting(tag_id=tag_id, local_vector=local, timestamp=stamp))
     return out

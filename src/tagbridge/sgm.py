@@ -34,6 +34,9 @@ FLAG_OUT_OF_RANGE = 4
 PATHS_4 = ((0, 1), (0, -1), (1, 0), (-1, 0))
 PATHS_8 = PATHS_4 + ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
+# Rows per block in matching_cost_volume: its plane-major (D, rows, W) buffer
+# stays small while each block is stored with one transposing copy.
+COST_BLOCK_ROWS = 32
 # Rows per block in select_disparity: its float32 temporaries are a few
 # (SELECT_BLOCK_ROWS, W, D) slabs, whatever the image height.
 SELECT_BLOCK_ROWS = 16
@@ -181,16 +184,23 @@ def matching_cost_volume(base_desc: np.ndarray, match_desc: np.ndarray,
 
     H, W = base_desc.shape[:2]
     D = d_max - d_min + 1
-    costs = np.full((H, W, D), max_cost, dtype=np.uint16)
+    costs = np.empty((H, W, D), dtype=np.uint16)
     sign = 1 if base == "left" else -1
-    for i, d in enumerate(range(d_min, d_max + 1)):
-        shift = sign * d  # match pixel is x - shift
-        lo = max(0, shift)
-        hi = min(W, W + shift)
-        if lo >= hi:
-            continue
-        costs[:, lo:hi, i] = hamming_distance(
-            base_desc[:, lo:hi], match_desc[:, lo - shift:hi - shift])
+    # fill each block of rows plane by plane, then store it transposed at once;
+    # every block writes the same in-bounds columns, so the rest stay max_cost
+    buf = np.full((D, COST_BLOCK_ROWS, W), max_cost, dtype=np.uint16)
+    for r0 in range(0, H, COST_BLOCK_ROWS):
+        r1 = min(r0 + COST_BLOCK_ROWS, H)
+        block = buf[:, :r1 - r0]
+        for i, d in enumerate(range(d_min, d_max + 1)):
+            shift = sign * d  # match pixel is x - shift
+            lo = max(0, shift)
+            hi = min(W, W + shift)
+            if lo >= hi:
+                continue
+            block[i, :, lo:hi] = hamming_distance(
+                base_desc[r0:r1, lo:hi], match_desc[r0:r1, lo - shift:hi - shift])
+        costs[r0:r1] = block.transpose(1, 2, 0)
     return CostVolume(costs=costs, d_min=d_min, d_max=d_max, max_cost=max_cost, base=base)
 
 

@@ -24,7 +24,7 @@ from .geometry import (
     project_points,
     rotation_from_angles,
 )
-from .register import LocalTagSighting, Trajectory
+from .register import LocalTagSighting, Trajectory, apply_to_trajectory
 from .triangulate import TagObservation
 
 # spawn-key namespaces for the per-entity sub-streams
@@ -132,17 +132,12 @@ def _walk_trajectory(walk: WalkPlan) -> Trajectory:
     dt = 1.0 / walk.rate_hz
     n = int(math.floor(total / walk.speed / dt)) + 1
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    timestamps, poses = [], []
-    for i in range(n):
-        t = i * dt
-        s = min(t * walk.speed, total)
-        k = min(int(np.searchsorted(cum, s, side="right")) - 1, len(seg) - 1)
-        frac = (s - cum[k]) / seg_len[k]
-        pos = wp[k] + frac * seg[k]
-        theta = math.atan2(seg[k][1], seg[k][0])
-        timestamps.append(t)
-        poses.append(Pose(t=pos, r=_heading_angles(theta)))
-    return Trajectory(timestamps=np.array(timestamps), poses=tuple(poses))
+    timestamps = np.arange(n) * dt
+    s = np.minimum(timestamps * walk.speed, total)
+    k = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(seg) - 1)
+    frac = (s - cum[k]) / seg_len[k]
+    headings = np.array([_heading_angles(math.atan2(d[1], d[0])) for d in seg])
+    return Trajectory(timestamps=timestamps, t=wp[k] + frac[:, None] * seg[k], r=headings[k])
 
 
 def gen_scene(spec: SceneSpec, intrinsics: CameraIntrinsics = None) -> Scene:
@@ -209,10 +204,7 @@ def gen_scene(spec: SceneSpec, intrinsics: CameraIntrinsics = None) -> Scene:
                                   rng_T.uniform(-2, 2)]))
 
     trajectory_world = _walk_trajectory(spec.walk)
-    inv = world_from_local.inverse()
-    from .register import apply_to_trajectory
-
-    trajectory_local = apply_to_trajectory(inv, trajectory_world)
+    trajectory_local = apply_to_trajectory(world_from_local.inverse(), trajectory_world)
     return Scene(spec=spec, tags=dict(spec.tags), camera_poses=camera_poses,
                  tie_points=tie_points, trajectory_world=trajectory_world,
                  trajectory_local=trajectory_local, world_from_local=world_from_local)

@@ -47,20 +47,35 @@ class TestRelativeStats:
         rng = np.random.default_rng(3)
         truth = point_set(rng)
         est = {k: v + np.array([-0.23, 0.30, 1.0]) for k, v in truth.items()}
-        axis_means, dist_mean, rows = relative_distance_stats(est, truth)
+        axis_means, dist_mean, _ = relative_distance_stats(est, truth)
         assert np.allclose(axis_means, 0.0, atol=1e-12)
         assert dist_mean < 1e-12
 
     def test_two_points_one_pair(self):
         est = {1: np.zeros(3), 2: np.array([1.0, 0.0, 0.0])}
-        axis_means, _, rows = relative_distance_stats(est, est)
-        assert len(rows) == 1
+        axis_means, _, n_pairs = relative_distance_stats(est, est)
+        assert n_pairs == 1
 
     def test_pair_count(self):
         rng = np.random.default_rng(4)
         pts = point_set(rng, n=8)
-        _, _, rows = relative_distance_stats(pts, pts)
-        assert len(rows) == 8 * 7 // 2
+        _, _, n_pairs = relative_distance_stats(pts, pts)
+        assert n_pairs == 8 * 7 // 2
+
+    def test_matches_per_pair_loop(self):
+        rng = np.random.default_rng(9)
+        truth = point_set(rng, n=40)
+        est = {k: v + rng.normal(0, 0.05, 3) for k, v in truth.items()}
+        sep, dist = [], []
+        for a in range(1, 41):
+            for b in range(a + 1, 41):
+                sep.append(np.abs(np.abs(est[a] - est[b]) - np.abs(truth[a] - truth[b])))
+                dist.append(abs(np.linalg.norm(est[a] - est[b])
+                                - np.linalg.norm(truth[a] - truth[b])))
+        axis_means, dist_mean, n_pairs = relative_distance_stats(est, truth)
+        assert n_pairs == 780
+        assert np.max(np.abs(axis_means - np.mean(sep, axis=0))) < 1e-12
+        assert abs(dist_mean - np.mean(dist)) < 1e-12
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):

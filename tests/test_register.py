@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from tagbridge.errors import DegenerateGeometry, ReflectionRequired, TooFewCorrespondences
-from tagbridge.geometry import Pose, RigidTransform, apply_transform, rotation_from_angles
+from tagbridge.geometry import (
+    RigidTransform,
+    angles_from_rotation,
+    apply_transform,
+    rotation_from_angles,
+)
 from tagbridge.register import (
     LocalTagSighting,
     Trajectory,
@@ -33,13 +38,10 @@ def rotation_angle(R):
 
 
 def walk_trajectory(n=20, speed=1.4, dt=0.5):
-    poses = []
-    ts = []
-    for i in range(n):
-        ts.append(i * dt)
-        poses.append(Pose(t=np.array([speed * dt * i, 0.1 * i, 1.7]),
-                          r=np.array([-math.pi / 2, 0.0, 0.02 * i])))
-    return Trajectory(timestamps=np.array(ts), poses=tuple(poses))
+    i = np.arange(n)
+    t = np.stack([speed * dt * i, 0.1 * i, np.full(n, 1.7)], axis=1)
+    r = np.stack([np.full(n, -math.pi / 2), np.zeros(n), 0.02 * i], axis=1)
+    return Trajectory(timestamps=i * dt, t=t, r=r)
 
 
 class TestCollectCorrespondences:
@@ -192,6 +194,19 @@ class TestApplyToTrajectory:
             rel1 = out.poses[i].rotation().T @ out.poses[i + 1].rotation()
             assert np.max(np.abs(rel0 - rel1)) < 1e-12
 
+    def test_matches_per_pose_loop(self):
+        rng = np.random.default_rng(9)
+        n = 200
+        traj = Trajectory(timestamps=np.arange(n) * 0.1, t=rng.uniform(-50, 50, (n, 3)),
+                          r=rng.uniform((-math.pi, -1.5, -math.pi), (math.pi, 1.5, math.pi), (n, 3)))
+        T = random_transform(rng, scale=1.3)
+        out = apply_to_trajectory(T, traj)
+        for i, pose in enumerate(traj.poses):
+            t = T.scale * (T.rotation @ pose.t) + T.translation
+            r = angles_from_rotation(T.rotation @ pose.rotation())
+            assert np.max(np.abs(out.t[i] - t)) < 1e-12 * max(1.0, np.abs(t).max())
+            assert np.array_equal(out.r[i], r)
+
     def test_timestamps_unchanged(self):
         traj = walk_trajectory()
         out = apply_to_trajectory(RigidTransform.identity(), traj)
@@ -217,6 +232,19 @@ class TestSightingsFromRanges:
 
 class TestTrajectoryValidation:
     def test_strictly_increasing_required(self):
-        p = Pose(t=np.zeros(3), r=np.zeros(3))
         with pytest.raises(ValueError):
-            Trajectory(timestamps=np.array([0.0, 0.0]), poses=(p, p))
+            Trajectory(timestamps=np.array([0.0, 0.0]), t=np.zeros((2, 3)), r=np.zeros((2, 3)))
+
+    def test_one_row_per_timestamp_required(self):
+        with pytest.raises(ValueError):
+            Trajectory(timestamps=np.array([0.0, 1.0]), t=np.zeros((3, 3)), r=np.zeros((2, 3)))
+
+    def test_columns_read_only_and_poses_built_on_read(self):
+        traj = walk_trajectory(5)
+        for column in (traj.timestamps, traj.t, traj.r):
+            assert not column.flags.writeable
+        assert len(traj.poses) == 5
+        assert np.array_equal(traj.poses[-1].t, traj.t[4])
+        assert np.array_equal(traj.poses[3].r, traj.r[3])
+        assert [p.t[0] for p in traj.poses[1:3]] == list(traj.t[1:3, 0])
+        assert traj.positions() is traj.t

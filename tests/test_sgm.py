@@ -119,7 +119,36 @@ class TestCensus:
         assert desc.shape[-1] == 2
 
 
+def reference_cost_volume(base_desc, match_desc, d_min, d_max, max_cost, base):
+    """Per-pixel Hamming costs with Python-int popcounts (independent of the library)."""
+    H, W = base_desc.shape[:2]
+    out = np.empty((H, W, d_max - d_min + 1), dtype=np.uint16)
+    for y in range(H):
+        for x in range(W):
+            for i, d in enumerate(range(d_min, d_max + 1)):
+                xm = x - d if base == "left" else x + d
+                out[y, x, i] = max_cost if not 0 <= xm < W else sum(
+                    bin(int(a) ^ int(b)).count("1")
+                    for a, b in zip(base_desc[y, x], match_desc[y, xm]))
+    return out
+
+
 class TestCostVolume:
+    # 70 rows span several row blocks and a partial one; disparities up to 14
+    # include shifts of W or more, whose planes are all max_cost
+    @pytest.mark.parametrize("shape,window", [((70, 9), (5, 5)), ((11, 13), (9, 9))])
+    @pytest.mark.parametrize("base", ["left", "right"])
+    def test_matches_per_pixel_reference(self, shape, window, base):
+        rng = np.random.default_rng(31)
+        left = census_transform(rng.integers(0, 256, shape).astype(np.uint8), window)
+        right = census_transform(rng.integers(0, 256, shape).astype(np.uint8), window)
+        bits = census_bits(window)
+        base_desc, match_desc = (left, right) if base == "left" else (right, left)
+        vol = matching_cost_volume(base_desc, match_desc, 3, 14, max_cost=bits, base=base)
+        expected = reference_cost_volume(base_desc, match_desc, 3, 14, bits, base)
+        assert vol.costs.dtype == np.uint16
+        assert np.array_equal(vol.costs, expected)
+
     def test_identical_images_zero_at_d0(self):
         left, _ = random_dot_pair(shift=0)
         d = census_transform(left, (5, 5))

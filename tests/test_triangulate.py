@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from tagbridge.errors import DegenerateGeometry, InsufficientObservations, MissingPose
-from tagbridge.geometry import Pose, Ray, RigidTransform, apply_transform, rotation_from_angles
+from tagbridge.geometry import (
+    CameraIntrinsics,
+    Pose,
+    RigidTransform,
+    apply_transform,
+    pixels_to_directions,
+    project_points,
+    rotation_from_angles,
+)
 from tagbridge.triangulate import TagObservation, triangulate_point, triangulate_tags
 
 from conftest import observe_tags, seven_tag_layout, strip_poses
@@ -13,50 +21,62 @@ from conftest import observe_tags, seven_tag_layout, strip_poses
 def ray_towards(origin, target):
     origin = np.asarray(origin, dtype=float)
     d = np.asarray(target, dtype=float) - origin
-    return Ray(origin=origin, direction=d / np.linalg.norm(d))
+    return origin, d / np.linalg.norm(d)
+
+
+def rays(*pairs):
+    """(origins, dirs) arrays from (origin, direction) pairs."""
+    return np.array([o for o, _ in pairs]), np.array([d for _, d in pairs])
 
 
 def oracle_lstsq_triangulation(origins, dirs, weights=None):
-    """Independent formulation: stack sqrt(w) * (I - d d^T) rows, solve by lstsq."""
-    n = len(origins)
-    if weights is None:
-        weights = np.ones(n)
-    rows = []
-    rhs = []
-    for o, d, w in zip(origins, dirs, weights):
-        P = np.eye(3) - np.outer(d, d)
-        rows.append(math.sqrt(w) * P)
-        rhs.append(math.sqrt(w) * P @ o)
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return sol
+    """Independent formulation: stack sqrt(w) * (I - d d^T) rows, solve by QR.
+
+    Takes (n, 3) origins and dirs, or (..., n, 3) stacks of ray sets, each
+    solved by its own QR factorization.
+    """
+    origins = np.asarray(origins, dtype=float)
+    dirs = np.asarray(dirs, dtype=float)
+    w = np.ones(dirs.shape[:-1]) if weights is None else np.asarray(weights, dtype=float)
+    rows = np.sqrt(w)[..., None, None] * (np.eye(3) - dirs[..., :, None] * dirs[..., None, :])
+    A = rows.reshape(*rows.shape[:-3], -1, 3)
+    b = (rows @ origins[..., None]).reshape(*rows.shape[:-3], -1, 1)
+    q, r = np.linalg.qr(A)
+    return np.linalg.solve(r, np.swapaxes(q, -1, -2) @ b)[..., 0]
 
 
 class TestTriangulatePoint:
     def test_exact_intersection(self):
-        rays = [ray_towards((-5, 0, 100), (0, 0, 0)), ray_towards((5, 0, 100), (0, 0, 0))]
-        point, rms = triangulate_point(rays)
+        point, rms = triangulate_point(*rays(ray_towards((-5, 0, 100), (0, 0, 0)),
+                                             ray_towards((5, 0, 100), (0, 0, 0))))
         assert np.linalg.norm(point) < 1e-9
         assert rms < 1e-12
 
     def test_single_ray_raises(self):
         with pytest.raises(InsufficientObservations):
-            triangulate_point([ray_towards((0, 0, 100), (0, 0, 0))])
+            triangulate_point(*rays(ray_towards((0, 0, 100), (0, 0, 0))))
 
     def test_parallel_bundle_raises(self):
         d = np.array([0.0, 0.0, -1.0])
-        rays = [Ray(np.array([float(i), 0.0, 100.0]), d) for i in range(4)]
         with pytest.raises(DegenerateGeometry):
-            triangulate_point(rays)
+            triangulate_point(*rays(*[(np.array([float(i), 0.0, 100.0]), d) for i in range(4)]))
 
     def test_antiparallel_is_degenerate_too(self):
-        rays = [
-            Ray(np.array([0.0, 0.0, 100.0]), np.array([0.0, 0.0, -1.0])),
-            Ray(np.array([1.0, 0.0, -100.0]), np.array([0.0, 0.0, 1.0])),
-        ]
         with pytest.raises(DegenerateGeometry):
-            triangulate_point(rays)
+            triangulate_point(*rays(
+                (np.array([0.0, 0.0, 100.0]), np.array([0.0, 0.0, -1.0])),
+                (np.array([1.0, 0.0, -100.0]), np.array([0.0, 0.0, 1.0])),
+            ))
+
+    def test_near_antiparallel_pair_fails_the_pair_test(self):
+        # 0.03 deg from antiparallel: the normal matrix is still well
+        # conditioned (about 1.5e7), so only the |dot| pair test rejects it
+        tilt = math.radians(0.03)
+        with pytest.raises(DegenerateGeometry, match="all ray pairs within"):
+            triangulate_point(*rays(
+                (np.array([0.0, 0.0, 100.0]), np.array([0.0, 0.0, -1.0])),
+                (np.array([1.0, 0.0, -100.0]), np.array([math.sin(tilt), 0.0, math.cos(tilt)])),
+            ))
 
     def test_matches_lstsq_oracle_with_noise(self):
         rng = np.random.default_rng(42)
@@ -66,8 +86,7 @@ class TestTriangulatePoint:
         dirs += rng.normal(0, 1e-4, dirs.shape)
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         weights = rng.uniform(0.5, 2.0, 6)
-        rays = [Ray(o, d) for o, d in zip(origins, dirs)]
-        point, _ = triangulate_point(rays, weights)
+        point, _ = triangulate_point(origins, dirs, weights)
         oracle = oracle_lstsq_triangulation(origins, dirs, weights)
         assert np.linalg.norm(point - oracle) < 1e-9
 
@@ -78,48 +97,43 @@ class TestTriangulatePoint:
         dirs = np.array([t / np.linalg.norm(t) for t in (target - origins)])
         dirs += rng.normal(0, 5e-4, dirs.shape)
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        rays = [Ray(o, d) for o, d in zip(origins, dirs)]
 
-        dup, _ = triangulate_point(rays + [rays[0]], [1.0, 1.0, 1.0, 0.7])
-        reweighted, _ = triangulate_point(rays, [1.7, 1.0, 1.0])
+        dup, _ = triangulate_point(np.vstack([origins, origins[:1]]), np.vstack([dirs, dirs[:1]]),
+                                   [1.0, 1.0, 1.0, 0.7])
+        reweighted, _ = triangulate_point(origins, dirs, [1.7, 1.0, 1.0])
         assert np.linalg.norm(dup - reweighted) < 1e-12
 
     def test_noisy_error_within_monte_carlo_envelope(self):
         # 6 cameras on a flight line at 100 m, pixel sigma 0.5 px
-        from conftest import strip_poses
-        from tagbridge.geometry import CameraIntrinsics, pixels_to_directions, project_points
-
         cam = CameraIntrinsics(f=50.0, pixel_pitch=0.0074, x0=2432.0, y0=1616.0,
                                width=4864, height=3232)
-        poses = strip_poses(6, altitude=100.0, spacing=10.0)
+        poses = list(strip_poses(6, altitude=100.0, spacing=10.0).values())
         target = np.array([1.0, 3.0, 0.0])
         sigma = 0.5
+        pixels = np.array([project_points(cam, pose, target[None, :])[0][0] for pose in poses])
+        origins = np.array([pose.t for pose in poses])
 
-        def solve_once(rng):
-            origins, dirs = [], []
-            for pose in poses.values():
-                px, _ = project_points(cam, pose, target[None, :])
-                noisy = px[0] + rng.normal(0, sigma, 2)
-                origins.append(pose.t)
-                dirs.append(pixels_to_directions(cam, pose, noisy[None, :])[0])
-            return oracle_lstsq_triangulation(np.array(origins), np.array(dirs))
+        def directions(noisy):
+            # (draws, poses, 2) pixels -> (draws, poses, 3) directions, one call per pose
+            return np.stack([pixels_to_directions(cam, pose.rotation(), noisy[:, k])
+                             for k, pose in enumerate(poses)], axis=1)
 
+        # one draw holds every pose's noise, in the order of the per-pose draws
         rng = np.random.default_rng(1234)
-        mc_errors = np.array([
-            np.linalg.norm(solve_once(rng) - target) for _ in range(10_000)
-        ])
+        noisy = pixels + rng.normal(0, sigma, (10_000, len(poses), 2))
+        solutions = oracle_lstsq_triangulation(np.broadcast_to(origins, noisy.shape[:2] + (3,)),
+                                               directions(noisy))
+        mc_errors = np.linalg.norm(solutions - target, axis=1)
         p99 = np.quantile(mc_errors, 0.99)
 
         rng2 = np.random.default_rng(999)
-        origins, dirs = [], []
-        for pose in poses.values():
-            px, _ = project_points(cam, pose, target[None, :])
-            noisy = px[0] + rng2.normal(0, sigma, 2)
-            origins.append(pose.t)
-            dirs.append(pixels_to_directions(cam, pose, noisy[None, :])[0])
-        rays = [Ray(o, d) for o, d in zip(origins, dirs)]
-        point, _ = triangulate_point(rays)
+        noisy = pixels + rng2.normal(0, sigma, (1, len(poses), 2))
+        point, _ = triangulate_point(origins, directions(noisy)[0])
         assert np.linalg.norm(point - target) < p99
+
+    def test_rejects_non_unit_directions(self):
+        with pytest.raises(ValueError):
+            triangulate_point(np.zeros((2, 3)), np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
 class TestTriangulateTags:
@@ -187,6 +201,82 @@ class TestTriangulateTags:
         assert lm.n_rays == 11
         assert np.linalg.norm(lm.position - tags[1]) < 0.05
 
+
+def mixed_batch(cam):
+    """One batch holding every kind of tag, plus the rays the oracle should see.
+
+    Tags 1 and 2 are clean; tag 3 is seen once; tag 4 only by two cameras
+    45 mm apart; tag 5 has one gross outlier among 12 views; tag 6 is seen by
+    ten cameras 9 mm apart plus one distant view with a gross error, so the
+    outlier re-solve keeps only the ten close rays. From 100 m, the close
+    rays of tags 4 and 6 lie within MIN_PAIR_ANGLE_DEG of each other, while
+    their normal matrices stay below MAX_CONDITION: only the parallel test
+    rejects them. Returns (observations, poses, per-tag oracle rays).
+    """
+    poses = strip_poses(12, altitude=100.0, spacing=5.0)
+    nadir = np.array([math.pi, 0.0, 0.0])
+    for i in range(10):
+        poses[f"twin_{i}"] = Pose(t=np.array([-20.0 + 9e-3 * i, 30.0, 100.0]), r=nadir)
+    strip = {k: v for k, v in poses.items() if k.startswith("img_")}
+    twins = {k: v for k, v in poses.items() if k.startswith("twin_")}
+    rng = np.random.default_rng(21)
+    tags = {1: np.array([2.0, -3.0, 0.1]), 2: np.array([-6.0, 4.0, 0.3])}
+    obs = observe_tags(tags, strip, cam, sigma=0.3, rng=rng)
+    obs += observe_tags({3: np.array([1.0, 1.0, 0.0])}, {"img_0004": strip["img_0004"]}, cam)
+    obs += observe_tags({4: np.array([-15.0, 20.0, 0.0])},
+                        {k: twins[k] for k in ("twin_0", "twin_5")}, cam)
+    obs5 = observe_tags({5: np.array([0.0, 0.0, 0.0])}, strip, cam, sigma=0.3, rng=rng)
+    bad = obs5[2]
+    obs5[2] = TagObservation(image_id=bad.image_id, tag_id=5, pixel=bad.pixel + (400.0, 0.0))
+    obs6 = observe_tags({6: np.array([-10.0, 15.0, 0.0])}, twins, cam)
+    far = observe_tags({6: np.array([-10.0, 15.0, 0.0])}, {"img_0000": strip["img_0000"]}, cam)[0]
+    obs6.append(TagObservation(image_id=far.image_id, tag_id=6, pixel=far.pixel + (0.0, 300.0)))
+    obs += obs5 + obs6
+
+    def oracle_rays(group):
+        pose_of = [poses[o.image_id] for o in group]
+        dirs = np.array([pixels_to_directions(cam, p.rotation(), o.pixel[None, :])[0]
+                         for p, o in zip(pose_of, group)])
+        return np.array([p.t for p in pose_of]), dirs
+
+    oracle = {tag: oracle_rays([o for o in obs if o.tag_id == tag]) for tag in (1, 2)}
+    oracle[5] = oracle_rays([o for i, o in enumerate(obs5) if i != 2])
+    return obs, poses, oracle
+
+
+class TestBatchedTriangulation:
+    def test_mixed_batch_matches_each_tag_alone(self, aerial_cam):
+        obs, poses, oracle = mixed_batch(aerial_cam)
+        batch = triangulate_tags(obs, poses, aerial_cam)
+        assert {t: type(e) for t, e in batch.failures.items()} == {
+            3: InsufficientObservations, 4: DegenerateGeometry, 6: DegenerateGeometry}
+        for tag in (4, 6):
+            assert str(batch.failures[tag]).startswith("all ray pairs within")
+        assert [lm.tag_id for lm in batch.landmarks] == [1, 2, 5]
+        assert batch.landmark(5).n_rays == 11
+        for tag in range(1, 7):
+            alone = triangulate_tags([o for o in obs if o.tag_id == tag], poses, aerial_cam)
+            assert ({t: (type(e), str(e)) for t, e in alone.failures.items()}
+                    == {t: (type(e), str(e)) for t, e in batch.failures.items() if t == tag})
+            assert len(alone.landmarks) == (tag in oracle)
+            for lm in alone.landmarks:
+                mixed = batch.landmark(tag)
+                assert mixed.n_rays == lm.n_rays == len(oracle[tag][0])
+                expected = oracle_lstsq_triangulation(*oracle[tag])
+                assert np.linalg.norm(mixed.position - expected) < 1e-9
+                assert np.linalg.norm(lm.position - expected) < 1e-9
+                assert abs(mixed.rms_residual - lm.rms_residual) < 1e-12
+
+    def test_outlier_resolve_turning_degenerate_is_reported(self, aerial_cam, caplog):
+        obs, poses, _ = mixed_batch(aerial_cam)
+        tag6 = [o for o in obs if o.tag_id == 6]
+        with caplog.at_level("INFO", logger="tagbridge.triangulate"):
+            result = triangulate_tags(tag6, poses, aerial_cam)
+        # the first pass solves all 11 rays and drops the distant one; the
+        # re-solve over the ten kept rays is the degenerate one
+        assert any("tag 6: dropping 1 outlier" in r.getMessage() for r in caplog.records)
+        assert str(result.failures[6]).startswith("all ray pairs within")
+        assert result.landmarks == []
 
 def _compose_angles(T, pose):
     from tagbridge.geometry import angles_from_rotation
