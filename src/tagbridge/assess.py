@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoCommonIds, TooFewPoints
+from .errors import NoCommonIds
 
 logger = logging.getLogger(__name__)
 
@@ -34,69 +34,41 @@ def _as_point_map(points) -> dict:
     return {k: np.asarray(v, dtype=float).reshape(3) for k, v in points}
 
 
-def _common_points(estimated, truth):
-    """(estimated (n, 3), truth (n, 3), only estimated, only truth): the rows
-    of the common ids in sorted order, then the ids in one set only."""
-    est = _as_point_map(estimated)
-    tru = _as_point_map(truth)
-    common = sorted(set(est) & set(tru), key=str)
-    only_est = sorted(set(est) - set(tru), key=str)
-    only_tru = sorted(set(tru) - set(est), key=str)
+def assess(estimated, truth) -> AccuracyReport:
+    """Absolute offsets and relative pair statistics over the common ids.
+
+    `absolute_mean` is the per-axis mean signed difference (estimated -
+    truth); raises NoCommonIds when the sets share no id. For every
+    unordered pair of common ids the per-axis separations (|dx|, |dy|, |dz|)
+    are computed in both sets: `relative_mean` is the mean of their absolute
+    differences and `relative_mean_distance` the same for the Euclidean
+    pair distances. With fewer than two common ids there is no pair, and
+    both are zero.
+    """
+    est_map, tru_map = _as_point_map(estimated), _as_point_map(truth)
+    common = sorted(set(est_map) & set(tru_map), key=str)
+    only_est = sorted(set(est_map) - set(tru_map), key=str)
+    only_tru = sorted(set(tru_map) - set(est_map), key=str)
     if only_est or only_tru:
         logger.info("ids only estimated: %s; only truth: %s", only_est, only_tru)
-    return (np.array([est[i] for i in common]).reshape(-1, 3),
-            np.array([tru[i] for i in common]).reshape(-1, 3), only_est, only_tru)
-
-
-def _relative(est, tru):
-    i, j = np.triu_indices(len(est), 1)
-    sep_est, sep_tru = est[i] - est[j], tru[i] - tru[j]
-    axis_means = np.mean(np.abs(np.abs(sep_est) - np.abs(sep_tru)), axis=0)
-    dist_diff = np.abs(np.linalg.norm(sep_est, axis=1) - np.linalg.norm(sep_tru, axis=1))
-    return axis_means, float(np.mean(dist_diff)), len(i)
-
-
-def _absolute(est, tru):
+    # rows of the common ids, in sorted order
+    est = np.array([est_map[k] for k in common]).reshape(-1, 3)
+    tru = np.array([tru_map[k] for k in common]).reshape(-1, 3)
     if not len(est):
         raise NoCommonIds("no ids shared between estimated and truth sets")
-    return (est - tru).mean(axis=0)
-
-
-def absolute_offsets(estimated, truth) -> np.ndarray:
-    """Per-axis mean signed difference (estimated - truth) over common ids."""
-    est, tru, _, _ = _common_points(estimated, truth)
-    return _absolute(est, tru)
-
-
-def relative_distance_stats(estimated, truth):
-    """Mean absolute difference of per-axis pairwise separations.
-
-    For every unordered pair of common ids the per-axis separations
-    (|dx|, |dy|, |dz|) are computed in both sets; the report is the mean of
-    their absolute differences, plus the Euclidean distance column as a
-    supplement. Returns (per-axis means (3,), mean distance diff, number of
-    pairs).
-    """
-    est, tru, _, _ = _common_points(estimated, truth)
-    if len(est) < 2:
-        raise TooFewPoints(f"{len(est)} common id(s); need at least 2 for pairs")
-    return _relative(est, tru)
-
-
-def assess(estimated, truth) -> AccuracyReport:
-    """Full accuracy report: absolute offsets plus relative pair statistics."""
-    est, tru, only_est, only_tru = _common_points(estimated, truth)
-    absolute = _absolute(est, tru)
-    if len(est) >= 2:
-        relative, dist_mean, n_pairs = _relative(est, tru)
-    else:
-        relative, dist_mean, n_pairs = np.zeros(3), 0.0, 0
+    i, j = np.triu_indices(len(est), 1)
+    relative, dist_mean = np.zeros(3), 0.0
+    if len(i):
+        sep_est, sep_tru = est[i] - est[j], tru[i] - tru[j]
+        relative = np.mean(np.abs(np.abs(sep_est) - np.abs(sep_tru)), axis=0)
+        dist_mean = float(np.mean(np.abs(np.linalg.norm(sep_est, axis=1)
+                                         - np.linalg.norm(sep_tru, axis=1))))
     return AccuracyReport(
-        absolute_mean=absolute,
+        absolute_mean=(est - tru).mean(axis=0),
         relative_mean=relative,
         relative_mean_distance=dist_mean,
         n_points=len(est),
-        n_pairs=n_pairs,
+        n_pairs=len(i),
         only_estimated=only_est,
         only_truth=only_tru,
     )

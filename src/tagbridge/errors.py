@@ -80,7 +80,3 @@ class InvalidSpec(TagbridgeError):
 
 class NoCommonIds(TagbridgeError):
     """Estimated and truth point sets share no ids."""
-
-
-class TooFewPoints(TagbridgeError):
-    """Fewer than two common points for pairwise statistics."""

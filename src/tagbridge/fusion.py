@@ -3,7 +3,8 @@
 Clouds accumulated along a trajectory are binned into a sparse voxel grid
 held as columns: one sorted int64 key per occupied voxel, with its point
 count, compensated position sum and colored count beside it, and every
-voxel's color histogram in one (voxel key, rgb code, count) table. Filtering
+voxel's color histogram in one (voxel key, rgb code, count) table. The grid
+keeps only this per-voxel state, never the points themselves. Filtering
 removes voxels by occupancy and by the fraction of points carrying RGB; the
 survivors are emitted as one centroid per voxel. An occlusion test that walks
 every viewing ray through the grid at once guards color assignment from a
@@ -30,12 +31,11 @@ _HALF_SPAN = 1 << (_AXIS_BITS - 1)  # offsets from the base voxel lie in [-2**20
 
 @dataclass
 class PointCloud:
-    """World-frame points with optional per-point color and source frame id."""
+    """World-frame points with optional per-point color."""
 
     positions: np.ndarray  # (N, 3) float64
     colors: np.ndarray = None  # (N, 3) uint8 or None
     color_valid: np.ndarray = None  # (N,) bool; defaults to all True when colored
-    frame_ids: np.ndarray = None  # (N,) int or None
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float).reshape(-1, 3)
@@ -51,8 +51,6 @@ class PointCloud:
                 self.color_valid = np.asarray(self.color_valid, dtype=bool).reshape(n)
         elif self.color_valid is not None:
             raise ValueError("color_valid given without colors")
-        if self.frame_ids is not None:
-            self.frame_ids = np.asarray(self.frame_ids, dtype=np.int64).reshape(n)
 
     def __len__(self):
         return len(self.positions)
@@ -73,18 +71,15 @@ class VoxelGrid:
     Beside the keys: `_count`, the Kahan sum `_csum` and its compensation
     `_comp` ((V, 3) each), and `_colored`, the number of points with valid
     RGB. `_hist` holds (voxel key, rgb code, count) rows sorted by key, then
-    code. `_clouds` keeps every accumulated cloud alive for the
-    `min_points=0` pass-through of `filter_voxels`.
+    code. No accumulated cloud is kept: memory follows the voxels and the
+    distinct (voxel, color) pairs, not the points.
     """
 
     voxel_size: float = DEFAULT_VOXEL_SIZE
-    origin: np.ndarray = None
 
     def __post_init__(self):
         if not self.voxel_size > 0:
             raise ValueError("voxel size must be positive")
-        self.origin = (np.zeros(3) if self.origin is None
-                       else np.asarray(self.origin, dtype=float).reshape(3))
         self._base = None  # (3,) int64, fixed by the first non-empty accumulate
         self._keys = np.zeros(0, np.int64)
         self._count = np.zeros(0, np.int64)
@@ -92,11 +87,9 @@ class VoxelGrid:
         self._comp = np.zeros((0, 3))
         self._colored = np.zeros(0, np.int64)
         self._hist = np.zeros((0, 3), np.int64)
-        self._clouds = []
 
     def voxel_indices(self, points: np.ndarray) -> np.ndarray:
-        return np.floor((np.asarray(points, dtype=float) - self.origin)
-                        / self.voxel_size).astype(np.int64)
+        return np.floor(np.asarray(points, dtype=float) / self.voxel_size).astype(np.int64)
 
     def count(self, key) -> int:
         if self._base is None:
@@ -104,9 +97,6 @@ class VoxelGrid:
         keys, inside = _pack(np.asarray(key, dtype=np.int64).reshape(1, 3), self._base)
         pos, found = _lookup(self._keys, keys)
         return int(self._count[pos[0]]) if inside[0] and found[0] else 0
-
-    def occupied(self, key, threshold: int = DEFAULT_OCCLUSION_THRESHOLD) -> bool:
-        return self.count(key) >= threshold
 
     @property
     def n_voxels(self) -> int:
@@ -161,10 +151,9 @@ def _run_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.
 def accumulate(grid: VoxelGrid, cloud: PointCloud) -> VoxelGrid:
     """Bin a cloud into the grid (counts, position sums, color histograms).
 
-    Re-adding the same cloud re-counts it; the caller deduplicates by frame
-    id. Raises ValueError, leaving the grid unchanged, when a point lies
-    beyond the packable span around the grid's base voxel. Returns the
-    (mutated) grid.
+    Re-adding the same cloud re-counts it. Raises ValueError, leaving the
+    grid unchanged, when a point lies beyond the packable span around the
+    grid's base voxel. Returns the (mutated) grid.
     """
     if len(cloud) == 0:
         return grid
@@ -176,7 +165,6 @@ def accumulate(grid: VoxelGrid, cloud: PointCloud) -> VoxelGrid:
         raise ValueError(f"point {far.tolist()} lies beyond +-2**{_AXIS_BITS - 1} "
                          f"voxels of the grid's base voxel {base.tolist()}")
     grid._base = base
-    grid._clouds.append(cloud)
 
     order = np.argsort(keys, kind="stable")
     starts = _runs(keys[order])
@@ -224,14 +212,13 @@ def filter_voxels(grid: VoxelGrid, min_points: int,
     min_rgb_fraction > 0, voxels whose colored fraction falls below it are
     removed too; with min_rgb_fraction = 0, colorless voxels survive as
     geometry-only centroids. A colored voxel gets its majority color: the
-    highest count wins, ties break on the smallest encoded rgb. min_points = 0
-    is the raw pass-through sentinel: all accumulated points are returned
-    unfiltered.
+    highest count wins, ties break on the smallest encoded rgb. Raises
+    ValueError for min_points < 1.
     """
+    if min_points < 1:
+        raise ValueError("min_points must be at least 1")
     if not 0.0 <= min_rgb_fraction <= 1.0:
         raise ValueError("min_rgb_fraction must be in [0, 1]")
-    if min_points == 0:
-        return _concatenate(grid._clouds)
 
     keep = grid._count >= min_points
     if min_rgb_fraction > 0.0:
@@ -255,30 +242,6 @@ def filter_voxels(grid: VoxelGrid, min_points: int,
     return PointCloud(positions=positions, colors=colors[keep], color_valid=valid)
 
 
-def _concatenate(clouds) -> PointCloud:
-    if not clouds:
-        return PointCloud(positions=np.zeros((0, 3)))
-    positions = np.concatenate([c.positions for c in clouds])
-    n = len(positions)
-    if any(c.colors is not None for c in clouds):
-        colors = np.concatenate([
-            c.colors if c.colors is not None else np.zeros((len(c), 3), np.uint8)
-            for c in clouds])
-        valid = np.concatenate([
-            c.color_valid if c.colors is not None else np.zeros(len(c), bool)
-            for c in clouds])
-    else:
-        colors = valid = None
-    if any(c.frame_ids is not None for c in clouds):
-        frame_ids = np.concatenate([
-            c.frame_ids if c.frame_ids is not None else np.full(len(c), -1, np.int64)
-            for c in clouds])
-    else:
-        frame_ids = None
-    return PointCloud(positions=positions, colors=colors, color_valid=valid,
-                      frame_ids=frame_ids)
-
-
 def _walk_voxels(start_voxel, end_voxel, start_point, direction, grid):
     """Integer voxel traversal from start to end (both included in the yield).
 
@@ -291,7 +254,7 @@ def _walk_voxels(start_voxel, end_voxel, start_point, direction, grid):
     t_delta = np.full(3, np.inf)
     for i in range(3):
         if direction[i] != 0:
-            boundary = grid.origin[i] + (v[i] + (step[i] > 0)) * grid.voxel_size
+            boundary = (v[i] + (step[i] > 0)) * grid.voxel_size
             t_max[i] = (boundary - start_point[i]) / direction[i]
             t_delta[i] = grid.voxel_size / abs(direction[i])
     limit = int(np.sum(np.abs(end - v))) + 3
@@ -322,7 +285,7 @@ def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray,
     direction = points - start_point
     step = np.sign(direction).astype(np.int64)
     moving = direction != 0
-    boundary = grid.origin + (start + (step > 0)) * grid.voxel_size
+    boundary = (start + (step > 0)) * grid.voxel_size
     with np.errstate(divide="ignore", invalid="ignore"):
         t_max = np.where(moving, (boundary - start_point) / direction, np.inf)
         t_delta = np.where(moving, grid.voxel_size / np.abs(direction), np.inf)
@@ -384,11 +347,10 @@ def colorize_with_occlusion(cloud: PointCloud, grid: VoxelGrid, rgb: np.ndarray,
                                     occlusion_threshold)]
 
     if len(visible) == 0:
-        return PointCloud(positions=cloud.positions.copy(), frame_ids=cloud.frame_ids)
+        return PointCloud(positions=cloud.positions.copy())
     n = len(cloud)
     colors = np.zeros((n, 3), dtype=np.uint8)
     valid = np.zeros(n, dtype=bool)
     colors[visible] = rgb[rows[visible], cols[visible]]
     valid[visible] = True
-    return PointCloud(positions=cloud.positions.copy(), colors=colors,
-                      color_valid=valid, frame_ids=cloud.frame_ids)
+    return PointCloud(positions=cloud.positions.copy(), colors=colors, color_valid=valid)

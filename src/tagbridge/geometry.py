@@ -21,6 +21,11 @@ from .errors import BehindCamera, DistortionInversionDiverged
 
 # Depth below which a point counts as behind the camera (meters).
 BEHIND_CAMERA_EPS = 1e-9
+# Fixed-point undistortion: a point has converged once its step is below
+# UNDISTORT_TOL (normalized units); one that has not after UNDISTORT_MAX_ITER
+# steps raises.
+UNDISTORT_MAX_ITER = 20
+UNDISTORT_TOL = 1e-10
 
 
 def _as_vec(x, n, name):
@@ -171,19 +176,20 @@ def angles_from_rotation(R) -> np.ndarray:
     """Inverse of rotation_from_angles (phi in [-pi/2, pi/2]).
 
     Accepts one (3, 3) matrix or an (N, 3, 3) stack of them; returns (3,) or
-    (N, 3) accordingly. At the gimbal-locked poles (|phi| = 90 deg) omega is
+    (N, 3) accordingly. phi = atan2(sin phi, |cos phi|) keeps full accuracy
+    up to the poles; at the gimbal-locked poles (|cos phi| < 1e-12) omega is
     set to zero.
     """
     R = np.asarray(R, dtype=float)
     single = R.ndim == 2
     R = R.reshape(-1, 3, 3)
-    sp = np.clip(-R[:, 2, 0], -1.0, 1.0)
-    pole = np.abs(np.abs(sp) - 1.0) < 1e-12
+    cp = np.hypot(R[:, 0, 0], R[:, 1, 0])
+    pole = cp < 1e-12
     r01, r02 = R[:, 0, 1], R[:, 0, 2]
-    kappa_pole = np.where(sp > 0, -np.arctan2(r01, r02), np.arctan2(-r01, -r02))
+    kappa_pole = np.where(R[:, 2, 0] < 0, -np.arctan2(r01, r02), np.arctan2(-r01, -r02))
     angles = np.empty((len(R), 3))
     angles[:, 0] = np.where(pole, 0.0, np.arctan2(R[:, 2, 1], R[:, 2, 2]))
-    angles[:, 1] = np.arcsin(sp)
+    angles[:, 1] = np.arctan2(-R[:, 2, 0], cp)
     angles[:, 2] = np.where(pole, kappa_pole, np.arctan2(R[:, 1, 0], R[:, 0, 0]))
     return angles[0] if single else angles
 
@@ -203,26 +209,29 @@ def distort_normalized(k, xy: np.ndarray) -> np.ndarray:
     return xy * distortion_factor(k, r2)
 
 
-def undistort_normalized(k, xy: np.ndarray, max_iter: int = 20, tol: float = 1e-10) -> np.ndarray:
-    """Invert distort_normalized by fixed-point iteration.
+def undistort_normalized(k, xy: np.ndarray) -> np.ndarray:
+    """Invert distort_normalized by fixed-point iteration, point by point.
 
-    Raises DistortionInversionDiverged when the iteration has not converged
-    to `tol` (in normalized units) after `max_iter` steps.
+    Each point stops once its own step is below UNDISTORT_TOL, so its result
+    does not depend on which other points share the call. Raises
+    DistortionInversionDiverged when a point has not converged after
+    UNDISTORT_MAX_ITER steps.
     """
     xy = np.asarray(xy, dtype=float)
     if not k:
         return xy.copy()
-    und = xy.copy()
-    for _ in range(max_iter):
-        r2 = np.sum(und * und, axis=-1, keepdims=True)
-        new = xy / distortion_factor(k, r2)
-        delta = np.max(np.abs(new - und)) if new.size else 0.0
-        und = new
-        if delta < tol:
-            return und
+    flat = xy.reshape(-1, 2)
+    und = flat.copy()
+    todo = np.arange(len(flat))
+    for _ in range(UNDISTORT_MAX_ITER):
+        cur = und[todo]
+        new = flat[todo] / distortion_factor(k, np.sum(cur * cur, axis=1, keepdims=True))
+        und[todo] = new
+        todo = todo[~(np.max(np.abs(new - cur), axis=1) < UNDISTORT_TOL)]  # NaN never converges
+        if not len(todo):
+            return und.reshape(xy.shape)
     raise DistortionInversionDiverged(
-        f"undistortion did not reach {tol} in {max_iter} iterations (last step {delta:.3e})"
-    )
+        f"{len(todo)} point(s) did not reach {UNDISTORT_TOL} in {UNDISTORT_MAX_ITER} iterations")
 
 
 def project_points(intrinsics: CameraIntrinsics, pose: Pose, points: np.ndarray):
@@ -259,18 +268,19 @@ def project(intrinsics: CameraIntrinsics, pose: Pose, point) -> np.ndarray:
     return pixels[0]
 
 
+def _pixels_to_normalized(intrinsics: CameraIntrinsics, pixels: np.ndarray) -> np.ndarray:
+    """Undistorted normalized image coordinates of (N, 2) float pixel coordinates."""
+    return undistort_normalized(
+        intrinsics.k, (pixels - (intrinsics.x0, intrinsics.y0)) / intrinsics.focal_px)
+
+
 def pixels_to_directions(intrinsics: CameraIntrinsics, rotation, pixels: np.ndarray) -> np.ndarray:
     """World-frame unit viewing directions for (N, 2) pixel coordinates.
 
     `rotation` is the camera-to-world matrix (Pose.rotation()): one (3, 3)
     for every pixel, or an (N, 3, 3) stack with one per pixel.
     """
-    pixels = np.asarray(pixels, dtype=float)
-    focal = intrinsics.focal_px
-    dist = np.empty_like(pixels)
-    dist[:, 0] = (pixels[:, 0] - intrinsics.x0) / focal
-    dist[:, 1] = (pixels[:, 1] - intrinsics.y0) / focal
-    norm = undistort_normalized(intrinsics.k, dist)
+    norm = _pixels_to_normalized(intrinsics, np.asarray(pixels, dtype=float))
     dirs_cam = np.concatenate([norm, np.ones((len(norm), 1))], axis=1)
     dirs_world = (np.asarray(rotation, dtype=float) @ dirs_cam[:, :, None])[:, :, 0]
     return dirs_world / np.linalg.norm(dirs_world, axis=1, keepdims=True)

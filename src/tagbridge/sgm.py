@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ImageTooSmall
 from .fusion import PointCloud
-from .geometry import CameraIntrinsics, Pose, undistort_normalized
+from .geometry import CameraIntrinsics, Pose, _pixels_to_normalized
 
 INVALID_DISPARITY = -1.0
 MIN_CLOUD_DISPARITY = 1e-3
@@ -97,10 +97,6 @@ class CostVolume:
     max_cost: int
     base: str = "left"
     raw: np.ndarray = None
-
-    @property
-    def n_disparities(self) -> int:
-        return self.costs.shape[2]
 
 
 @dataclass
@@ -442,11 +438,7 @@ def disparity_to_cloud(disp: DisparityMap, intrinsics: CameraIntrinsics,
     d = disp.values[ys, xs].astype(float)
     Z = intrinsics.focal_px * baseline / d
 
-    px = np.stack([xs.astype(float), ys.astype(float)], axis=1)
-    norm = np.empty_like(px)
-    norm[:, 0] = (px[:, 0] - intrinsics.x0) / intrinsics.focal_px
-    norm[:, 1] = (px[:, 1] - intrinsics.y0) / intrinsics.focal_px
-    norm = undistort_normalized(intrinsics.k, norm)
+    norm = _pixels_to_normalized(intrinsics, np.stack([xs, ys], axis=1).astype(float))
     cam = np.column_stack([norm[:, 0] * Z, norm[:, 1] * Z, Z])
     world = cam @ pose.rotation().T + pose.t
 

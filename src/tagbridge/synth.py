@@ -108,7 +108,6 @@ def default_tag_layout() -> dict:
 
 @dataclass
 class Scene:
-    spec: SceneSpec
     tags: dict
     camera_poses: dict
     tie_points: dict
@@ -205,7 +204,7 @@ def gen_scene(spec: SceneSpec, intrinsics: CameraIntrinsics = None) -> Scene:
 
     trajectory_world = _walk_trajectory(spec.walk)
     trajectory_local = apply_to_trajectory(world_from_local.inverse(), trajectory_world)
-    return Scene(spec=spec, tags=dict(spec.tags), camera_poses=camera_poses,
+    return Scene(tags=dict(spec.tags), camera_poses=camera_poses,
                  tie_points=tie_points, trajectory_world=trajectory_world,
                  trajectory_local=trajectory_local, world_from_local=world_from_local)
 

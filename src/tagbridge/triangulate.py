@@ -38,14 +38,11 @@ class TagObservation:
     image_id: str
     tag_id: int
     pixel: np.ndarray
-    weight: float = 1.0
 
     def __post_init__(self):
         px = np.asarray(self.pixel, dtype=float)
         if px.shape != (2,) or not np.all(np.isfinite(px)):
             raise ValueError("pixel must be a finite 2-vector")
-        if not self.weight > 0:
-            raise ValueError("weight must be positive")
         px.flags.writeable = False
         object.__setattr__(self, "pixel", px)
 
@@ -77,12 +74,6 @@ class TriangulationResult:
 
     landmarks: list
     failures: dict
-
-    def landmark(self, tag_id: int) -> TagLandmark:
-        for lm in self.landmarks:
-            if lm.tag_id == tag_id:
-                return lm
-        raise KeyError(tag_id)
 
 
 def _solve_groups(group, labels, origins, dirs, weights):
@@ -168,9 +159,10 @@ def triangulate_tags(observations, poses, intrinsics: CameraIntrinsics) -> Trian
 
     `poses` maps image_id -> Pose. Raises MissingPose if any observation
     references an unknown image; per-tag geometric failures are collected in
-    the result instead of aborting the batch. Observations whose point-to-ray
-    distance exceeds 3x the bundle RMS are discarded once and the tag re-solved.
-    Landmarks come out in ascending tag order.
+    the result instead of aborting the batch. Every ray has unit weight.
+    Observations whose point-to-ray distance exceeds 3x the bundle RMS are
+    discarded once and the tag re-solved. Landmarks come out in ascending tag
+    order.
     """
     for obs in observations:
         if obs.image_id not in poses:
@@ -189,7 +181,7 @@ def triangulate_tags(observations, poses, intrinsics: CameraIntrinsics) -> Trian
     rotations = rotation_from_angles(np.array([p.r for p in used]))[image]
     dirs = pixels_to_directions(intrinsics, rotations,
                                 np.concatenate([o.pixel for o in obs]).reshape(-1, 2))
-    weights = np.array([o.weight for o in obs])
+    weights = np.ones(len(obs))
     points, rms, dist, errors = _solve_groups(group, tag_ids.tolist(), origins, dirs, weights)
 
     # rays farther than 3x their tag's RMS are dropped once, and those tags

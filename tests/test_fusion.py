@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ def reference_colorize(cloud, grid, rgb, intrinsics, rgb_pose, occlusion_thresho
         for key in _walk_voxels(cam_voxel, own, rgb_pose.t, direction, grid):
             if key == cam_voxel or key == own:
                 continue
-            if grid.occupied(key, occlusion_threshold):
+            if grid.count(key) >= occlusion_threshold:
                 occluded = True
                 break
         if not occluded:
@@ -160,6 +161,18 @@ class TestAccumulate:
         assert np.array_equal(out_a.color_valid, out_b.color_valid)
         assert np.array_equal(out_a.colors, out_b.colors)
 
+    def test_grid_keeps_no_cloud(self):
+        # the grid holds per-voxel state only: an accumulated cloud is freed
+        # once the caller drops it
+        rng = np.random.default_rng(5)
+        cloud = PointCloud(positions=rng.uniform(0, 1, (50, 3)),
+                           colors=rng.integers(0, 256, (50, 3)).astype(np.uint8))
+        grid = accumulate(VoxelGrid(voxel_size=0.1), cloud)
+        ref = weakref.ref(cloud)
+        del cloud
+        assert ref() is None
+        assert grid.n_points == 50
+
     def test_color_counting(self):
         pts = np.zeros((4, 3)) + 0.05
         colors = np.array([[255, 0, 0], [255, 0, 0], [0, 255, 0], [9, 9, 9]], np.uint8)
@@ -230,16 +243,10 @@ class TestFilterVoxels:
         sizes = [len(filter_voxels(grid, m)) for m in (1, 2, 3, 5, 8)]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
-    def test_min_points_zero_raw_passthrough(self):
-        rng = np.random.default_rng(5)
-        a = PointCloud(positions=rng.uniform(0, 1, (20, 3)))
-        b = PointCloud(positions=rng.uniform(0, 1, (30, 3)))
-        grid = VoxelGrid(voxel_size=0.1)
-        accumulate(grid, a)
-        accumulate(grid, b)
-        out = filter_voxels(grid, min_points=0)
-        assert len(out) == 50
-        assert np.array_equal(out.positions, np.vstack([a.positions, b.positions]))
+    def test_min_points_below_one_rejected(self):
+        grid = accumulate(VoxelGrid(voxel_size=0.1), PointCloud(positions=[[0.05, 0.05, 0.05]]))
+        with pytest.raises(ValueError):
+            filter_voxels(grid, min_points=0)
 
     def test_rgb_fraction_filter(self):
         # voxel A: 3/4 colored; voxel B: 1/4 colored
@@ -329,7 +336,7 @@ class TestColorize:
                 key = tuple(grid.voxel_indices(q[None, :])[0])
                 if key == own or key == tuple(grid.voxel_indices(pose.t[None, :])[0]):
                     continue
-                assert not grid.occupied(key), (
+                assert grid.count(key) == 0, (
                     f"point {i} colored through occupied voxel {key}")
 
     def test_some_occlusion_happens_in_cluttered_scene(self):
@@ -446,7 +453,7 @@ class TestKeyPacking:
         with pytest.raises(ValueError):
             accumulate(grid, PointCloud(positions=[[0.5, 0.5, 0.5], [(far + 0.2) * size, 0.01, 0.01]]))
         assert (grid.n_voxels, grid.n_points) == (2, 2)
-        assert len(filter_voxels(grid, min_points=0)) == 2
+        assert len(filter_voxels(grid, min_points=1)) == 2
         assert grid.count((far, 0, 0)) == 0
 
     def test_first_cloud_wider_than_span_raises(self):

@@ -35,11 +35,12 @@ def nadir_pose(x=0.0, y=0.0, z=100.0):
 
 def reference_angles(R):
     """The per-matrix branch form of angles_from_rotation, in math-module arithmetic."""
-    sp = min(1.0, max(-1.0, -R[2, 0]))
-    if abs(abs(sp) - 1.0) < 1e-12:
-        kappa = -math.atan2(R[0, 1], R[0, 2]) if sp > 0 else math.atan2(-R[0, 1], -R[0, 2])
-        return np.array([0.0, math.asin(sp), kappa])
-    return np.array([math.atan2(R[2, 1], R[2, 2]), math.asin(sp), math.atan2(R[1, 0], R[0, 0])])
+    cp = math.hypot(R[0, 0], R[1, 0])
+    phi = math.atan2(-R[2, 0], cp)
+    if cp < 1e-12:
+        kappa = -math.atan2(R[0, 1], R[0, 2]) if R[2, 0] < 0 else math.atan2(-R[0, 1], -R[0, 2])
+        return np.array([0.0, phi, kappa])
+    return np.array([math.atan2(R[2, 1], R[2, 2]), phi, math.atan2(R[1, 0], R[0, 0])])
 
 
 def random_rotation(rng):
@@ -72,11 +73,22 @@ class TestRotation:
     def test_angles_round_trip(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            angles = rng.uniform([-math.pi, -math.pi / 2 + 1e-3, -math.pi],
-                                 [math.pi, math.pi / 2 - 1e-3, math.pi])
+            angles = rng.uniform([-math.pi, -math.pi / 2 + 1e-9, -math.pi],
+                                 [math.pi, math.pi / 2 - 1e-9, math.pi])
             R = rotation_from_angles(angles)
             back = angles_from_rotation(R)
             assert np.allclose(rotation_from_angles(back), R, atol=1e-12)
+
+    @pytest.mark.parametrize("phi", [math.pi / 2 - 1e-6, -math.pi / 2 + 1e-6],
+                             ids=["north", "south"])
+    def test_angles_round_trip_near_pole(self, phi):
+        # cos phi = 1e-6 lies well outside the 1e-12 pole band, so omega and
+        # kappa are both recovered and the round trip holds to 1e-12
+        rng = np.random.default_rng(12)
+        omega, kappa = rng.uniform(-math.pi, math.pi, (2, 2000))
+        R = rotation_from_angles(np.column_stack([omega, np.full(2000, phi), kappa]))
+        back = angles_from_rotation(R)
+        assert np.max(np.abs(rotation_from_angles(back) - R)) < 1e-12
 
     def test_batched_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -85,14 +97,13 @@ class TestRotation:
         for i in range(5):
             assert np.array_equal(batch[i], rotation_from_angles(angles[i]))
 
-    # phi stays 1e-3 from the poles, as in test_angles_round_trip: nearer to
-    # them the conversion itself loses accuracy (asin, and the 1e-12 pole
-    # band; see FOUND in CHANGES.md); the poles themselves are drawn exactly
+    # phi stays 1e-9 from the poles, as in test_angles_round_trip, well
+    # outside the 1e-12 pole band; the poles themselves are drawn exactly
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.tuples(
         st.floats(-math.pi, math.pi),
         st.one_of(st.sampled_from([-math.pi / 2, math.pi / 2]),
-                  st.floats(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3)),
+                  st.floats(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9)),
         st.floats(-math.pi, math.pi)), min_size=1, max_size=12))
     def test_batched_angles_match_scalar_and_round_trip(self, angles):
         R = rotation_from_angles(np.array(angles))
@@ -100,10 +111,10 @@ class TestRotation:
         assert batch.shape == (len(angles), 3)
         for i in range(len(angles)):
             assert np.array_equal(batch[i], angles_from_rotation(R[i]))
-            # numpy's and the math module's asin/atan2 may differ by an ulp
+            # numpy's and the math module's hypot/atan2 may differ by an ulp
             assert np.max(np.abs(batch[i] - reference_angles(R[i]))) < 1e-15
         assert np.max(np.abs(rotation_from_angles(batch) - R)) < 1e-12
-        poles = np.abs(np.abs(batch[:, 1]) - math.pi / 2) < 1e-9
+        poles = np.abs(np.abs(batch[:, 1]) - math.pi / 2) < 1e-12
         assert np.all(batch[poles, 0] == 0.0)
 
 
@@ -151,6 +162,18 @@ class TestDistortion:
         # 1e-8 px at focal_px ~ 6757 means ~1.5e-12 in normalized units
         assert np.max(np.abs(back - xy)) < 1e-11
 
+    def test_one_call_equals_one_call_per_point(self):
+        # each point iterates to its own tolerance: slow and fast points
+        # sharing a call come out as they would alone, bit for bit
+        k = (0.0, 0.05, -0.002)
+        rng = np.random.default_rng(6)
+        xy = rng.uniform(-0.7, 0.7, (200, 2)) * rng.uniform(0.0, 1.0, (200, 1))
+        together = undistort_normalized(k, xy)
+        alone = np.array([undistort_normalized(k, p[None, :])[0] for p in xy])
+        assert np.array_equal(together, alone)
+        assert np.array_equal(undistort_normalized(k, xy.reshape(10, 20, 2)),
+                              together.reshape(10, 20, 2))
+
     def test_divergence_raises(self):
         with pytest.raises(DistortionInversionDiverged):
             undistort_normalized((0.0, -80.0), np.array([[0.5, 0.5]]))
@@ -189,9 +212,7 @@ class TestPixelsToDirections:
         mixed = pixels_to_directions(cam, rotations[which], pixels)
         for k in range(4):
             alone = pixels_to_directions(cam, rotations[k], pixels[which == k])
-            # undistortion iterates until the slowest pixel of a call is within
-            # its 1e-10 tolerance, so calls over other pixel sets differ below it
-            assert np.max(np.abs(mixed[which == k] - alone)) < 1e-10
+            assert np.array_equal(mixed[which == k], alone)
 
 
 class TestRigidTransform:

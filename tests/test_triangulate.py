@@ -197,7 +197,7 @@ class TestTriangulateTags:
         obs[2] = TagObservation(image_id=bad.image_id, tag_id=bad.tag_id,
                                 pixel=bad.pixel + np.array([400.0, 0.0]))
         result = triangulate_tags(obs, poses, aerial_cam)
-        lm = result.landmark(1)
+        lm = {lm.tag_id: lm for lm in result.landmarks}[1]
         assert lm.n_rays == 11
         assert np.linalg.norm(lm.position - tags[1]) < 0.05
 
@@ -253,14 +253,15 @@ class TestBatchedTriangulation:
         for tag in (4, 6):
             assert str(batch.failures[tag]).startswith("all ray pairs within")
         assert [lm.tag_id for lm in batch.landmarks] == [1, 2, 5]
-        assert batch.landmark(5).n_rays == 11
+        by_tag = {lm.tag_id: lm for lm in batch.landmarks}
+        assert by_tag[5].n_rays == 11
         for tag in range(1, 7):
             alone = triangulate_tags([o for o in obs if o.tag_id == tag], poses, aerial_cam)
             assert ({t: (type(e), str(e)) for t, e in alone.failures.items()}
                     == {t: (type(e), str(e)) for t, e in batch.failures.items() if t == tag})
             assert len(alone.landmarks) == (tag in oracle)
             for lm in alone.landmarks:
-                mixed = batch.landmark(tag)
+                mixed = by_tag[tag]
                 assert mixed.n_rays == lm.n_rays == len(oracle[tag][0])
                 expected = oracle_lstsq_triangulation(*oracle[tag])
                 assert np.linalg.norm(mixed.position - expected) < 1e-9
