@@ -11,6 +11,12 @@ integers bounded by the census bit count. Aggregated costs are uint16 and
 exact: with integer P1 and P2 a path value is at most max(C) + P2, so the
 n-path sum is at most n * (max(C) + P2), 1 152 for a 5x5 census at the
 defaults; `aggregate_costs` rejects volumes whose bound exceeds 65 535.
+
+Volumes are (H, W, D), but the aggregation sweeps step disparity-major
+(paths, D, line length) states: the minimum over d and the +-1 disparity
+neighbours then combine contiguous rows. Each step copies the image line
+its paths read into a line-sized (D, length) buffer once and adds the
+paths' sum back through its transpose, so no volume-sized copy is made.
 """
 
 from __future__ import annotations
@@ -152,7 +158,7 @@ def hamming_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-pixel Hamming distance between two census rasters."""
     if a.shape != b.shape:
         raise DimensionMismatch(f"descriptor shapes differ: {a.shape} vs {b.shape}")
-    return np.bitwise_count(np.bitwise_xor(a, b)).sum(axis=-1).astype(np.uint16)
+    return np.bitwise_count(np.bitwise_xor(a, b)).sum(axis=-1, dtype=np.uint16)
 
 
 def census_bits(window=(5, 5)) -> int:
@@ -248,57 +254,94 @@ def aggregate_one_path(volume: CostVolume, direction, p1: float, p2: float) -> n
 
 
 class _PathStep:
-    """`_path_step` on uint16 states of one shape, into preallocated buffers."""
+    """`_path_step` on disparity-major (k, D, m) uint16 states, into preallocated buffers.
+
+    The disparity axis is axis 1, so the minimum over it and the +-1
+    disparity neighbours combine whole contiguous rows of m cells.
+    """
 
     def __init__(self, shape, p1: int, p2: int):
+        k, _, m = shape
         self.p1, self.p2 = np.uint16(p1), np.uint16(p2)
-        self.m = np.empty(shape[:-1] + (1,), np.uint16)
-        self.m_p2 = np.empty_like(self.m)
+        self.low = np.empty((k, 1, m), np.uint16)
+        self.low_p2 = np.empty_like(self.low)
         self.prev_p1 = np.empty(shape, np.uint16)
 
     def __call__(self, prev: np.ndarray, out: np.ndarray) -> None:
-        m, m_p2, prev_p1 = self.m, self.m_p2, self.prev_p1
-        np.min(prev, axis=-1, keepdims=True, out=m)
-        np.add(m, self.p2, out=m_p2)
-        np.minimum(prev, m_p2, out=out)
+        low, low_p2, prev_p1 = self.low, self.low_p2, self.prev_p1
+        np.min(prev, axis=1, keepdims=True, out=low)
+        np.add(low, self.p2, out=low_p2)
+        np.minimum(prev, low_p2, out=out)
         np.add(prev, self.p1, out=prev_p1)
-        np.minimum(out[..., 1:], prev_p1[..., :-1], out=out[..., 1:])
-        np.minimum(out[..., :-1], prev_p1[..., 1:], out=out[..., :-1])
-        np.subtract(out, m, out=out)
+        np.minimum(out[:, 1:], prev_p1[:, :-1], out=out[:, 1:])
+        np.minimum(out[:, :-1], prev_p1[:, 1:], out=out[:, :-1])
+        np.subtract(out, low, out=out)
+
+
+def _shifted_add(line: np.ndarray, stepped: np.ndarray, dx: int, out: np.ndarray) -> None:
+    """out[:, x] = line[:, x] + stepped[:, x - dx], and line[:, x] where x - dx is off the line.
+
+    All three are contiguous (D, m) arrays, so the add runs once over the
+    flat buffers; the one column whose flat neighbour lies in the next row
+    is then reset to the line alone.
+    """
+    a, b, o = line.reshape(-1), stepped.reshape(-1), out.reshape(-1)
+    lo, hi = max(dx, 0), a.size + min(dx, 0)
+    np.add(a[lo:hi], b[lo - dx:hi - dx], out=o[lo:hi])
+    if dx:
+        edge = 0 if dx > 0 else -1
+        out[:, edge] = line[:, edge]
 
 
 def _sweep(C: np.ndarray, total: np.ndarray, paths, p1: int, p2: int) -> None:
     """Add the paths' accumulated costs to `total`, all paths stepped together.
 
-    C and total are (n, W, D) views whose first axis is the sweep axis. Path
-    (reverse, dx) visits the lines 0..n-1, or n-1..0 if `reverse`, and
-    continues at column x from column x - dx of the line before. A path
-    that starts at a border reads a zero state, which steps to exactly 0,
-    so L = C there.
+    C and total are (n, m, D) views, of any strides, whose first axis is the
+    sweep axis. Path (reverse, dx) visits the lines 0..n-1, or n-1..0 if
+    `reverse`, and continues at column x from column x - dx of the line
+    before. A path that starts at a border reads a zero state, which steps
+    to exactly 0, so L = C there.
+
+    The states are disparity-major (k, D, m). At each step the paths that
+    read the same line share one (D, m) copy of it, `C[y].T`; each adds its
+    stepped state to that copy, shifted by dx along m, and their sum goes
+    back into `total[y]` once, through the transposed view.
     """
-    n, W, D = C.shape
-    L = np.zeros((len(paths), W, D), np.uint16)
-    stepped = np.zeros((len(paths), W + 2, D), np.uint16)  # columns 0, W + 1 stay 0
+    n, m, D = C.shape
+    paths = sorted(paths)  # the paths of one line are a contiguous block of L
+    split = sum(not reverse for reverse, _ in paths)
+    blocks = [(reverse, slice(lo, hi)) for reverse, lo, hi in
+              ((False, 0, split), (True, split, len(paths))) if lo < hi]
+    L = np.zeros((len(paths), D, m), np.uint16)
+    stepped = np.empty_like(L)
+    line = np.empty((D, m), np.uint16)
+    line_sum = np.empty((D, m), np.uint16)
     step = _PathStep(L.shape, p1, p2)
     for t in range(n):
-        step(L, out=stepped[:, 1:W + 1])
-        for i, (reverse, dx) in enumerate(paths):
+        step(L, out=stepped)
+        for reverse, block in blocks:
             y = n - 1 - t if reverse else t
-            np.add(C[y], stepped[i, 1 - dx:1 - dx + W], out=L[i])
-            total[y] += L[i]
+            np.copyto(line, C[y].T)
+            for i in range(block.start, block.stop):
+                _shifted_add(line, stepped[i], paths[i][1], out=L[i])
+            np.add.reduce(L[block], axis=0, out=line_sum)
+            total[y] += line_sum.T
 
 
 def aggregate_costs(volume: CostVolume, params: SgmParams) -> CostVolume:
     """Sum of the path accumulations over `params.directions`, as uint16.
 
     Three sweeps cover every path: down the rows (the paths with dy = +1 as
-    one (k, W, D) state, the diagonals reading the previous row shifted by
+    one (k, D, W) state, the diagonals reading the previous row shifted by
     one column), up the rows (dy = -1), and along x, where (0, +1) at column
-    x and (0, -1) at column W-1-x step together as one (2, H, D) state.
-    Each sums straight into one uint16 total. Every value is an exact
-    integer below the bound checked here, so the result is bit-identical
-    to summing `aggregate_one_path` (the float32 test oracle) over the
-    directions, in any order.
+    x and (0, -1) at column W-1-x step together as one (2, D, H) state. The
+    states are disparity-major, so each step reduces over whole contiguous
+    rows; the volume keeps its (H, W, D) layout, and each line of it is
+    copied once, transposed, into a (D, W) or (D, H) buffer and summed back
+    into one uint16 total through the transposed view. Every value is an
+    exact integer below the bound checked here, so the result is
+    bit-identical to summing `aggregate_one_path` (the float32 test oracle)
+    over the directions, in any order.
     """
     C = volume.costs
     n = len(params.directions)

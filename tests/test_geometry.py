@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tagbridge.errors import BehindCamera, DistortionInversionDiverged
 from tagbridge.geometry import (
@@ -45,6 +43,28 @@ def reference_angles(R):
 
 def random_rotation(rng):
     return rotation_from_angles(rng.uniform(-math.pi / 2 + 0.1, math.pi / 2 - 0.1, 3))
+
+
+def seeded_angle_rows(seed):
+    """1-12 (omega, phi, kappa) rows; phi lies exactly on a pole in about a
+    quarter of them and at least 1e-9 from one otherwise, well outside the
+    1e-12 pole band."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13))
+    rows = rng.uniform([-math.pi, -math.pi / 2 + 1e-9, -math.pi],
+                       [math.pi, math.pi / 2 - 1e-9, math.pi], (n, 3))
+    pole = rng.random(n) < 0.25
+    rows[pole, 1] = rng.choice([-math.pi / 2, math.pi / 2], int(pole.sum()))
+    return rows.tolist()
+
+
+# Fixed inputs, so every pytest invocation checks the same ones: Hypothesis
+# mixes constants from all imported test modules into its draws, even when
+# derandomized. The explicit rows are the two poles and phi = 1.5625, where
+# an asin-form reference misses the atan2 form by 2e-15.
+BATCHED_ANGLE_CASES = ([[(0.5, math.pi / 2, -1.0)], [(0.5, -math.pi / 2, -1.0)],
+                        [(0.0, 1.5625, 0.0)]]
+                       + [seeded_angle_rows(seed) for seed in range(100)])
 
 
 class TestRotation:
@@ -97,25 +117,18 @@ class TestRotation:
         for i in range(5):
             assert np.array_equal(batch[i], rotation_from_angles(angles[i]))
 
-    # phi stays 1e-9 from the poles, as in test_angles_round_trip, well
-    # outside the 1e-12 pole band; the poles themselves are drawn exactly
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(st.lists(st.tuples(
-        st.floats(-math.pi, math.pi),
-        st.one_of(st.sampled_from([-math.pi / 2, math.pi / 2]),
-                  st.floats(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9)),
-        st.floats(-math.pi, math.pi)), min_size=1, max_size=12))
-    def test_batched_angles_match_scalar_and_round_trip(self, angles):
-        R = rotation_from_angles(np.array(angles))
-        batch = angles_from_rotation(R)
-        assert batch.shape == (len(angles), 3)
-        for i in range(len(angles)):
-            assert np.array_equal(batch[i], angles_from_rotation(R[i]))
-            # numpy's and the math module's hypot/atan2 may differ by an ulp
-            assert np.max(np.abs(batch[i] - reference_angles(R[i]))) < 1e-15
-        assert np.max(np.abs(rotation_from_angles(batch) - R)) < 1e-12
-        poles = np.abs(np.abs(batch[:, 1]) - math.pi / 2) < 1e-12
-        assert np.all(batch[poles, 0] == 0.0)
+    def test_batched_angles_match_scalar_and_round_trip(self):
+        for angles in BATCHED_ANGLE_CASES:
+            R = rotation_from_angles(np.array(angles))
+            batch = angles_from_rotation(R)
+            assert batch.shape == (len(angles), 3)
+            for i in range(len(angles)):
+                assert np.array_equal(batch[i], angles_from_rotation(R[i]))
+                # numpy's and the math module's hypot/atan2 may differ by an ulp
+                assert np.max(np.abs(batch[i] - reference_angles(R[i]))) < 1e-15
+            assert np.max(np.abs(rotation_from_angles(batch) - R)) < 1e-12
+            poles = np.abs(np.abs(batch[:, 1]) - math.pi / 2) < 1e-12
+            assert np.all(batch[poles, 0] == 0.0)
 
 
 class TestProject:

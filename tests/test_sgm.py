@@ -11,6 +11,8 @@ from tagbridge.sgm import (
     UINT16_MAX,
     CostVolume,
     SgmParams,
+    _path_step,
+    _PathStep,
     aggregate_costs,
     aggregate_one_path,
     census_bits,
@@ -262,6 +264,18 @@ class TestAggregation:
             assert agg.base == base
             assert np.array_equal(agg.costs, oracle)
 
+    @pytest.mark.parametrize("layout", ["fortran", "reversed_columns"])
+    def test_sweeps_read_strided_costs(self, layout):
+        # the sweeps copy each line of C through its strides
+        p = params(d_max=5)
+        C = np.random.default_rng(19).integers(0, 25, (9, 12, 6)).astype(np.uint16)
+        costs = np.asfortranarray(C) if layout == "fortran" else C[:, ::-1]
+        vol = CostVolume(costs=costs, d_min=0, d_max=5, max_cost=24)
+        oracle = np.zeros(C.shape, np.float32)
+        for direction in p.directions:
+            oracle += aggregate_one_path(vol, direction, p.p1, p.p2)
+        assert np.array_equal(aggregate_costs(vol, p).costs, oracle)
+
     def test_sum_beyond_uint16_rejected(self):
         p = params(d_max=3)
         ceiling = UINT16_MAX // 8 - int(p.p2)
@@ -297,6 +311,19 @@ class TestAggregation:
                 for s in itertools.product(range(4), repeat=8)
             )
             assert sequence_energy(C, seq, p1, p2) == best_enum
+
+
+class TestPathStep:
+    @pytest.mark.parametrize("shape", [(3, 64, 20), (2, 1, 7), (1, 2, 9), (3, 5, 1), (1, 1, 1)])
+    def test_disparity_major_step_equals_path_step(self, shape):
+        # (k, D, m) states step along axis 1 exactly as _path_step along its last axis
+        rng = np.random.default_rng(sum(shape))
+        for high, p1, p2 in ((30, 10, 120), (1000, 7, 23)):
+            prev = rng.integers(0, high + 1, shape, dtype=np.uint16)
+            out = np.empty_like(prev)
+            _PathStep(shape, p1, p2)(prev, out)
+            expected = _path_step(prev.astype(np.int64).transpose(0, 2, 1), p1, p2)
+            assert np.array_equal(out, expected.transpose(0, 2, 1))
 
 
 class TestParams:
