@@ -47,6 +47,7 @@ BEHIND_RESIDUAL = 1e6
 # Relative central-difference step for the numeric Jacobian.
 JACOBIAN_REL_STEP = 1e-7
 MAX_PHI_DEG = 89.0
+_MAX_PHI = math.radians(MAX_PHI_DEG)
 LAMBDA_INIT = 1e-3
 LAMBDA_MAX = 1e15
 
@@ -343,19 +344,16 @@ def _check_preconditions(problem: BundleProblem, packer: _Packer):
     if problem.mask.poses and not problem.anchors:
         raise GaugeNotFixed("all poses free: anchor at least one pose id")
     if problem.mask.points:
-        seen = {}
-        for image_id, point_id, _ in problem.measurements:
-            seen.setdefault(point_id, set()).add(image_id)
-        for point_id in packer.point_ids:
-            n = len(seen.get(point_id, ()))
-            if n < 2:
-                raise Underconstrained(point_id, n)
-    max_phi = math.radians(MAX_PHI_DEG)
-    for p in packer.pose_ids:
-        if abs(problem.poses[p].r[1]) >= max_phi:
-            raise GimbalLock(
-                f"pose {p!r} has |phi| >= {MAX_PHI_DEG} deg; reparameterize the block"
-            )
+        pairs = np.unique(np.stack([packer.meas_point, packer.meas_pose], axis=1), axis=0)
+        n_images = np.bincount(pairs[:, 0], minlength=len(packer.point_ids))
+        few = np.flatnonzero(n_images < 2)
+        if few.size:
+            raise Underconstrained(packer.point_ids[few[0]], int(n_images[few[0]]))
+    steep = np.flatnonzero(np.abs(packer.base_pose[:, 4]) >= _MAX_PHI)
+    if steep.size:
+        raise GimbalLock(
+            f"pose {packer.pose_ids[steep[0]]!r} has |phi| >= {MAX_PHI_DEG} deg; "
+            "reparameterize the block")
 
 
 def solve(problem: BundleProblem, max_iters: int = 100,
@@ -385,7 +383,6 @@ def solve(problem: BundleProblem, max_iters: int = 100,
     costs = [cost]
     converged = False
     iterations = 0
-    max_phi = math.radians(MAX_PHI_DEG)
 
     if packer.n_params == 0:
         return packer.rebuild_problem(x), SolveReport(
@@ -409,7 +406,7 @@ def solve(problem: BundleProblem, max_iters: int = 100,
                 break
             x_new = x + delta
             phi = packer.pose_block(x_new)[:, 4]
-            if phi.size and np.max(np.abs(phi)) >= max_phi:
+            if phi.size and np.max(np.abs(phi)) >= _MAX_PHI:
                 lam *= 10.0
                 trace.append(lam)
                 continue

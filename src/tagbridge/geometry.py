@@ -28,12 +28,18 @@ UNDISTORT_MAX_ITER = 20
 UNDISTORT_TOL = 1e-10
 
 
-def _as_vec(x, n, name):
-    a = np.asarray(x, dtype=float)
-    if a.shape != (n,):
-        raise ValueError(f"{name} must be a length-{n} vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+def _checked(x, shape, name):
+    """Read-only, C-ordered float64 copy of `x`, checked to have `shape` and finite values.
+
+    A None entry in `shape` accepts any length along that axis. C order keeps
+    products with the copy independent of the caller's memory layout.
+    """
+    a = np.array(x, dtype=float, order="C")
+    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
+    a.flags.writeable = False
     return a
 
 
@@ -68,26 +74,22 @@ class CameraIntrinsics:
     def focal_px(self) -> float:
         return self.f / self.pixel_pitch
 
-    def in_bounds(self, pixel) -> bool:
-        """True when the pixel falls on the physical sensor area."""
-        u, v = float(pixel[0]), float(pixel[1])
-        return -0.5 <= u < self.width - 0.5 and -0.5 <= v < self.height - 0.5
+    def in_bounds(self, pixel):
+        """True where a (..., 2) pixel falls on the physical sensor area."""
+        u, v = np.moveaxis(np.asarray(pixel, dtype=float), -1, 0)
+        return (-0.5 <= u) & (u < self.width - 0.5) & (-0.5 <= v) & (v < self.height - 0.5)
 
 
 @dataclass(frozen=True)
 class Pose:
-    """Exterior orientation: projection center t and angles r = (omega, phi, kappa)."""
+    """Exterior orientation: center t and angles r = (omega, phi, kappa), as read-only copies."""
 
     t: np.ndarray
     r: np.ndarray
 
     def __post_init__(self):
-        t = _as_vec(self.t, 3, "t")
-        r = _as_vec(self.r, 3, "r")
-        t.flags.writeable = False
-        r.flags.writeable = False
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "t", _checked(self.t, (3,), "t"))
+        object.__setattr__(self, "r", _checked(self.r, (3,), "r"))
 
     def rotation(self) -> np.ndarray:
         """Camera-to-world rotation matrix."""
@@ -96,28 +98,22 @@ class Pose:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """Similarity transform p -> scale * rotation @ p + translation (scale = 1 by default)."""
+    """Similarity transform p -> scale * rotation @ p + translation (read-only array copies)."""
 
     rotation: np.ndarray
     translation: np.ndarray
     scale: float = 1.0
 
     def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=float)
-        if R.shape != (3, 3):
-            raise ValueError("rotation must be 3x3")
+        R = _checked(self.rotation, (3, 3), "rotation")
         if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-10:
             raise ValueError("rotation must be orthonormal")
         if np.linalg.det(R) < 0:
             raise ValueError("rotation must be proper (det +1)")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
-        t = _as_vec(self.translation, 3, "translation")
-        R = R.copy()
-        R.flags.writeable = False
-        t.flags.writeable = False
+        if not 0 < self.scale < np.inf:
+            raise ValueError("scale must be positive and finite")
         object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "translation", _checked(self.translation, (3,), "translation"))
 
     @classmethod
     def identity(cls) -> "RigidTransform":
@@ -261,7 +257,7 @@ def project(intrinsics: CameraIntrinsics, pose: Pose, point) -> np.ndarray:
 
     Raises BehindCamera when the camera-frame depth is <= 1e-9 m.
     """
-    point = _as_vec(point, 3, "point")
+    point = _checked(point, (3,), "point")
     pixels, in_front = project_points(intrinsics, pose, point[None, :])
     if not in_front[0]:
         raise BehindCamera(f"point {point.tolist()} has non-positive depth in camera frame")

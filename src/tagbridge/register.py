@@ -18,6 +18,7 @@ from .errors import DegenerateGeometry, ReflectionRequired, TooFewCorrespondence
 from .geometry import (
     Pose,
     RigidTransform,
+    _checked,
     angles_from_rotation,
     apply_transform,
     rotation_from_angles,
@@ -36,20 +37,16 @@ POSE_LOOKUP_TOL = 0.1
 
 @dataclass(frozen=True)
 class LocalTagSighting:
-    """A tag center measured in the ground system's local frame."""
+    """A tag center measured in the ground system's local frame, as a read-only copy."""
 
     tag_id: int
     local_vector: np.ndarray
     timestamp: float = 0.0
 
     def __post_init__(self):
-        v = np.asarray(self.local_vector, dtype=float)
-        if v.shape != (3,) or not np.all(np.isfinite(v)):
-            raise ValueError("local_vector must be a finite 3-vector")
-        if self.timestamp < 0:
+        if not self.timestamp >= 0:
             raise ValueError("timestamp must be non-negative")
-        v.flags.writeable = False
-        object.__setattr__(self, "local_vector", v)
+        object.__setattr__(self, "local_vector", _checked(self.local_vector, (3,), "local_vector"))
 
 
 @dataclass(frozen=True)
@@ -67,18 +64,12 @@ class Trajectory(Sequence):
     r: np.ndarray
 
     def __post_init__(self):
-        ts = np.array(self.timestamps, dtype=float)
-        t = np.array(self.t, dtype=float)
-        r = np.array(self.r, dtype=float)
-        if ts.ndim != 1 or t.shape != (len(ts), 3) or r.shape != (len(ts), 3):
-            raise ValueError("one timestamp and one (N, 3) row of t and r per pose required")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(r))):
-            raise ValueError("t and r must be finite")
-        if len(ts) > 1 and not np.all(np.diff(ts) > 0):
+        ts = _checked(self.timestamps, (None,), "timestamps")
+        if not np.all(np.diff(ts) > 0):
             raise ValueError("timestamps must be strictly increasing")
-        for name, a in (("timestamps", ts), ("t", t), ("r", r)):
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        object.__setattr__(self, "timestamps", ts)
+        object.__setattr__(self, "t", _checked(self.t, (len(ts), 3), "t"))
+        object.__setattr__(self, "r", _checked(self.r, (len(ts), 3), "r"))
 
     def __len__(self):
         return len(self.timestamps)
@@ -141,14 +132,19 @@ def collect_correspondences(sightings, landmarks) -> Correspondences:
     )
 
 
+def _collinear(points) -> bool:
+    """True when (N, 3) points coincide or their spread ratio is at most COLLINEARITY_RATIO."""
+    spread = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+    return spread[0] <= 0 or spread[1] / spread[0] <= COLLINEARITY_RATIO
+
+
 def _procrustes(local, world, estimate_scale):
     centroid_l = local.mean(axis=0)
     centroid_w = world.mean(axis=0)
     lc = local - centroid_l
     wc = world - centroid_w
 
-    spread = np.linalg.svd(lc, compute_uv=False)
-    if spread[0] <= 0 or spread[1] / spread[0] <= COLLINEARITY_RATIO:
+    if _collinear(local):
         raise DegenerateGeometry("correspondences are collinear or coincident")
 
     H = lc.T @ wc

@@ -24,7 +24,7 @@ from .geometry import (
     project_points,
     rotation_from_angles,
 )
-from .register import LocalTagSighting, Trajectory, apply_to_trajectory
+from .register import LocalTagSighting, Trajectory, _collinear, apply_to_trajectory
 from .triangulate import TagObservation
 
 # spawn-key namespaces for the per-entity sub-streams
@@ -84,13 +84,10 @@ class SceneSpec:
             raise InvalidSpec("walk needs at least two waypoints")
         if self.n_tie_points < 0:
             raise InvalidSpec("n_tie_points must be non-negative")
-        if len(self.tags) >= 3 and not self.allow_collinear_tags:
-            pts = np.array(list(self.tags.values()), dtype=float)
-            centered = pts - pts.mean(axis=0)
-            s = np.linalg.svd(centered, compute_uv=False)
-            if s[0] <= 0 or s[1] / s[0] <= 1e-6:
-                raise InvalidSpec(
-                    "tags lie on a single line; set allow_collinear_tags for negative tests")
+        if (len(self.tags) >= 3 and not self.allow_collinear_tags
+                and _collinear(np.array(list(self.tags.values()), dtype=float))):
+            raise InvalidSpec(
+                "tags lie on a single line; set allow_collinear_tags for negative tests")
 
 
 def default_tag_layout() -> dict:
@@ -174,23 +171,12 @@ def gen_scene(spec: SceneSpec, intrinsics: CameraIntrinsics = None) -> Scene:
     ys = center[1] + (np.arange(spec.flight.strips)
                       - (spec.flight.strips - 1) / 2.0) * spacing_y
 
-    camera_poses = {}
-    idx = 0
-    for y in ys:
-        for x in xs:
-            camera_poses[f"img_{idx:04d}"] = Pose(
-                t=np.array([x, y, spec.flight.altitude]),
-                r=np.array([math.pi, 0.0, 0.0]))
-            idx += 1
+    camera_poses = {
+        f"img_{i:04d}": Pose(t=(x, y, spec.flight.altitude), r=(math.pi, 0.0, 0.0))
+        for i, (y, x) in enumerate((y, x) for y in ys for x in xs)}
 
-    rng_tp = _stream(spec.seed, _KEY_TIE_POINTS)
-    tie_points = {}
-    for i in range(spec.n_tie_points):
-        tie_points[i] = np.array([
-            rng_tp.uniform(lo[0], hi[0]),
-            rng_tp.uniform(lo[1], hi[1]),
-            rng_tp.uniform(0.0, 3.0),
-        ])
+    tie_points = dict(enumerate(_stream(spec.seed, _KEY_TIE_POINTS).uniform(
+        (lo[0], lo[1], 0.0), (hi[0], hi[1], 3.0), (spec.n_tie_points, 3))))
 
     if spec.world_from_local is not None:
         world_from_local = spec.world_from_local
@@ -215,31 +201,25 @@ def render_observations(scene: Scene, intrinsics: CameraIntrinsics,
 
     Returns (tag observations, tie measurements) where tie measurements are
     (image_id, point_id, pixel) triples. Noise streams are sub-seeded per
-    image, so generation order cannot change the output.
+    image, so generation order cannot change the output; each image draws
+    noise for every tag, then every tie point, visible or not.
     """
-    tag_ids = sorted(scene.tags)
-    tie_ids = sorted(scene.tie_points)
-    tag_pts = np.array([scene.tags[t] for t in tag_ids]).reshape(-1, 3)
-    tie_pts = np.array([scene.tie_points[t] for t in tie_ids]).reshape(-1, 3)
+    n_tags = len(scene.tags)
+    ids = sorted(scene.tags) + sorted(scene.tie_points)
+    points = np.array([scene.tags[i] for i in ids[:n_tags]]
+                      + [scene.tie_points[i] for i in ids[n_tags:]]).reshape(-1, 3)
 
     observations = []
     tie_measurements = []
     for img_index, image_id in enumerate(sorted(scene.camera_poses)):
-        pose = scene.camera_poses[image_id]
-        rng = _stream(seed, _KEY_OBSERVATIONS, img_index)
-        if tag_ids:
-            px, ok = project_points(intrinsics, pose, tag_pts)
-            noise = gaussian(rng, (len(tag_ids), 2)) * pixel_sigma
-            for i, tag_id in enumerate(tag_ids):
-                if ok[i] and intrinsics.in_bounds(px[i]):
-                    observations.append(TagObservation(
-                        image_id=image_id, tag_id=tag_id, pixel=px[i] + noise[i]))
-        if tie_ids:
-            px, ok = project_points(intrinsics, pose, tie_pts)
-            noise = gaussian(rng, (len(tie_ids), 2)) * pixel_sigma
-            for i, pid in enumerate(tie_ids):
-                if ok[i] and intrinsics.in_bounds(px[i]):
-                    tie_measurements.append((image_id, pid, px[i] + noise[i]))
+        px, ok = project_points(intrinsics, scene.camera_poses[image_id], points)
+        noisy = px + gaussian(_stream(seed, _KEY_OBSERVATIONS, img_index), px.shape) * pixel_sigma
+        for i in np.flatnonzero(ok & intrinsics.in_bounds(px)):
+            if i < n_tags:
+                observations.append(TagObservation(image_id=image_id, tag_id=ids[i],
+                                                   pixel=noisy[i]))
+            else:
+                tie_measurements.append((image_id, ids[i], noisy[i]))
     return observations, tie_measurements
 
 
@@ -313,21 +293,18 @@ def gen_stereo_pair(depth: np.ndarray, baseline: float,
     palette = rng.integers(0, 256, (256, 3)).astype(np.uint8)
     fill = rng.integers(0, 256, (H, W)).astype(np.uint8)
 
-    right = fill.copy()
-    occlusion = np.zeros((H, W), dtype=bool)
     xs = np.arange(W)
-    for y in range(H):
-        d = disparity[y]
-        xr = np.rint(xs - d).astype(int)
-        inside = (xr >= 0) & (xr < W)
-        # nearest surface (largest disparity) wins each right-image cell
-        order = np.argsort(d, kind="stable")  # ascending: far first, near last
-        right[y, xr[order][inside[order]]] = left[y, order][inside[order]]
-        winner = np.full(W, -1, dtype=int)
-        winner[xr[order][inside[order]]] = order[inside[order]]
-        claimed = winner[xr[inside]] == xs[inside]
-        occ_row = np.ones(W, dtype=bool)
-        occ_row[xs[inside][claimed]] = False
-        occlusion[y] = occ_row
+    xr = np.rint(xs - disparity).astype(int)
+    inside = (xr >= 0) & (xr < W)
+    # Scatter each row's left columns onto their right-image cells far to
+    # near (ascending disparity); the last write wins, so the nearest
+    # surface claims each cell. winner holds the claiming left column, or -1.
+    order = np.argsort(disparity, axis=1, kind="stable")
+    rows, k = np.nonzero(np.take_along_axis(inside, order, axis=1))
+    cols = order[rows, k]
+    winner = np.full((H, W), -1)
+    winner[rows, xr[rows, cols]] = cols
+    right = np.where(winner >= 0, np.take_along_axis(left, winner, axis=1), fill)
+    occlusion = ~inside | (np.take_along_axis(winner, np.clip(xr, 0, W - 1), axis=1) != xs)
     return StereoPair(left=left, right=right, left_rgb=palette[left],
                       disparity=disparity, occlusion=occlusion)

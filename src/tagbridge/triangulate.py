@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, InsufficientObservations, MissingPose
-from .geometry import CameraIntrinsics, pixels_to_directions, rotation_from_angles
+from .geometry import CameraIntrinsics, _checked, pixels_to_directions, rotation_from_angles
 
 logger = logging.getLogger(__name__)
 
@@ -33,23 +33,19 @@ OUTLIER_RMS_FACTOR = 3.0
 
 @dataclass(frozen=True)
 class TagObservation:
-    """Pixel detection of a tag center in one image."""
+    """Pixel detection of a tag center in one image; pixel is a read-only copy."""
 
     image_id: str
     tag_id: int
     pixel: np.ndarray
 
     def __post_init__(self):
-        px = np.asarray(self.pixel, dtype=float)
-        if px.shape != (2,) or not np.all(np.isfinite(px)):
-            raise ValueError("pixel must be a finite 2-vector")
-        px.flags.writeable = False
-        object.__setattr__(self, "pixel", px)
+        object.__setattr__(self, "pixel", _checked(self.pixel, (2,), "pixel"))
 
 
 @dataclass(frozen=True)
 class TagLandmark:
-    """Triangulated world position of one tag."""
+    """Triangulated world position of one tag; position is a read-only copy."""
 
     tag_id: int
     position: np.ndarray
@@ -57,15 +53,11 @@ class TagLandmark:
     n_rays: int
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (3,):
-            raise ValueError("position must be a 3-vector")
         if self.n_rays < 2:
             raise ValueError("a landmark needs at least 2 rays")
-        if self.rms_residual < 0:
+        if not self.rms_residual >= 0:
             raise ValueError("rms_residual must be non-negative")
-        pos.flags.writeable = False
-        object.__setattr__(self, "position", pos)
+        object.__setattr__(self, "position", _checked(self.position, (3,), "position"))
 
 
 @dataclass

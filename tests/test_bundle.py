@@ -217,6 +217,27 @@ class TestSolve:
         with pytest.raises(Underconstrained):
             solve(problem)
 
+    def test_first_underconstrained_point_named(self, aerial_cam):
+        # points 1 and 3 keep one image each; a repeat in the same image
+        # does not count as a second one
+        poses, points, meas = synthetic_block(aerial_cam, n_points=4)
+        meas = [m for m in meas if m[1] in (0, 2) or m[0] == "img_0003"]
+        meas.append(("img_0003", 3, meas[-1][2]))
+        problem = BundleProblem(aerial_cam, poses, points, meas, anchors={"img_0000"})
+        with pytest.raises(Underconstrained,
+                           match=r"^point 1 seen in 1 image\(s\), need at least 2$"):
+            solve(problem)
+
+    def test_first_steep_pose_named(self, aerial_cam):
+        poses, points, meas = synthetic_block(aerial_cam, n_points=2)
+        poses = dict(poses)
+        for image_id, phi in (("img_0004", -89.0), ("img_0002", 89.5)):
+            poses[image_id] = Pose(t=poses[image_id].t,
+                                   r=np.array([math.pi, math.radians(phi), 0.0]))
+        problem = BundleProblem(aerial_cam, poses, points, meas, anchors={"img_0000"})
+        with pytest.raises(GimbalLock, match=r"^pose 'img_0002' has \|phi\| >= 89.0 deg"):
+            solve(problem)
+
     def test_gimbal_lock_rejected(self, aerial_cam):
         poses, points, meas = synthetic_block(aerial_cam, n_points=2)
         poses = dict(poses)

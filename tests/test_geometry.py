@@ -17,6 +17,8 @@ from tagbridge.geometry import (
     rotation_from_angles,
     undistort_normalized,
 )
+from tagbridge.register import LocalTagSighting, Trajectory
+from tagbridge.triangulate import TagLandmark, TagObservation
 
 
 def aerial_camera(**kw):
@@ -279,3 +281,65 @@ class TestValidation:
     def test_pose_requires_finite(self):
         with pytest.raises(ValueError):
             Pose(t=np.array([np.nan, 0, 0]), r=np.zeros(3))
+
+    def test_in_bounds_takes_pixel_arrays(self):
+        cam = aerial_camera()
+        px = np.array([[-0.5, 0.0], [-0.51, 0.0], [cam.width - 0.5, 0.0],
+                       [cam.width - 0.51, cam.height - 0.51], [np.nan, 0.0]])
+        expected = [True, False, False, True, False]
+        assert cam.in_bounds(px).tolist() == expected
+        assert [bool(cam.in_bounds(p)) for p in px] == expected
+        assert [bool(cam.in_bounds(tuple(p))) for p in px] == expected
+        assert cam.in_bounds(px.reshape(5, 1, 2)).shape == (5, 1)
+
+
+# (initial array, build an object from it and return the array it holds)
+HELD_ARRAYS = {
+    "Pose.t": (np.zeros(3), lambda a: Pose(t=a, r=np.zeros(3)).t),
+    "Pose.r": (np.zeros(3), lambda a: Pose(t=np.zeros(3), r=a).r),
+    "RigidTransform.rotation": (np.eye(3), lambda a: RigidTransform(a, np.zeros(3)).rotation),
+    "RigidTransform.translation": (np.zeros(3),
+                                   lambda a: RigidTransform(np.eye(3), a).translation),
+    "LocalTagSighting.local_vector": (np.zeros(3),
+                                      lambda a: LocalTagSighting(1, a).local_vector),
+    "Trajectory.timestamps": (np.arange(2.0), lambda a: Trajectory(
+        a, np.zeros((2, 3)), np.zeros((2, 3))).timestamps),
+    "Trajectory.t": (np.zeros((2, 3)), lambda a: Trajectory(
+        np.arange(2.0), a, np.zeros((2, 3))).t),
+    "Trajectory.r": (np.zeros((2, 3)), lambda a: Trajectory(
+        np.arange(2.0), np.zeros((2, 3)), a).r),
+    "TagObservation.pixel": (np.zeros(2), lambda a: TagObservation("img", 1, a).pixel),
+    "TagLandmark.position": (np.zeros(3), lambda a: TagLandmark(1, a, 0.0, 2).position),
+}
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("name", HELD_ARRAYS)
+    def test_holds_read_only_copy(self, name):
+        initial, build = HELD_ARRAYS[name]
+        a = initial.copy()
+        held = build(a)
+        assert a.flags.writeable and not held.flags.writeable
+        a[-1] += 1.0  # the caller's array stays the caller's
+        assert np.array_equal(held, initial)
+
+    @pytest.mark.parametrize("build", [
+        lambda: RigidTransform(np.full((3, 3), np.nan), np.zeros(3)),
+        lambda: RigidTransform(np.eye(3), np.zeros(3), scale=np.inf),
+        lambda: RigidTransform(np.eye(3), np.zeros(3), scale=np.nan),
+        lambda: TagLandmark(1, np.array([0.0, np.nan, 0.0]), 0.0, 2),
+        lambda: TagLandmark(1, np.zeros(3), np.nan, 2),
+        lambda: LocalTagSighting(1, np.zeros(3), timestamp=np.nan),
+        lambda: Trajectory(np.array([np.nan]), np.zeros((1, 3)), np.zeros((1, 3))),
+        lambda: Trajectory(np.array([0.0, np.inf]), np.zeros((2, 3)), np.zeros((2, 3))),
+    ], ids=["rotation-nan", "scale-inf", "scale-nan", "position-nan", "rms-nan",
+            "sighting-timestamp-nan", "timestamp-nan", "timestamp-inf"])
+    def test_rejects_non_finite(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_shape_message_names_the_array(self):
+        with pytest.raises(ValueError, match=r"rotation must have shape \(3, 3\), got \(3,\)"):
+            RigidTransform(np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match=r"t must have shape \(2, 3\), got \(3, 3\)"):
+            Trajectory(np.arange(2.0), np.zeros((3, 3)), np.zeros((2, 3)))

@@ -6,6 +6,7 @@ import pytest
 from tagbridge.errors import InvalidSpec
 from tagbridge.geometry import apply_transform, project, project_points
 from tagbridge.synth import (
+    _KEY_TEXTURE,
     FlightPlan,
     Scene,
     SceneSpec,
@@ -15,6 +16,7 @@ from tagbridge.synth import (
     gen_scene,
     gen_stereo_pair,
     render_observations,
+    _stream,
     render_sightings,
     two_plane_depth,
 )
@@ -23,6 +25,30 @@ from tagbridge.triangulate import triangulate_tags
 
 def spec_with(**kw):
     return SceneSpec(**kw)
+
+
+def reference_stereo_pair(depth, baseline, intrinsics, texture_seed=0):
+    """gen_stereo_pair written one row at a time: the oracle for the array form."""
+    H, W = depth.shape
+    disparity = (intrinsics.focal_px * baseline / depth).astype(np.float32)
+    rng = _stream(texture_seed, _KEY_TEXTURE)
+    left = rng.integers(0, 256, (H, W)).astype(np.uint8)
+    palette = rng.integers(0, 256, (256, 3)).astype(np.uint8)
+    right = rng.integers(0, 256, (H, W)).astype(np.uint8)
+    occlusion = np.ones((H, W), dtype=bool)
+    xs = np.arange(W)
+    for y in range(H):
+        d = disparity[y]
+        xr = np.rint(xs - d).astype(int)
+        inside = (xr >= 0) & (xr < W)
+        order = np.argsort(d, kind="stable")  # far first, near last: the nearest wins
+        order = order[inside[order]]
+        right[y, xr[order]] = left[y, order]
+        winner = np.full(W, -1)
+        winner[xr[order]] = order
+        occlusion[y, xs[inside][winner[xr[inside]] == xs[inside]]] = False
+    return StereoPair(left=left, right=right, left_rgb=palette[left],
+                      disparity=disparity, occlusion=occlusion)
 
 
 class TestSceneSpec:
@@ -181,6 +207,25 @@ class TestStereoPair:
         band = pair.occlusion[10:30, 12:20]
         assert band.mean() > 0.9
         assert not pair.occlusion[10:30, 60:68].any()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_row_by_row_oracle(self, stereo_cam, seed):
+        # Integer rasters put many equal disparities in a row (stable-order
+        # ties); both kinds send several left pixels to one right cell and
+        # the leftmost columns outside the right image.
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(1, 30)), int(rng.integers(1, 50)))
+        if seed % 2:
+            disparity = rng.integers(1, 15, shape).astype(float)
+        else:
+            disparity = rng.uniform(0.2, 15.0, shape)
+        depth = stereo_cam.focal_px * 0.2 / disparity
+        pair = gen_stereo_pair(depth, 0.2, stereo_cam, texture_seed=seed)
+        ref = reference_stereo_pair(depth, 0.2, stereo_cam, texture_seed=seed)
+        assert pair.occlusion.any() and not pair.occlusion.all()
+        for field in ("left", "right", "left_rgb", "disparity", "occlusion"):
+            got, want = getattr(pair, field), getattr(ref, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
 
     def test_sgm_recovers_truth_end_to_end(self, stereo_cam):
         from tagbridge.sgm import (SgmParams, aggregate_costs, census_bits,
