@@ -14,8 +14,7 @@ reduced camera system and back-substitutes the points (Triggs et al.,
 pairs of points is formed, and the dense, cubic solve is over the camera
 unknowns only, so it puts no cap on the number of points (dense normal
 equations over every unknown would cap a block at about 10^3 parameters).
-`numeric_jacobian` (central differences) is kept as the oracle the
-closed-form blocks are tested against.
+The closed-form blocks are tested against central differences (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ logger = logging.getLogger(__name__)
 
 # Residual assigned (per component) to measurements behind the camera.
 BEHIND_RESIDUAL = 1e6
-# Relative central-difference step for the numeric Jacobian.
-JACOBIAN_REL_STEP = 1e-7
 MAX_PHI_DEG = 89.0
 _MAX_PHI = math.radians(MAX_PHI_DEG)
 LAMBDA_INIT = 1e-3
@@ -92,13 +89,6 @@ class SolveReport:
     converged: bool
     damping_trace: list
     cost_trace: list = field(default_factory=list)  # cost after each accepted step
-
-
-@dataclass
-class ResidualEvaluation:
-    residuals: np.ndarray  # (2M,), observed - projected, px
-    rms: float
-    behind_camera: np.ndarray  # (M,) bool
 
 
 class _Packer:
@@ -169,7 +159,7 @@ class _Packer:
         pts = x[self.n_cam:].reshape(-1, 3) if self.free_points else self.base_pts
         return pose[:, :3], pose[:, 3:], pts, io
 
-    def _project(self, x: np.ndarray):
+    def _predict(self, x: np.ndarray):
         t, r, pts, io = self.unpack(x)
         R = rotation_from_angles(r)[self.meas_pose]
         d = pts[self.meas_point] - t[self.meas_pose]
@@ -187,7 +177,7 @@ class _Packer:
         return res, behind, (R, d, r, safe, norm, r2, scale, dist, focal, io)
 
     def residuals(self, x: np.ndarray):
-        res, behind, _ = self._project(x)
+        res, behind, _ = self._predict(x)
         return res.ravel(), behind
 
     def linearize(self, x: np.ndarray):
@@ -201,7 +191,7 @@ class _Packer:
         Rows of behind-camera measurements are zero: their residual is the
         constant BEHIND_RESIDUAL.
         """
-        res, behind, (R, d, r, depth, norm, r2, scale, dist, focal, io) = self._project(x)
+        res, behind, (R, d, r, depth, norm, r2, scale, dist, focal, io) = self._predict(x)
         k = io[3:]
         dscale = np.zeros_like(scale)  # d scale / d r^2
         for i in range(len(k) - 1, 0, -1):
@@ -308,36 +298,6 @@ def _rms(residuals: np.ndarray) -> float:
     if residuals.size == 0:
         return 0.0
     return float(np.sqrt(np.mean(residuals ** 2)))
-
-
-def reprojection_residuals(problem: BundleProblem) -> ResidualEvaluation:
-    """Residual vector (2 entries per measurement, observed - projected) and RMS.
-
-    Measurements whose point falls behind the camera contribute a fixed
-    residual of 1e6 px per component and are flagged in `behind_camera`.
-    """
-    packer = _Packer(problem)
-    res, behind = packer.residuals(packer.initial_vector())
-    if behind.any():
-        logger.warning("%d measurement(s) project behind the camera", int(behind.sum()))
-    return ResidualEvaluation(residuals=res, rms=_rms(res), behind_camera=behind)
-
-
-def numeric_jacobian(fun, x: np.ndarray, rel_step: float = JACOBIAN_REL_STEP) -> np.ndarray:
-    """Central-difference Jacobian of fun(x) -> (N,) at x (step relative, floor 1).
-
-    The oracle for the closed-form Jacobian blocks; `solve` does not use it.
-    """
-    r0 = fun(x)
-    J = np.empty((r0.size, x.size))
-    for j in range(x.size):
-        h = rel_step * max(abs(x[j]), 1.0)
-        xp = x.copy()
-        xp[j] += h
-        xm = x.copy()
-        xm[j] -= h
-        J[:, j] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return J
 
 
 def _check_preconditions(problem: BundleProblem, packer: _Packer):

@@ -8,10 +8,6 @@ class TagbridgeError(Exception):
     """Base class for all toolkit errors."""
 
 
-class BehindCamera(TagbridgeError):
-    """A world point lies at or behind the camera's projection center."""
-
-
 class DistortionInversionDiverged(TagbridgeError):
     """Fixed-point undistortion failed to converge."""
 

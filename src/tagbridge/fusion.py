@@ -78,8 +78,8 @@ class VoxelGrid:
     voxel_size: float = DEFAULT_VOXEL_SIZE
 
     def __post_init__(self):
-        if not self.voxel_size > 0:
-            raise ValueError("voxel size must be positive")
+        if not 0 < self.voxel_size < np.inf:
+            raise ValueError("voxel size must be positive and finite")
         self._base = None  # (3,) int64, fixed by the first non-empty accumulate
         self._keys = np.zeros(0, np.int64)
         self._count = np.zeros(0, np.int64)
@@ -242,39 +242,13 @@ def filter_voxels(grid: VoxelGrid, min_points: int,
     return PointCloud(positions=positions, colors=colors[keep], color_valid=valid)
 
 
-def _walk_voxels(start_voxel, end_voxel, start_point, direction, grid):
-    """Integer voxel traversal from start to end (both included in the yield).
-
-    One ray at a time; the test oracle for the batched walk in `_occluded`.
-    """
-    v = np.array(start_voxel, dtype=np.int64)
-    end = np.array(end_voxel, dtype=np.int64)
-    step = np.sign(direction).astype(np.int64)
-    t_max = np.full(3, np.inf)
-    t_delta = np.full(3, np.inf)
-    for i in range(3):
-        if direction[i] != 0:
-            boundary = (v[i] + (step[i] > 0)) * grid.voxel_size
-            t_max[i] = (boundary - start_point[i]) / direction[i]
-            t_delta[i] = grid.voxel_size / abs(direction[i])
-    limit = int(np.sum(np.abs(end - v))) + 3
-    for _ in range(limit):
-        yield tuple(v)
-        if np.array_equal(v, end):
-            return
-        axis = int(np.argmin(t_max))
-        v[axis] += step[axis]
-        t_max[axis] += t_delta[axis]
-    yield tuple(end)
-
-
 def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray,
               threshold: int) -> np.ndarray:
     """Whether an occupied voxel lies on each segment from start_point to a point.
 
     All rays step together through the grid (Amanatides & Woo, "A Fast Voxel
-    Traversal Algorithm", 1987) with the arithmetic of `_walk_voxels`, so
-    each visits the same voxels in the same order.
+    Traversal Algorithm", 1987) with the arithmetic of the one-ray walk in
+    `tests/oracles.py`, so each visits the same voxels in the same order.
     """
     occupied = grid._keys[grid._count >= threshold]
     occluded = np.zeros(len(points), dtype=bool)

@@ -3,7 +3,7 @@
 Conventions used throughout the toolkit:
 
 * World frame: right-handed, Z up, metric (UTM-style easting/northing/height).
-* Rotation angles (omega, phi, kappa) compose as R = Rz(kappa) @ Ry(phi) @ Rx(omega),
+* Rotation angles (omega, phi, kappa) give R = Rz(kappa) @ Ry(phi) @ Rx(omega),
   and R maps camera-frame vectors into the world frame.
 * Camera frame: +Z is the viewing axis, +X points right (increasing pixel u),
   +Y points down (increasing pixel v).
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, DistortionInversionDiverged
+from .errors import DistortionInversionDiverged
 
 # Depth below which a point counts as behind the camera (meters).
 BEHIND_CAMERA_EPS = 1e-9
@@ -60,15 +60,17 @@ class CameraIntrinsics:
     k: tuple = ()
 
     def __post_init__(self):
-        if not self.f > 0:
-            raise ValueError("focal length must be positive")
-        if not self.pixel_pitch > 0:
-            raise ValueError("pixel pitch must be positive")
+        if not 0 < self.f < np.inf:
+            raise ValueError("focal length must be positive and finite")
+        if not 0 < self.pixel_pitch < np.inf:
+            raise ValueError("pixel pitch must be positive and finite")
         if self.width < 1 or self.height < 1:
             raise ValueError("sensor must be at least 1x1 px")
         if not (0 <= self.x0 < self.width and 0 <= self.y0 < self.height):
             raise ValueError("principal point must lie inside the sensor")
         object.__setattr__(self, "k", tuple(float(c) for c in self.k))
+        if not np.isfinite(self.k).all():
+            raise ValueError("distortion coefficients must be finite")
 
     @property
     def focal_px(self) -> float:
@@ -114,18 +116,6 @@ class RigidTransform:
             raise ValueError("scale must be positive and finite")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", _checked(self.translation, (3,), "translation"))
-
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self o other: the transform applying `other` first, then `self`."""
-        return RigidTransform(
-            rotation=self.rotation @ other.rotation,
-            translation=self.scale * self.rotation @ other.translation + self.translation,
-            scale=self.scale * other.scale,
-        )
 
     def inverse(self) -> "RigidTransform":
         Rinv = self.rotation.T
@@ -233,8 +223,8 @@ def undistort_normalized(k, xy: np.ndarray) -> np.ndarray:
 def project_points(intrinsics: CameraIntrinsics, pose: Pose, points: np.ndarray):
     """Project (N, 3) world points; returns ((N, 2) pixels, (N,) in-front mask).
 
-    Pixels for behind-camera points are NaN; no exception is raised (use
-    `project` for the scalar, raising variant).
+    A point is in front when its camera-frame depth exceeds BEHIND_CAMERA_EPS;
+    pixels of the others are NaN.
     """
     points = np.asarray(points, dtype=float)
     R = pose.rotation()
@@ -250,18 +240,6 @@ def project_points(intrinsics: CameraIntrinsics, pose: Pose, points: np.ndarray)
     pixels[:, 0] = intrinsics.x0 + focal * dist[:, 0]
     pixels[:, 1] = intrinsics.y0 + focal * dist[:, 1]
     return pixels, in_front
-
-
-def project(intrinsics: CameraIntrinsics, pose: Pose, point) -> np.ndarray:
-    """Project one world point to pixel coordinates.
-
-    Raises BehindCamera when the camera-frame depth is <= 1e-9 m.
-    """
-    point = _checked(point, (3,), "point")
-    pixels, in_front = project_points(intrinsics, pose, point[None, :])
-    if not in_front[0]:
-        raise BehindCamera(f"point {point.tolist()} has non-positive depth in camera frame")
-    return pixels[0]
 
 
 def _pixels_to_normalized(intrinsics: CameraIntrinsics, pixels: np.ndarray) -> np.ndarray:

@@ -31,8 +31,9 @@ MIN_CORRESPONDENCES = 3
 COLLINEARITY_RATIO = 1e-6
 # A pair whose residual exceeds this multiple of the median is dropped once.
 OUTLIER_MEDIAN_FACTOR = 3.0
-# Nearest-pose lookup tolerance for timestamped range conversions (seconds).
-POSE_LOOKUP_TOL = 0.1
+# A reflection is required only when its sum of squared errors is below this
+# fraction of the best proper rotation's (the rotation's RMS over twice its).
+_REFLECTION_SSE_RATIO = 0.25
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,8 @@ class LocalTagSighting:
     timestamp: float = 0.0
 
     def __post_init__(self):
-        if not self.timestamp >= 0:
-            raise ValueError("timestamp must be non-negative")
+        if not 0 <= self.timestamp < np.inf:
+            raise ValueError("timestamp must be non-negative and finite")
         object.__setattr__(self, "local_vector", _checked(self.local_vector, (3,), "local_vector"))
 
 
@@ -150,13 +151,18 @@ def _procrustes(local, world, estimate_scale):
     H = lc.T @ wc
     U, S, Vt = np.linalg.svd(H)
     det = np.linalg.det(Vt.T @ U.T)
-    if det < 0 and S[2] > COLLINEARITY_RATIO * S[0]:
-        # A genuine reflection fits better than any rotation: corrupt matches.
-        raise ReflectionRequired(
-            "correspondences demand a reflection; check tag ids / coordinates"
-        )
     sign = np.array([1.0, 1.0, 1.0 if det >= 0 else -1.0])
     R = (Vt.T * sign) @ U.T
+    # The sign-corrected rotation (Umeyama, TPAMI 1991) stands unless the
+    # reflection fits far better, at unit scale whatever estimate_scale says;
+    # below the spread ratio both fits agree to rounding.
+    if det < 0 and S[2] > COLLINEARITY_RATIO * S[0]:
+        sse_rotation = np.sum((lc @ R.T - wc) ** 2)
+        sse_reflection = np.sum((lc @ U @ Vt - wc) ** 2)
+        if sse_reflection < _REFLECTION_SSE_RATIO * sse_rotation:
+            raise ReflectionRequired(
+                "correspondences demand a reflection; check tag ids / coordinates"
+            )
 
     if estimate_scale:
         scale = float(np.sum(S * sign) / np.sum(lc * lc))
@@ -195,37 +201,9 @@ def estimate_rigid_transform(local, world, estimate_scale=False):
 
 
 def apply_to_trajectory(T: RigidTransform, traj: Trajectory) -> Trajectory:
-    """Map every pose through T: positions transformed, rotations left-composed."""
+    """Map every pose through T: positions transformed, rotations left-multiplied by T's."""
     R = T.rotation[None]
     t = T.scale * (R @ traj.t[:, :, None])[:, :, 0] + T.translation
     r = angles_from_rotation(R @ rotation_from_angles(traj.r))
     return Trajectory(timestamps=traj.timestamps, t=t, r=r)
 
-
-def sightings_from_ranges(ranges, traj: Trajectory, tol: float = POSE_LOOKUP_TOL):
-    """Convert camera-frame range vectors to local-frame sightings.
-
-    `ranges` is an iterable of (timestamp, tag_id, body-frame 3-vector).
-    Interior timestamps use the nearest trajectory rotation and a linearly
-    interpolated translation; entries more than `tol` seconds outside the
-    covered time span are skipped with a warning.
-    """
-    out = []
-    ts = traj.timestamps
-    for stamp, tag_id, vec in ranges:
-        if stamp < ts[0] - tol or stamp > ts[-1] + tol:
-            logger.warning("range at t=%.3f s outside trajectory span [%.3f, %.3f]; skipped",
-                           stamp, ts[0], ts[-1])
-            continue
-        idx = int(np.searchsorted(ts, stamp))
-        lo, hi = max(idx - 1, 0), min(idx, len(ts) - 1)
-        nearest = lo if abs(ts[lo] - stamp) <= abs(ts[hi] - stamp) else hi
-        if lo != hi and ts[lo] <= stamp <= ts[hi]:
-            w = (stamp - ts[lo]) / (ts[hi] - ts[lo])
-            translation = (1 - w) * traj.t[lo] + w * traj.t[hi]
-        else:
-            translation = traj.t[nearest]
-        R = rotation_from_angles(traj.r[nearest])
-        local = translation + R @ np.asarray(vec, dtype=float)
-        out.append(LocalTagSighting(tag_id=tag_id, local_vector=local, timestamp=stamp))
-    return out

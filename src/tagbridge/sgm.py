@@ -72,10 +72,10 @@ class SgmParams:
         h, w = self.census_window
         if h % 2 == 0 or w % 2 == 0:
             raise ValueError("census window must be odd in both dimensions")
-        if self.lr_max_diff <= 0:
+        if not self.lr_max_diff > 0:
             raise ValueError("lr_max_diff must be positive")
-        if self.uniqueness_ratio < 1.0:
-            raise ValueError("uniqueness_ratio must be >= 1")
+        if not 1.0 <= self.uniqueness_ratio < np.inf:
+            raise ValueError("uniqueness_ratio must be finite and >= 1")
 
     @property
     def directions(self):
@@ -206,55 +206,8 @@ def matching_cost_volume(base_desc: np.ndarray, match_desc: np.ndarray,
     return CostVolume(costs=costs, d_min=d_min, d_max=d_max, max_cost=max_cost, base=base)
 
 
-def _path_step(prev: np.ndarray, p1: float, p2: float) -> np.ndarray:
-    """min(prev[d], prev[d+-1]+P1, min_k prev[k]+P2) - min_k prev[k], vectorized over d."""
-    m = prev.min(axis=-1, keepdims=True)
-    cand = np.minimum(prev, m + p2)
-    cand[..., 1:] = np.minimum(cand[..., 1:], prev[..., :-1] + p1)
-    cand[..., :-1] = np.minimum(cand[..., :-1], prev[..., 1:] + p1)
-    return cand - m
-
-
-def aggregate_one_path(volume: CostVolume, direction, p1: float, p2: float) -> np.ndarray:
-    """Accumulated costs L_r for one path direction r = (dy, dx); float32 (H, W, D).
-
-    The recursion starts at the image border with L_r = C.
-    """
-    dy, dx = direction
-    C = volume.costs.astype(np.float32)
-    flip_y, flip_x = dy < 0, dx < 0
-    if flip_y:
-        C = C[::-1]
-    if flip_x:
-        C = C[:, ::-1]
-    ady, adx = abs(dy), abs(dx)
-
-    L = np.empty_like(C)
-    if (ady, adx) == (0, 1):
-        L[:, 0] = C[:, 0]
-        for x in range(1, C.shape[1]):
-            L[:, x] = C[:, x] + _path_step(L[:, x - 1], p1, p2)
-    elif (ady, adx) == (1, 0):
-        L[0] = C[0]
-        for y in range(1, C.shape[0]):
-            L[y] = C[y] + _path_step(L[y - 1], p1, p2)
-    elif (ady, adx) == (1, 1):
-        L[0] = C[0]
-        for y in range(1, C.shape[0]):
-            L[y, 0] = C[y, 0]
-            L[y, 1:] = C[y, 1:] + _path_step(L[y - 1, :-1], p1, p2)
-    else:
-        raise ValueError(f"unsupported path direction {direction}")
-
-    if flip_x:
-        L = L[:, ::-1]
-    if flip_y:
-        L = L[::-1]
-    return np.ascontiguousarray(L)
-
-
 class _PathStep:
-    """`_path_step` on disparity-major (k, D, m) uint16 states, into preallocated buffers.
+    """min(prev[d], prev[d+-1]+P1, min_k prev[k]+P2) - min_k prev[k] on (k, D, m) uint16 states.
 
     The disparity axis is axis 1, so the minimum over it and the +-1
     disparity neighbours combine whole contiguous rows of m cells.
@@ -340,7 +293,7 @@ def aggregate_costs(volume: CostVolume, params: SgmParams) -> CostVolume:
     copied once, transposed, into a (D, W) or (D, H) buffer and summed back
     into one uint16 total through the transposed view. Every value is an
     exact integer below the bound checked here, so the result is
-    bit-identical to summing `aggregate_one_path` (the float32 test oracle)
+    bit-identical to summing the float32 one-path oracle of `tests/oracles.py`
     over the directions, in any order.
     """
     C = volume.costs

@@ -7,12 +7,13 @@ import pytest
 from tagbridge.fusion import (
     PointCloud,
     VoxelGrid,
-    _walk_voxels,
     accumulate,
     colorize_with_occlusion,
     filter_voxels,
 )
 from tagbridge.geometry import CameraIntrinsics, Pose, project_points
+
+from oracles import walk_voxels
 
 
 def small_cam():
@@ -67,7 +68,7 @@ def reference_filter(clouds, grid, min_points):
 
 
 def reference_colorize(cloud, grid, rgb, intrinsics, rgb_pose, occlusion_threshold=1):
-    """One `_walk_voxels` walk per candidate point; returns (colors, color_valid)."""
+    """One `walk_voxels` walk per candidate point; returns (colors, color_valid)."""
     H, W = rgb.shape[:2]
     pixels, in_front = project_points(intrinsics, rgb_pose, cloud.positions)
     pixels = np.nan_to_num(pixels, nan=-1.0)
@@ -82,7 +83,7 @@ def reference_colorize(cloud, grid, rgb, intrinsics, rgb_pose, occlusion_thresho
         own = tuple(point_voxels[i])
         direction = cloud.positions[i] - rgb_pose.t
         occluded = False
-        for key in _walk_voxels(cam_voxel, own, rgb_pose.t, direction, grid):
+        for key in walk_voxels(cam_voxel, own, rgb_pose.t, direction, grid):
             if key == cam_voxel or key == own:
                 continue
             if grid.count(key) >= occlusion_threshold:
@@ -108,6 +109,12 @@ def assert_colorize_matches_reference(cloud, grid, cam, pose, threshold=1):
 
 
 class TestAccumulate:
+    @pytest.mark.parametrize("size", [0.0, np.nan, np.inf])
+    def test_voxel_size_positive_and_finite(self, size):
+        VoxelGrid()
+        with pytest.raises(ValueError):
+            VoxelGrid(voxel_size=size)
+
     def test_empty_cloud_no_change(self):
         grid = VoxelGrid(voxel_size=0.1)
         accumulate(grid, PointCloud(positions=np.zeros((0, 3))))

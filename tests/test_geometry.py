@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tagbridge.errors import BehindCamera, DistortionInversionDiverged
+from tagbridge.errors import DistortionInversionDiverged
 from tagbridge.geometry import (
     CameraIntrinsics,
     Pose,
@@ -12,7 +12,6 @@ from tagbridge.geometry import (
     apply_transform,
     distort_normalized,
     pixels_to_directions,
-    project,
     project_points,
     rotation_from_angles,
     undistort_normalized,
@@ -136,12 +135,15 @@ class TestRotation:
 class TestProject:
     def test_optical_axis_hits_principal_point(self):
         cam = aerial_camera()
-        px = project(cam, nadir_pose(), (0.0, 0.0, 0.0))
-        assert np.allclose(px, (cam.x0, cam.y0), atol=1e-9)
+        px, in_front = project_points(cam, nadir_pose(), np.zeros((1, 3)))
+        assert in_front.tolist() == [True]
+        assert np.allclose(px[0], (cam.x0, cam.y0), atol=1e-9)
 
     def test_offset_follows_similar_triangles(self):
         cam = aerial_camera()
-        px = project(cam, nadir_pose(), (1.0, 0.0, 0.0))
+        pxs, in_front = project_points(cam, nadir_pose(), np.array([[1.0, 0.0, 0.0]]))
+        assert in_front.tolist() == [True]
+        px = pxs[0]
         expected_offset = 50.0 * (1.0 / 100.0) / 0.0074
         assert abs(px[0] - cam.x0 - expected_offset) < 1e-9
         assert abs(expected_offset - 67.567567) < 1e-3
@@ -151,10 +153,14 @@ class TestProject:
         cam = aerial_camera(k=(0.0, -2.3e-5, 1.1e-9))
         assert cam.focal_px == pytest.approx(50.0 / 0.0074)
 
-    def test_behind_camera_raises(self):
+    def test_behind_camera_masked(self):
+        # depths -100 m, 0 (the projection center), 1e-10 m and 1e-3 m
         cam = aerial_camera()
-        with pytest.raises(BehindCamera):
-            project(cam, nadir_pose(), (0.0, 0.0, 200.0))
+        pts = np.array([[0.0, 0.0, 200.0], [0.0, 0.0, 100.0], [0.0, 0.0, 100.0 - 1e-10],
+                        [0.0, 0.0, 100.0 - 1e-3]])
+        px, in_front = project_points(cam, nadir_pose(), pts)
+        assert in_front.tolist() == [False, False, False, True]
+        assert np.all(np.isnan(px[:3])) and np.isfinite(px[3]).all()
 
     def test_project_points_masks_behind(self):
         cam = aerial_camera()
@@ -207,11 +213,9 @@ class TestPixelsToDirections:
         pose = Pose(t=np.array([3.0, -2.0, 120.0]), r=np.array([math.pi + 0.05, -0.03, 0.4]))
         for _ in range(50):
             point = np.array([rng.uniform(-40, 40), rng.uniform(-40, 40), rng.uniform(-5, 5)])
-            try:
-                px = project(cam, pose, point)
-            except BehindCamera:
-                continue
-            if not cam.in_bounds(px):
+            pxs, in_front = project_points(cam, pose, point[None, :])
+            px = pxs[0]
+            if not in_front[0] or not cam.in_bounds(px):
                 continue
             direction = pixels_to_directions(cam, pose.rotation(), px[None, :])[0]
             depth = np.dot(point - pose.t, direction)
@@ -233,21 +237,11 @@ class TestPixelsToDirections:
 class TestRigidTransform:
     def test_identity(self):
         p = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(apply_transform(RigidTransform.identity(), p), p)
+        assert np.array_equal(apply_transform(RigidTransform(np.eye(3), np.zeros(3)), p), p)
 
     def test_pure_translation(self):
         T = RigidTransform(np.eye(3), np.array([1.0, 2.0, 3.0]))
         assert np.allclose(apply_transform(T, np.zeros(3)), (1.0, 2.0, 3.0))
-
-    def test_composition_matches_sequential_application(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            T1 = RigidTransform(random_rotation(rng), rng.uniform(-10, 10, 3))
-            T2 = RigidTransform(random_rotation(rng), rng.uniform(-10, 10, 3))
-            p = rng.uniform(-100, 100, 3)
-            a = apply_transform(T2, apply_transform(T1, p))
-            b = apply_transform(T2.compose(T1), p)
-            assert np.linalg.norm(a - b) < 1e-12 * max(1.0, np.linalg.norm(a))
 
     def test_preserves_pairwise_distances_at_unit_scale(self):
         rng = np.random.default_rng(29)
@@ -330,10 +324,17 @@ class TestValueTypes:
         lambda: TagLandmark(1, np.array([0.0, np.nan, 0.0]), 0.0, 2),
         lambda: TagLandmark(1, np.zeros(3), np.nan, 2),
         lambda: LocalTagSighting(1, np.zeros(3), timestamp=np.nan),
+        lambda: LocalTagSighting(1, np.zeros(3), timestamp=np.inf),
         lambda: Trajectory(np.array([np.nan]), np.zeros((1, 3)), np.zeros((1, 3))),
         lambda: Trajectory(np.array([0.0, np.inf]), np.zeros((2, 3)), np.zeros((2, 3))),
+        lambda: aerial_camera(f=np.inf),
+        lambda: aerial_camera(pixel_pitch=np.inf),
+        lambda: aerial_camera(k=(0.0, np.nan)),
+        lambda: aerial_camera(k=(np.inf,)),
     ], ids=["rotation-nan", "scale-inf", "scale-nan", "position-nan", "rms-nan",
-            "sighting-timestamp-nan", "timestamp-nan", "timestamp-inf"])
+            "sighting-timestamp-nan", "sighting-timestamp-inf", "timestamp-nan",
+            "timestamp-inf", "focal-length-inf", "pixel-pitch-inf", "distortion-nan",
+            "distortion-inf"])
     def test_rejects_non_finite(self, build):
         with pytest.raises(ValueError):
             build()

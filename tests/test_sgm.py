@@ -11,16 +11,16 @@ from tagbridge.sgm import (
     UINT16_MAX,
     CostVolume,
     SgmParams,
-    _path_step,
     _PathStep,
     aggregate_costs,
-    aggregate_one_path,
     census_bits,
     census_transform,
     disparity_to_cloud,
     matching_cost_volume,
     select_disparity,
 )
+
+from oracles import aggregate_one_path, path_step
 
 
 def params(d_min=0, d_max=16, **kw):
@@ -316,13 +316,13 @@ class TestAggregation:
 class TestPathStep:
     @pytest.mark.parametrize("shape", [(3, 64, 20), (2, 1, 7), (1, 2, 9), (3, 5, 1), (1, 1, 1)])
     def test_disparity_major_step_equals_path_step(self, shape):
-        # (k, D, m) states step along axis 1 exactly as _path_step along its last axis
+        # (k, D, m) states step along axis 1 exactly as path_step along its last axis
         rng = np.random.default_rng(sum(shape))
         for high, p1, p2 in ((30, 10, 120), (1000, 7, 23)):
             prev = rng.integers(0, high + 1, shape, dtype=np.uint16)
             out = np.empty_like(prev)
             _PathStep(shape, p1, p2)(prev, out)
-            expected = _path_step(prev.astype(np.int64).transpose(0, 2, 1), p1, p2)
+            expected = path_step(prev.astype(np.int64).transpose(0, 2, 1), p1, p2)
             assert np.array_equal(out, expected.transpose(0, 2, 1))
 
 
@@ -333,6 +333,14 @@ class TestParams:
             params(p1=10.5)
         with pytest.raises(ValueError, match="integer"):
             params(p2=120.25)
+
+    @pytest.mark.parametrize("kw", [dict(lr_max_diff=np.nan), dict(uniqueness_ratio=np.nan),
+                                    dict(uniqueness_ratio=np.inf)],
+                             ids=["lr-max-diff-nan", "uniqueness-nan", "uniqueness-inf"])
+    def test_rejects_non_finite(self, kw):
+        params(d_max=63)
+        with pytest.raises(ValueError):
+            params(**kw)
 
 
 class TestSelectDisparity:

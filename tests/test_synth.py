@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tagbridge.errors import InvalidSpec
-from tagbridge.geometry import apply_transform, project, project_points
+from tagbridge.geometry import apply_transform, project_points
 from tagbridge.synth import (
     _KEY_TEXTURE,
     FlightPlan,
@@ -109,13 +109,17 @@ class TestDeterminism:
 
 class TestRenderObservations:
     def test_exact_observations_reproject_exactly(self, aerial_cam):
+        # a hand-written pinhole model: aerial_cam has no distortion
+        assert aerial_cam.k == ()
         scene = gen_scene(spec_with(seed=1), aerial_cam)
         obs, _ = render_observations(scene, aerial_cam, pixel_sigma=0.0)
         assert obs
+        principal = np.array([aerial_cam.x0, aerial_cam.y0])
         for o in obs[:50]:
             pose = scene.camera_poses[o.image_id]
-            assert np.allclose(project(aerial_cam, pose, scene.tags[o.tag_id]),
-                               o.pixel, atol=1e-12)
+            cam = pose.rotation().T @ (scene.tags[o.tag_id] - pose.t)
+            pixel = principal + aerial_cam.f / aerial_cam.pixel_pitch * cam[:2] / cam[2]
+            assert np.allclose(pixel, o.pixel, rtol=0.0, atol=1e-9)
 
     def test_noise_free_triangulation_recovers_truth(self, aerial_cam):
         scene = gen_scene(spec_with(seed=2), aerial_cam)
