@@ -2,11 +2,11 @@
 
 Clouds accumulated along a trajectory are binned into a sparse voxel grid
 held as columns: one sorted int64 key per occupied voxel, with its point
-count, compensated position sum and colored count beside it, and every
-voxel's color histogram in one (voxel key, rgb code, count) table. The grid
-keeps only this per-voxel state, never the points themselves. Filtering
-removes voxels by occupancy and by the fraction of points carrying RGB; the
-survivors are emitted as one centroid per voxel. An occlusion test that walks
+count, compensated position sum, colored count and per-channel color sums
+beside it. The grid keeps only this per-voxel state, never the points
+themselves. Filtering removes voxels by occupancy and by the fraction of
+points carrying RGB; the survivors are emitted as one centroid per voxel,
+colored with the rounded mean of its valid colors. An occlusion test that walks
 every viewing ray through the grid at once guards color assignment from a
 separate RGB camera.
 """
@@ -69,10 +69,9 @@ class VoxelGrid:
     so key order is the lexicographic (x, y, z) order of the voxel indices.
 
     Beside the keys: `_count`, the Kahan sum `_csum` and its compensation
-    `_comp` ((V, 3) each), and `_colored`, the number of points with valid
-    RGB. `_hist` holds (voxel key, rgb code, count) rows sorted by key, then
-    code. No accumulated cloud is kept: memory follows the voxels and the
-    distinct (voxel, color) pairs, not the points.
+    `_comp` ((V, 3) each), `_colored`, the number of points with valid
+    RGB, and `_rgb`, their exact (V, 3) int64 per-channel sums. No
+    accumulated cloud is kept: memory follows the voxels, not the points.
     """
 
     voxel_size: float = DEFAULT_VOXEL_SIZE
@@ -86,7 +85,7 @@ class VoxelGrid:
         self._csum = np.zeros((0, 3))
         self._comp = np.zeros((0, 3))
         self._colored = np.zeros(0, np.int64)
-        self._hist = np.zeros((0, 3), np.int64)
+        self._rgb = np.zeros((0, 3), np.int64)
 
     def voxel_indices(self, points: np.ndarray) -> np.ndarray:
         return np.floor(np.asarray(points, dtype=float) / self.voxel_size).astype(np.int64)
@@ -149,7 +148,7 @@ def _run_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.
 
 
 def accumulate(grid: VoxelGrid, cloud: PointCloud) -> VoxelGrid:
-    """Bin a cloud into the grid (counts, position sums, color histograms).
+    """Bin a cloud into the grid (counts, position sums, color sums).
 
     Re-adding the same cloud re-counts it. Raises ValueError, leaving the
     grid unchanged, when a point lies beyond the packable span around the
@@ -177,6 +176,7 @@ def accumulate(grid: VoxelGrid, cloud: PointCloud) -> VoxelGrid:
         grid._csum = np.insert(grid._csum, at, 0.0, axis=0)
         grid._comp = np.insert(grid._comp, at, 0.0, axis=0)
         grid._colored = np.insert(grid._colored, at, 0)
+        grid._rgb = np.insert(grid._rgb, at, 0, axis=0)
         pos = np.searchsorted(grid._keys, new_keys)
 
     counts = np.diff(np.append(starts, len(keys)))
@@ -190,17 +190,8 @@ def accumulate(grid: VoxelGrid, cloud: PointCloud) -> VoxelGrid:
     if cloud.colors is not None and cloud.color_valid.any():
         valid = cloud.color_valid[order]
         grid._colored[pos] += np.add.reduceat(valid.astype(np.int64), starts)
-        # (grid row << 24 | rgb code) sorts histogram rows by (voxel key, code)
-        c = cloud.colors[order[valid]].astype(np.int64)
-        pairs = np.concatenate([
-            (np.searchsorted(grid._keys, grid._hist[:, 0]) << 24) | grid._hist[:, 1],
-            (np.repeat(pos, counts)[valid] << 24) | (c[:, 0] << 16) | (c[:, 1] << 8) | c[:, 2]])
-        n = np.concatenate([grid._hist[:, 2], np.ones(len(c), np.int64)])
-        by_pair = np.argsort(pairs, kind="stable")
-        first = _runs(pairs[by_pair])
-        pairs = pairs[by_pair[first]]
-        grid._hist = np.column_stack([grid._keys[pairs >> 24], pairs & 0xFFFFFF,
-                                      np.add.reduceat(n[by_pair], first)])
+        grid._rgb[pos] += np.add.reduceat(cloud.colors[order] * valid[:, None], starts,
+                                          dtype=np.int64)
     return grid
 
 
@@ -211,11 +202,12 @@ def filter_voxels(grid: VoxelGrid, min_points: int,
     Voxels with fewer than min_points points are removed. With
     min_rgb_fraction > 0, voxels whose colored fraction falls below it are
     removed too; with min_rgb_fraction = 0, colorless voxels survive as
-    geometry-only centroids. A colored voxel gets its majority color: the
-    highest count wins, ties break on the smallest encoded rgb. Raises
-    ValueError for min_points < 1.
+    geometry-only centroids. A colored voxel gets the mean of its valid
+    colors per channel, rounded to nearest with halves up; the sums are exact
+    integers, so the color does not depend on the order or chunking of the
+    accumulated clouds. Raises ValueError unless min_points >= 1.
     """
-    if min_points < 1:
+    if not min_points >= 1:
         raise ValueError("min_points must be at least 1")
     if not 0.0 <= min_rgb_fraction <= 1.0:
         raise ValueError("min_rgb_fraction must be in [0, 1]")
@@ -226,20 +218,13 @@ def filter_voxels(grid: VoxelGrid, min_points: int,
     if not keep.any():
         return PointCloud(positions=np.zeros((0, 3)))
     positions = (grid._csum[keep] + grid._comp[keep]) / grid._count[keep, None]
-    valid = grid._colored[keep] > 0
+    n = grid._colored[keep, None]
+    valid = n[:, 0] > 0
     if not valid.any():
         return PointCloud(positions=positions)
-
-    # one histogram run per colored voxel, in key order; its majority is the
-    # first row holding the run's highest count, as codes ascend within a run
-    hist = grid._hist
-    starts = _runs(hist[:, 0])
-    run = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(hist))))
-    top = np.flatnonzero(hist[:, 2] == np.maximum.reduceat(hist[:, 2], starts)[run])
-    codes = hist[top[_runs(run[top])], 1]
-    colors = np.zeros((grid.n_voxels, 3), dtype=np.uint8)
-    colors[grid._colored > 0] = np.column_stack([codes >> 16, codes >> 8, codes]) & 0xFF
-    return PointCloud(positions=positions, colors=colors[keep], color_valid=valid)
+    # floor((sum + n/2) / n); voxels without color have sum 0 and get black
+    colors = (2 * grid._rgb[keep] + n) // (2 * np.maximum(n, 1))
+    return PointCloud(positions=positions, colors=colors.astype(np.uint8), color_valid=valid)
 
 
 def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray,
@@ -308,7 +293,7 @@ def colorize_with_occlusion(cloud: PointCloud, grid: VoxelGrid, rgb: np.ndarray,
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError("rgb must be an (H, W, 3) raster")
-    if occlusion_threshold < 1:
+    if not occlusion_threshold >= 1:
         raise ValueError("occlusion_threshold must be at least 1")
     H, W = rgb.shape[:2]
 

@@ -64,8 +64,8 @@ class CameraIntrinsics:
             raise ValueError("focal length must be positive and finite")
         if not 0 < self.pixel_pitch < np.inf:
             raise ValueError("pixel pitch must be positive and finite")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("sensor must be at least 1x1 px")
+        if not all(size >= 1 and float(size).is_integer() for size in (self.width, self.height)):
+            raise ValueError("sensor must be a finite, whole number of px, at least 1x1")
         if not (0 <= self.x0 < self.width and 0 <= self.y0 < self.height):
             raise ValueError("principal point must lie inside the sensor")
         object.__setattr__(self, "k", tuple(float(c) for c in self.k))

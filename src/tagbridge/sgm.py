@@ -21,6 +21,7 @@ paths' sum back through its transpose, so no volume-sized copy is made.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,10 @@ class SgmParams:
     uniqueness_ratio: float = 1.05
 
     def __post_init__(self):
+        # integer types, not integer-valued floats: they size arrays and bound ranges
+        if not all(isinstance(v, numbers.Integral)
+                   for v in (self.d_min, self.d_max, *self.census_window)):
+            raise ValueError("d_min, d_max and census window sizes must be integers")
         if self.d_min >= self.d_max:
             raise ValueError("d_min must be < d_max")
         if not (0 < self.p1 < self.p2):

@@ -1,5 +1,6 @@
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,7 +37,9 @@ def reference_filter(clouds, grid, min_points):
     """Per-voxel accumulation over a dict, then filter_voxels' selection.
 
     Each cloud adds its per-voxel `.sum(axis=0)` with one Kahan step, as the
-    grid does; returns (centroids, colors, color_valid) in voxel-index order.
+    grid does; a color is the per-channel mean of the valid colors in exact
+    rational arithmetic, rounded half up. Returns (centroids, colors,
+    color_valid) in voxel-index order.
     """
     voxels = {}
     for cloud in clouds:
@@ -44,7 +47,7 @@ def reference_filter(clouds, grid, min_points):
             voxels.setdefault(key, {}).setdefault(id(cloud), []).append(i)
     positions, colors, valid = [], [], []
     for key in sorted(voxels):
-        count, colored, hist = 0, 0, {}
+        count, colored, rgb_sum = 0, 0, [0, 0, 0]
         csum, comp = np.zeros(3), np.zeros(3)
         for cloud in clouds:
             members = np.array(voxels[key].get(id(cloud), []), dtype=int)
@@ -58,12 +61,13 @@ def reference_filter(clouds, grid, min_points):
             if cloud.colors is not None:
                 for rgb in cloud.colors[members[cloud.color_valid[members]]]:
                     colored += 1
-                    hist[tuple(rgb)] = hist.get(tuple(rgb), 0) + 1
+                    rgb_sum = [s + int(c) for s, c in zip(rgb_sum, rgb)]
         if count < min_points:
             continue
         positions.append((csum + comp) / count)
         valid.append(colored > 0)
-        colors.append(min(hist, key=lambda c: (-hist[c], c)) if hist else (0, 0, 0))
+        colors.append([math.floor(Fraction(s, colored) + Fraction(1, 2)) for s in rgb_sum]
+                      if colored else (0, 0, 0))
     return np.array(positions), np.array(colors, dtype=np.uint8), np.array(valid)
 
 
@@ -188,7 +192,38 @@ class TestAccumulate:
         accumulate(grid, PointCloud(positions=pts, colors=colors, color_valid=valid))
         assert grid.count((0, 0, 0)) == 4
         assert grid._colored.tolist() == [3]
-        assert np.array_equal(filter_voxels(grid, min_points=1).colors[0], (255, 0, 0))
+        # the mean of the three valid colors; the invalid one is left out
+        assert np.array_equal(filter_voxels(grid, min_points=1).colors[0], (170, 85, 0))
+
+    def test_symmetric_color_noise_fuses_to_base(self):
+        # +k and -k noise around a base color that no point carries, in one
+        # voxel and in shuffled chunks: the fused color is the base exactly
+        rng = np.random.default_rng(16)
+        base = np.array([100, 150, 200])
+        k = rng.integers(1, 50, (300, 3))
+        colors = np.concatenate([base + k, base - k]).astype(np.uint8)
+        pts = 0.31 + 0.08 * rng.random((len(colors), 3))
+        grid = VoxelGrid(voxel_size=0.1)
+        for chunk in np.array_split(rng.permutation(len(colors)), 4):
+            accumulate(grid, PointCloud(positions=pts[chunk], colors=colors[chunk]))
+        assert grid.n_voxels == 1
+        assert np.array_equal(filter_voxels(grid, min_points=1).colors, [base])
+
+    def test_color_state_follows_voxels_not_points(self):
+        # 20 000 distinct colors in 40 clouds go into 8 voxels; every
+        # per-voxel array keeps one row per voxel
+        rng = np.random.default_rng(17)
+        codes = np.arange(20000) * 811  # distinct 24-bit rgb codes
+        colors = ((codes[:, None] >> np.array([16, 8, 0])) & 0xFF).astype(np.uint8)
+        grid = VoxelGrid(voxel_size=0.5)
+        for chunk in np.array_split(np.arange(len(codes)), 40):
+            accumulate(grid, PointCloud(positions=rng.uniform(0.0, 1.0, (len(chunk), 3)),
+                                        colors=colors[chunk]))
+        assert (grid.n_voxels, grid.n_points) == (8, 20000)
+        state = {name: a for name, a in vars(grid).items()
+                 if isinstance(a, np.ndarray) and name != "_base"}
+        assert len(state) == 6
+        assert {name: len(a) for name, a in state.items()} == dict.fromkeys(state, 8)
 
     def test_matches_per_voxel_reference(self):
         # dense voxels and several clouds: centroids and colors are bit-identical
@@ -254,6 +289,12 @@ class TestFilterVoxels:
         grid = accumulate(VoxelGrid(voxel_size=0.1), PointCloud(positions=[[0.05, 0.05, 0.05]]))
         with pytest.raises(ValueError):
             filter_voxels(grid, min_points=0)
+
+    def test_min_points_nan_rejected(self):
+        # NaN fails every count comparison: it would keep no voxel, silently
+        grid = accumulate(VoxelGrid(voxel_size=0.1), PointCloud(positions=[[0.05, 0.05, 0.05]]))
+        with pytest.raises(ValueError):
+            filter_voxels(grid, min_points=np.nan)
 
     def test_rgb_fraction_filter(self):
         # voxel A: 3/4 colored; voxel B: 1/4 colored
@@ -421,6 +462,16 @@ class TestColorize:
         with pytest.raises(ValueError):
             colorize_with_occlusion(cloud, grid, rgb, small_cam(), nadirless_pose(),
                                     occlusion_threshold=0)
+
+    def test_threshold_nan_rejected(self):
+        # NaN would count no voxel as occupied, so the far point behind the
+        # near one on the same ray would be colored
+        cloud = PointCloud(positions=np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 3.0]]))
+        grid = accumulate(VoxelGrid(voxel_size=0.1), cloud)
+        rgb = np.zeros((480, 640, 3), np.uint8)
+        with pytest.raises(ValueError):
+            colorize_with_occlusion(cloud, grid, rgb, small_cam(), nadirless_pose(),
+                                    occlusion_threshold=np.nan)
 
 
 class TestKeyPacking:

@@ -272,6 +272,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             aerial_camera(x0=9999.0)
 
+    @pytest.mark.parametrize("size", [dict(width=np.inf), dict(height=np.inf),
+                                      dict(width=4864.5), dict(height=3232.5),
+                                      dict(width=np.nan), dict(height=0)],
+                             ids=["width-inf", "height-inf", "width-half", "height-half",
+                                  "width-nan", "height-zero"])
+    def test_sensor_size_must_be_whole_and_finite(self, size):
+        with pytest.raises(ValueError, match="whole number"):
+            aerial_camera(**size)
+
+    def test_sensor_sizes_accepted(self):
+        # the default aerial camera, a stereo camera sized from an image's
+        # shape, numpy integers and integer-valued floats
+        H, W = np.zeros((240, 320), np.uint8).shape
+        stereo = CameraIntrinsics(f=1.2, pixel_pitch=0.0048, x0=(W - 1) / 2.0,
+                                  y0=(H - 1) / 2.0, width=W, height=H)
+        for cam in (aerial_camera(), stereo,
+                    aerial_camera(width=np.int64(4864), height=3232.0)):
+            assert cam.in_bounds((cam.width - 1, cam.height - 1))
+            assert not cam.in_bounds((cam.width, 0))
+
     def test_pose_requires_finite(self):
         with pytest.raises(ValueError):
             Pose(t=np.array([np.nan, 0, 0]), r=np.zeros(3))

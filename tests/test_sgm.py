@@ -342,6 +342,15 @@ class TestParams:
         with pytest.raises(ValueError):
             params(**kw)
 
+    @pytest.mark.parametrize("kw", [dict(d_max=15.5), dict(d_max=15.0), dict(d_min=0.5),
+                                    dict(census_window=(5.0, 5.0)), dict(census_window=(5, 4.5))],
+                             ids=["d-max-half", "d-max-float", "d-min-half", "census-float",
+                                  "census-half"])
+    def test_rejects_non_integer_sizes(self, kw):
+        params(d_min=np.int64(0), d_max=np.int64(15), census_window=(np.int64(7), 5))
+        with pytest.raises(ValueError, match="integers"):
+            params(**kw)
+
 
 class TestSelectDisparity:
     def test_identical_images_zero_disparity(self):
