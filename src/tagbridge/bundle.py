@@ -35,6 +35,7 @@ from .geometry import (
     BEHIND_CAMERA_EPS,
     CameraIntrinsics,
     Pose,
+    _group_sums,
     distortion_factor,
     rotation_from_angles,
 )
@@ -261,19 +262,17 @@ class _NormalEquations:
         if packer.free_points:
             n_pts = len(packer.point_ids)
             pt = packer.meas_point[:, None] * 3 + np.arange(3)  # point columns
-            self.V = np.bincount((pt[:, :, None] * 3 + np.arange(3)).ravel(),
-                                 np.einsum("mia,mib->mab", J_point, J_point).ravel(),
-                                 minlength=9 * n_pts).reshape(n_pts, 3, 3)
+            JtJ = np.einsum("mia,mib->mab", J_point, J_point).reshape(-1, 9)
+            self.V = _group_sums(packer.meas_point, JtJ, n_pts).reshape(n_pts, 3, 3)
             self.W = np.bincount((cols[:, :, None] * 3 * n_pts + pt[:, None, :]).ravel(),
                                  np.einsum("mia,mib->mab", J_cam, J_point).ravel(),
                                  minlength=nc * 3 * n_pts).reshape(nc, 3 * n_pts)
-            g_point = np.bincount(pt.ravel(), np.einsum("mia,mi->ma", J_point, res).ravel(),
-                                  minlength=3 * n_pts)
+            g_point = _group_sums(packer.meas_point, np.einsum("mia,mi->ma", J_point, res), n_pts)
         else:  # nothing to eliminate: the step solves U alone
             self.V = np.zeros((0, 3, 3))
             self.W = np.zeros((nc, 0))
             g_point = np.zeros(0)
-        self.g = np.concatenate([g_cam, g_point])
+        self.g = np.concatenate([g_cam, g_point.ravel()])
 
     def step(self, lam: float) -> np.ndarray:
         """Solve (J^T J + lam diag(max(diag(J^T J), 1e-12))) delta = -g.

@@ -3,12 +3,13 @@
 Clouds accumulated along a trajectory are binned into a sparse voxel grid
 held as columns: one sorted int64 key per occupied voxel, with its point
 count, compensated position sum, colored count and per-channel color sums
-beside it. The grid keeps only this per-voxel state, never the points
-themselves. Filtering removes voxels by occupancy and by the fraction of
-points carrying RGB; the survivors are emitted as one centroid per voxel,
-colored with the rounded mean of its valid colors. An occlusion test that walks
-every viewing ray through the grid at once guards color assignment from a
-separate RGB camera.
+beside it. A cloud's points are grouped by the inverse index of their
+unique keys and summed per voxel in point order. The grid keeps only this
+per-voxel state, never the points themselves. Filtering removes voxels by
+occupancy and by the fraction of points carrying RGB; the survivors are
+emitted as one centroid per voxel, colored with the rounded mean of its
+valid colors. An occlusion test that walks every viewing ray through the
+grid at once guards color assignment from a separate RGB camera.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, project_points
+from .geometry import CameraIntrinsics, Pose, _group_sums, project_points
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +45,10 @@ class PointCloud:
         self.positions = pos
         n = len(pos)
         if self.colors is not None:
-            self.colors = np.asarray(self.colors, dtype=np.uint8).reshape(n, 3)
+            colors = np.asarray(self.colors)
+            if not np.all((colors >= 0) & (colors <= 255) & (colors == np.round(colors))):
+                raise ValueError("colors must be integers in [0, 255]")
+            self.colors = colors.astype(np.uint8, copy=False).reshape(n, 3)
             if self.color_valid is None:
                 self.color_valid = np.ones(n, dtype=bool)
             else:
@@ -70,8 +74,8 @@ class VoxelGrid:
 
     Beside the keys: `_count`, the Kahan sum `_csum` and its compensation
     `_comp` ((V, 3) each), `_colored`, the number of points with valid
-    RGB, and `_rgb`, their exact (V, 3) int64 per-channel sums. No
-    accumulated cloud is kept: memory follows the voxels, not the points.
+    RGB, and `_rgb`, their (V, 3) int64 per-channel sums, exact below 2**53.
+    No accumulated cloud is kept: memory follows the voxels, not the points.
     """
 
     voxel_size: float = DEFAULT_VOXEL_SIZE
@@ -126,33 +130,13 @@ def _lookup(sorted_keys: np.ndarray, keys: np.ndarray):
     return pos, found
 
 
-def _runs(values: np.ndarray) -> np.ndarray:
-    """Start of each run of equal values in a sorted, non-empty 1-D array."""
-    return np.flatnonzero(np.append(True, values[1:] != values[:-1]))
-
-
-def _run_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum of each run of rows, added in row order like `values[s:e].sum(axis=0)`.
-
-    `np.add.reduceat` adds in another order, which moves centroids in the
-    last bits; centroids of a regular pixel grid project onto pixel-rounding
-    ties, so those bits would change which pixel colors a point.
-    """
-    sums = values[starts]
-    by_size = np.argsort(-counts, kind="stable")
-    alive = np.searchsorted(-counts[by_size], -np.arange(1, counts.max()), side="left")
-    for rank, n_runs in enumerate(alive, start=1):
-        runs = by_size[:n_runs]  # the runs longer than rank
-        sums[runs] += values[starts[runs] + rank]
-    return sums
-
-
 def accumulate(grid: VoxelGrid, cloud: PointCloud) -> VoxelGrid:
     """Bin a cloud into the grid (counts, position sums, color sums).
 
-    Re-adding the same cloud re-counts it. Raises ValueError, leaving the
-    grid unchanged, when a point lies beyond the packable span around the
-    grid's base voxel. Returns the (mutated) grid.
+    Points are grouped by the inverse index of their unique voxel keys and summed
+    in cloud order; color sums go through float64, exact below 2**53. Re-adding
+    the same cloud re-counts it. Raises ValueError, leaving the grid unchanged, when
+    a point lies beyond the packable span around the base voxel. Returns the grid.
     """
     if len(cloud) == 0:
         return grid
@@ -165,9 +149,7 @@ def accumulate(grid: VoxelGrid, cloud: PointCloud) -> VoxelGrid:
                          f"voxels of the grid's base voxel {base.tolist()}")
     grid._base = base
 
-    order = np.argsort(keys, kind="stable")
-    starts = _runs(keys[order])
-    new_keys = keys[order[starts]]
+    new_keys, voxel, counts = np.unique(keys, return_inverse=True, return_counts=True)
     pos, found = _lookup(grid._keys, new_keys)
     if not found.all():
         at = pos[~found]
@@ -179,19 +161,18 @@ def accumulate(grid: VoxelGrid, cloud: PointCloud) -> VoxelGrid:
         grid._rgb = np.insert(grid._rgb, at, 0, axis=0)
         pos = np.searchsorted(grid._keys, new_keys)
 
-    counts = np.diff(np.append(starts, len(keys)))
+    n = len(new_keys)
     grid._count[pos] += counts
     # Kahan step keeps centroids permutation-invariant to ~1e-14
-    y = _run_sums(cloud.positions[order], starts, counts) - grid._comp[pos]
+    y = _group_sums(voxel, cloud.positions, n) - grid._comp[pos]
     t = grid._csum[pos] + y
     grid._comp[pos] = (t - grid._csum[pos]) - y
     grid._csum[pos] = t
 
     if cloud.colors is not None and cloud.color_valid.any():
-        valid = cloud.color_valid[order]
-        grid._colored[pos] += np.add.reduceat(valid.astype(np.int64), starts)
-        grid._rgb[pos] += np.add.reduceat(cloud.colors[order] * valid[:, None], starts,
-                                          dtype=np.int64)
+        valid = cloud.color_valid
+        grid._colored[pos] += np.bincount(voxel, valid, n).astype(np.int64)
+        grid._rgb[pos] += _group_sums(voxel, cloud.colors * valid[:, None], n).astype(np.int64)
     return grid
 
 
@@ -215,15 +196,15 @@ def filter_voxels(grid: VoxelGrid, min_points: int,
     keep = grid._count >= min_points
     if min_rgb_fraction > 0.0:
         keep &= grid._colored / grid._count >= min_rgb_fraction
-    if not keep.any():
-        return PointCloud(positions=np.zeros((0, 3)))
-    positions = (grid._csum[keep] + grid._comp[keep]) / grid._count[keep, None]
-    n = grid._colored[keep, None]
+    rows = np.flatnonzero(keep)
+    positions = (grid._csum[rows] + grid._comp[rows]) / grid._count[rows, None]
+    n = grid._colored[rows, None]
     valid = n[:, 0] > 0
     if not valid.any():
         return PointCloud(positions=positions)
-    # floor((sum + n/2) / n); voxels without color have sum 0 and get black
-    colors = (2 * grid._rgb[keep] + n) // (2 * np.maximum(n, 1))
+    colors = grid._rgb[rows]  # rounded half up in place; colorless voxels get black
+    colors += n // 2
+    colors //= np.maximum(n, 1)
     return PointCloud(positions=positions, colors=colors.astype(np.uint8), color_valid=valid)
 
 

@@ -43,6 +43,19 @@ def _checked(x, shape, name):
     return a
 
 
+def _group_sums(group, values, n):
+    """(n, k) float64 sums of the (M, k) `values` rows by their (M,) `group` in [0, n).
+
+    Each group's rows are added in row order from zero, whatever the other
+    groups hold, so a fused centroid keeps the bits that settle its
+    pixel-rounding ties in colorize; an empty group sums to zero. Integers
+    sum exactly below 2**53.
+    """
+    k = values.shape[1]
+    return np.bincount((group[:, None] * k + np.arange(k)).ravel(), values.ravel(),
+                       n * k).reshape(n, k)
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Interior orientation: focal length, principal point, radial distortion.

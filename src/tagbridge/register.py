@@ -19,6 +19,7 @@ from .geometry import (
     Pose,
     RigidTransform,
     _checked,
+    _group_sums,
     angles_from_rotation,
     apply_transform,
     rotation_from_angles,
@@ -109,26 +110,20 @@ def collect_correspondences(sightings, landmarks) -> Correspondences:
     of tags without a triangulated landmark are skipped and reported in
     `unmatched` (and the log).
     """
-    by_tag = {}
-    for s in sightings:
-        by_tag.setdefault(s.tag_id, []).append(s.local_vector)
+    tags = np.array([s.tag_id for s in sightings], dtype=int)
+    vectors = np.array([s.local_vector for s in sightings], dtype=float).reshape(-1, 3)
+    tag_ids, group, counts = np.unique(tags, return_inverse=True, return_counts=True)
+    local = _group_sums(group, vectors, len(tag_ids)) / counts[:, None]
     positions = {lm.tag_id: lm.position for lm in landmarks}
-
-    ids, local, world, unmatched = [], [], [], []
-    for tag_id in sorted(by_tag):
-        if tag_id not in positions:
-            unmatched.append(tag_id)
-            continue
-        ids.append(tag_id)
-        local.append(np.mean(by_tag[tag_id], axis=0))
-        world.append(positions[tag_id])
+    matched = np.isin(tag_ids, list(positions))
+    unmatched = tag_ids[~matched].tolist()
     if unmatched:
         logger.warning("sightings of %d tag(s) without landmarks skipped: %s",
                        len(unmatched), unmatched)
     return Correspondences(
-        tag_ids=np.array(ids, dtype=int),
-        local=np.array(local, dtype=float).reshape(-1, 3),
-        world=np.array(world, dtype=float).reshape(-1, 3),
+        tag_ids=tag_ids[matched],
+        local=local[matched],
+        world=np.array([positions[t] for t in tag_ids[matched].tolist()]).reshape(-1, 3),
         unmatched=unmatched,
     )
 

@@ -50,6 +50,13 @@ SELECT_BLOCK_ROWS = 16
 UINT16_MAX = np.iinfo(np.uint16).max
 
 
+def _check_census_window(window):
+    """Raise ValueError unless both sizes are odd and positive, and the window has a neighbour."""
+    h, w = window
+    if not (min(h, w) >= 1 and h % 2 == w % 2 == 1 and h * w > 1):
+        raise ValueError("census window sizes must be odd and positive, and not both 1")
+
+
 @dataclass(frozen=True)
 class SgmParams:
     d_min: int
@@ -74,9 +81,7 @@ class SgmParams:
             raise ValueError("penalties P1 and P2 must be integer-valued")
         if self.n_paths not in (4, 8):
             raise ValueError("n_paths must be 4 or 8")
-        h, w = self.census_window
-        if h % 2 == 0 or w % 2 == 0:
-            raise ValueError("census window must be odd in both dimensions")
+        _check_census_window(self.census_window)
         if not self.lr_max_diff > 0:
             raise ValueError("lr_max_diff must be positive")
         if not 1.0 <= self.uniqueness_ratio < np.inf:
@@ -133,9 +138,8 @@ def census_transform(image: np.ndarray, window=(5, 5)) -> np.ndarray:
     image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError("image must be 2-D grayscale")
+    _check_census_window(window)
     wh, ww = window
-    if wh % 2 == 0 or ww % 2 == 0:
-        raise ValueError("census window must be odd in both dimensions")
     H, W = image.shape
     if H < wh or W < ww:
         raise ImageTooSmall(f"{W}x{H} image with {ww}x{wh} census window")
@@ -428,8 +432,8 @@ def disparity_to_cloud(disp: DisparityMap, intrinsics: CameraIntrinsics,
     """Back-project a disparity map to a world-frame point cloud.
 
     Depth per valid pixel is Z = f * B / (d * pitch); pixels with disparity
-    below 1e-3 px are skipped. `color` is an optional (H, W, 3) uint8 raster
-    sampled at the source pixel.
+    below 1e-3 px are skipped. `color` is an optional (H, W, 3) raster of
+    integers in [0, 255] (ValueError otherwise), sampled at the source pixel.
     """
     if baseline <= 0:
         raise ValueError("baseline must be positive")
@@ -443,7 +447,5 @@ def disparity_to_cloud(disp: DisparityMap, intrinsics: CameraIntrinsics,
     cam = np.column_stack([norm[:, 0] * Z, norm[:, 1] * Z, Z])
     world = cam @ pose.rotation().T + pose.t
 
-    colors = None
-    if color is not None:
-        colors = np.asarray(color)[ys, xs].astype(np.uint8)
+    colors = None if color is None else np.asarray(color)[ys, xs]
     return PointCloud(positions=world, colors=colors)

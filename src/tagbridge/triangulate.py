@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, InsufficientObservations, MissingPose
-from .geometry import CameraIntrinsics, _checked, pixels_to_directions, rotation_from_angles
+from .geometry import (CameraIntrinsics, _checked, _group_sums, pixels_to_directions,
+                       rotation_from_angles)
 
 logger = logging.getLogger(__name__)
 
@@ -88,13 +89,9 @@ def _solve_groups(group, labels, origins, dirs, weights):
     dots[~(real[:, :, None] & real[:, None, :])] = 1.0
     parallel = dots.min(axis=(1, 2), initial=1.0) > math.cos(math.radians(MIN_PAIR_ANGLE_DEG))
 
-    # np.add.at adds each group's rows in ray order, so a group's A and b, and
-    # so its point, do not depend on which other groups share the call
     Pw = (np.eye(3) - dirs[:, :, None] * dirs[:, None, :]) * weights[:, None, None]
-    A = np.zeros((len(labels), 3, 3))
-    np.add.at(A, group, Pw)
-    b = np.zeros((len(labels), 3))
-    np.add.at(b, group, np.einsum("nij,nj->ni", Pw, origins))
+    A = _group_sums(group, Pw.reshape(-1, 9), len(labels)).reshape(-1, 3, 3)
+    b = _group_sums(group, np.einsum("nij,nj->ni", Pw, origins), len(labels))
     cond = np.linalg.cond(A)
     ok = (counts >= 2) & ~parallel & (cond <= MAX_CONDITION)
     points = np.full((len(labels), 3), np.nan)

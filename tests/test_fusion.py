@@ -112,6 +112,26 @@ def assert_colorize_matches_reference(cloud, grid, cam, pose, threshold=1):
     return valid
 
 
+class TestPointCloud:
+    @pytest.mark.parametrize("colors", [[[300, -1, 255]], [[0, 256, 0]], [[0.5, 0, 0]],
+                                        [[np.nan, 0, 0]], [[np.inf, 0, 0]]],
+                             ids=["wrapping", "above-255", "fractional", "nan", "inf"])
+    def test_colors_must_be_integers_in_byte_range(self, colors):
+        with pytest.raises(ValueError, match="colors"):
+            PointCloud(positions=[[0, 0, 0]], colors=np.array(colors))
+
+    def test_byte_colors_accepted(self):
+        every = np.arange(256, dtype=np.uint8).repeat(3).reshape(256, 3)
+        assert np.array_equal(PointCloud(positions=np.zeros((256, 3)), colors=every).colors,
+                              every)
+        cloud = PointCloud(positions=[[0, 0, 0]], colors=[[0, 128, 255]])
+        assert cloud.colors.dtype == np.uint8
+        assert np.array_equal(cloud.colors, [[0, 128, 255]])
+        assert np.array_equal(PointCloud(positions=[[0, 0, 0]],
+                                         colors=np.array([[0.0, 7.0, 255.0]])).colors,
+                              [[0, 7, 255]])
+
+
 class TestAccumulate:
     @pytest.mark.parametrize("size", [0.0, np.nan, np.inf])
     def test_voxel_size_positive_and_finite(self, size):

@@ -8,6 +8,7 @@ from tagbridge.geometry import (
     CameraIntrinsics,
     Pose,
     RigidTransform,
+    _group_sums,
     angles_from_rotation,
     apply_transform,
     distort_normalized,
@@ -364,3 +365,28 @@ class TestValueTypes:
             RigidTransform(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError, match=r"t must have shape \(2, 3\), got \(3, 3\)"):
             Trajectory(np.arange(2.0), np.zeros((3, 3)), np.zeros((2, 3)))
+
+
+class TestGroupSums:
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    def test_each_group_adds_its_rows_in_row_order(self, k):
+        # unsorted groups, two of them (5 and 7) with no rows, and magnitudes
+        # from 1e-6 to 1e6, so that any other summation order changes bits
+        rng = np.random.default_rng(k)
+        n = 8
+        group = rng.choice([0, 1, 2, 3, 4, 6], 200)
+        values = rng.standard_normal((200, k)) * 10.0 ** rng.uniform(-6, 6, (200, k))
+        expected = np.zeros((n, k))
+        for g in range(n):
+            acc = np.zeros(k)
+            for row in values[group == g]:
+                acc = acc + row
+            expected[g] = acc
+        sums = _group_sums(group, values, n)
+        assert sums.shape == (n, k)
+        assert np.array_equal(sums, expected)
+        assert not sums[[5, 7]].any()
+
+    def test_no_rows(self):
+        assert np.array_equal(_group_sums(np.zeros(0, dtype=int), np.zeros((0, 3)), 2),
+                              np.zeros((2, 3)))

@@ -120,6 +120,22 @@ class TestCensus:
         desc = census_transform(img, (9, 9))  # 80 bits -> 2 words
         assert desc.shape[-1] == 2
 
+    @pytest.mark.parametrize("window", [(-1, 5), (5, -3), (1, 1), (4, 5)],
+                             ids=["negative-height", "negative-width", "no-neighbour", "even"])
+    def test_window_needs_odd_positive_sizes_and_a_neighbour(self, window):
+        img = np.zeros((10, 12), np.uint8)
+        with pytest.raises(ValueError, match="census window"):
+            census_transform(img, window)
+        with pytest.raises(ValueError, match="census window"):
+            params(d_max=15, census_window=window)
+
+    @pytest.mark.parametrize("window", [(1, 3), (3, 1), (5, 5)], ids=["1x3", "3x1", "5x5"])
+    def test_thin_windows_accepted(self, window):
+        desc = census_transform(np.arange(120, dtype=np.uint8).reshape(10, 12), window)
+        assert desc.shape == (10, 12, 1)
+        assert desc.any()
+        params(d_max=15, census_window=window)
+
 
 def reference_cost_volume(base_desc, match_desc, d_min, d_max, max_cost, base):
     """Per-pixel Hamming costs with Python-int popcounts (independent of the library)."""
@@ -479,3 +495,15 @@ class TestDisparityToCloud:
         cloud = disparity_to_cloud(disp, stereo_cam, 0.2, pose, color=rgb)
         assert cloud.colors is not None
         assert cloud.colors[3, 0] == 30  # row-major order: pixel (0,3) -> 4th point
+
+    def test_color_outside_byte_range_rejected(self, stereo_cam):
+        from tagbridge.sgm import DisparityMap
+
+        disp = DisparityMap(values=np.full((4, 4), 5.0, np.float32),
+                            valid=np.ones((4, 4), bool), flags=np.zeros((4, 4), np.uint8))
+        pose = Pose(t=np.zeros(3), r=np.zeros(3))
+        for rgb in (np.full((4, 4, 3), 300), np.full((4, 4, 3), 0.5)):
+            with pytest.raises(ValueError, match="colors"):
+                disparity_to_cloud(disp, stereo_cam, 0.2, pose, color=rgb)
+        cloud = disparity_to_cloud(disp, stereo_cam, 0.2, pose, color=np.full((4, 4, 3), 255))
+        assert cloud.colors.dtype == np.uint8 and (cloud.colors == 255).all()
