@@ -9,7 +9,9 @@ per-voxel state, never the points themselves. Filtering removes voxels by
 occupancy and by the fraction of points carrying RGB; the survivors are
 emitted as one centroid per voxel, colored with the rounded mean of its
 valid colors. An occlusion test that walks every viewing ray through the
-grid at once guards color assignment from a separate RGB camera.
+grid at once guards color assignment from a separate RGB camera: each ray
+carries its voxel's packed key and steps it by adding one axis's key stride,
+and rays that stop are masked out, then dropped once they are the majority.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ DEFAULT_OCCLUSION_THRESHOLD = 1
 
 _AXIS_BITS = 21  # per axis in a packed voxel key
 _HALF_SPAN = 1 << (_AXIS_BITS - 1)  # offsets from the base voxel lie in [-2**20, 2**20)
+_KEY_STRIDES = np.array([1 << 2 * _AXIS_BITS, 1 << _AXIS_BITS, 1])  # key step per voxel on x, y, z
 
 
 @dataclass
@@ -113,21 +116,21 @@ class VoxelGrid:
 def _pack(vox: np.ndarray, base: np.ndarray):
     """Packed keys of (N, 3) voxel indices, and the mask of those within the span.
 
-    Keys outside the span are meaningless; callers mask them out or reject them.
+    A key is the dot product of the offsets with `_KEY_STRIDES` (mod 2**64), so
+    a step of one voxel along an axis adds that axis's stride. Keys outside the
+    span alias keys inside it; callers mask them out or reject them.
     """
     off = vox - base + _HALF_SPAN
     inside = np.all((off >= 0) & (off < 2 * _HALF_SPAN), axis=1)
-    keys = (off[:, 0] << 2 * _AXIS_BITS) | (off[:, 1] << _AXIS_BITS) | off[:, 2]
-    return keys, inside
+    return off @ _KEY_STRIDES, inside
 
 
 def _lookup(sorted_keys: np.ndarray, keys: np.ndarray):
     """Insertion position of each key in sorted_keys, and whether it is there."""
     pos = np.searchsorted(sorted_keys, keys)
-    found = np.zeros(len(keys), dtype=bool)
-    within = pos < len(sorted_keys)
-    found[within] = sorted_keys[pos[within]] == keys[within]
-    return pos, found
+    if len(sorted_keys) == 0:
+        return pos, np.zeros(len(keys), dtype=bool)
+    return pos, sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
 
 
 def accumulate(grid: VoxelGrid, cloud: PointCloud) -> VoxelGrid:
@@ -215,10 +218,20 @@ def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray,
     All rays step together through the grid (Amanatides & Woo, "A Fast Voxel
     Traversal Algorithm", 1987) with the arithmetic of the one-ray walk in
     `tests/oracles.py`, so each visits the same voxels in the same order.
+
+    Each ray holds its voxel's packed key and a step adds the chosen axis's
+    stride, so the arrival, camera-voxel and occupancy tests compare one int64
+    per ray; two voxels within 2**20 of the start on every axis (any walk of
+    fewer than 2**20 steps) have equal keys only if they are the same voxel.
+    A ray that stops leaves `active` and steps on, masked out of every hit,
+    until fewer than half the rays are active and the arrays are compacted.
+    A key beyond the packable span aliases one inside it, so when some walk
+    may leave the span (the start voxel +- its limit lies outside on an axis),
+    every ray also tracks its per-axis offsets and voxels beyond count as empty.
     """
     occupied = grid._keys[grid._count >= threshold]
     occluded = np.zeros(len(points), dtype=bool)
-    if len(occupied) == 0:
+    if len(occupied) == 0 or len(points) == 0:
         return occluded
     start = grid.voxel_indices(start_point[None, :])
     end = grid.voxel_indices(points)
@@ -231,22 +244,36 @@ def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray,
         t_delta = np.where(moving, grid.voxel_size / np.abs(direction), np.inf)
     limit = np.abs(end - start).sum(axis=1) + 3
 
+    (start_key,), _ = _pack(start, grid._base)
+    end_key, _ = _pack(end, grid._base)
+    offset = np.repeat(start - grid._base + _HALF_SPAN, len(points), axis=0)
+    leaves = offset.min() < limit.max() or offset.max() + limit.max() >= 2 * _HALF_SPAN
     rays = np.arange(len(points))
-    v = np.repeat(start, len(points), axis=0)
+    key = np.full(len(points), start_key)
+    active = np.ones(len(points), dtype=bool)
     taken = 0
-    while len(rays):
-        arrived = np.all(v == end, axis=1)
-        keys, inside = _pack(v, grid._base)
-        _, hit = _lookup(occupied, keys)
-        hit &= inside & ~arrived & ~np.all(v == start, axis=1)
+    while True:
+        active &= key != end_key
+        _, hit = _lookup(occupied, key)
+        hit &= active & (key != start_key)
+        if leaves:
+            hit &= np.all((offset >= 0) & (offset < 2 * _HALF_SPAN), axis=1)
         occluded[rays[hit]] = True
-        go = ~(arrived | hit) & (taken + 1 < limit)
-        rays, v, end, step, t_max, t_delta, limit = (
-            a[go] for a in (rays, v, end, step, t_max, t_delta, limit))
-        r = np.arange(len(rays))
+        active &= ~hit & (taken + 1 < limit)
+        n_active = np.count_nonzero(active)
+        if n_active == 0:
+            break
+        if 2 * n_active < len(active):  # inactive rays step on, masked out, until here
+            rays, key, end_key, limit, step, t_max, t_delta, offset = (
+                a[active] for a in (rays, key, end_key, limit, step, t_max, t_delta, offset))
+            active = np.ones(n_active, dtype=bool)
         axis = np.argmin(t_max, axis=1)  # ties go to the lowest axis
-        v[r, axis] += step[r, axis]
-        t_max[r, axis] += t_delta[r, axis]
+        cell = np.arange(0, 3 * len(key), 3) + axis
+        t_max.reshape(-1)[cell] += t_delta.reshape(-1)[cell]
+        moved = step.reshape(-1)[cell]
+        key += moved * _KEY_STRIDES[axis]
+        if leaves:
+            offset.reshape(-1)[cell] += moved
         taken += 1
     return occluded
 

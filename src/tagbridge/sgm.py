@@ -51,8 +51,10 @@ UINT16_MAX = np.iinfo(np.uint16).max
 
 
 def _check_census_window(window):
-    """Raise ValueError unless both sizes are odd and positive, and the window has a neighbour."""
+    """Raise ValueError unless both sizes are odd positive integers and not both 1."""
     h, w = window
+    if not all(isinstance(v, numbers.Integral) for v in (h, w)):
+        raise ValueError("census window sizes must be integers")
     if not (min(h, w) >= 1 and h % 2 == w % 2 == 1 and h * w > 1):
         raise ValueError("census window sizes must be odd and positive, and not both 1")
 
@@ -70,9 +72,8 @@ class SgmParams:
 
     def __post_init__(self):
         # integer types, not integer-valued floats: they size arrays and bound ranges
-        if not all(isinstance(v, numbers.Integral)
-                   for v in (self.d_min, self.d_max, *self.census_window)):
-            raise ValueError("d_min, d_max and census window sizes must be integers")
+        if not all(isinstance(v, numbers.Integral) for v in (self.d_min, self.d_max)):
+            raise ValueError("d_min and d_max must be integers")
         if self.d_min >= self.d_max:
             raise ValueError("d_min must be < d_max")
         if not (0 < self.p1 < self.p2):

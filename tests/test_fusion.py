@@ -555,3 +555,48 @@ class TestKeyPacking:
         point = PointCloud(positions=[[0.25, (2 ** 20 - 1) * size + 0.25, 1.25]])
         visible = assert_colorize_matches_reference(point, grid, wide_cam(), pose)
         assert visible[0]
+
+    def test_walk_leaving_span_counts_as_empty(self):
+        # The camera sits two voxels inside the +z edge of the span and both
+        # queries lie two voxels beyond it. Keys past +z alias the next y row
+        # at the -z edge (past +x they would alias nothing): unchecked, the
+        # first voxel beyond the edge on query 0's ray would alias the occupied
+        # voxel (0, 1, -2**20). Query 1's ray meets an occupied voxel inside
+        # the span before it leaves.
+        size = 0.5
+        edge = 2 ** 20  # first z index beyond the span
+        grid = VoxelGrid(voxel_size=size)
+        accumulate(grid, PointCloud(positions=[[0.25, 0.25, 0.25]]))  # base voxel (0, 0, 0)
+        accumulate(grid, PointCloud(positions=[[0.25, 0.75, -edge * size + 0.25],
+                                               [0.75, 0.25, (edge - 1) * size + 0.25]]))
+        assert grid.count((0, 1, -edge)) == grid.count((1, 0, edge - 1)) == 1
+        pose = nadirless_pose(0.25, 0.25, (edge - 2) * size + 0.25)
+        queries = PointCloud(positions=[[0.25, 0.25, (edge + 2) * size + 0.25],
+                                        [1.25, 0.25, (edge + 2) * size + 0.25]])
+        visible = assert_colorize_matches_reference(queries, grid, wide_cam(), pose)
+        assert visible.tolist() == [True, False]
+
+
+class TestOcclusionWalk:
+    @pytest.mark.parametrize("threshold", [1, 2])
+    def test_two_plane_map_matches_reference(self, threshold):
+        # A near plane hides part of a far plane at 0.05 m voxels, as in the
+        # benchmark's recolor map. Queries on both planes and in the free
+        # space between end their walks from a few steps to about ninety, so
+        # the rays still walking halve several times before the last one stops.
+        rng = np.random.default_rng(16)
+        far = np.column_stack([rng.uniform(-1.0, 1.0, (2, 4000)).T, np.full(4000, 3.0)])
+        near = np.column_stack([rng.uniform(-0.3, 0.4, 600), rng.uniform(-0.4, 0.2, 600),
+                                np.full(600, 1.5)])
+        grid = accumulate(VoxelGrid(voxel_size=0.05), PointCloud(positions=np.vstack([far, near])))
+        assert grid._count.min() == 1 and grid._count.max() > 2
+        free = np.column_stack([rng.uniform(-0.5, 0.5, (2, 100)).T, rng.uniform(0.1, 3.2, 100)])
+        queries = np.vstack([far[:150], near[:100], free])
+        pose = nadirless_pose(0.02, -0.03, 0.0)
+        cam_voxel = grid.voxel_indices(pose.t[None, :])
+        steps = np.abs(grid.voxel_indices(queries) - cam_voxel).sum(axis=1)
+        assert steps.min() < 10 and steps.max() > 60
+        visible = assert_colorize_matches_reference(PointCloud(positions=queries), grid,
+                                                    wide_cam(), pose, threshold)
+        assert 0 < visible[:150].sum() < 150  # the near plane hides part of the far one
+        assert visible[150:250].all()  # nothing lies in front of the near plane

@@ -136,6 +136,21 @@ class TestCensus:
         assert desc.any()
         params(d_max=15, census_window=window)
 
+    @pytest.mark.parametrize("window", [(5.0, 5.0), (5, 3.0), (np.float64(3), 5)],
+                             ids=["both-float", "width-float", "numpy-float"])
+    def test_float_window_rejected(self, window):
+        img = np.zeros((10, 12), np.uint8)
+        with pytest.raises(ValueError, match="integers"):
+            census_transform(img, window)
+        with pytest.raises(ValueError, match="integers"):
+            params(d_max=15, census_window=window)
+
+    def test_numpy_integer_window_accepted(self):
+        img = np.arange(120, dtype=np.uint8).reshape(10, 12)
+        window = (np.int64(5), np.int32(3))
+        assert np.array_equal(census_transform(img, window), census_transform(img, (5, 3)))
+        params(d_max=15, census_window=window)
+
 
 def reference_cost_volume(base_desc, match_desc, d_min, d_max, max_cost, base):
     """Per-pixel Hamming costs with Python-int popcounts (independent of the library)."""
