@@ -4,11 +4,22 @@
   Jacobian blocks;
 - `path_step` and `aggregate_one_path`: one SGM path at a time in float32,
   for the disparity-major uint16 sweeps of `aggregate_costs`;
+- `reference_select`: masked float32 winner-take-all and uniqueness over
+  whole volumes, for the row-blocked uint16 selection of
+  `sgm.select_disparity`;
 - `walk_voxels`: one voxel walk per ray, for the batched walk of
   `fusion._occluded`.
 """
 
 import numpy as np
+
+from tagbridge.sgm import (
+    FLAG_LR_FAILED,
+    FLAG_OUT_OF_RANGE,
+    FLAG_UNIQUENESS_FAILED,
+    INVALID_DISPARITY,
+    DisparityMap,
+)
 
 # Relative central-difference step for the numeric Jacobian.
 JACOBIAN_REL_STEP = 1e-7
@@ -73,6 +84,85 @@ def aggregate_one_path(volume, direction, p1: float, p2: float) -> np.ndarray:
     if flip_y:
         L = L[::-1]
     return np.ascontiguousarray(L)
+
+
+def _in_bounds_mask(W: int, d_min: int, D: int, base: str) -> np.ndarray:
+    """(W, D) bool: does disparity d at column x map into the other image?"""
+    x = np.arange(W)[:, None]
+    d = d_min + np.arange(D)[None, :]
+    other = x - d if base == "left" else x + d
+    return (other >= 0) & (other < W)
+
+
+def _wta(costs: np.ndarray, in_bounds: np.ndarray, d_min: int):
+    """Masked winner-take-all with parabolic subpixel refinement.
+
+    Out-of-bounds cells are inf in a float32 copy. Returns (disparity float32
+    (H, W), valid bool, best_idx).
+    """
+    D = costs.shape[2]
+    masked = np.where(in_bounds, costs, np.float32(np.inf))
+
+    best_idx = np.argmin(masked, axis=2)
+    best = np.take_along_axis(masked, best_idx[..., None], axis=2)[..., 0]
+    valid = np.isfinite(best)
+
+    # parabola through (c-, c0, c+); only where both neighbors are usable
+    idx_m = np.clip(best_idx - 1, 0, D - 1)
+    idx_p = np.clip(best_idx + 1, 0, D - 1)
+    c0 = best
+    cm = np.take_along_axis(masked, idx_m[..., None], axis=2)[..., 0]
+    cp = np.take_along_axis(masked, idx_p[..., None], axis=2)[..., 0]
+    usable = (best_idx > 0) & (best_idx < D - 1) & np.isfinite(cm) & np.isfinite(cp)
+    with np.errstate(divide="ignore", invalid="ignore"):  # inf - inf where no d is in bounds
+        denom = cm - 2.0 * c0 + cp
+        offset = 0.5 * (cm - cp) / denom
+    offset = np.where(usable & (denom > 1e-12), offset, 0.0)
+    offset = np.clip(offset, -0.5, 0.5)
+
+    disparity = (d_min + best_idx + offset).astype(np.float32)
+    return disparity, valid, best_idx
+
+
+def _unique(raw: np.ndarray, in_bounds: np.ndarray, best_idx: np.ndarray,
+            ratio: float) -> np.ndarray:
+    """Does the best raw competitor beyond best_idx +- 1 exceed best * ratio?"""
+    masked = np.where(in_bounds, raw, np.float32(np.inf))
+    idx = best_idx[..., None]
+    best = np.take_along_axis(masked, idx, axis=2)[..., 0]
+    near = np.clip(idx + np.array([-1, 0, 1]), 0, raw.shape[2] - 1)
+    np.put_along_axis(masked, near, np.float32(np.inf), axis=2)
+    second = masked.min(axis=2)
+    return np.isfinite(second) & (second > best * ratio)
+
+
+def reference_select(aggregated, params, right_aggregated=None) -> DisparityMap:
+    """`select_disparity` over the whole volume at once, out-of-bounds cells inf in float32."""
+    H, W, D = aggregated.costs.shape
+    in_bounds = _in_bounds_mask(W, aggregated.d_min, D, aggregated.base)
+    raw = aggregated.raw if aggregated.raw is not None else aggregated.costs
+    disparity, ok, best_idx = _wta(aggregated.costs, in_bounds, aggregated.d_min)
+    flags = np.zeros((H, W), np.uint8)
+    flags[~ok] |= FLAG_OUT_OF_RANGE
+
+    unique_ok = _unique(raw, in_bounds, best_idx, params.uniqueness_ratio)
+    flags[ok & ~unique_ok] |= FLAG_UNIQUENESS_FAILED
+    ok &= unique_ok
+
+    if right_aggregated is not None:
+        r_in_bounds = _in_bounds_mask(W, right_aggregated.d_min, D, right_aggregated.base)
+        d_right, r_valid, _ = _wta(right_aggregated.costs, r_in_bounds, right_aggregated.d_min)
+        xr = np.rint(np.arange(W)[None, :] - disparity).astype(int)
+        in_img = (xr >= 0) & (xr < W)
+        xr_safe = np.clip(xr, 0, W - 1)
+        r = np.arange(H)[:, None]
+        lr_ok = (in_img & r_valid[r, xr_safe]
+                 & (np.abs(disparity - d_right[r, xr_safe]) <= params.lr_max_diff))
+        flags[ok & ~lr_ok] |= FLAG_LR_FAILED
+        ok &= lr_ok
+
+    values = np.where(ok, disparity, np.float32(INVALID_DISPARITY))
+    return DisparityMap(values=values, valid=ok, flags=flags)
 
 
 def walk_voxels(start_voxel, end_voxel, start_point, direction, grid):

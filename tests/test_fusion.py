@@ -578,6 +578,26 @@ class TestKeyPacking:
 
 
 class TestOcclusionWalk:
+    def test_walk_stops_at_its_limit(self):
+        # The query's ray leaves its voxel's x range at the t where it enters
+        # its y range, and the tie steps x first, so the walk never reaches the
+        # query's voxel (0, 1, 1). It stops after its limit, |dx| + |dy| + |dz|
+        # + 3 = 5 voxels; the next boundary it would cross is z's, into
+        # (-1, 1, 3). Three queries in the camera's voxel stop at once, so the
+        # rays are compacted while the long walk is still going.
+        size = 0.5
+        pose = nadirless_pose(0.25, 0.25, 0.25)
+        point = np.array([0.0, 0.5, 0.75])
+        walk = list(walk_voxels((0, 0, 0), (0, 1, 1), pose.t, point - pose.t,
+                                VoxelGrid(voxel_size=size)))
+        assert walk == [(0, 0, 0), (0, 0, 1), (-1, 0, 1), (-1, 1, 1), (-1, 1, 2), (0, 1, 1)]
+        queries = PointCloud(positions=[point] + [[0.3, 0.3, 0.45]] * 3)
+        for voxel, visible in (((-1, 1, 3), True), ((-1, 1, 2), False)):
+            center = (np.array(voxel) + 0.5) * size
+            grid = accumulate(VoxelGrid(voxel_size=size), PointCloud(positions=[center]))
+            got = assert_colorize_matches_reference(queries, grid, wide_cam(), pose)
+            assert got.tolist() == [visible, True, True, True]
+
     @pytest.mark.parametrize("threshold", [1, 2])
     def test_two_plane_map_matches_reference(self, threshold):
         # A near plane hides part of a far plane at 0.05 m voxels, as in the

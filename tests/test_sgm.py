@@ -8,6 +8,7 @@ import pytest
 from tagbridge.errors import DimensionMismatch, ImageTooSmall
 from tagbridge.geometry import Pose
 from tagbridge.sgm import (
+    SELECT_BLOCK_ROWS,
     UINT16_MAX,
     CostVolume,
     SgmParams,
@@ -20,7 +21,7 @@ from tagbridge.sgm import (
     select_disparity,
 )
 
-from oracles import aggregate_one_path, path_step
+from oracles import aggregate_one_path, path_step, reference_select
 
 
 def params(d_min=0, d_max=16, **kw):
@@ -356,6 +357,17 @@ class TestPathStep:
             expected = path_step(prev.astype(np.int64).transpose(0, 2, 1), p1, p2)
             assert np.array_equal(out, expected.transpose(0, 2, 1))
 
+    @pytest.mark.parametrize("shape", [(2, 240, 64), (1, 7, 9), (3, 1, 8), (2, 5, 1), (1, 1, 2),
+                                       (1, 1, 1), (2, 6, 2)])
+    def test_disparity_last_step_equals_path_step(self, shape):
+        # (k, m, D) states: the flat shifts must not carry one line's edge plane into the next
+        rng = np.random.default_rng(sum(shape) + 1)
+        for high, p1, p2 in ((30, 10, 120), (1000, 7, 23)):
+            prev = rng.integers(0, high + 1, shape, dtype=np.uint16)
+            out = np.empty_like(prev)
+            _PathStep(shape, p1, p2, axis=2)(prev, out)
+            assert np.array_equal(out, path_step(prev.astype(np.int64), p1, p2))
+
 
 class TestParams:
     def test_non_integer_penalties_rejected(self):
@@ -470,6 +482,50 @@ class TestSelectDisparity:
         assert totals[0] >= totals[1] >= totals[2]
 
 
+def select_volume(rng, shape, d_min, base, values):
+    """An aggregated-looking CostVolume with its own raw costs, for selection tests.
+
+    `values` is "small" (0..24, many ties), "saturated" (a third of the
+    cells 65535, the rest 65534 or small) or "ties" (every fourth row
+    constant in both the sums and the raw costs, as on textureless input).
+    """
+    def draw():
+        small = rng.integers(0, 25, shape, dtype=np.uint16)
+        if values == "saturated":
+            high = rng.choice(np.array([65534, UINT16_MAX], np.uint16), shape)
+            return np.where(rng.random(shape) < 0.6, high, small)
+        if values == "ties":
+            small[::4] = 9
+        return small
+
+    D = shape[2]
+    return CostVolume(costs=draw(), d_min=d_min, d_max=d_min + D - 1, max_cost=24,
+                      base=base, raw=draw())
+
+
+class TestSelectMatchesOracle:
+    # heights span a partial last block; W < D puts every column in the wedge,
+    # and a negative d_min puts wedge columns at both image edges
+    @pytest.mark.parametrize("d_min", [0, 5, -3])
+    @pytest.mark.parametrize("W,D", [(9, 1), (1, 2), (13, 2), (2, 3), (17, 3), (70, 64), (40, 64)])
+    @pytest.mark.parametrize("bases", [("left", None), ("right", None), ("left", "right")],
+                             ids=["left", "right", "left-lr"])
+    def test_bit_identical_to_float32_reference(self, bases, W, D, d_min):
+        base, right_base = bases
+        shape = (SELECT_BLOCK_ROWS + 3, W, D)
+        rng = np.random.default_rng([W, D, d_min + 3, len(base) + 2 * bool(right_base)])
+        for values, ratio in itertools.product(("small", "saturated", "ties"), (1.0, 1.05)):
+            left = select_volume(rng, shape, d_min, base, values)
+            right = right_base and select_volume(rng, shape, d_min, right_base, values)
+            # SgmParams needs d_min < d_max; selection reads the range from the volumes
+            p = params(d_min=d_min, d_max=d_min + max(D - 1, 1), uniqueness_ratio=ratio)
+            got = select_disparity(left, p, right)
+            want = reference_select(left, p, right)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.valid, want.valid)
+            assert np.array_equal(got.flags, want.flags)
+
+
 class TestDisparityToCloud:
     def test_constant_disparity_constant_depth(self, stereo_cam):
         from tagbridge.sgm import DisparityMap
@@ -510,6 +566,18 @@ class TestDisparityToCloud:
         cloud = disparity_to_cloud(disp, stereo_cam, 0.2, pose, color=rgb)
         assert cloud.colors is not None
         assert cloud.colors[3, 0] == 30  # row-major order: pixel (0,3) -> 4th point
+
+    @pytest.mark.parametrize("baseline", [np.nan, np.inf, 0.0, -0.2])
+    @pytest.mark.parametrize("any_valid", [False, True], ids=["all-invalid", "all-valid"])
+    def test_baseline_must_be_positive_and_finite(self, stereo_cam, baseline, any_valid):
+        from tagbridge.sgm import DisparityMap
+
+        disp = DisparityMap(values=np.full((4, 4), 5.0, np.float32),
+                            valid=np.full((4, 4), any_valid), flags=np.zeros((4, 4), np.uint8))
+        pose = Pose(t=np.zeros(3), r=np.zeros(3))
+        assert len(disparity_to_cloud(disp, stereo_cam, 0.2, pose)) == 16 * any_valid
+        with pytest.raises(ValueError, match="baseline must be positive and finite"):
+            disparity_to_cloud(disp, stereo_cam, baseline, pose)
 
     def test_color_outside_byte_range_rejected(self, stereo_cam):
         from tagbridge.sgm import DisparityMap
