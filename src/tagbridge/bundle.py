@@ -15,6 +15,14 @@ pairs of points is formed, and the dense, cubic solve is over the camera
 unknowns only, so it puts no cap on the number of points (dense normal
 equations over every unknown would cap a block at about 10^3 parameters).
 The closed-form blocks are tested against central differences (`tests/oracles.py`).
+
+The LM loop stops on a vanishing gradient, or before a trial step delta whose
+decrease of cost = r^T r, as the damped linear model predicts it, is within
+the float64 rounding of the cost, size(r) * eps * cost: such a step cannot
+lower the cost measurably (Madsen, Nielsen & Tingleff, "Methods for
+Non-Linear Least Squares Problems", 2004, sec. 3.2; MINPACK's `ftol` test,
+More 1978). The prediction, lam delta^T D delta - g^T delta, is exact for
+the damped system (J^T J + lam D) delta = -g. There is no step-norm test.
 """
 
 from __future__ import annotations
@@ -48,6 +56,10 @@ MAX_PHI_DEG = 89.0
 _MAX_PHI = math.radians(MAX_PHI_DEG)
 LAMBDA_INIT = 1e-3
 LAMBDA_MAX = 1e15
+# The rules that can end `solve` (`SolveReport.stop`), each with whether it
+# counts as converged
+STOP_RULES = {"gradient": True, "predicted_decrease": True, "no_free_parameters": True,
+              "no_acceptable_step": False, "max_iters": False}
 
 
 @dataclass(frozen=True)
@@ -88,8 +100,10 @@ class SolveReport:
     final_rms: float
     iterations: int
     converged: bool
-    damping_trace: list
-    cost_trace: list = field(default_factory=list)  # cost after each accepted step
+    damping_trace: list  # initial damping, then the damping after each trial
+    cost_trace: list  # initial cost, then the cost after each accepted step
+    stop: str  # the rule that ended the solve: one of STOP_RULES
+    residual_evals: int  # passes projecting every measurement, Jacobians included
 
 
 class _Packer:
@@ -246,9 +260,21 @@ class _Packer:
         )
 
 
+def _times_block_diag(W: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """W (q, 3 p) times the block diagonal of `blocks` (p, 3, 3).
+
+    Each output adds its three products in the order that
+    np.einsum("cpi,pij->cpj") adds them, so the two agree bit for bit; a
+    matmul may differ in the last bit, which changes the LM path.
+    """
+    W3 = W.reshape(len(W), len(blocks), 3)
+    return sum(W3[:, :, i, None] * blocks[:, i] for i in range(3)).reshape(W.shape)
+
+
 class _NormalEquations:
     """J^T J and g = J^T r at x, by block: U over the camera unknowns (dense),
-    V as one 3x3 block per point, W (n_cam, 3 n_points) between them."""
+    V as one 3x3 block per point, W (n_cam, 3 n_points) between them, and
+    the damping scale D = max(diag(J^T J), 1e-12)."""
 
     def __init__(self, packer: _Packer, x: np.ndarray):
         res, J_cam, J_point = packer.linearize(x)
@@ -273,24 +299,34 @@ class _NormalEquations:
             self.W = np.zeros((nc, 0))
             g_point = np.zeros(0)
         self.g = np.concatenate([g_cam, g_point.ravel()])
+        self.D = np.maximum(np.concatenate([np.diag(self.U),
+                                            self.V[:, [0, 1, 2], [0, 1, 2]].ravel()]), 1e-12)
 
     def step(self, lam: float) -> np.ndarray:
-        """Solve (J^T J + lam diag(max(diag(J^T J), 1e-12))) delta = -g.
+        """Solve (J^T J + lam diag(D)) delta = -g.
 
         The points are eliminated by the Schur complement; raises
         np.linalg.LinAlgError when a system is singular.
         """
         nc = len(self.U)
         g_cam, g_point = self.g[:nc], self.g[nc:].reshape(-1, 3)
-        U = self.U + lam * np.diag(np.maximum(np.diag(self.U), 1e-12))
+        U = self.U + lam * np.diag(self.D[:nc])
         V = self.V.copy()
-        V[:, [0, 1, 2], [0, 1, 2]] += lam * np.maximum(self.V[:, [0, 1, 2], [0, 1, 2]], 1e-12)
+        V[:, [0, 1, 2], [0, 1, 2]] += lam * self.D[nc:].reshape(-1, 3)
         V_inv = np.linalg.inv(V)
         W = self.W
-        W_V_inv = np.einsum("cpi,pij->cpj", W.reshape(nc, len(V), 3), V_inv).reshape(W.shape)
+        W_V_inv = _times_block_diag(W, V_inv)
         d_cam = np.linalg.solve(U - W_V_inv @ W.T, W_V_inv @ g_point.ravel() - g_cam)
         d_point = -np.einsum("pij,pj->pi", V_inv, g_point + (W.T @ d_cam).reshape(-1, 3))
         return np.concatenate([d_cam, d_point.ravel()])
+
+    def predicted_decrease(self, lam: float, delta: np.ndarray) -> float:
+        """r^T r - |r + J delta|^2 for delta = step(lam).
+
+        That is -2 g^T delta - delta^T J^T J delta, and (J^T J + lam D)
+        delta = -g turns it into lam delta^T D delta - g^T delta.
+        """
+        return float(lam * (self.D @ (delta * delta)) - self.g @ delta)
 
 
 def _rms(residuals: np.ndarray) -> float:
@@ -315,17 +351,27 @@ def _check_preconditions(problem: BundleProblem, packer: _Packer):
             "reparameterize the block")
 
 
-def solve(problem: BundleProblem, max_iters: int = 100,
-          gradient_tol: float = 1e-10, step_tol: float = 1e-12):
+def solve(problem: BundleProblem, max_iters: int = 100, gradient_tol: float = 1e-10):
     """Levenberg-Marquardt over the free parameter blocks.
 
     Each iteration builds the closed-form Jacobian blocks and the block
     normal equations; each trial solves them with the points eliminated by
     the Schur complement (when the points are fixed, the camera block is
     solved directly). Damping starts at 1e-3, x10 on a rejected step, /10
-    on an accepted one; it scales max(diag(J^T J), 1e-12). Terminates on
-    max |J^T r| < gradient_tol, step norm < step_tol, or max_iters. Cost
-    never increases. Returns (updated problem, SolveReport).
+    on an accepted one; it scales D = max(diag(J^T J), 1e-12). Cost never
+    increases. Returns (updated problem, SolveReport).
+
+    `SolveReport.stop` names the rule that ended the solve (STOP_RULES):
+    - "gradient": max |J^T r| < gradient_tol.
+    - "predicted_decrease": the next trial step, solved but not evaluated,
+      is predicted to lower the cost by at most its float64 rounding (see
+      the module docstring). A vanishing step predicts a vanishing
+      decrease, so this rule also stops where a step-norm test would;
+      there is no `step_tol`.
+    - "no_acceptable_step": the damping passed LAMBDA_MAX without a trial
+      that lowered the cost.
+    - "max_iters".
+    - "no_free_parameters": nothing to solve for.
     """
     packer = _Packer(problem)
     _check_preconditions(problem, packer)
@@ -335,59 +381,65 @@ def solve(problem: BundleProblem, max_iters: int = 100,
 
     x = packer.initial_vector()
     r = fun(x)
+    evals = 1
     cost = float(r @ r)
     initial_rms = _rms(r)
     lam = LAMBDA_INIT
     trace = [lam]
     costs = [cost]
-    converged = False
     iterations = 0
 
     if packer.n_params == 0:
         return packer.rebuild_problem(x), SolveReport(
-            initial_rms, initial_rms, 0, True, trace, [cost])
+            initial_rms, initial_rms, 0, True, trace, costs, "no_free_parameters", evals)
 
+    stop = "max_iters"
     for iterations in range(1, max_iters + 1):
         normal = _NormalEquations(packer, x)
+        evals += 1
         if np.max(np.abs(normal.g)) < gradient_tol:
-            converged = True
+            stop = "gradient"
             iterations -= 1
             break
 
-        accepted = False
-        while lam <= LAMBDA_MAX:
+        rounding = r.size * np.finfo(float).eps * cost
+        while True:
+            if lam > LAMBDA_MAX:
+                stop = "no_acceptable_step"
+                break
             try:
                 delta = normal.step(lam)
             except np.linalg.LinAlgError as err:
                 raise SingularNormalEquations(str(err)) from None
-            if np.linalg.norm(delta) < step_tol * (np.linalg.norm(x) + step_tol):
-                converged = True
+            if normal.predicted_decrease(lam, delta) <= rounding:
+                stop = "predicted_decrease"
                 break
             x_new = x + delta
             phi = packer.pose_block(x_new)[:, 4]
             if phi.size and np.max(np.abs(phi)) >= _MAX_PHI:
-                lam *= 10.0
-                trace.append(lam)
-                continue
-            r_new = fun(x_new)
-            cost_new = float(r_new @ r_new)
+                cost_new = math.inf  # rejected without evaluating it
+            else:
+                r_new = fun(x_new)
+                evals += 1
+                cost_new = float(r_new @ r_new)
             if cost_new < cost:
                 x, r, cost = x_new, r_new, cost_new
                 lam = max(lam / 10.0, 1e-12)
                 trace.append(lam)
                 costs.append(cost)
-                accepted = True
                 break
             lam *= 10.0
             trace.append(lam)
-        if converged or not accepted:
+        if stop != "max_iters":
             break
 
+    converged = STOP_RULES[stop]
     final_rms = _rms(r)
     report = SolveReport(initial_rms=initial_rms, final_rms=final_rms,
                          iterations=iterations, converged=converged,
-                         damping_trace=trace, cost_trace=costs)
+                         damping_trace=trace, cost_trace=costs, stop=stop,
+                         residual_evals=evals)
     if not converged:
-        logger.warning("LM stopped without convergence after %d iterations (rms %.3e px)",
-                       iterations, final_rms)
+        logger.warning("LM stopped on %s after %d iterations (rms %.3e px)",
+                       stop, iterations, final_rms)
     return packer.rebuild_problem(x), report

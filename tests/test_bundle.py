@@ -7,11 +7,13 @@ from tagbridge.bundle import (
     LAMBDA_INIT,
     LAMBDA_MAX,
     MAX_PHI_DEG,
+    STOP_RULES,
     BundleProblem,
     ParameterMask,
     _NormalEquations,
     _Packer,
     _rms,
+    _times_block_diag,
     solve,
 )
 from tagbridge.errors import GaugeNotFixed, GimbalLock, Underconstrained
@@ -97,7 +99,11 @@ def analytic_jacobian(packer, x):
 def reference_solve(problem, max_iters=100, gradient_tol=1e-10, step_tol=1e-12):
     """The LM loop on a central-difference Jacobian and dense normal equations.
 
-    Same rules as `solve`; returns (final cost, converged).
+    The oracle that `solve`'s early stop is measured against: the same
+    damping rules, but exhaustive stopping rules. Past the cost's rounding
+    it keeps rejecting trials, raising the damping each time, until the
+    step norm falls below step_tol * (|x| + step_tol). Returns (final
+    cost, converged).
     """
     packer = _Packer(problem)
 
@@ -303,6 +309,42 @@ class TestSolve:
         c2 = rep2.cost_trace[-1]
         assert abs(c1 - c2) < 1e-10 * max(1.0, c1)
 
+    def test_residual_evals_counts_projections(self, aerial_cam, monkeypatch):
+        poses, points, meas = synthetic_block(aerial_cam, n_cams=4, n_points=8, sigma=0.3, seed=2)
+        start = perturb(poses, {"img_0000"}, dt=0.3, dr_deg=0.3, seed=5)
+        problem = BundleProblem(aerial_cam, start, points, meas, anchors={"img_0000"})
+        calls = []
+        predict = _Packer._predict
+
+        def counted(packer, x):
+            calls.append(x)
+            return predict(packer, x)
+
+        monkeypatch.setattr(_Packer, "_predict", counted)
+        _, report = solve(problem)
+        assert report.residual_evals == len(calls) > 2
+        # the initial evaluation, one Jacobian per iteration (the last one
+        # ends it before a trial) and one evaluation per trial
+        assert report.stop == "predicted_decrease"
+        assert report.residual_evals == 1 + report.iterations + len(report.damping_trace) - 1
+
+    @pytest.mark.parametrize("case, stop", [
+        ("exact", "gradient"),
+        ("noisy", "predicted_decrease"),
+        ("one_iteration", "max_iters"),
+        ("all_fixed", "no_free_parameters"),
+    ])
+    def test_stop_rule_reported(self, aerial_cam, case, stop):
+        sigma = 0.0 if case == "exact" else 0.5
+        poses, points, meas = synthetic_block(aerial_cam, n_points=15, sigma=sigma, seed=4)
+        if case != "exact":
+            poses = perturb(poses, {"img_0000"}, dt=0.3, dr_deg=0.3, seed=5)
+        mask = ParameterMask(poses=False, points=False) if case == "all_fixed" else ParameterMask()
+        problem = BundleProblem(aerial_cam, poses, points, meas, mask=mask, anchors={"img_0000"})
+        _, report = solve(problem, max_iters=1 if case == "one_iteration" else 100)
+        assert report.stop == stop
+        assert report.converged == STOP_RULES[stop]
+
 
 class TestJacobian:
     def test_matches_independent_step_size(self, aerial_cam):
@@ -392,6 +434,34 @@ class TestJacobian:
         assert np.linalg.norm(step - dense) <= 1e-8 * np.linalg.norm(dense)
 
 
+class TestNormalEquationsStep:
+    @pytest.mark.parametrize("n_cam, n_pts", [(84, 140), (7, 1), (0, 5), (6, 0)])
+    def test_block_diag_product_equals_einsum(self, n_cam, n_pts):
+        rng = np.random.default_rng(n_cam + 1000 * n_pts)
+        for _ in range(5):
+            W = rng.normal(size=(n_cam, 3 * n_pts)) * 10.0 ** rng.integers(-6, 7, (1, 3 * n_pts))
+            V_inv = np.linalg.inv(rng.normal(size=(n_pts, 3, 3)) + 3 * np.eye(3))
+            einsum = np.einsum("cpi,pij->cpj", W.reshape(n_cam, n_pts, 3), V_inv)
+            assert np.array_equal(_times_block_diag(W, V_inv), einsum.reshape(W.shape))
+
+    @pytest.mark.parametrize("lam", [1e-12, 1e-3, 1e3])
+    def test_predicted_decrease_matches_dense_model(self, aerial_cam, lam):
+        poses, points, meas = synthetic_block(aerial_cam, n_cams=6, n_points=20, sigma=0.5,
+                                              seed=3)
+        start = perturb(poses, {"img_0000", "img_0005"}, dt=0.3, dr_deg=0.3, seed=5)
+        problem = BundleProblem(aerial_cam, start, points, meas,
+                                anchors={"img_0000", "img_0005"})
+        packer = _Packer(problem)
+        x = packer.initial_vector()
+        J, r = analytic_jacobian(packer, x)
+        normal = _NormalEquations(packer, x)
+        delta = normal.step(lam)
+        model = r + J @ delta
+        expected = r @ r - model @ model
+        assert expected > 0
+        assert normal.predicted_decrease(lam, delta) == pytest.approx(expected, rel=1e-8)
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("block", ["monotone", "noise_100", "noise_101", "noise_102"])
     def test_final_cost_matches_central_difference_solver(self, aerial_cam, block):
@@ -408,7 +478,10 @@ class TestAgainstReference:
         ref_cost, ref_converged = reference_solve(problem, max_iters=max_iters)
         _, report = solve(problem, max_iters=max_iters)
         assert ref_converged and report.converged
-        assert abs(report.cost_trace[-1] - ref_cost) <= 1e-9 * ref_cost
+        assert report.stop == "predicted_decrease"
+        assert abs(report.cost_trace[-1] - ref_cost) <= 1e-12 * ref_cost
+        # the solve ends before its first trial that would not lower the cost
+        assert len(report.damping_trace) == len(report.cost_trace)
         assert all(b <= a for a, b in zip(report.cost_trace, report.cost_trace[1:]))
 
 
