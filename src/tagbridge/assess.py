@@ -28,22 +28,20 @@ class AccuracyReport:
     only_truth: list
 
 
-def _as_point_map(points) -> dict:
-    if isinstance(points, dict):
-        return {k: np.asarray(v, dtype=float).reshape(3) for k, v in points.items()}
-    return {k: np.asarray(v, dtype=float).reshape(3) for k, v in points}
+def _as_point_map(points: dict) -> dict:
+    return {k: np.asarray(v, dtype=float).reshape(3) for k, v in points.items()}
 
 
 def assess(estimated, truth) -> AccuracyReport:
     """Absolute offsets and relative pair statistics over the common ids.
 
-    `absolute_mean` is the per-axis mean signed difference (estimated -
-    truth); raises NoCommonIds when the sets share no id. For every
-    unordered pair of common ids the per-axis separations (|dx|, |dy|, |dz|)
-    are computed in both sets: `relative_mean` is the mean of their absolute
-    differences and `relative_mean_distance` the same for the Euclidean
-    pair distances. With fewer than two common ids there is no pair, and
-    both are zero.
+    `estimated` and `truth` map each id to its (3,) point. `absolute_mean`
+    is the per-axis mean signed difference (estimated - truth); raises
+    NoCommonIds when the sets share no id. For every unordered pair of
+    common ids the per-axis separations (|dx|, |dy|, |dz|) are computed in
+    both sets: `relative_mean` is the mean of their absolute differences and
+    `relative_mean_distance` the same for the Euclidean pair distances.
+    With fewer than two common ids there is no pair, and both are zero.
     """
     est_map, tru_map = _as_point_map(estimated), _as_point_map(truth)
     common = sorted(set(est_map) & set(tru_map), key=str)

@@ -1,12 +1,12 @@
-"""Bundle block adjustment: refine exterior (and optionally interior)
-orientation by minimizing reprojection error with Levenberg-Marquardt.
+"""Bundle block adjustment: refine the exterior orientation of the images
+and the object points by minimizing reprojection error with
+Levenberg-Marquardt. The interior orientation is fixed calibration.
 
 The Jacobian is closed-form, built in one vectorized pass over the
 measurements that shares the projection with the residuals: per
-measurement a 2x6 pose block (t, omega, phi, kappa), a 2x3 point block and
-the interior-orientation columns (f, x0, y0, k_i). The normal equations
-are accumulated by block: U, dense over the camera unknowns (free poses
-and interior orientation); V, one 3x3 block per point; W between them.
+measurement a 2x6 pose block (t, omega, phi, kappa) and a 2x3 point block.
+The normal equations are accumulated by block: U, dense over the camera
+unknowns (the unanchored poses); V, one 3x3 block per point; W between them.
 Each LM trial eliminates the points by the Schur complement, solves the
 reduced camera system and back-substitutes the points (Triggs et al.,
 "Bundle Adjustment -- A Modern Synthesis", 2000; Lourakis & Argyros, SBA,
@@ -18,10 +18,12 @@ The closed-form blocks are tested against central differences (`tests/oracles.py
 
 The LM loop stops on a vanishing gradient, or before a trial step delta whose
 decrease of cost = r^T r, as the damped linear model predicts it, is within
-the float64 rounding of the cost, size(r) * eps * cost: such a step cannot
-lower the cost measurably (Madsen, Nielsen & Tingleff, "Methods for
-Non-Linear Least Squares Problems", 2004, sec. 3.2; MINPACK's `ftol` test,
-More 1978). The prediction, lam delta^T D delta - g^T delta, is exact for
+the float64 rounding of the cost: size(r) * eps * cost for the sum, plus
+the floor (eps |obs|)^2 that the residuals' own rounding, each about eps
+times its measured pixel, sets under the cost (|obs| is the norm of all
+measured pixel coordinates). Such a step cannot lower the cost measurably
+(Madsen, Nielsen & Tingleff, "Methods for Non-Linear Least Squares
+Problems", 2004, sec. 3.2; MINPACK's `ftol` test, More 1978). The prediction, lam delta^T D delta - g^T delta, is exact for
 the damped system (J^T J + lam D) delta = -g. There is no step-norm test.
 """
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,24 +64,15 @@ STOP_RULES = {"gradient": True, "predicted_decrease": True, "no_free_parameters"
               "no_acceptable_step": False, "max_iters": False}
 
 
-@dataclass(frozen=True)
-class ParameterMask:
-    """Which parameter blocks the solver may move."""
-
-    poses: bool = True
-    points: bool = True
-    f: bool = False
-    principal_point: bool = False
-    distortion: bool = False
-
-
 @dataclass
 class BundleProblem:
+    """A block to adjust: the intrinsics are fixed, the poses free unless
+    anchored, the points always free."""
+
     intrinsics: CameraIntrinsics
     poses: dict
     points: dict
     measurements: list  # (image_id, point_id, (2,) pixel)
-    mask: ParameterMask = field(default_factory=ParameterMask)
     anchors: frozenset = frozenset()
 
     def __post_init__(self):
@@ -106,13 +99,26 @@ class SolveReport:
     residual_evals: int  # passes projecting every measurement, Jacobians included
 
 
+def _stacked(values, width: int, name) -> np.ndarray:
+    """`values` as a (len, width) float64 array; raises ValueError naming
+    `name(i)` for the first value that is not a finite (width,) vector."""
+    try:
+        a = np.array(values, dtype=float).reshape(len(values), width)
+        if np.isfinite(a).all():
+            return a
+    except ValueError:  # ragged, or not `width` values each
+        pass
+    i = next(i for i, v in enumerate(values)
+             if np.shape(v) != (width,) or not np.isfinite(v).all())
+    raise ValueError(f"{name(i)} must be a finite ({width},) vector")
+
+
 class _Packer:
     """Maps between a flat parameter vector and problem state, vectorized.
 
-    The vector holds the free poses as (t, omega, phi, kappa) rows, then the
-    free interior-orientation values in (f, x0, y0, k0, k1, ...) order (the
-    first `n_cam` entries: the camera unknowns), then the points as (x, y, z)
-    rows when they are free.
+    The vector holds the unanchored poses as (t, omega, phi, kappa) rows
+    (the first `n_cam` entries: the camera unknowns), then the points as
+    (x, y, z) rows.
     """
 
     def __init__(self, problem: BundleProblem):
@@ -122,60 +128,48 @@ class _Packer:
         pose_index = {p: i for i, p in enumerate(self.pose_ids)}
         point_index = {p: i for i, p in enumerate(self.point_ids)}
 
-        self.obs = np.array([m[2] for m in problem.measurements], dtype=float).reshape(-1, 2)
-        self.meas_pose = np.array([pose_index[m[0]] for m in problem.measurements], dtype=int)
-        self.meas_point = np.array([point_index[m[1]] for m in problem.measurements], dtype=int)
+        meas = problem.measurements
+        self.obs = _stacked([m[2] for m in meas], 2,
+                            lambda i: f"pixel of point {meas[i][1]!r} in image {meas[i][0]!r}")
+        self.meas_pose = np.array([pose_index[m[0]] for m in meas], dtype=int)
+        self.meas_point = np.array([point_index[m[1]] for m in meas], dtype=int)
 
         self.base_pose = np.array([np.concatenate([problem.poses[p].t, problem.poses[p].r])
                                    for p in self.pose_ids]).reshape(-1, 6)
-        self.base_pts = np.array([problem.points[p] for p in self.point_ids]).reshape(-1, 3)
-        intr = problem.intrinsics
-        self.base_io = np.array([intr.f, intr.x0, intr.y0, *intr.k])
+        self.base_pts = _stacked([problem.points[p] for p in self.point_ids], 3,
+                                 lambda i: f"point {self.point_ids[i]!r}")
 
-        mask = problem.mask
-        pose_free = np.array([mask.poses and p not in problem.anchors for p in self.pose_ids],
-                             dtype=bool)
+        pose_free = np.array([p not in problem.anchors for p in self.pose_ids], dtype=bool)
         self.free_pose_rows = np.flatnonzero(pose_free)
         self.n_free = len(self.free_pose_rows)
-        self.free_points = mask.points
-        self.io_free = np.array([mask.f, mask.principal_point, mask.principal_point]
-                                + [mask.distortion] * len(intr.k), dtype=bool)
-        self.n_cam = 6 * self.n_free + int(self.io_free.sum())
-        self.n_params = self.n_cam + (3 * len(self.point_ids) if self.free_points else 0)
+        self.n_cam = 6 * self.n_free
+        self.n_params = self.n_cam + 3 * len(self.point_ids)
 
-        # Camera columns of each measurement: its pose's six (when any pose is
-        # free), then the free interior orientation. A measurement on a fixed
-        # pose gets zero entries in its pose columns, indexed at column 0.
-        n_io = self.n_cam - 6 * self.n_free
-        self.cam_cols = np.broadcast_to(6 * self.n_free + np.arange(n_io),
-                                        (len(self.meas_pose), n_io))
+        # Camera columns of each measurement: its pose's six, when any pose
+        # is free. A measurement on an anchored pose gets zero entries,
+        # indexed at column 0.
         self.meas_pose_free = pose_free[self.meas_pose]
-        if self.n_free:
-            free_rank = np.cumsum(pose_free) - 1
-            pose_cols = 6 * np.where(self.meas_pose_free, free_rank[self.meas_pose], 0)
-            self.cam_cols = np.concatenate([pose_cols[:, None] + np.arange(6), self.cam_cols],
-                                           axis=1)
+        free_rank = np.cumsum(pose_free) - 1
+        pose_cols = 6 * np.where(self.meas_pose_free, free_rank[self.meas_pose], 0)
+        self.cam_cols = pose_cols[:, None] + np.arange(6 if self.n_free else 0)
 
     def pose_block(self, x: np.ndarray) -> np.ndarray:
         """The free poses in x as (n_free, 6) rows of (t, omega, phi, kappa)."""
-        return x[:6 * self.n_free].reshape(-1, 6)
+        return x[:self.n_cam].reshape(-1, 6)
 
     def initial_vector(self) -> np.ndarray:
         return np.concatenate([self.base_pose[self.free_pose_rows].ravel(),
-                               self.base_io[self.io_free],
-                               self.base_pts.ravel() if self.free_points else []])
+                               self.base_pts.ravel()])
 
     def unpack(self, x: np.ndarray):
-        """(t, r, points, io) at x; io is (f, x0, y0, k0, k1, ...)."""
+        """(t, r, points) at x."""
         pose = self.base_pose.copy()
         pose[self.free_pose_rows] = self.pose_block(x)
-        io = self.base_io.copy()
-        io[self.io_free] = x[6 * self.n_free:self.n_cam]
-        pts = x[self.n_cam:].reshape(-1, 3) if self.free_points else self.base_pts
-        return pose[:, :3], pose[:, 3:], pts, io
+        return pose[:, :3], pose[:, 3:], x[self.n_cam:].reshape(-1, 3)
 
     def _predict(self, x: np.ndarray):
-        t, r, pts, io = self.unpack(x)
+        t, r, pts = self.unpack(x)
+        intr = self.problem.intrinsics
         R = rotation_from_angles(r)[self.meas_pose]
         d = pts[self.meas_point] - t[self.meas_pose]
         cam = np.einsum("mji,mj->mi", R, d)
@@ -184,12 +178,11 @@ class _Packer:
         safe = np.where(behind, 1.0, depth)
         norm = cam[:, :2] / safe[:, None]
         r2 = np.sum(norm * norm, axis=1, keepdims=True)
-        scale = distortion_factor(io[3:], r2)
-        dist = norm * scale
-        focal = io[0] / self.problem.intrinsics.pixel_pitch
-        res = self.obs - (io[1:3] + focal * dist)
+        scale = distortion_factor(intr.k, r2)
+        focal = intr.focal_px
+        res = self.obs - ((intr.x0, intr.y0) + focal * (norm * scale))
         res[behind] = BEHIND_RESIDUAL
-        return res, behind, (R, d, r, safe, norm, r2, scale, dist, focal, io)
+        return res, behind, (R, d, r, safe, norm, r2, scale, focal)
 
     def residuals(self, x: np.ndarray):
         res, behind, _ = self._predict(x)
@@ -201,13 +194,12 @@ class _Packer:
         Returns (residuals (M, 2), J_cam (M, 2, q), J_point (M, 2, 3)):
         J_cam holds each measurement's derivatives in the camera columns
         `cam_cols` (M, q); J_point those in its point's columns
-        n_cam + 3 * meas_point + (0, 1, 2), which exist only when the points
-        are free.
+        n_cam + 3 * meas_point + (0, 1, 2).
         Rows of behind-camera measurements are zero: their residual is the
         constant BEHIND_RESIDUAL.
         """
-        res, behind, (R, d, r, depth, norm, r2, scale, dist, focal, io) = self._predict(x)
-        k = io[3:]
+        res, behind, (R, d, r, depth, norm, r2, scale, focal) = self._predict(x)
+        k = self.problem.intrinsics.k
         dscale = np.zeros_like(scale)  # d scale / d r^2
         for i in range(len(k) - 1, 0, -1):
             dscale = dscale * r2 + i * k[i]
@@ -222,7 +214,7 @@ class _Packer:
         # camera point = R^T (P - t), so d pixel / d P = dpx_dcam R^T
         dpx_dP = np.einsum("mik,mjk->mij", dpx_dcam, R)
 
-        blocks = []
+        J_cam = np.zeros((len(norm), 2, 0))
         if self.n_free:
             # d R / d angle = [a]x R with a = R e_x (omega), Rz(kappa) e_y (phi)
             # and e_z (kappa), so d camera point / d angle = R^T ((P - t) x a)
@@ -233,30 +225,20 @@ class _Packer:
             axes[:, 1, 1] = np.cos(kappa)
             axes[:, 2, 2] = 1.0
             dpx_dangles = np.einsum("mij,maj->mia", dpx_dP, np.cross(d[:, None, :], axes))
-            pose_block = np.concatenate([-dpx_dP, dpx_dangles], axis=2)
-            blocks.append(pose_block * self.meas_pose_free[:, None, None])
-        dpx_dio = np.empty((len(norm), 2, len(io)))
-        dpx_dio[:, :, 0] = dist / self.problem.intrinsics.pixel_pitch
-        dpx_dio[:, :, 1:3] = np.eye(2)
-        dpx_dio[:, :, 3:] = focal * norm[:, :, None] * r2[:, :, None] ** np.arange(len(k))
-        blocks.append(dpx_dio[:, :, self.io_free])
-
-        J_cam = -np.concatenate(blocks, axis=2)
+            J_cam = (np.concatenate([dpx_dP, -dpx_dangles], axis=2)
+                     * self.meas_pose_free[:, None, None])
         J_cam[behind] = 0.0
         J_point = -dpx_dP
         J_point[behind] = 0.0
         return res, J_cam, J_point
 
     def rebuild_problem(self, x: np.ndarray) -> BundleProblem:
-        t, r, pts, io = self.unpack(x)
+        t, r, pts = self.unpack(x)
         poses = {p: Pose(t=t[i], r=r[i]) for i, p in enumerate(self.pose_ids)}
         points = {p: pts[i].copy() for i, p in enumerate(self.point_ids)}
-        intr = replace(self.problem.intrinsics, f=float(io[0]), x0=float(io[1]),
-                       y0=float(io[2]), k=tuple(io[3:]))
         return BundleProblem(
-            intrinsics=intr, poses=poses, points=points,
-            measurements=list(self.problem.measurements),
-            mask=self.problem.mask, anchors=self.problem.anchors,
+            intrinsics=self.problem.intrinsics, poses=poses, points=points,
+            measurements=list(self.problem.measurements), anchors=self.problem.anchors,
         )
 
 
@@ -285,19 +267,14 @@ class _NormalEquations:
                              minlength=nc * nc).reshape(nc, nc)
         g_cam = np.bincount(cols.ravel(), np.einsum("mia,mi->ma", J_cam, res).ravel(),
                             minlength=nc)
-        if packer.free_points:
-            n_pts = len(packer.point_ids)
-            pt = packer.meas_point[:, None] * 3 + np.arange(3)  # point columns
-            JtJ = np.einsum("mia,mib->mab", J_point, J_point).reshape(-1, 9)
-            self.V = _group_sums(packer.meas_point, JtJ, n_pts).reshape(n_pts, 3, 3)
-            self.W = np.bincount((cols[:, :, None] * 3 * n_pts + pt[:, None, :]).ravel(),
-                                 np.einsum("mia,mib->mab", J_cam, J_point).ravel(),
-                                 minlength=nc * 3 * n_pts).reshape(nc, 3 * n_pts)
-            g_point = _group_sums(packer.meas_point, np.einsum("mia,mi->ma", J_point, res), n_pts)
-        else:  # nothing to eliminate: the step solves U alone
-            self.V = np.zeros((0, 3, 3))
-            self.W = np.zeros((nc, 0))
-            g_point = np.zeros(0)
+        n_pts = len(packer.point_ids)
+        pt = packer.meas_point[:, None] * 3 + np.arange(3)  # point columns
+        JtJ = np.einsum("mia,mib->mab", J_point, J_point).reshape(-1, 9)
+        self.V = _group_sums(packer.meas_point, JtJ, n_pts).reshape(n_pts, 3, 3)
+        self.W = np.bincount((cols[:, :, None] * 3 * n_pts + pt[:, None, :]).ravel(),
+                             np.einsum("mia,mib->mab", J_cam, J_point).ravel(),
+                             minlength=nc * 3 * n_pts).reshape(nc, 3 * n_pts)
+        g_point = _group_sums(packer.meas_point, np.einsum("mia,mi->ma", J_point, res), n_pts)
         self.g = np.concatenate([g_cam, g_point.ravel()])
         self.D = np.maximum(np.concatenate([np.diag(self.U),
                                             self.V[:, [0, 1, 2], [0, 1, 2]].ravel()]), 1e-12)
@@ -336,14 +313,13 @@ def _rms(residuals: np.ndarray) -> float:
 
 
 def _check_preconditions(problem: BundleProblem, packer: _Packer):
-    if problem.mask.poses and not problem.anchors:
+    if not problem.anchors:
         raise GaugeNotFixed("all poses free: anchor at least one pose id")
-    if problem.mask.points:
-        pairs = np.unique(np.stack([packer.meas_point, packer.meas_pose], axis=1), axis=0)
-        n_images = np.bincount(pairs[:, 0], minlength=len(packer.point_ids))
-        few = np.flatnonzero(n_images < 2)
-        if few.size:
-            raise Underconstrained(packer.point_ids[few[0]], int(n_images[few[0]]))
+    pairs = np.unique(np.stack([packer.meas_point, packer.meas_pose], axis=1), axis=0)
+    n_images = np.bincount(pairs[:, 0], minlength=len(packer.point_ids))
+    few = np.flatnonzero(n_images < 2)
+    if few.size:
+        raise Underconstrained(packer.point_ids[few[0]], int(n_images[few[0]]))
     steep = np.flatnonzero(np.abs(packer.base_pose[:, 4]) >= _MAX_PHI)
     if steep.size:
         raise GimbalLock(
@@ -352,22 +328,21 @@ def _check_preconditions(problem: BundleProblem, packer: _Packer):
 
 
 def solve(problem: BundleProblem, max_iters: int = 100, gradient_tol: float = 1e-10):
-    """Levenberg-Marquardt over the free parameter blocks.
+    """Levenberg-Marquardt over the unanchored poses and every point.
 
     Each iteration builds the closed-form Jacobian blocks and the block
     normal equations; each trial solves them with the points eliminated by
-    the Schur complement (when the points are fixed, the camera block is
-    solved directly). Damping starts at 1e-3, x10 on a rejected step, /10
-    on an accepted one; it scales D = max(diag(J^T J), 1e-12). Cost never
-    increases. Returns (updated problem, SolveReport).
+    the Schur complement. Damping starts at 1e-3, x10 on a rejected step,
+    /10 on an accepted one; it scales D = max(diag(J^T J), 1e-12). Cost
+    never increases. Returns (updated problem, SolveReport).
 
     `SolveReport.stop` names the rule that ended the solve (STOP_RULES):
     - "gradient": max |J^T r| < gradient_tol.
     - "predicted_decrease": the next trial step, solved but not evaluated,
-      is predicted to lower the cost by at most its float64 rounding (see
-      the module docstring). A vanishing step predicts a vanishing
-      decrease, so this rule also stops where a step-norm test would;
-      there is no `step_tol`.
+      is predicted to lower the cost by at most its float64 rounding,
+      size(r) * eps * cost + (eps |obs|)^2 (see the module docstring). A
+      vanishing step predicts a vanishing decrease, so this rule also
+      stops where a step-norm test would; there is no `step_tol`.
     - "no_acceptable_step": the damping passed LAMBDA_MAX without a trial
       that lowered the cost.
     - "max_iters".
@@ -393,6 +368,8 @@ def solve(problem: BundleProblem, max_iters: int = 100, gradient_tol: float = 1e
         return packer.rebuild_problem(x), SolveReport(
             initial_rms, initial_rms, 0, True, trace, costs, "no_free_parameters", evals)
 
+    eps = np.finfo(float).eps
+    floor = (eps * np.linalg.norm(packer.obs)) ** 2  # the residuals' own rounding
     stop = "max_iters"
     for iterations in range(1, max_iters + 1):
         normal = _NormalEquations(packer, x)
@@ -402,7 +379,7 @@ def solve(problem: BundleProblem, max_iters: int = 100, gradient_tol: float = 1e
             iterations -= 1
             break
 
-        rounding = r.size * np.finfo(float).eps * cost
+        rounding = r.size * eps * cost + floor
         while True:
             if lam > LAMBDA_MAX:
                 stop = "no_acceptable_step"

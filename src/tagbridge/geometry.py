@@ -113,11 +113,10 @@ class Pose:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """Similarity transform p -> scale * rotation @ p + translation (read-only array copies)."""
+    """Rigid transform p -> rotation @ p + translation (read-only array copies)."""
 
     rotation: np.ndarray
     translation: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         R = _checked(self.rotation, (3, 3), "rotation")
@@ -125,23 +124,17 @@ class RigidTransform:
             raise ValueError("rotation must be orthonormal")
         if np.linalg.det(R) < 0:
             raise ValueError("rotation must be proper (det +1)")
-        if not 0 < self.scale < np.inf:
-            raise ValueError("scale must be positive and finite")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", _checked(self.translation, (3,), "translation"))
 
     def inverse(self) -> "RigidTransform":
         Rinv = self.rotation.T
-        return RigidTransform(
-            rotation=Rinv,
-            translation=-Rinv @ self.translation / self.scale,
-            scale=1.0 / self.scale,
-        )
+        return RigidTransform(rotation=Rinv, translation=-Rinv @ self.translation)
 
     def matrix(self) -> np.ndarray:
-        """4x4 homogeneous matrix with the scale folded into the rotation block."""
+        """4x4 homogeneous matrix."""
         M = np.eye(4)
-        M[:3, :3] = self.scale * self.rotation
+        M[:3, :3] = self.rotation
         M[:3, 3] = self.translation
         return M
 
@@ -274,8 +267,8 @@ def pixels_to_directions(intrinsics: CameraIntrinsics, rotation, pixels: np.ndar
 
 
 def apply_transform(T: RigidTransform, points: np.ndarray) -> np.ndarray:
-    """Map a 3-vector or (N, 3) array through scale * R @ p + t."""
+    """Map a 3-vector or (N, 3) array through R @ p + t."""
     p = np.asarray(points, dtype=float)
     if p.ndim == 1:
-        return T.scale * (T.rotation @ p) + T.translation
-    return T.scale * (p @ T.rotation.T) + T.translation
+        return T.rotation @ p + T.translation
+    return p @ T.rotation.T + T.translation

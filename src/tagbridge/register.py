@@ -2,8 +2,8 @@
 
 The ground system measures tag centers in its own local frame; the aerial
 system provides the same tags in world coordinates. Matching them by id gives
-3D-3D correspondences from which a 6-DoF rigid transform (optionally with
-scale, for diagnostics) is estimated in closed form.
+3D-3D correspondences from which a 6-DoF rigid transform is estimated in
+closed form (Umeyama, TPAMI 1991, at unit scale).
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def _collinear(points) -> bool:
     return spread[0] <= 0 or spread[1] / spread[0] <= COLLINEARITY_RATIO
 
 
-def _procrustes(local, world, estimate_scale):
+def _procrustes(local, world):
     centroid_l = local.mean(axis=0)
     centroid_w = world.mean(axis=0)
     lc = local - centroid_l
@@ -149,8 +149,8 @@ def _procrustes(local, world, estimate_scale):
     sign = np.array([1.0, 1.0, 1.0 if det >= 0 else -1.0])
     R = (Vt.T * sign) @ U.T
     # The sign-corrected rotation (Umeyama, TPAMI 1991) stands unless the
-    # reflection fits far better, at unit scale whatever estimate_scale says;
-    # below the spread ratio both fits agree to rounding.
+    # reflection fits far better; below the spread ratio both fits agree to
+    # rounding.
     if det < 0 and S[2] > COLLINEARITY_RATIO * S[0]:
         sse_rotation = np.sum((lc @ R.T - wc) ** 2)
         sse_reflection = np.sum((lc @ U @ Vt - wc) ** 2)
@@ -159,23 +159,20 @@ def _procrustes(local, world, estimate_scale):
                 "correspondences demand a reflection; check tag ids / coordinates"
             )
 
-    if estimate_scale:
-        scale = float(np.sum(S * sign) / np.sum(lc * lc))
-    else:
-        scale = 1.0
-    t = centroid_w - scale * R @ centroid_l
-    return RigidTransform(rotation=R, translation=t, scale=scale)
+    return RigidTransform(rotation=R, translation=centroid_w - R @ centroid_l)
 
 
-def estimate_rigid_transform(local, world, estimate_scale=False):
-    """Closed-form least-squares transform mapping local points onto world points.
+def estimate_rigid_transform(local, world):
+    """Closed-form least-squares rigid transform mapping local points onto world points.
 
-    Returns (RigidTransform, per-pair world-frame residual distances). If any
-    residual exceeds 3x the median, those pairs are dropped and the solve is
-    repeated once (guards against a tag plate that moved between surveys).
+    `local` and `world` are (N, 3) arrays of finite coordinates, else
+    ValueError. Returns (RigidTransform, per-pair world-frame residual
+    distances). If any residual exceeds 3x the median, those pairs are
+    dropped and the solve is repeated once (guards against a tag plate that
+    moved between surveys).
     """
-    local = np.asarray(local, dtype=float).reshape(-1, 3)
-    world = np.asarray(world, dtype=float).reshape(-1, 3)
+    local = _checked(local, (None, 3), "local")
+    world = _checked(world, (None, 3), "world")
     if local.shape != world.shape:
         raise ValueError("local and world must have matching shapes")
     if len(local) < MIN_CORRESPONDENCES:
@@ -183,14 +180,14 @@ def estimate_rigid_transform(local, world, estimate_scale=False):
             f"{len(local)} pair(s); at least {MIN_CORRESPONDENCES} tags required"
         )
 
-    T = _procrustes(local, world, estimate_scale)
+    T = _procrustes(local, world)
     residuals = np.linalg.norm(apply_transform(T, local) - world, axis=1)
 
     threshold = max(OUTLIER_MEDIAN_FACTOR * np.median(residuals), 1e-12)
     keep = residuals <= threshold
     if not keep.all() and keep.sum() >= MIN_CORRESPONDENCES:
         logger.info("re-solving without %d outlier pair(s)", int((~keep).sum()))
-        T = _procrustes(local[keep], world[keep], estimate_scale)
+        T = _procrustes(local[keep], world[keep])
         residuals = np.linalg.norm(apply_transform(T, local) - world, axis=1)
     return T, residuals
 
@@ -198,7 +195,7 @@ def estimate_rigid_transform(local, world, estimate_scale=False):
 def apply_to_trajectory(T: RigidTransform, traj: Trajectory) -> Trajectory:
     """Map every pose through T: positions transformed, rotations left-multiplied by T's."""
     R = T.rotation[None]
-    t = T.scale * (R @ traj.t[:, :, None])[:, :, 0] + T.translation
+    t = (R @ traj.t[:, :, None])[:, :, 0] + T.translation
     r = angles_from_rotation(R @ rotation_from_angles(traj.r))
     return Trajectory(timestamps=traj.timestamps, t=t, r=r)
 

@@ -1,12 +1,12 @@
 """Triangulate fiducial-tag centers from multiple geo-referenced observations.
 
 Each observation is a pixel detection of a tag center in one oriented image.
-The rays (origin o, unit direction d, weight w) of all images seeing a tag
-meet at the weighted least-squares midpoint, which solves the 3x3 normal
-equations A p = b with A = sum w (I - d d^T) and b = sum w (I - d d^T) o
-(Hartley & Zisserman, Multiple View Geometry, sec. 12.2). All tags are
-solved in one batched pass over arrays of the observations; the outlier
-re-solve is a second pass over only the tags that drop rays.
+The rays (origin o, unit direction d) of all images seeing a tag meet at
+the least-squares midpoint, which solves the 3x3 normal equations A p = b
+with A = sum (I - d d^T) and b = sum (I - d d^T) o (Hartley & Zisserman,
+Multiple View Geometry, sec. 12.2). All tags are solved in one batched pass
+over arrays of the observations; the outlier re-solve is a second pass over
+only the tags that drop rays.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class TriangulationResult:
     failures: dict
 
 
-def _solve_groups(group, labels, origins, dirs, weights):
-    """Weighted midpoint of every group of rays at once.
+def _solve_groups(group, labels, origins, dirs):
+    """Least-squares midpoint of every group of rays at once.
 
     `group` (M,) gives each ray's group index in ascending order; `labels`
     names the groups in InsufficientObservations. Returns (points (G, 3),
@@ -89,9 +89,9 @@ def _solve_groups(group, labels, origins, dirs, weights):
     dots[~(real[:, :, None] & real[:, None, :])] = 1.0
     parallel = dots.min(axis=(1, 2), initial=1.0) > math.cos(math.radians(MIN_PAIR_ANGLE_DEG))
 
-    Pw = (np.eye(3) - dirs[:, :, None] * dirs[:, None, :]) * weights[:, None, None]
-    A = _group_sums(group, Pw.reshape(-1, 9), len(labels)).reshape(-1, 3, 3)
-    b = _group_sums(group, np.einsum("nij,nj->ni", Pw, origins), len(labels))
+    P = np.eye(3) - dirs[:, :, None] * dirs[:, None, :]
+    A = _group_sums(group, P.reshape(-1, 9), len(labels)).reshape(-1, 3, 3)
+    b = _group_sums(group, np.einsum("nij,nj->ni", P, origins), len(labels))
     cond = np.linalg.cond(A)
     ok = (counts >= 2) & ~parallel & (cond <= MAX_CONDITION)
     points = np.full((len(labels), 3), np.nan)
@@ -115,40 +115,12 @@ def _solve_groups(group, labels, origins, dirs, weights):
     return points, rms, dist, errors
 
 
-def triangulate_point(origins, dirs, weights=None):
-    """Weighted least-squares intersection of rays.
-
-    `origins` and `dirs` are (N, 3) arrays of ray origins and unit
-    directions. Returns (position, rms_residual) where rms_residual is the
-    plain RMS of point-to-ray perpendicular distances. Raises
-    InsufficientObservations for fewer than 2 rays and DegenerateGeometry for
-    a near-parallel bundle.
-    """
-    origins = np.asarray(origins, dtype=float).reshape(-1, 3)
-    dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
-    n = len(origins)
-    if dirs.shape != origins.shape:
-        raise ValueError("one direction per origin required")
-    if not (np.all(np.isfinite(origins))
-            and np.all(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= 1e-12)):
-        raise ValueError("origins must be finite and directions unit vectors")
-    weights = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if weights.shape != (n,) or np.any(weights <= 0):
-        raise ValueError("weights must be positive, one per ray")
-
-    points, rms, _, errors = _solve_groups(np.zeros(n, dtype=np.intp), [None], origins, dirs,
-                                           weights)
-    if errors:
-        raise errors[0]
-    return points[0], float(rms[0])
-
-
 def triangulate_tags(observations, poses, intrinsics: CameraIntrinsics) -> TriangulationResult:
     """Triangulate every tag seen in the observation list.
 
     `poses` maps image_id -> Pose. Raises MissingPose if any observation
     references an unknown image; per-tag geometric failures are collected in
-    the result instead of aborting the batch. Every ray has unit weight.
+    the result instead of aborting the batch.
     Observations whose point-to-ray distance exceeds 3x the bundle RMS are
     discarded once and the tag re-solved. Landmarks come out in ascending tag
     order.
@@ -170,8 +142,7 @@ def triangulate_tags(observations, poses, intrinsics: CameraIntrinsics) -> Trian
     rotations = rotation_from_angles(np.array([p.r for p in used]))[image]
     dirs = pixels_to_directions(intrinsics, rotations,
                                 np.concatenate([o.pixel for o in obs]).reshape(-1, 2))
-    weights = np.ones(len(obs))
-    points, rms, dist, errors = _solve_groups(group, tag_ids.tolist(), origins, dirs, weights)
+    points, rms, dist, errors = _solve_groups(group, tag_ids.tolist(), origins, dirs)
 
     # rays farther than 3x their tag's RMS are dropped once, and those tags
     # solved again in a second batched pass over their kept rays
@@ -184,7 +155,7 @@ def triangulate_tags(observations, poses, intrinsics: CameraIntrinsics) -> Trian
         for i in redone:
             logger.info("tag %d: dropping %d outlier ray(s)", tag_ids[i], n_rays[i] - kept[i])
         points2, rms2, _, errors2 = _solve_groups(sub, tag_ids[redone].tolist(), origins[again],
-                                                  dirs[again], weights[again])
+                                                  dirs[again])
         points[redone], rms[redone], n_rays[redone] = points2, rms2, kept[redone]
         errors.update({int(redone[g]): err for g, err in errors2.items()})
 

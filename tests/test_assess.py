@@ -41,12 +41,6 @@ class TestAbsoluteOffsets:
         with pytest.raises(NoCommonIds):
             assess({1: np.zeros(3)}, {2: np.zeros(3)})
 
-    def test_accepts_pair_list(self):
-        est = [(1, (1.0, 0.0, 0.0)), (2, (0.0, 1.0, 0.0))]
-        tru = [(1, (0.0, 0.0, 0.0)), (2, (0.0, 0.0, 0.0))]
-        out = assess(est, tru).absolute_mean
-        assert np.allclose(out, (0.5, 0.5, 0.0))
-
 
 class TestRelativeStats:
     def test_constant_offset_cancels_exactly(self):

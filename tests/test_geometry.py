@@ -255,7 +255,7 @@ class TestRigidTransform:
 
     def test_inverse(self):
         rng = np.random.default_rng(31)
-        T = RigidTransform(random_rotation(rng), rng.uniform(-5, 5, 3), scale=2.5)
+        T = RigidTransform(random_rotation(rng), rng.uniform(-5, 5, 3))
         p = rng.uniform(-10, 10, 3)
         assert np.allclose(apply_transform(T.inverse(), apply_transform(T, p)), p, atol=1e-12)
 
@@ -340,8 +340,6 @@ class TestValueTypes:
 
     @pytest.mark.parametrize("build", [
         lambda: RigidTransform(np.full((3, 3), np.nan), np.zeros(3)),
-        lambda: RigidTransform(np.eye(3), np.zeros(3), scale=np.inf),
-        lambda: RigidTransform(np.eye(3), np.zeros(3), scale=np.nan),
         lambda: TagLandmark(1, np.array([0.0, np.nan, 0.0]), 0.0, 2),
         lambda: TagLandmark(1, np.zeros(3), np.nan, 2),
         lambda: LocalTagSighting(1, np.zeros(3), timestamp=np.nan),
@@ -352,7 +350,7 @@ class TestValueTypes:
         lambda: aerial_camera(pixel_pitch=np.inf),
         lambda: aerial_camera(k=(0.0, np.nan)),
         lambda: aerial_camera(k=(np.inf,)),
-    ], ids=["rotation-nan", "scale-inf", "scale-nan", "position-nan", "rms-nan",
+    ], ids=["rotation-nan", "position-nan", "rms-nan",
             "sighting-timestamp-nan", "sighting-timestamp-inf", "timestamp-nan",
             "timestamp-inf", "focal-length-inf", "pixel-pitch-inf", "distortion-nan",
             "distortion-inf"])

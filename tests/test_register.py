@@ -26,9 +26,9 @@ def landmark(tag_id, pos):
                        rms_residual=0.0, n_rays=2)
 
 
-def random_transform(rng, scale=1.0):
+def random_transform(rng):
     angles = rng.uniform(-math.pi / 2 + 0.1, math.pi / 2 - 0.1, 3)
-    return RigidTransform(rotation_from_angles(angles), rng.uniform(-20, 20, 3), scale=scale)
+    return RigidTransform(rotation_from_angles(angles), rng.uniform(-20, 20, 3))
 
 
 def rotation_angle(R):
@@ -87,17 +87,18 @@ class TestEstimateRigidTransform:
             assert np.linalg.norm(T.translation - T_true.translation) < 1e-9
             assert np.max(res) < 1e-9
 
-    def test_recovers_scale_when_asked(self):
-        rng = np.random.default_rng(2)
-        T_true = random_transform(rng, scale=1.37)
-        local = rng.uniform(-10, 10, (6, 3))
-        world = apply_transform(T_true, local)
-        T, _ = estimate_rigid_transform(local, world, estimate_scale=True)
-        assert abs(T.scale - 1.37) < 1e-9
-
     def test_too_few_pairs(self):
         with pytest.raises(TooFewCorrespondences):
             estimate_rigid_transform(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("side, bad", [("local", np.nan), ("world", np.inf)])
+    def test_non_finite_pair_rejected(self, side, bad):
+        # not numpy's "SVD did not converge" from inside the fit
+        local = np.random.default_rng(6).uniform(-10, 10, (5, 3))
+        pairs = {"local": local, "world": local + 1.0}
+        pairs[side][2, 1] = bad
+        with pytest.raises(ValueError, match=f"^{side} must be finite$"):
+            estimate_rigid_transform(pairs["local"], pairs["world"])
 
     def test_collinear_points_degenerate(self):
         local = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
@@ -108,9 +109,8 @@ class TestEstimateRigidTransform:
         rng = np.random.default_rng(3)
         local = rng.uniform(-10, 10, (6, 3))
         world = local * np.array([1.0, 1.0, -1.0])  # mirrored in z
-        for estimate_scale in (False, True):
-            with pytest.raises(ReflectionRequired):
-                estimate_rigid_transform(local, world, estimate_scale=estimate_scale)
+        with pytest.raises(ReflectionRequired):
+            estimate_rigid_transform(local, world)
 
     def test_planar_sets_do_not_false_trigger_reflection(self):
         # tags on the ground are coplanar; det sign of the svd is then
@@ -134,10 +134,9 @@ class TestEstimateRigidTransform:
         rng = np.random.default_rng(seed)
         local = truth + rng.normal(0, 0.1, truth.shape)
         world = truth + rng.normal(0, 0.1, truth.shape)
-        for estimate_scale in (False, True):
-            T, res = estimate_rigid_transform(local, world, estimate_scale=estimate_scale)
-            assert rotation_angle(T.rotation) < 0.02
-            assert np.sqrt(np.mean(res ** 2)) < 0.3
+        T, res = estimate_rigid_transform(local, world)
+        assert rotation_angle(T.rotation) < 0.02
+        assert np.sqrt(np.mean(res ** 2)) < 0.3
 
     def test_order_invariant(self):
         rng = np.random.default_rng(5)
@@ -215,10 +214,10 @@ class TestApplyToTrajectory:
         n = 200
         traj = Trajectory(timestamps=np.arange(n) * 0.1, t=rng.uniform(-50, 50, (n, 3)),
                           r=rng.uniform((-math.pi, -1.5, -math.pi), (math.pi, 1.5, math.pi), (n, 3)))
-        T = random_transform(rng, scale=1.3)
+        T = random_transform(rng)
         out = apply_to_trajectory(T, traj)
         for i, pose in enumerate(traj.poses):
-            t = T.scale * (T.rotation @ pose.t) + T.translation
+            t = T.rotation @ pose.t + T.translation
             r = angles_from_rotation(T.rotation @ pose.rotation())
             assert np.max(np.abs(out.t[i] - t)) < 1e-12 * max(1.0, np.abs(t).max())
             assert np.array_equal(out.r[i], r)

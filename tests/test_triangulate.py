@@ -13,7 +13,7 @@ from tagbridge.geometry import (
     project_points,
     rotation_from_angles,
 )
-from tagbridge.triangulate import TagObservation, triangulate_point, triangulate_tags
+from tagbridge.triangulate import TagObservation, _solve_groups, triangulate_tags
 
 from conftest import observe_tags, seven_tag_layout, strip_poses
 
@@ -29,16 +29,27 @@ def rays(*pairs):
     return np.array([o for o, _ in pairs]), np.array([d for _, d in pairs])
 
 
-def oracle_lstsq_triangulation(origins, dirs, weights=None):
-    """Independent formulation: stack sqrt(w) * (I - d d^T) rows, solve by QR.
+def solve_one_group(origins, dirs):
+    """(position, rms) of one bundle of rays, solved as the only group.
+
+    Raises the group's error (InsufficientObservations, DegenerateGeometry).
+    """
+    points, rms, _, errors = _solve_groups(np.zeros(len(origins), dtype=np.intp), [None],
+                                           origins, dirs)
+    if errors:
+        raise errors[0]
+    return points[0], rms[0]
+
+
+def oracle_lstsq_triangulation(origins, dirs):
+    """Independent formulation: stack (I - d d^T) rows, solve by QR.
 
     Takes (n, 3) origins and dirs, or (..., n, 3) stacks of ray sets, each
     solved by its own QR factorization.
     """
     origins = np.asarray(origins, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
-    w = np.ones(dirs.shape[:-1]) if weights is None else np.asarray(weights, dtype=float)
-    rows = np.sqrt(w)[..., None, None] * (np.eye(3) - dirs[..., :, None] * dirs[..., None, :])
+    rows = np.eye(3) - dirs[..., :, None] * dirs[..., None, :]
     A = rows.reshape(*rows.shape[:-3], -1, 3)
     b = (rows @ origins[..., None]).reshape(*rows.shape[:-3], -1, 1)
     q, r = np.linalg.qr(A)
@@ -47,23 +58,23 @@ def oracle_lstsq_triangulation(origins, dirs, weights=None):
 
 class TestTriangulatePoint:
     def test_exact_intersection(self):
-        point, rms = triangulate_point(*rays(ray_towards((-5, 0, 100), (0, 0, 0)),
+        point, rms = solve_one_group(*rays(ray_towards((-5, 0, 100), (0, 0, 0)),
                                              ray_towards((5, 0, 100), (0, 0, 0))))
         assert np.linalg.norm(point) < 1e-9
         assert rms < 1e-12
 
     def test_single_ray_raises(self):
         with pytest.raises(InsufficientObservations):
-            triangulate_point(*rays(ray_towards((0, 0, 100), (0, 0, 0))))
+            solve_one_group(*rays(ray_towards((0, 0, 100), (0, 0, 0))))
 
     def test_parallel_bundle_raises(self):
         d = np.array([0.0, 0.0, -1.0])
         with pytest.raises(DegenerateGeometry):
-            triangulate_point(*rays(*[(np.array([float(i), 0.0, 100.0]), d) for i in range(4)]))
+            solve_one_group(*rays(*[(np.array([float(i), 0.0, 100.0]), d) for i in range(4)]))
 
     def test_antiparallel_is_degenerate_too(self):
         with pytest.raises(DegenerateGeometry):
-            triangulate_point(*rays(
+            solve_one_group(*rays(
                 (np.array([0.0, 0.0, 100.0]), np.array([0.0, 0.0, -1.0])),
                 (np.array([1.0, 0.0, -100.0]), np.array([0.0, 0.0, 1.0])),
             ))
@@ -73,7 +84,7 @@ class TestTriangulatePoint:
         # conditioned (about 1.5e7), so only the |dot| pair test rejects it
         tilt = math.radians(0.03)
         with pytest.raises(DegenerateGeometry, match="all ray pairs within"):
-            triangulate_point(*rays(
+            solve_one_group(*rays(
                 (np.array([0.0, 0.0, 100.0]), np.array([0.0, 0.0, -1.0])),
                 (np.array([1.0, 0.0, -100.0]), np.array([math.sin(tilt), 0.0, math.cos(tilt)])),
             ))
@@ -85,23 +96,9 @@ class TestTriangulatePoint:
         dirs = np.array([t / np.linalg.norm(t) for t in (target - origins)])
         dirs += rng.normal(0, 1e-4, dirs.shape)
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        weights = rng.uniform(0.5, 2.0, 6)
-        point, _ = triangulate_point(origins, dirs, weights)
-        oracle = oracle_lstsq_triangulation(origins, dirs, weights)
+        point, _ = solve_one_group(origins, dirs)
+        oracle = oracle_lstsq_triangulation(origins, dirs)
         assert np.linalg.norm(point - oracle) < 1e-9
-
-    def test_duplicate_ray_equals_extra_weight(self):
-        rng = np.random.default_rng(8)
-        target = np.array([2.0, 1.0, 0.0])
-        origins = np.array([[-20, 5, 100], [0, -10, 110], [25, 0, 95]], dtype=float)
-        dirs = np.array([t / np.linalg.norm(t) for t in (target - origins)])
-        dirs += rng.normal(0, 5e-4, dirs.shape)
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-
-        dup, _ = triangulate_point(np.vstack([origins, origins[:1]]), np.vstack([dirs, dirs[:1]]),
-                                   [1.0, 1.0, 1.0, 0.7])
-        reweighted, _ = triangulate_point(origins, dirs, [1.7, 1.0, 1.0])
-        assert np.linalg.norm(dup - reweighted) < 1e-12
 
     def test_noisy_error_within_monte_carlo_envelope(self):
         # 6 cameras on a flight line at 100 m, pixel sigma 0.5 px
@@ -128,12 +125,8 @@ class TestTriangulatePoint:
 
         rng2 = np.random.default_rng(999)
         noisy = pixels + rng2.normal(0, sigma, (1, len(poses), 2))
-        point, _ = triangulate_point(origins, directions(noisy)[0])
+        point, _ = solve_one_group(origins, directions(noisy)[0])
         assert np.linalg.norm(point - target) < p99
-
-    def test_rejects_non_unit_directions(self):
-        with pytest.raises(ValueError):
-            triangulate_point(np.zeros((2, 3)), np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
 class TestTriangulateTags:
