@@ -12,14 +12,18 @@ exact: with integer P1 and P2 a path value is at most max(C) + P2, so the
 n-path sum is at most n * (max(C) + P2), 1 152 for a 5x5 census at the
 defaults; `aggregate_costs` rejects volumes whose bound exceeds 65 535.
 
-Volumes are (H, W, D). The row sweeps step disparity-major (paths, D, W)
-states, so the minimum over d and the +-1 disparity neighbours combine
-contiguous rows; each step copies the image row its paths read into a
-(D, W) buffer once and adds the paths' sum back through its transpose. The
-x sweep steps disparity-last (2, H, D) states and reads each column of the
-volume where it lies, H rows of D contiguous cells, so it copies nothing.
-Selection reads the volumes in place too, a block of rows at a time. No
-volume-sized copy is made.
+Volumes are (H, W, D). One row sweep steps the down and the up paths
+together as a disparity-major (2, paths, D, W + 2) state, so the minimum
+over d and the +-1 disparity neighbours combine contiguous rows. Each step
+copies the two image rows it reads into one (2, D, W) buffer, adds that to
+every path's stepped state, shifted by its column offset, in one call, and
+adds the paths' sums back through the transpose; the zero pad columns are
+what a path entering from the border reads. The x sweep steps a
+disparity-last (2, H, D + 2) state and reads each column of the volume
+where it lies, H rows of D contiguous cells, so it copies nothing; each
+line's two pad cells hold UINT16_MAX - P1, so no flat +-1 shift carries
+one line's edge into the next. Selection reads the volumes in place too, a
+block of rows at a time. No volume-sized copy is made.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, ImageTooSmall
 from .fusion import PointCloud
@@ -45,9 +50,9 @@ FLAG_OUT_OF_RANGE = 4
 PATHS_4 = ((0, 1), (0, -1), (1, 0), (-1, 0))
 PATHS_8 = PATHS_4 + ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-# Rows per block in matching_cost_volume: its plane-major (D, rows, W) buffer
+# Cells per block in matching_cost_volume: its plane-major (D, rows, W) buffer
 # stays small while each block is stored with one transposing copy.
-COST_BLOCK_ROWS = 32
+COST_BLOCK_CELLS = 32 * 320 * 64
 # Rows per block in select_disparity: its temporaries are one uint32 and one
 # uint16 (SELECT_BLOCK_ROWS, W, D) buffer, whatever the image height.
 SELECT_BLOCK_ROWS = 16
@@ -139,10 +144,14 @@ def census_transform(image: np.ndarray, window=(5, 5)) -> np.ndarray:
     Neighbors are enumerated in row-major order over the window with the
     center excluded; borders use edge-clamped neighborhoods. Returns an
     (H, W, n_words) uint64 raster (LSB-first packing within each word).
+    NaN pixels raise ValueError, since they compare false with every
+    neighbour; +-inf are ordered and accepted.
     """
     image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError("image must be 2-D grayscale")
+    if np.isnan(image).any():
+        raise ValueError("image holds NaN pixels")
     _check_census_window(window)
     wh, ww = window
     H, W = image.shape
@@ -204,9 +213,10 @@ def matching_cost_volume(base_desc: np.ndarray, match_desc: np.ndarray,
     sign = 1 if base == "left" else -1
     # fill each block of rows plane by plane, then store it transposed at once;
     # every block writes the same in-bounds columns, so the rest stay max_cost
-    buf = np.full((D, COST_BLOCK_ROWS, W), max_cost, dtype=np.uint16)
-    for r0 in range(0, H, COST_BLOCK_ROWS):
-        r1 = min(r0 + COST_BLOCK_ROWS, H)
+    rows = min(H, max(1, COST_BLOCK_CELLS // (W * D)))
+    buf = np.full((D, rows, W), max_cost, dtype=np.uint16)
+    for r0 in range(0, H, rows):
+        r1 = min(r0 + rows, H)
         block = buf[:, :r1 - r0]
         for i, d in enumerate(range(d_min, d_max + 1)):
             shift = sign * d  # match pixel is x - shift
@@ -224,12 +234,13 @@ class _PathStep:
     """min(prev[d], prev[d+-1]+P1, min_k prev[k]+P2) - min_k prev[k] on uint16 states.
 
     `axis` is the disparity axis: 1 for the disparity-major (k, D, m) states
-    of the row sweeps, 2 for the disparity-last (k, m, D) states of the x
+    of the y sweep, 2 for the disparity-last (k, m, D + 2) states of the x
     sweep. States are C-contiguous, so each path's state is one flat row,
     and the +-1 disparity neighbours are shifts of those rows by the
-    disparity stride. With the disparity axis last, a row holds one D-cell
-    line after another, so a shift also carries each line's edge plane into
-    the next line's; those two planes are then recomputed.
+    disparity stride. With the disparity axis last a shift crosses from one
+    line into the next, so those states pad every line with a cell on each
+    end that holds UINT16_MAX - P1: above every real state, so it never wins
+    a minimum, and without wrapping once P1 is added.
     """
 
     def __init__(self, shape, p1: int, p2: int, axis: int = 1):
@@ -238,104 +249,91 @@ class _PathStep:
         self.low_p2 = np.empty_like(self.low)
         self.prev_p1 = np.empty(shape, np.uint16)
         self.rows, self.stride = (shape[0], -1), math.prod(shape[axis + 1:])
-        D = shape[axis]
-        self.shifts = D > 1
-        # (edge plane, its inner neighbour) pairs to recompute; the edges run along the last axis
-        self.edges = ((((..., 0), (..., 1)), ((..., D - 1), (..., D - 2)))
-                      if axis == 2 and self.shifts else ())
 
     def __call__(self, prev: np.ndarray, out: np.ndarray) -> None:
         low, low_p2, prev_p1, s = self.low, self.low_p2, self.prev_p1, self.stride
-        np.min(prev, axis=self.axis, keepdims=True, out=low)
+        np.minimum.reduce(prev, self.axis, None, low, True)
         np.add(low, self.p2, out=low_p2)
         np.minimum(prev, low_p2, out=out)
-        if self.shifts:
-            np.add(prev, self.p1, out=prev_p1)
-            o, q = out.reshape(self.rows), prev_p1.reshape(self.rows)
-            np.minimum(o[:, s:], q[:, :-s], out=o[:, s:])
-            np.minimum(o[:, :-s], q[:, s:], out=o[:, :-s])
-            for edge, inner in self.edges:
-                np.minimum(prev[edge], low_p2[..., 0], out=out[edge])
-                np.minimum(out[edge], prev_p1[inner], out=out[edge])
+        np.add(prev, self.p1, out=prev_p1)
+        o, q = out.reshape(self.rows), prev_p1.reshape(self.rows)
+        np.minimum(o[:, s:], q[:, :-s], out=o[:, s:])
+        np.minimum(o[:, :-s], q[:, s:], out=o[:, :-s])
         np.subtract(out, low, out=out)
 
 
-def _shifted_add(line: np.ndarray, stepped: np.ndarray, dx: int, out: np.ndarray) -> None:
-    """out[:, x] = line[:, x] + stepped[:, x - dx], and line[:, x] where x - dx is off the line.
+def _sweep_y(C: np.ndarray, total: np.ndarray, dxs, p1: int, p2: int) -> None:
+    """Add the accumulated costs of the paths (+-1, dx), dx in `dxs`, to `total`.
 
-    All three are contiguous (D, m) arrays, so the add runs once over the
-    flat buffers; the one column whose flat neighbour lies in the next row
-    is then reset to the line alone.
-    """
-    a, b, o = line.reshape(-1), stepped.reshape(-1), out.reshape(-1)
-    lo, hi = max(dx, 0), a.size + min(dx, 0)
-    np.add(a[lo:hi], b[lo - dx:hi - dx], out=o[lo:hi])
-    if dx:
-        edge = 0 if dx > 0 else -1
-        out[:, edge] = line[:, edge]
-
-
-def _sweep(C: np.ndarray, total: np.ndarray, dxs, reverse: bool, p1: int, p2: int) -> None:
-    """Add the accumulated costs of one row direction's paths to `total`, stepped together.
-
-    C and total are (H, W, D), of any strides. The path of each dx in `dxs`
-    visits the rows 0..H-1, or H-1..0 if `reverse`, and continues at column
-    x from column x - dx of the row before. A path that starts at a border
-    reads a zero state, which steps to exactly 0, so L = C there.
-
-    The states are disparity-major (k, D, W). At each step the paths share
-    one (D, W) copy of the row they read, `C[y].T`; each adds its stepped
-    state to that copy, shifted by dx along W, and their sum goes back into
-    `total[y]` once, through the transposed view.
+    C and total are (H, W, D), of any strides. The path (1, dx) visits the
+    rows 0..H-1 and (-1, dx) the rows H-1..0; each continues at column x from
+    column x - dx of the row before. The two directions step as one
+    disparity-major (2, k, D, W + 2) state whose two pad columns stay 0: a
+    zero column steps to exactly 0, so a path entering from the border reads
+    0 and L = C there. At step t the rows C[t] and C[H-1-t] are copied
+    transposed into one (2, D, W) buffer, added to every path's stepped state
+    shifted by its dx, and the paths' sums go back into `total` through the
+    transposed view; an odd H's middle row is added by both directions.
     """
     H, W, D = C.shape
-    L = np.zeros((len(dxs), D, W), np.uint16)
+    dxs = sorted(dxs, reverse=True)  # +1, 0, -1: path i reads window i below
+    L = np.zeros((2, len(dxs), D, W + 2), np.uint16)
     stepped = np.empty_like(L)
-    line = np.empty((D, W), np.uint16)
-    line_sum = np.empty_like(line)
-    step = _PathStep(L.shape, p1, p2)
+    # stepped[:, i, :, 1 - dxs[i]:][..., :W], one read-only view of every path
+    shifted = np.moveaxis(np.diagonal(
+        sliding_window_view(stepped[..., 1 - dxs[0]:], W, axis=3), axis1=1, axis2=3), -1, 1)
+    lines = np.empty((2, 1, D, W), np.uint16)
+    line_sum = np.empty((2, D, W), np.uint16)
+    # the step sees the 2k paths as one (2k, D, W + 2) state
+    flat_L, flat_stepped = L.reshape(-1, D, W + 2), stepped.reshape(-1, D, W + 2)
+    inner, CT = L[..., 1:-1], C.transpose(0, 2, 1)
+    step = _PathStep(flat_L.shape, p1, p2)
     for t in range(H):
-        y = H - 1 - t if reverse else t
-        step(L, out=stepped)
-        np.copyto(line, C[y].T)
-        for i, dx in enumerate(dxs):
-            _shifted_add(line, stepped[i], dx, out=L[i])
-        np.add.reduce(L, axis=0, out=line_sum)
-        total[y] += line_sum.T
+        step(flat_L, out=flat_stepped)
+        np.copyto(lines[0, 0], CT[t])
+        np.copyto(lines[1, 0], CT[H - 1 - t])
+        np.add(lines, shifted, out=inner)
+        np.add.reduce(inner, axis=1, out=line_sum)
+        total[t] += line_sum[0].T
+        total[H - 1 - t] += line_sum[1].T
 
 
 def _sweep_x(C: np.ndarray, total: np.ndarray, p1: int, p2: int) -> None:
-    """Add the paths (0, +1) and (0, -1) to `total`, stepped as one (2, H, D) state.
+    """Add the paths (0, +1) and (0, -1) to `total`, stepped as one (2, H, D + 2) state.
 
     Step t reads the columns C[:, t] and C[:, W-1-t] where they lie, rows of
     D contiguous cells, and adds each path straight into the same column of
-    `total`; an odd W's middle column is read and added by both paths.
+    `total`; an odd W's middle column is read and added by both paths. Each
+    line's two end cells hold UINT16_MAX - P1 throughout (see _PathStep).
     """
     H, W, D = C.shape
-    L = np.zeros((2, H, D), np.uint16)
+    L = np.full((2, H, D + 2), UINT16_MAX - p1, np.uint16)
+    L[..., 1:-1] = 0
     stepped = np.empty_like(L)
     step = _PathStep(L.shape, p1, p2, axis=2)
     for t in range(W):
         step(L, out=stepped)
         for i, x in enumerate((t, W - 1 - t)):
-            np.add(C[:, x], stepped[i], out=L[i])
-            np.add(total[:, x], L[i], out=total[:, x])
+            np.add(C[:, x], stepped[i, :, 1:-1], out=L[i, :, 1:-1])
+            np.add(total[:, x], L[i, :, 1:-1], out=total[:, x])
 
 
 def aggregate_costs(volume: CostVolume, params: SgmParams) -> CostVolume:
     """Sum of the path accumulations over `params.directions`, as uint16.
 
-    Three sweeps cover every path, each adding into one uint16 total: down
-    the rows (the paths with dy = +1 as one disparity-major (k, D, W) state,
-    the diagonals reading the previous row shifted by one column), up the
-    rows (dy = -1), and along x, where (0, +1) at column x and (0, -1) at
-    column W-1-x step together as one disparity-last (2, H, D) state. The
-    volume keeps its (H, W, D) layout: each row sweep step copies one row,
-    transposed, into a (D, W) buffer and sums back through the transposed
-    view, and the x sweep reads and adds the columns in place. Every value
-    is an exact integer below the bound checked here, so the result is
-    bit-identical to summing the float32 one-path oracle of `tests/oracles.py`
-    over the directions, in any order.
+    Two sweeps cover every path, each adding into one uint16 total: along y,
+    where the paths with dy = +1 (from row 0) and dy = -1 (from row H-1)
+    step together as one disparity-major (2, k, D, W + 2) state, the
+    diagonals reading the previous row shifted by one column; and along x,
+    where (0, +1) at column x and (0, -1) at column W-1-x step together as
+    one disparity-last (2, H, D + 2) state. The volume keeps its (H, W, D)
+    layout: each y step copies two rows, transposed, into a (2, D, W) buffer
+    and sums back through the transposed view, and the x sweep reads and adds
+    the columns in place. Every value is an exact integer below the bound
+    checked here, so every state is at most 65 535 / n, below the x sweep's
+    UINT16_MAX - P1 padding, and the result is bit-identical to summing the
+    float32 one-path oracle of `tests/oracles.py` over the directions, in
+    any order.
     """
     C = volume.costs
     n = len(params.directions)
@@ -343,10 +341,8 @@ def aggregate_costs(volume: CostVolume, params: SgmParams) -> CostVolume:
         raise ValueError(f"{n} paths x (max cost {int(C.max())} + P2 {params.p2:g}) "
                          f"exceeds the uint16 range")
     p1, p2 = int(params.p1), int(params.p2)
-    dirs = params.directions
     total = np.zeros(C.shape, np.uint16)
-    _sweep(C, total, [dx for dy, dx in dirs if dy == 1], False, p1, p2)
-    _sweep(C, total, [dx for dy, dx in dirs if dy == -1], True, p1, p2)
+    _sweep_y(C, total, [dx for dy, dx in params.directions if dy == 1], p1, p2)
     _sweep_x(C, total, p1, p2)
     raw = volume.raw if volume.raw is not None else volume.costs
     return CostVolume(costs=total, d_min=volume.d_min, d_max=volume.d_max,

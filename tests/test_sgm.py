@@ -152,6 +152,17 @@ class TestCensus:
         assert np.array_equal(census_transform(img, window), census_transform(img, (5, 3)))
         params(d_max=15, census_window=window)
 
+    def test_nan_pixel_rejected_and_infinities_ordered(self):
+        img = np.arange(120, dtype=np.float64).reshape(10, 12)
+        img[4, 5] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            census_transform(img, (3, 3))
+        # +-inf compare like the largest and smallest finite values
+        img[4, 5], img[6, 7] = np.inf, -np.inf
+        clipped = img.copy()
+        clipped[4, 5], clipped[6, 7] = 1e6, -1e6
+        assert np.array_equal(census_transform(img, (3, 3)), census_transform(clipped, (3, 3)))
+
 
 def reference_cost_volume(base_desc, match_desc, d_min, d_max, max_cost, base):
     """Per-pixel Hamming costs with Python-int popcounts (independent of the library)."""
@@ -277,11 +288,15 @@ class TestAggregation:
         assert np.array_equal(agg.costs, total)
 
     @pytest.mark.parametrize("base", ["left", "right"])
-    @pytest.mark.parametrize("n_paths", [4, 8])
+    # the default penalties, and P1 = P2 - 1 with a large P2, which leaves the x
+    # sweep's UINT16_MAX - P1 line padding its smallest margin
+    @pytest.mark.parametrize("n_paths,p1,p2", [(4, 10, 120), (8, 10, 120),
+                                               (4, 7999, 8000), (8, 7999, 8000)],
+                             ids=["4", "8", "4-p1=p2-1", "8-p1=p2-1"])
     @pytest.mark.parametrize("shape", [(1, 9, 5), (8, 1, 5), (6, 8, 1), (1, 1, 1),
                                        (5, 11, 7), (11, 4, 3)])
-    def test_sweeps_equal_sum_of_oracle_paths(self, shape, n_paths, base):
-        p = params(n_paths=n_paths)
+    def test_sweeps_equal_sum_of_oracle_paths(self, shape, n_paths, p1, p2, base):
+        p = params(n_paths=n_paths, p1=p1, p2=p2)
         rng = np.random.default_rng(sum(shape) * n_paths)
         ceiling = UINT16_MAX // n_paths - int(p.p2)  # largest max(C) the bound admits
         for high in (24, ceiling):
@@ -360,13 +375,16 @@ class TestPathStep:
     @pytest.mark.parametrize("shape", [(2, 240, 64), (1, 7, 9), (3, 1, 8), (2, 5, 1), (1, 1, 2),
                                        (1, 1, 1), (2, 6, 2)])
     def test_disparity_last_step_equals_path_step(self, shape):
-        # (k, m, D) states: the flat shifts must not carry one line's edge plane into the next
+        # (k, m, D + 2) states padded with UINT16_MAX - P1: the flat shifts must not
+        # carry one line's edge into the next
         rng = np.random.default_rng(sum(shape) + 1)
         for high, p1, p2 in ((30, 10, 120), (1000, 7, 23)):
-            prev = rng.integers(0, high + 1, shape, dtype=np.uint16)
+            prev = np.full(shape[:2] + (shape[2] + 2,), UINT16_MAX - p1, np.uint16)
+            prev[..., 1:-1] = rng.integers(0, high + 1, shape, dtype=np.uint16)
             out = np.empty_like(prev)
-            _PathStep(shape, p1, p2, axis=2)(prev, out)
-            assert np.array_equal(out, path_step(prev.astype(np.int64), p1, p2))
+            _PathStep(prev.shape, p1, p2, axis=2)(prev, out)
+            assert np.array_equal(out[..., 1:-1],
+                                  path_step(prev[..., 1:-1].astype(np.int64), p1, p2))
 
 
 class TestParams:
