@@ -11,6 +11,9 @@ integers bounded by the census bit count. Aggregated costs are uint16 and
 exact: with integer P1 and P2 a path value is at most max(C) + P2, so the
 n-path sum is at most n * (max(C) + P2), 1 152 for a 5x5 census at the
 defaults; `aggregate_costs` rejects volumes whose bound exceeds 65 535.
+The path states themselves are uint8 whenever max(C) + P1 + P2 <= 255
+(a 5x5 census at the defaults: 24 + 10 + 120), else uint16, so a sweep
+step moves half the bytes on census costs.
 
 Volumes are (H, W, D). One row sweep steps the down and the up paths
 together as a disparity-major (2, paths, D, W + 2) state, so the minimum
@@ -21,9 +24,10 @@ adds the paths' sums back through the transpose; the zero pad columns are
 what a path entering from the border reads. The x sweep steps a
 disparity-last (2, H, D + 2) state and reads each column of the volume
 where it lies, H rows of D contiguous cells, so it copies nothing; each
-line's two pad cells hold UINT16_MAX - P1, so no flat +-1 shift carries
-one line's edge into the next. Selection reads the volumes in place too, a
-block of rows at a time. No volume-sized copy is made.
+line's two pad cells hold iinfo(dtype).max - P1, dtype the state dtype, so
+no flat +-1 shift carries one line's edge into the next. Selection reads
+the volumes in place too, a block of rows at a time. No volume-sized copy
+is made.
 """
 
 from __future__ import annotations
@@ -231,23 +235,25 @@ def matching_cost_volume(base_desc: np.ndarray, match_desc: np.ndarray,
 
 
 class _PathStep:
-    """min(prev[d], prev[d+-1]+P1, min_k prev[k]+P2) - min_k prev[k] on uint16 states.
+    """min(prev[d], prev[d+-1]+P1, min_k prev[k]+P2) - min_k prev[k] on `dtype` states.
 
-    `axis` is the disparity axis: 1 for the disparity-major (k, D, m) states
-    of the y sweep, 2 for the disparity-last (k, m, D + 2) states of the x
-    sweep. States are C-contiguous, so each path's state is one flat row,
-    and the +-1 disparity neighbours are shifts of those rows by the
-    disparity stride. With the disparity axis last a shift crosses from one
-    line into the next, so those states pad every line with a cell on each
-    end that holds UINT16_MAX - P1: above every real state, so it never wins
-    a minimum, and without wrapping once P1 is added.
+    `dtype` is the unsigned state dtype that `aggregate_costs` picks: every
+    real state, and itself plus P1, fits in it. `axis` is the disparity
+    axis: 1 for the disparity-major (k, D, m) states of the y sweep, 2 for
+    the disparity-last (k, m, D + 2) states of the x sweep. States are
+    C-contiguous, so each path's state is one flat row, and the +-1
+    disparity neighbours are shifts of those rows by the disparity stride.
+    With the disparity axis last a shift crosses from one line into the
+    next, so those states pad every line with a cell on each end that holds
+    iinfo(dtype).max - P1: no lower than any real state, so it never wins a
+    minimum, and without wrapping once P1 is added.
     """
 
-    def __init__(self, shape, p1: int, p2: int, axis: int = 1):
-        self.p1, self.p2, self.axis = np.uint16(p1), np.uint16(p2), axis
-        self.low = np.empty(shape[:axis] + (1,) + shape[axis + 1:], np.uint16)
+    def __init__(self, shape, p1: int, p2: int, dtype, axis: int = 1):
+        self.p1, self.p2, self.axis = dtype(p1), dtype(p2), axis
+        self.low = np.empty(shape[:axis] + (1,) + shape[axis + 1:], dtype)
         self.low_p2 = np.empty_like(self.low)
-        self.prev_p1 = np.empty(shape, np.uint16)
+        self.prev_p1 = np.empty(shape, dtype)
         self.rows, self.stride = (shape[0], -1), math.prod(shape[axis + 1:])
 
     def __call__(self, prev: np.ndarray, out: np.ndarray) -> None:
@@ -262,59 +268,61 @@ class _PathStep:
         np.subtract(out, low, out=out)
 
 
-def _sweep_y(C: np.ndarray, total: np.ndarray, dxs, p1: int, p2: int) -> None:
+def _sweep_y(C: np.ndarray, total: np.ndarray, dxs, p1: int, p2: int, dtype) -> None:
     """Add the accumulated costs of the paths (+-1, dx), dx in `dxs`, to `total`.
 
     C and total are (H, W, D), of any strides. The path (1, dx) visits the
     rows 0..H-1 and (-1, dx) the rows H-1..0; each continues at column x from
     column x - dx of the row before. The two directions step as one
-    disparity-major (2, k, D, W + 2) state whose two pad columns stay 0: a
-    zero column steps to exactly 0, so a path entering from the border reads
-    0 and L = C there. At step t the rows C[t] and C[H-1-t] are copied
+    disparity-major (2, k, D, W + 2) `dtype` state whose two pad columns stay
+    0: a zero column steps to exactly 0, so a path entering from the border
+    reads 0 and L = C there. At step t the rows C[t] and C[H-1-t] are copied
     transposed into one (2, D, W) buffer, added to every path's stepped state
-    shifted by its dx, and the paths' sums go back into `total` through the
-    transposed view; an odd H's middle row is added by both directions.
+    shifted by its dx, and the paths' uint16 sums go back into `total`
+    through the transposed view; an odd H's middle row is added by both
+    directions.
     """
     H, W, D = C.shape
     dxs = sorted(dxs, reverse=True)  # +1, 0, -1: path i reads window i below
-    L = np.zeros((2, len(dxs), D, W + 2), np.uint16)
+    L = np.zeros((2, len(dxs), D, W + 2), dtype)
     stepped = np.empty_like(L)
     # stepped[:, i, :, 1 - dxs[i]:][..., :W], one read-only view of every path
     shifted = np.moveaxis(np.diagonal(
         sliding_window_view(stepped[..., 1 - dxs[0]:], W, axis=3), axis1=1, axis2=3), -1, 1)
-    lines = np.empty((2, 1, D, W), np.uint16)
+    lines = np.empty((2, 1, D, W), dtype)
     line_sum = np.empty((2, D, W), np.uint16)
     # the step sees the 2k paths as one (2k, D, W + 2) state
     flat_L, flat_stepped = L.reshape(-1, D, W + 2), stepped.reshape(-1, D, W + 2)
     inner, CT = L[..., 1:-1], C.transpose(0, 2, 1)
-    step = _PathStep(flat_L.shape, p1, p2)
+    step = _PathStep(flat_L.shape, p1, p2, dtype)
     for t in range(H):
         step(flat_L, out=flat_stepped)
         np.copyto(lines[0, 0], CT[t])
         np.copyto(lines[1, 0], CT[H - 1 - t])
         np.add(lines, shifted, out=inner)
-        np.add.reduce(inner, axis=1, out=line_sum)
+        np.add.reduce(inner, axis=1, dtype=np.uint16, out=line_sum)
         total[t] += line_sum[0].T
         total[H - 1 - t] += line_sum[1].T
 
 
-def _sweep_x(C: np.ndarray, total: np.ndarray, p1: int, p2: int) -> None:
+def _sweep_x(C: np.ndarray, total: np.ndarray, p1: int, p2: int, dtype) -> None:
     """Add the paths (0, +1) and (0, -1) to `total`, stepped as one (2, H, D + 2) state.
 
     Step t reads the columns C[:, t] and C[:, W-1-t] where they lie, rows of
     D contiguous cells, and adds each path straight into the same column of
     `total`; an odd W's middle column is read and added by both paths. Each
-    line's two end cells hold UINT16_MAX - P1 throughout (see _PathStep).
+    line's two end cells hold iinfo(dtype).max - P1 throughout (see
+    _PathStep).
     """
     H, W, D = C.shape
-    L = np.full((2, H, D + 2), UINT16_MAX - p1, np.uint16)
+    L = np.full((2, H, D + 2), np.iinfo(dtype).max - p1, dtype)
     L[..., 1:-1] = 0
     stepped = np.empty_like(L)
-    step = _PathStep(L.shape, p1, p2, axis=2)
+    step = _PathStep(L.shape, p1, p2, dtype, axis=2)
     for t in range(W):
         step(L, out=stepped)
         for i, x in enumerate((t, W - 1 - t)):
-            np.add(C[:, x], stepped[i, :, 1:-1], out=L[i, :, 1:-1])
+            np.add(C[:, x], stepped[i, :, 1:-1], out=L[i, :, 1:-1], dtype=dtype)
             np.add(total[:, x], L[i, :, 1:-1], out=total[:, x])
 
 
@@ -329,21 +337,24 @@ def aggregate_costs(volume: CostVolume, params: SgmParams) -> CostVolume:
     one disparity-last (2, H, D + 2) state. The volume keeps its (H, W, D)
     layout: each y step copies two rows, transposed, into a (2, D, W) buffer
     and sums back through the transposed view, and the x sweep reads and adds
-    the columns in place. Every value is an exact integer below the bound
-    checked here, so every state is at most 65 535 / n, below the x sweep's
-    UINT16_MAX - P1 padding, and the result is bit-identical to summing the
+    the columns in place. Every value is an exact integer: a state is at
+    most max(C) + P2, and the n-path total at most n times that, which the
+    check here keeps within uint16. The states are uint8 when
+    max(C) + P1 + P2 <= 255 and uint16 otherwise; either way a state plus
+    P1 does not wrap, and the x sweep's iinfo(dtype).max - P1 padding is no
+    lower than any state. So the result is bit-identical to summing the
     float32 one-path oracle of `tests/oracles.py` over the directions, in
     any order.
     """
     C = volume.costs
     n = len(params.directions)
-    if n * (int(C.max()) + params.p2) > UINT16_MAX:
-        raise ValueError(f"{n} paths x (max cost {int(C.max())} + P2 {params.p2:g}) "
-                         f"exceeds the uint16 range")
-    p1, p2 = int(params.p1), int(params.p2)
+    c_max, p1, p2 = int(C.max()), int(params.p1), int(params.p2)
+    if n * (c_max + p2) > UINT16_MAX:
+        raise ValueError(f"{n} paths x (max cost {c_max} + P2 {p2}) exceeds the uint16 range")
+    dtype = np.uint8 if c_max + p1 + p2 <= np.iinfo(np.uint8).max else np.uint16
     total = np.zeros(C.shape, np.uint16)
-    _sweep_y(C, total, [dx for dy, dx in params.directions if dy == 1], p1, p2)
-    _sweep_x(C, total, p1, p2)
+    _sweep_y(C, total, [dx for dy, dx in params.directions if dy == 1], p1, p2, dtype)
+    _sweep_x(C, total, p1, p2, dtype)
     raw = volume.raw if volume.raw is not None else volume.costs
     return CostVolume(costs=total, d_min=volume.d_min, d_max=volume.d_max,
                       max_cost=volume.max_cost, base=volume.base, raw=raw)
@@ -434,7 +445,8 @@ def select_disparity(aggregated: CostVolume, params: SgmParams,
     competitor (immediate disparity neighbors exempt) must exceed
     best * uniqueness_ratio; ties, as in textureless input, fail. Left-right:
     |d_L(x, y) - d_R(x - d_L, y)| <= lr_max_diff, checked when a right-base
-    aggregated volume is supplied. Failing pixels are INVALID with the
+    aggregated volume is supplied beside a left-base one (ValueError for
+    any other pair of bases). Failing pixels are INVALID with the
     corresponding provenance flag set. Rows are selected SELECT_BLOCK_ROWS
     at a time into two block buffers, a uint32 one for the winner-take-all
     and a uint16 one for the uniqueness test; only the wedge columns are
@@ -443,8 +455,8 @@ def select_disparity(aggregated: CostVolume, params: SgmParams,
     """
     H, W, D = aggregated.costs.shape
     if right_aggregated is not None:
-        if right_aggregated.base != "right":
-            raise ValueError("right_aggregated must be a right-base volume")
+        if aggregated.base != "left" or right_aggregated.base != "right":
+            raise ValueError("the left-right check takes a left-base volume and a right-base one")
         if right_aggregated.costs.shape != aggregated.costs.shape:
             raise DimensionMismatch("left and right volumes differ in shape")
         r_bounds = _InBounds(W, right_aggregated.d_min, D, right_aggregated.base)

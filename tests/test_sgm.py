@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tagbridge import sgm
 from tagbridge.errors import DimensionMismatch, ImageTooSmall
 from tagbridge.geometry import Pose
 from tagbridge.sgm import (
@@ -311,6 +312,43 @@ class TestAggregation:
             assert agg.base == base
             assert np.array_equal(agg.costs, oracle)
 
+    @pytest.mark.parametrize("base", ["left", "right"])
+    @pytest.mark.parametrize("n_paths", [4, 8])
+    @pytest.mark.parametrize("bound", [254, 255, 256])
+    def test_state_dtype_bound_equals_sum_of_oracle_paths(self, bound, n_paths, base):
+        # max(C) + P1 + P2 = 255 is the largest bound stepped in uint8 states;
+        # costs of 0 or max(C) >= P2 drive path states to max(C) + P2
+        rng = np.random.default_rng([bound, n_paths, len(base)])
+        for p1, p2 in ((10, 120), (5, 20)):
+            p = params(n_paths=n_paths, p1=p1, p2=p2)
+            high = bound - p1 - p2
+            for shape in ((7, 9, 6), (10, 5, 4)):
+                C = rng.choice(np.array([0, high // 2, high], np.uint16), shape)
+                C.flat[0] = high
+                vol = CostVolume(costs=C, d_min=0, d_max=shape[2] - 1, max_cost=high, base=base)
+                agg = aggregate_costs(vol, p)
+                oracle = np.zeros(shape, np.float32)
+                for direction in p.directions:
+                    oracle += aggregate_one_path(vol, direction, p.p1, p.p2)
+                assert agg.costs.dtype == np.uint16
+                assert np.array_equal(agg.costs, oracle)
+
+    @pytest.mark.parametrize("bound,dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_state_dtype_follows_bound(self, bound, dtype, monkeypatch):
+        # the outputs cannot tell uint8 states from uint16 ones; only the speed can
+        seen = []
+
+        class RecordingStep(sgm._PathStep):
+            def __init__(self, shape, p1, p2, dtype, axis=1):
+                seen.append(dtype)
+                super().__init__(shape, p1, p2, dtype, axis)
+
+        monkeypatch.setattr(sgm, "_PathStep", RecordingStep)
+        C = np.zeros((3, 4, 5), np.uint16)
+        C[1, 2, 3] = bound - 10 - 120
+        aggregate_costs(CostVolume(costs=C, d_min=0, d_max=4, max_cost=24), params(d_max=4))
+        assert seen == [dtype, dtype]
+
     @pytest.mark.parametrize("layout", ["fortran", "reversed_columns"])
     def test_sweeps_read_strided_costs(self, layout):
         # the sweeps copy each line of C through its strides
@@ -360,29 +398,54 @@ class TestAggregation:
             assert sequence_energy(C, seq, p1, p2) == best_enum
 
 
+def with_uint8(shapes):
+    """(shape, state dtype) cases: uint16 under the ids shape0, shape1, ..., then uint8."""
+    return ([pytest.param(s, np.uint16, id=f"shape{i}") for i, s in enumerate(shapes)]
+            + [pytest.param(s, np.uint8, id=f"shape{i}-uint8") for i, s in enumerate(shapes)])
+
+
+def step_states(rng, shape, axis, dtype, high, p1, p2):
+    """States for one path step, disparity along `axis`.
+
+    uint16: uniform in 0..high. uint8: real states at max(C) + P1 + P2 = 255,
+    each at most max(C) + P2 = 255 - P1 with one of them there, and each
+    line's first cell, so its minimum, at most max(C).
+    """
+    if dtype == np.uint16:
+        return rng.integers(0, high + 1, shape, dtype=np.uint16)
+    c_max = 255 - p1 - p2
+    prev = rng.integers(0, c_max + p2 + 1, shape, dtype=np.uint8)
+    by_d = np.moveaxis(prev, axis, 0)
+    by_d[-1].flat[0] = c_max + p2
+    by_d[0] = rng.integers(0, c_max + 1, by_d[0].shape)
+    return prev
+
+
 class TestPathStep:
-    @pytest.mark.parametrize("shape", [(3, 64, 20), (2, 1, 7), (1, 2, 9), (3, 5, 1), (1, 1, 1)])
-    def test_disparity_major_step_equals_path_step(self, shape):
+    @pytest.mark.parametrize("shape,dtype",
+                             with_uint8([(3, 64, 20), (2, 1, 7), (1, 2, 9), (3, 5, 1), (1, 1, 1)]))
+    def test_disparity_major_step_equals_path_step(self, shape, dtype):
         # (k, D, m) states step along axis 1 exactly as path_step along its last axis
         rng = np.random.default_rng(sum(shape))
         for high, p1, p2 in ((30, 10, 120), (1000, 7, 23)):
-            prev = rng.integers(0, high + 1, shape, dtype=np.uint16)
+            prev = step_states(rng, shape, 1, dtype, high, p1, p2)
             out = np.empty_like(prev)
-            _PathStep(shape, p1, p2)(prev, out)
+            _PathStep(shape, p1, p2, dtype)(prev, out)
             expected = path_step(prev.astype(np.int64).transpose(0, 2, 1), p1, p2)
             assert np.array_equal(out, expected.transpose(0, 2, 1))
 
-    @pytest.mark.parametrize("shape", [(2, 240, 64), (1, 7, 9), (3, 1, 8), (2, 5, 1), (1, 1, 2),
-                                       (1, 1, 1), (2, 6, 2)])
-    def test_disparity_last_step_equals_path_step(self, shape):
-        # (k, m, D + 2) states padded with UINT16_MAX - P1: the flat shifts must not
-        # carry one line's edge into the next
+    @pytest.mark.parametrize("shape,dtype",
+                             with_uint8([(2, 240, 64), (1, 7, 9), (3, 1, 8), (2, 5, 1), (1, 1, 2),
+                                         (1, 1, 1), (2, 6, 2)]))
+    def test_disparity_last_step_equals_path_step(self, shape, dtype):
+        # (k, m, D + 2) states padded with iinfo(dtype).max - P1: the flat shifts
+        # must not carry one line's edge into the next
         rng = np.random.default_rng(sum(shape) + 1)
         for high, p1, p2 in ((30, 10, 120), (1000, 7, 23)):
-            prev = np.full(shape[:2] + (shape[2] + 2,), UINT16_MAX - p1, np.uint16)
-            prev[..., 1:-1] = rng.integers(0, high + 1, shape, dtype=np.uint16)
+            prev = np.full(shape[:2] + (shape[2] + 2,), np.iinfo(dtype).max - p1, dtype)
+            prev[..., 1:-1] = step_states(rng, shape, 2, dtype, high, p1, p2)
             out = np.empty_like(prev)
-            _PathStep(prev.shape, p1, p2, axis=2)(prev, out)
+            _PathStep(prev.shape, p1, p2, dtype, axis=2)(prev, out)
             assert np.array_equal(out[..., 1:-1],
                                   path_step(prev[..., 1:-1].astype(np.int64), p1, p2))
 
@@ -453,6 +516,19 @@ class TestSelectDisparity:
         from tagbridge.sgm import FLAG_LR_FAILED
 
         assert (disp.flags & FLAG_LR_FAILED).any()
+
+    def test_lr_check_takes_left_then_right_base(self):
+        left, right = random_dot_pair(shape=(20, 40), shift=3, seed=15)
+        p = params(d_max=6)
+        ld, rd = census_transform(left), census_transform(right)
+        bits = census_bits(p.census_window)
+        agg = {base: aggregate_costs(matching_cost_volume(a, b, p.d_min, p.d_max,
+                                                          max_cost=bits, base=base), p)
+               for base, a, b in (("left", ld, rd), ("right", rd, ld))}
+        select_disparity(agg["left"], p, agg["right"])
+        for first, second in (("right", "right"), ("left", "left"), ("right", "left")):
+            with pytest.raises(ValueError, match="left-base volume and a right-base"):
+                select_disparity(agg[first], p, agg[second])
 
     def test_determinism(self):
         left, right = random_dot_pair(shape=(40, 80), shift=4, seed=13)
