@@ -57,6 +57,7 @@ BEHIND_RESIDUAL = 1e6
 MAX_PHI_DEG = 89.0
 _MAX_PHI = math.radians(MAX_PHI_DEG)
 LAMBDA_INIT = 1e-3
+GRADIENT_TOL = 1e-10
 LAMBDA_MAX = 1e15
 # The rules that can end `solve` (`SolveReport.stop`), each with whether it
 # counts as converged
@@ -327,7 +328,7 @@ def _check_preconditions(problem: BundleProblem, packer: _Packer):
             "reparameterize the block")
 
 
-def solve(problem: BundleProblem, max_iters: int = 100, gradient_tol: float = 1e-10):
+def solve(problem: BundleProblem, max_iters: int = 100):
     """Levenberg-Marquardt over the unanchored poses and every point.
 
     Each iteration builds the closed-form Jacobian blocks and the block
@@ -337,7 +338,7 @@ def solve(problem: BundleProblem, max_iters: int = 100, gradient_tol: float = 1e
     never increases. Returns (updated problem, SolveReport).
 
     `SolveReport.stop` names the rule that ended the solve (STOP_RULES):
-    - "gradient": max |J^T r| < gradient_tol.
+    - "gradient": max |J^T r| < GRADIENT_TOL.
     - "predicted_decrease": the next trial step, solved but not evaluated,
       is predicted to lower the cost by at most its float64 rounding,
       size(r) * eps * cost + (eps |obs|)^2 (see the module docstring). A
@@ -374,7 +375,7 @@ def solve(problem: BundleProblem, max_iters: int = 100, gradient_tol: float = 1e
     for iterations in range(1, max_iters + 1):
         normal = _NormalEquations(packer, x)
         evals += 1
-        if np.max(np.abs(normal.g)) < gradient_tol:
+        if np.max(np.abs(normal.g)) < GRADIENT_TOL:
             stop = "gradient"
             iterations -= 1
             break

@@ -5,13 +5,13 @@ held as columns: one sorted int64 key per occupied voxel, with its point
 count, compensated position sum, colored count and per-channel color sums
 beside it. A cloud's points are grouped by the inverse index of their
 unique keys and summed per voxel in point order. The grid keeps only this
-per-voxel state, never the points themselves. Filtering removes voxels by
-occupancy and by the fraction of points carrying RGB; the survivors are
-emitted as one centroid per voxel, colored with the rounded mean of its
-valid colors. An occlusion test that walks every viewing ray through the
-grid at once guards color assignment from a separate RGB camera: each ray
-carries its voxel's packed key and steps it by adding one axis's key stride,
-and rays that stop are masked out, then dropped once they are the majority.
+per-voxel state, never the points themselves. Filtering removes voxels
+with too few points; the survivors are emitted as one centroid per voxel,
+colored with the rounded mean of its valid colors. An occlusion test that
+walks every viewing ray through the grid at once guards color assignment
+from a separate RGB camera: each ray carries its voxel's packed key and
+steps it by adding one axis's key stride, and rays that stop are masked
+out, then dropped once they are the majority.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .geometry import CameraIntrinsics, Pose, _group_sums, project_points
 logger = logging.getLogger(__name__)
 
 DEFAULT_VOXEL_SIZE = 0.1
-DEFAULT_OCCLUSION_THRESHOLD = 1
 
 _AXIS_BITS = 21  # per axis in a packed voxel key
 _HALF_SPAN = 1 << (_AXIS_BITS - 1)  # offsets from the base voxel lie in [-2**20, 2**20)
@@ -179,27 +178,19 @@ def accumulate(grid: VoxelGrid, cloud: PointCloud) -> VoxelGrid:
     return grid
 
 
-def filter_voxels(grid: VoxelGrid, min_points: int,
-                  min_rgb_fraction: float = 0.0) -> PointCloud:
+def filter_voxels(grid: VoxelGrid, min_points: int) -> PointCloud:
     """One centroid per surviving voxel, in lexicographic voxel-index order.
 
-    Voxels with fewer than min_points points are removed. With
-    min_rgb_fraction > 0, voxels whose colored fraction falls below it are
-    removed too; with min_rgb_fraction = 0, colorless voxels survive as
-    geometry-only centroids. A colored voxel gets the mean of its valid
-    colors per channel, rounded to nearest with halves up; the sums are exact
-    integers, so the color does not depend on the order or chunking of the
-    accumulated clouds. Raises ValueError unless min_points >= 1.
+    Voxels with fewer than min_points points are removed; colorless voxels
+    survive as geometry-only centroids. A colored voxel gets the mean of its
+    valid colors per channel, rounded to nearest with halves up; the sums are
+    exact integers, so the color does not depend on the order or chunking of
+    the accumulated clouds. Raises ValueError unless min_points >= 1.
     """
     if not min_points >= 1:
         raise ValueError("min_points must be at least 1")
-    if not 0.0 <= min_rgb_fraction <= 1.0:
-        raise ValueError("min_rgb_fraction must be in [0, 1]")
 
-    keep = grid._count >= min_points
-    if min_rgb_fraction > 0.0:
-        keep &= grid._colored / grid._count >= min_rgb_fraction
-    rows = np.flatnonzero(keep)
+    rows = np.flatnonzero(grid._count >= min_points)
     positions = (grid._csum[rows] + grid._comp[rows]) / grid._count[rows, None]
     n = grid._colored[rows, None]
     valid = n[:, 0] > 0
@@ -211,10 +202,10 @@ def filter_voxels(grid: VoxelGrid, min_points: int,
     return PointCloud(positions=positions, colors=colors.astype(np.uint8), color_valid=valid)
 
 
-def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray,
-              threshold: int) -> np.ndarray:
-    """Whether an occupied voxel lies on each segment from start_point to a point.
+def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Whether a voxel of the grid lies on each segment from start_point to a point.
 
+    `accumulate` adds no empty voxel, so every voxel of the grid occludes.
     All rays step together through the grid (Amanatides & Woo, "A Fast Voxel
     Traversal Algorithm", 1987) with the arithmetic of the one-ray walk in
     `tests/oracles.py`, so each visits the same voxels in the same order.
@@ -229,9 +220,8 @@ def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray,
     may leave the span (the start voxel +- its limit lies outside on an axis),
     every ray also tracks its per-axis offsets and voxels beyond count as empty.
     """
-    occupied = grid._keys[grid._count >= threshold]
     occluded = np.zeros(len(points), dtype=bool)
-    if len(occupied) == 0 or len(points) == 0:
+    if grid.n_voxels == 0 or len(points) == 0:
         return occluded
     start = grid.voxel_indices(start_point[None, :])
     end = grid.voxel_indices(points)
@@ -254,7 +244,7 @@ def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray,
     taken = 0
     while True:
         active &= key != end_key
-        _, hit = _lookup(occupied, key)
+        _, hit = _lookup(grid._keys, key)
         hit &= active & (key != start_key)
         if leaves:
             hit &= np.all((offset >= 0) & (offset < 2 * _HALF_SPAN), axis=1)
@@ -279,15 +269,14 @@ def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray,
 
 
 def colorize_with_occlusion(cloud: PointCloud, grid: VoxelGrid, rgb: np.ndarray,
-                            intrinsics: CameraIntrinsics, rgb_pose: Pose,
-                            occlusion_threshold: int = DEFAULT_OCCLUSION_THRESHOLD,
-                            ) -> PointCloud:
+                            intrinsics: CameraIntrinsics, rgb_pose: Pose) -> PointCloud:
     """Assign RGB to points visible from the color camera.
 
-    A point is colored only when no occupied voxel (count >= threshold) lies
-    strictly between the camera and the point's own voxel along the viewing
-    ray; the camera's voxel and the point's own voxel never count as
-    occluders. Points outside the frustum or behind the camera stay uncolored.
+    A point is colored only when no voxel of the grid (each holds at least
+    one point) lies strictly between the camera and the point's own voxel
+    along the viewing ray; the camera's voxel and the point's own voxel never
+    count as occluders. Points outside the frustum or behind the camera stay
+    uncolored.
 
     Every candidate ray starts in the camera's voxel and steps into the
     neighbour across the nearest voxel boundary; where boundaries tie (the
@@ -301,8 +290,6 @@ def colorize_with_occlusion(cloud: PointCloud, grid: VoxelGrid, rgb: np.ndarray,
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError("rgb must be an (H, W, 3) raster")
-    if not occlusion_threshold >= 1:
-        raise ValueError("occlusion_threshold must be at least 1")
     H, W = rgb.shape[:2]
 
     pixels, in_front = project_points(intrinsics, rgb_pose, cloud.positions)
@@ -310,8 +297,7 @@ def colorize_with_occlusion(cloud: PointCloud, grid: VoxelGrid, rgb: np.ndarray,
     cols = np.round(pixels[:, 0]).astype(int)
     rows = np.round(pixels[:, 1]).astype(int)
     candidates = np.flatnonzero(in_front & (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H))
-    visible = candidates[~_occluded(grid, rgb_pose.t, cloud.positions[candidates],
-                                    occlusion_threshold)]
+    visible = candidates[~_occluded(grid, rgb_pose.t, cloud.positions[candidates])]
 
     if len(visible) == 0:
         return PointCloud(positions=cloud.positions.copy())

@@ -7,16 +7,17 @@ optional conversion of the disparity map to a 3D point cloud.
 
 Matching cost is census + Hamming: deterministic, offset-invariant, and
 checkable against small exhaustive oracles. Costs are small unsigned
-integers bounded by the census bit count. Aggregated costs are uint16 and
-exact: with integer P1 and P2 a path value is at most max(C) + P2, so the
-n-path sum is at most n * (max(C) + P2), 1 152 for a 5x5 census at the
-defaults; `aggregate_costs` rejects volumes whose bound exceeds 65 535.
-The path states themselves are uint8 whenever max(C) + P1 + P2 <= 255
-(a 5x5 census at the defaults: 24 + 10 + 120), else uint16, so a sweep
-step moves half the bytes on census costs.
+integers bounded by the census bit count. Aggregation sums the eight paths
+of PATHS, the fewest that Hirschmueller (TPAMI 2008, section 3.3) asks for.
+Aggregated costs are uint16 and exact: with integer P1 and P2 a path value
+is at most max(C) + P2, so the 8-path sum is at most 8 * (max(C) + P2),
+1 152 for a 5x5 census at the defaults; `aggregate_costs` rejects volumes
+whose bound exceeds 65 535. The path states themselves are uint8 whenever
+max(C) + P1 + P2 <= 255 (a 5x5 census at the defaults: 24 + 10 + 120),
+else uint16, so a sweep step moves half the bytes on census costs.
 
 Volumes are (H, W, D). One row sweep steps the down and the up paths
-together as a disparity-major (2, paths, D, W + 2) state, so the minimum
+together as a disparity-major (2, 3, D, W + 2) state, so the minimum
 over d and the +-1 disparity neighbours combine contiguous rows. Each step
 copies the two image rows it reads into one (2, D, W) buffer, adds that to
 every path's stepped state, shifted by its column offset, in one call, and
@@ -50,9 +51,8 @@ FLAG_LR_FAILED = 1
 FLAG_UNIQUENESS_FAILED = 2
 FLAG_OUT_OF_RANGE = 4
 
-# Path direction sets, in fixed aggregation (and summation) order.
-PATHS_4 = ((0, 1), (0, -1), (1, 0), (-1, 0))
-PATHS_8 = PATHS_4 + ((1, 1), (1, -1), (-1, 1), (-1, -1))
+# The eight aggregated paths as (dy, dx) steps, in fixed summation order.
+PATHS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 # Cells per block in matching_cost_volume: its plane-major (D, rows, W) buffer
 # stays small while each block is stored with one transposing copy.
@@ -78,7 +78,6 @@ class SgmParams:
     d_max: int
     p1: float = 10.0
     p2: float = 120.0
-    n_paths: int = 8
     census_window: tuple = (5, 5)
     lr_max_diff: float = 1.0
     uniqueness_ratio: float = 1.05
@@ -93,38 +92,29 @@ class SgmParams:
             raise ValueError("penalties must satisfy 0 < P1 < P2")
         if not (float(self.p1).is_integer() and float(self.p2).is_integer()):
             raise ValueError("penalties P1 and P2 must be integer-valued")
-        if self.n_paths not in (4, 8):
-            raise ValueError("n_paths must be 4 or 8")
         _check_census_window(self.census_window)
         if not self.lr_max_diff > 0:
             raise ValueError("lr_max_diff must be positive")
         if not 1.0 <= self.uniqueness_ratio < np.inf:
             raise ValueError("uniqueness_ratio must be finite and >= 1")
 
-    @property
-    def directions(self):
-        return PATHS_4 if self.n_paths == 4 else PATHS_8
-
 
 @dataclass
 class CostVolume:
-    """Per-pixel, per-disparity matching costs C(x, y, d), d = d_min..d_max.
+    """Per-pixel, per-disparity matching costs C(x, y, d), d = d_min..d_min + D - 1.
 
     `costs` is uint16, both for matching costs and for the path sums that
-    `aggregate_costs` returns. `base` records which image the volume is
-    anchored to ("left": matches at x - d in the other image; "right":
-    matches at x + d). `max_cost` is the census bit count, also used for
-    out-of-bounds cells. After aggregation, `raw` keeps the pre-aggregation
-    matching costs: the uniqueness test runs on them, because path
-    accumulation seeds a spurious unique minimum from the out-of-bounds
-    border wedge even when every true matching cost ties (textureless
-    input).
+    `aggregate_costs` returns; D is its last axis. `base` records which
+    image the volume is anchored to ("left": matches at x - d in the other
+    image; "right": matches at x + d). After aggregation, `raw` keeps the
+    pre-aggregation matching costs: the uniqueness test runs on them,
+    because path accumulation seeds a spurious unique minimum from the
+    out-of-bounds border wedge even when every true matching cost ties
+    (textureless input).
     """
 
     costs: np.ndarray  # (H, W, D)
     d_min: int
-    d_max: int
-    max_cost: int
     base: str = "left"
     raw: np.ndarray = None
 
@@ -181,25 +171,19 @@ def census_transform(image: np.ndarray, window=(5, 5)) -> np.ndarray:
     return desc
 
 
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-pixel Hamming distance between two census rasters."""
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"descriptor shapes differ: {a.shape} vs {b.shape}")
-    return np.bitwise_count(np.bitwise_xor(a, b)).sum(axis=-1, dtype=np.uint16)
-
-
 def census_bits(window=(5, 5)) -> int:
     return window[0] * window[1] - 1
 
 
 def matching_cost_volume(base_desc: np.ndarray, match_desc: np.ndarray,
-                         d_min: int, d_max: int, max_cost: int = None,
+                         d_min: int, d_max: int, max_cost: int,
                          base: str = "left") -> CostVolume:
-    """Hamming cost volume C(x, y, d) = dist(base(x, y), match(x -+ d, y)).
+    """Hamming cost volume C(x, y, d) = dist(base(x, y), match(x -+ d, y)), d = d_min..d_max.
 
     The match pixel is x - d for a left base and x + d for a right base;
-    out-of-bounds matches get `max_cost` (defaults to the descriptor word
-    bit capacity if not given).
+    out-of-bounds matches get `max_cost`, the census bit count
+    (`census_bits`). `max_cost` must be an integer in [0, 65535]
+    (ValueError otherwise).
     """
     if base_desc.shape != match_desc.shape:
         raise DimensionMismatch(
@@ -208,8 +192,8 @@ def matching_cost_volume(base_desc: np.ndarray, match_desc: np.ndarray,
         raise ValueError("d_min must be < d_max")
     if base not in ("left", "right"):
         raise ValueError("base must be 'left' or 'right'")
-    if max_cost is None:
-        max_cost = 64 * base_desc.shape[-1]
+    if not (isinstance(max_cost, numbers.Integral) and 0 <= max_cost <= UINT16_MAX):
+        raise ValueError("max_cost must be an integer in [0, 65535]")
 
     H, W = base_desc.shape[:2]
     D = d_max - d_min + 1
@@ -228,10 +212,11 @@ def matching_cost_volume(base_desc: np.ndarray, match_desc: np.ndarray,
             hi = min(W, W + shift)
             if lo >= hi:
                 continue
-            block[i, :, lo:hi] = hamming_distance(
-                base_desc[r0:r1, lo:hi], match_desc[r0:r1, lo - shift:hi - shift])
+            block[i, :, lo:hi] = np.bitwise_count(np.bitwise_xor(
+                base_desc[r0:r1, lo:hi], match_desc[r0:r1, lo - shift:hi - shift]
+            )).sum(axis=-1, dtype=np.uint16)
         costs[r0:r1] = block.transpose(1, 2, 0)
-    return CostVolume(costs=costs, d_min=d_min, d_max=d_max, max_cost=max_cost, base=base)
+    return CostVolume(costs=costs, d_min=d_min, base=base)
 
 
 class _PathStep:
@@ -268,13 +253,13 @@ class _PathStep:
         np.subtract(out, low, out=out)
 
 
-def _sweep_y(C: np.ndarray, total: np.ndarray, dxs, p1: int, p2: int, dtype) -> None:
-    """Add the accumulated costs of the paths (+-1, dx), dx in `dxs`, to `total`.
+def _sweep_y(C: np.ndarray, total: np.ndarray, p1: int, p2: int, dtype) -> None:
+    """Add the accumulated costs of the six paths (+-1, dx), dx = +1, 0, -1, to `total`.
 
     C and total are (H, W, D), of any strides. The path (1, dx) visits the
     rows 0..H-1 and (-1, dx) the rows H-1..0; each continues at column x from
     column x - dx of the row before. The two directions step as one
-    disparity-major (2, k, D, W + 2) `dtype` state whose two pad columns stay
+    disparity-major (2, 3, D, W + 2) `dtype` state whose two pad columns stay
     0: a zero column steps to exactly 0, so a path entering from the border
     reads 0 and L = C there. At step t the rows C[t] and C[H-1-t] are copied
     transposed into one (2, D, W) buffer, added to every path's stepped state
@@ -283,15 +268,14 @@ def _sweep_y(C: np.ndarray, total: np.ndarray, dxs, p1: int, p2: int, dtype) -> 
     directions.
     """
     H, W, D = C.shape
-    dxs = sorted(dxs, reverse=True)  # +1, 0, -1: path i reads window i below
-    L = np.zeros((2, len(dxs), D, W + 2), dtype)
+    L = np.zeros((2, 3, D, W + 2), dtype)  # paths dx = +1, 0, -1
     stepped = np.empty_like(L)
-    # stepped[:, i, :, 1 - dxs[i]:][..., :W], one read-only view of every path
+    # stepped[:, i, :, i:i + W] for the path dx = 1 - i, one read-only view of every path
     shifted = np.moveaxis(np.diagonal(
-        sliding_window_view(stepped[..., 1 - dxs[0]:], W, axis=3), axis1=1, axis2=3), -1, 1)
+        sliding_window_view(stepped, W, axis=3), axis1=1, axis2=3), -1, 1)
     lines = np.empty((2, 1, D, W), dtype)
     line_sum = np.empty((2, D, W), np.uint16)
-    # the step sees the 2k paths as one (2k, D, W + 2) state
+    # the step sees the six paths as one (6, D, W + 2) state
     flat_L, flat_stepped = L.reshape(-1, D, W + 2), stepped.reshape(-1, D, W + 2)
     inner, CT = L[..., 1:-1], C.transpose(0, 2, 1)
     step = _PathStep(flat_L.shape, p1, p2, dtype)
@@ -327,37 +311,35 @@ def _sweep_x(C: np.ndarray, total: np.ndarray, p1: int, p2: int, dtype) -> None:
 
 
 def aggregate_costs(volume: CostVolume, params: SgmParams) -> CostVolume:
-    """Sum of the path accumulations over `params.directions`, as uint16.
+    """Sum of the path accumulations over the 8 paths of PATHS, as uint16.
 
     Two sweeps cover every path, each adding into one uint16 total: along y,
     where the paths with dy = +1 (from row 0) and dy = -1 (from row H-1)
-    step together as one disparity-major (2, k, D, W + 2) state, the
+    step together as one disparity-major (2, 3, D, W + 2) state, the
     diagonals reading the previous row shifted by one column; and along x,
     where (0, +1) at column x and (0, -1) at column W-1-x step together as
     one disparity-last (2, H, D + 2) state. The volume keeps its (H, W, D)
     layout: each y step copies two rows, transposed, into a (2, D, W) buffer
     and sums back through the transposed view, and the x sweep reads and adds
     the columns in place. Every value is an exact integer: a state is at
-    most max(C) + P2, and the n-path total at most n times that, which the
+    most max(C) + P2, and the 8-path total at most 8 times that, which the
     check here keeps within uint16. The states are uint8 when
     max(C) + P1 + P2 <= 255 and uint16 otherwise; either way a state plus
     P1 does not wrap, and the x sweep's iinfo(dtype).max - P1 padding is no
     lower than any state. So the result is bit-identical to summing the
-    float32 one-path oracle of `tests/oracles.py` over the directions, in
-    any order.
+    float32 one-path oracle of `tests/oracles.py` over PATHS, in any order.
     """
     C = volume.costs
-    n = len(params.directions)
+    n = len(PATHS)
     c_max, p1, p2 = int(C.max()), int(params.p1), int(params.p2)
     if n * (c_max + p2) > UINT16_MAX:
         raise ValueError(f"{n} paths x (max cost {c_max} + P2 {p2}) exceeds the uint16 range")
     dtype = np.uint8 if c_max + p1 + p2 <= np.iinfo(np.uint8).max else np.uint16
     total = np.zeros(C.shape, np.uint16)
-    _sweep_y(C, total, [dx for dy, dx in params.directions if dy == 1], p1, p2, dtype)
+    _sweep_y(C, total, p1, p2, dtype)
     _sweep_x(C, total, p1, p2, dtype)
     raw = volume.raw if volume.raw is not None else volume.costs
-    return CostVolume(costs=total, d_min=volume.d_min, d_max=volume.d_max,
-                      max_cost=volume.max_cost, base=volume.base, raw=raw)
+    return CostVolume(costs=total, d_min=volume.d_min, base=volume.base, raw=raw)
 
 
 class _InBounds:
@@ -512,6 +494,11 @@ def disparity_to_cloud(disp: DisparityMap, intrinsics: CameraIntrinsics,
     if not 0 < baseline < np.inf:
         raise ValueError("baseline must be positive and finite")
     H, W = disp.values.shape
+    if color is not None:
+        color = np.asarray(color)
+        if color.shape != (H, W, 3):
+            raise ValueError(f"color must be an (H, W, 3) = ({H}, {W}, 3) raster, "
+                             f"not {color.shape}")
     use = disp.valid & (disp.values > MIN_CLOUD_DISPARITY)
     ys, xs = np.nonzero(use)
     d = disp.values[ys, xs].astype(float)
@@ -521,5 +508,5 @@ def disparity_to_cloud(disp: DisparityMap, intrinsics: CameraIntrinsics,
     cam = np.column_stack([norm[:, 0] * Z, norm[:, 1] * Z, Z])
     world = cam @ pose.rotation().T + pose.t
 
-    colors = None if color is None else np.asarray(color)[ys, xs]
+    colors = None if color is None else color[ys, xs]
     return PointCloud(positions=world, colors=colors)

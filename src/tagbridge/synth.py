@@ -66,7 +66,6 @@ class SceneSpec:
     walk: WalkPlan = WalkPlan()
     seed: int = 0
     n_tie_points: int = 40
-    world_from_local: RigidTransform = None
     allow_collinear_tags: bool = False
 
     def __post_init__(self):
@@ -178,15 +177,12 @@ def gen_scene(spec: SceneSpec, intrinsics: CameraIntrinsics = None) -> Scene:
     tie_points = dict(enumerate(_stream(spec.seed, _KEY_TIE_POINTS).uniform(
         (lo[0], lo[1], 0.0), (hi[0], hi[1], 3.0), (spec.n_tie_points, 3))))
 
-    if spec.world_from_local is not None:
-        world_from_local = spec.world_from_local
-    else:
-        rng_T = _stream(spec.seed, _KEY_TRANSFORM)
-        angle = rng_T.uniform(-math.pi, math.pi)
-        world_from_local = RigidTransform(
-            rotation=rotation_from_angles((0.0, 0.0, angle)),
-            translation=np.array([rng_T.uniform(-50, 50), rng_T.uniform(-50, 50),
-                                  rng_T.uniform(-2, 2)]))
+    rng_T = _stream(spec.seed, _KEY_TRANSFORM)
+    angle = rng_T.uniform(-math.pi, math.pi)
+    world_from_local = RigidTransform(
+        rotation=rotation_from_angles((0.0, 0.0, angle)),
+        translation=np.array([rng_T.uniform(-50, 50), rng_T.uniform(-50, 50),
+                              rng_T.uniform(-2, 2)]))
 
     trajectory_world = _walk_trajectory(spec.walk)
     trajectory_local = apply_to_trajectory(world_from_local.inverse(), trajectory_world)

@@ -71,7 +71,7 @@ def reference_filter(clouds, grid, min_points):
     return np.array(positions), np.array(colors, dtype=np.uint8), np.array(valid)
 
 
-def reference_colorize(cloud, grid, rgb, intrinsics, rgb_pose, occlusion_threshold=1):
+def reference_colorize(cloud, grid, rgb, intrinsics, rgb_pose):
     """One `walk_voxels` walk per candidate point; returns (colors, color_valid)."""
     H, W = rgb.shape[:2]
     pixels, in_front = project_points(intrinsics, rgb_pose, cloud.positions)
@@ -90,7 +90,7 @@ def reference_colorize(cloud, grid, rgb, intrinsics, rgb_pose, occlusion_thresho
         for key in walk_voxels(cam_voxel, own, rgb_pose.t, direction, grid):
             if key == cam_voxel or key == own:
                 continue
-            if grid.count(key) >= occlusion_threshold:
+            if grid.count(key) >= 1:
                 occluded = True
                 break
         if not occluded:
@@ -99,11 +99,11 @@ def reference_colorize(cloud, grid, rgb, intrinsics, rgb_pose, occlusion_thresho
     return colors, valid
 
 
-def assert_colorize_matches_reference(cloud, grid, cam, pose, threshold=1):
+def assert_colorize_matches_reference(cloud, grid, cam, pose):
     """Batched and per-point colorize agree exactly; returns the visible mask."""
     rgb = np.random.default_rng(99).integers(0, 256, (cam.height, cam.width, 3), dtype=np.uint8)
-    out = colorize_with_occlusion(cloud, grid, rgb, cam, pose, occlusion_threshold=threshold)
-    colors, valid = reference_colorize(cloud, grid, rgb, cam, pose, threshold)
+    out = colorize_with_occlusion(cloud, grid, rgb, cam, pose)
+    colors, valid = reference_colorize(cloud, grid, rgb, cam, pose)
     if out.colors is None:
         assert not valid.any()
     else:
@@ -316,28 +316,21 @@ class TestFilterVoxels:
         with pytest.raises(ValueError):
             filter_voxels(grid, min_points=np.nan)
 
-    def test_rgb_fraction_filter(self):
-        # voxel A: 3/4 colored; voxel B: 1/4 colored
-        pts_a = np.zeros((4, 3)) + 0.05
-        pts_b = np.zeros((4, 3)) + np.array([1.05, 0.05, 0.05])
-        colors = np.tile(np.array([[200, 10, 10]], np.uint8), (4, 1))
-        cloud_a = PointCloud(positions=pts_a, colors=colors,
-                             color_valid=np.array([True, True, True, False]))
-        cloud_b = PointCloud(positions=pts_b, colors=colors,
-                             color_valid=np.array([True, False, False, False]))
-        grid = VoxelGrid(voxel_size=0.1)
-        accumulate(grid, cloud_a)
-        accumulate(grid, cloud_b)
-        out = filter_voxels(grid, min_points=1, min_rgb_fraction=0.5)
-        assert len(out) == 1
-        assert np.array_equal(out.colors[0], (200, 10, 10))
-
     def test_rgb_fraction_zero_emits_geometry_only(self):
+        # a voxel none of whose points carries valid RGB survives uncolored
         pts = np.zeros((3, 3)) + 0.05
         grid = accumulate(VoxelGrid(voxel_size=0.1), PointCloud(positions=pts))
-        out = filter_voxels(grid, min_points=1, min_rgb_fraction=0.0)
+        out = filter_voxels(grid, min_points=1)
         assert len(out) == 1
         assert out.colors is None
+        # beside a colored voxel: kept, black and not color-valid
+        colors = np.tile(np.array([[200, 10, 10]], np.uint8), (3, 1))
+        accumulate(grid, PointCloud(positions=pts + 1.0, colors=colors))
+        accumulate(grid, PointCloud(positions=pts + 2.0, colors=colors,
+                                    color_valid=np.zeros(3, bool)))
+        out = filter_voxels(grid, min_points=1)
+        assert out.color_valid.tolist() == [False, True, False]
+        assert out.colors.tolist() == [[0, 0, 0], [200, 10, 10], [0, 0, 0]]
 
 
 class TestColorize:
@@ -418,16 +411,14 @@ class TestColorize:
         out = colorize_with_occlusion(cloud, grid, rgb, cam, pose)
         assert 0 < out.color_valid.sum() < len(cloud)
 
-    @pytest.mark.parametrize("threshold", [1, 2, 3])
     @pytest.mark.parametrize("camera", [(1.0, 1.0, -0.5), (1.1, 0.9, 1.05)],
                              ids=["outside", "inside"])
-    def test_batched_walk_matches_reference(self, threshold, camera):
-        rng = np.random.default_rng(10 + threshold)
+    def test_batched_walk_matches_reference(self, camera):
+        rng = np.random.default_rng(11)
         pts = rng.uniform(0.0, 2.0, (1500, 3))
         grid = accumulate(VoxelGrid(voxel_size=0.25), PointCloud(positions=pts))
-        assert grid._count.max() > threshold
         visible = assert_colorize_matches_reference(
-            PointCloud(positions=pts), grid, wide_cam(), nadirless_pose(*camera), threshold)
+            PointCloud(positions=pts), grid, wide_cam(), nadirless_pose(*camera))
         assert 0 < visible.sum() < len(pts)
 
     def test_axis_parallel_rays_match_reference(self):
@@ -471,27 +462,10 @@ class TestColorize:
         own = pose.t + np.array([0.02, -0.01, 0.03])  # same 0.1 m voxel as the camera
         cloud = PointCloud(positions=np.vstack([own, clutter]))
         grid = accumulate(VoxelGrid(voxel_size=0.1), cloud)
-        accumulate(grid, PointCloud(positions=np.repeat(own[None, :], 5, axis=0)))
-        visible = assert_colorize_matches_reference(cloud, grid, wide_cam(), pose, threshold=2)
+        # the camera's voxel holds `own`, yet occludes neither it nor any other point
+        visible = assert_colorize_matches_reference(cloud, grid, wide_cam(), pose)
         assert visible[0]
-
-    def test_threshold_below_one_rejected(self):
-        cloud = PointCloud(positions=np.array([[0.0, 0.0, 3.0]]))
-        grid = accumulate(VoxelGrid(voxel_size=0.1), cloud)
-        rgb = np.zeros((480, 640, 3), np.uint8)
-        with pytest.raises(ValueError):
-            colorize_with_occlusion(cloud, grid, rgb, small_cam(), nadirless_pose(),
-                                    occlusion_threshold=0)
-
-    def test_threshold_nan_rejected(self):
-        # NaN would count no voxel as occupied, so the far point behind the
-        # near one on the same ray would be colored
-        cloud = PointCloud(positions=np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 3.0]]))
-        grid = accumulate(VoxelGrid(voxel_size=0.1), cloud)
-        rgb = np.zeros((480, 640, 3), np.uint8)
-        with pytest.raises(ValueError):
-            colorize_with_occlusion(cloud, grid, rgb, small_cam(), nadirless_pose(),
-                                    occlusion_threshold=np.nan)
+        assert 0 < visible.sum() < len(cloud)
 
 
 class TestKeyPacking:
@@ -598,8 +572,7 @@ class TestOcclusionWalk:
             got = assert_colorize_matches_reference(queries, grid, wide_cam(), pose)
             assert got.tolist() == [visible, True, True, True]
 
-    @pytest.mark.parametrize("threshold", [1, 2])
-    def test_two_plane_map_matches_reference(self, threshold):
+    def test_two_plane_map_matches_reference(self):
         # A near plane hides part of a far plane at 0.05 m voxels, as in the
         # benchmark's recolor map. Queries on both planes and in the free
         # space between end their walks from a few steps to about ninety, so
@@ -609,7 +582,6 @@ class TestOcclusionWalk:
         near = np.column_stack([rng.uniform(-0.3, 0.4, 600), rng.uniform(-0.4, 0.2, 600),
                                 np.full(600, 1.5)])
         grid = accumulate(VoxelGrid(voxel_size=0.05), PointCloud(positions=np.vstack([far, near])))
-        assert grid._count.min() == 1 and grid._count.max() > 2
         free = np.column_stack([rng.uniform(-0.5, 0.5, (2, 100)).T, rng.uniform(0.1, 3.2, 100)])
         queries = np.vstack([far[:150], near[:100], free])
         pose = nadirless_pose(0.02, -0.03, 0.0)
@@ -617,6 +589,6 @@ class TestOcclusionWalk:
         steps = np.abs(grid.voxel_indices(queries) - cam_voxel).sum(axis=1)
         assert steps.min() < 10 and steps.max() > 60
         visible = assert_colorize_matches_reference(PointCloud(positions=queries), grid,
-                                                    wide_cam(), pose, threshold)
+                                                    wide_cam(), pose)
         assert 0 < visible[:150].sum() < 150  # the near plane hides part of the far one
         assert visible[150:250].all()  # nothing lies in front of the near plane

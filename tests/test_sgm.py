@@ -9,6 +9,7 @@ from tagbridge import sgm
 from tagbridge.errors import DimensionMismatch, ImageTooSmall
 from tagbridge.geometry import Pose
 from tagbridge.sgm import (
+    PATHS,
     SELECT_BLOCK_ROWS,
     UINT16_MAX,
     CostVolume,
@@ -221,24 +222,33 @@ class TestCostVolume:
         a = census_transform(np.zeros((10, 10), np.uint8), (3, 3))
         b = census_transform(np.zeros((10, 12), np.uint8), (3, 3))
         with pytest.raises(DimensionMismatch):
-            matching_cost_volume(a, b, 0, 4)
+            matching_cost_volume(a, b, 0, 4, max_cost=8)
+
+    @pytest.mark.parametrize("max_cost", [24.7, 24.0, -1, UINT16_MAX + 1, None],
+                             ids=["fractional", "integer-valued-float", "negative",
+                                  "beyond-uint16", "none"])
+    def test_max_cost_must_be_an_integer_in_uint16_range(self, max_cost):
+        d = census_transform(np.arange(120, dtype=np.uint8).reshape(10, 12), (3, 3))
+        for edge in (0, np.int64(UINT16_MAX)):
+            vol = matching_cost_volume(d, d, 0, 15, max_cost=edge)
+            assert vol.costs[:, 0, 1:].tolist() == np.full((10, 15), edge).tolist()
+        with pytest.raises(ValueError, match="max_cost"):
+            matching_cost_volume(d, d, 0, 15, max_cost=max_cost)
 
 
 class TestAggregation:
     def test_zero_penalties_collapse_to_n_paths_times_raw(self):
         rng = np.random.default_rng(3)
         C = rng.integers(0, 25, (6, 9, 5)).astype(np.uint16)
-        vol = CostVolume(costs=C, d_min=0, d_max=4, max_cost=24)
+        vol = CostVolume(costs=C, d_min=0)
         total = np.zeros(C.shape, np.float32)
-        from tagbridge.sgm import PATHS_8
-
-        for direction in PATHS_8:
+        for direction in PATHS:
             total += aggregate_one_path(vol, direction, 0.0, 0.0)
         assert np.array_equal(total, 8.0 * C.astype(np.float32))
 
     def test_constant_volume_aggregates_to_n_paths_times_c(self):
         C = np.full((5, 7, 4), 6, np.uint16)
-        vol = CostVolume(costs=C, d_min=0, d_max=3, max_cost=24)
+        vol = CostVolume(costs=C, d_min=0)
         agg = aggregate_costs(vol, params(d_max=3, p1=4, p2=18))
         assert np.array_equal(agg.costs, np.full(C.shape, 48.0, np.float32))
 
@@ -246,7 +256,7 @@ class TestAggregation:
         rng = np.random.default_rng(4)
         for _ in range(100):
             C = rng.integers(0, 30, (1, 12, 4)).astype(np.uint16)
-            vol = CostVolume(costs=C, d_min=0, d_max=3, max_cost=30)
+            vol = CostVolume(costs=C, d_min=0)
             L = aggregate_one_path(vol, (0, 1), 10.0, 40.0)
             oracle = naive_single_path_oracle(C[0].astype(float), 10.0, 40.0)
             assert np.array_equal(L[0], oracle.astype(np.float32))
@@ -257,7 +267,7 @@ class TestAggregation:
         rng = np.random.default_rng(5)
         for _ in range(50):
             C = rng.integers(0, 30, (1, 10, 4)).astype(np.uint16)
-            vol = CostVolume(costs=C, d_min=0, d_max=3, max_cost=30)
+            vol = CostVolume(costs=C, d_min=0)
             L = aggregate_one_path(vol, (0, 1), 7.0, 23.0)[0]
             M = plain_dp(C[0].astype(float), 7.0, 23.0)
             for x in range(1, 10):
@@ -284,51 +294,50 @@ class TestAggregation:
         p = params(d_max=7)
         agg = aggregate_costs(vol, p)
         total = np.zeros(vol.costs.shape, np.float32)
-        for direction in p.directions:
+        for direction in PATHS:
             total += aggregate_one_path(vol, direction, p.p1, p.p2)
         assert np.array_equal(agg.costs, total)
 
     @pytest.mark.parametrize("base", ["left", "right"])
     # the default penalties, and P1 = P2 - 1 with a large P2, which leaves the x
-    # sweep's UINT16_MAX - P1 line padding its smallest margin
-    @pytest.mark.parametrize("n_paths,p1,p2", [(4, 10, 120), (8, 10, 120),
-                                               (4, 7999, 8000), (8, 7999, 8000)],
-                             ids=["4", "8", "4-p1=p2-1", "8-p1=p2-1"])
+    # sweep's UINT16_MAX - P1 line padding its smallest margin; the ids lead
+    # with the path count
+    @pytest.mark.parametrize("p1,p2", [(10, 120), (7999, 8000)], ids=["8", "8-p1=p2-1"])
     @pytest.mark.parametrize("shape", [(1, 9, 5), (8, 1, 5), (6, 8, 1), (1, 1, 1),
                                        (5, 11, 7), (11, 4, 3)])
-    def test_sweeps_equal_sum_of_oracle_paths(self, shape, n_paths, p1, p2, base):
-        p = params(n_paths=n_paths, p1=p1, p2=p2)
-        rng = np.random.default_rng(sum(shape) * n_paths)
-        ceiling = UINT16_MAX // n_paths - int(p.p2)  # largest max(C) the bound admits
+    def test_sweeps_equal_sum_of_oracle_paths(self, shape, p1, p2, base):
+        p = params(p1=p1, p2=p2)
+        rng = np.random.default_rng(sum(shape) * 8)
+        ceiling = UINT16_MAX // 8 - int(p.p2)  # largest max(C) the bound admits
         for high in (24, ceiling):
             C = rng.integers(0, high + 1, shape).astype(np.uint16)
             C.flat[0] = high
-            vol = CostVolume(costs=C, d_min=0, d_max=shape[2] - 1, max_cost=high, base=base)
+            vol = CostVolume(costs=C, d_min=0, base=base)
             agg = aggregate_costs(vol, p)
             oracle = np.zeros(shape, np.float32)
-            for direction in p.directions:
+            for direction in PATHS:
                 oracle += aggregate_one_path(vol, direction, p.p1, p.p2)
             assert agg.costs.dtype == np.uint16
             assert agg.base == base
             assert np.array_equal(agg.costs, oracle)
 
     @pytest.mark.parametrize("base", ["left", "right"])
-    @pytest.mark.parametrize("n_paths", [4, 8])
-    @pytest.mark.parametrize("bound", [254, 255, 256])
-    def test_state_dtype_bound_equals_sum_of_oracle_paths(self, bound, n_paths, base):
+    # the ids follow each bound with the path count
+    @pytest.mark.parametrize("bound", [254, 255, 256], ids=["254-8", "255-8", "256-8"])
+    def test_state_dtype_bound_equals_sum_of_oracle_paths(self, bound, base):
         # max(C) + P1 + P2 = 255 is the largest bound stepped in uint8 states;
         # costs of 0 or max(C) >= P2 drive path states to max(C) + P2
-        rng = np.random.default_rng([bound, n_paths, len(base)])
+        rng = np.random.default_rng([bound, 8, len(base)])
         for p1, p2 in ((10, 120), (5, 20)):
-            p = params(n_paths=n_paths, p1=p1, p2=p2)
+            p = params(p1=p1, p2=p2)
             high = bound - p1 - p2
             for shape in ((7, 9, 6), (10, 5, 4)):
                 C = rng.choice(np.array([0, high // 2, high], np.uint16), shape)
                 C.flat[0] = high
-                vol = CostVolume(costs=C, d_min=0, d_max=shape[2] - 1, max_cost=high, base=base)
+                vol = CostVolume(costs=C, d_min=0, base=base)
                 agg = aggregate_costs(vol, p)
                 oracle = np.zeros(shape, np.float32)
-                for direction in p.directions:
+                for direction in PATHS:
                     oracle += aggregate_one_path(vol, direction, p.p1, p.p2)
                 assert agg.costs.dtype == np.uint16
                 assert np.array_equal(agg.costs, oracle)
@@ -346,7 +355,7 @@ class TestAggregation:
         monkeypatch.setattr(sgm, "_PathStep", RecordingStep)
         C = np.zeros((3, 4, 5), np.uint16)
         C[1, 2, 3] = bound - 10 - 120
-        aggregate_costs(CostVolume(costs=C, d_min=0, d_max=4, max_cost=24), params(d_max=4))
+        aggregate_costs(CostVolume(costs=C, d_min=0), params(d_max=4))
         assert seen == [dtype, dtype]
 
     @pytest.mark.parametrize("layout", ["fortran", "reversed_columns"])
@@ -355,9 +364,9 @@ class TestAggregation:
         p = params(d_max=5)
         C = np.random.default_rng(19).integers(0, 25, (9, 12, 6)).astype(np.uint16)
         costs = np.asfortranarray(C) if layout == "fortran" else C[:, ::-1]
-        vol = CostVolume(costs=costs, d_min=0, d_max=5, max_cost=24)
+        vol = CostVolume(costs=costs, d_min=0)
         oracle = np.zeros(C.shape, np.float32)
-        for direction in p.directions:
+        for direction in PATHS:
             oracle += aggregate_one_path(vol, direction, p.p1, p.p2)
         assert np.array_equal(aggregate_costs(vol, p).costs, oracle)
 
@@ -366,11 +375,10 @@ class TestAggregation:
         ceiling = UINT16_MAX // 8 - int(p.p2)
         C = np.zeros((3, 4, 4), np.uint16)
         C[1, 2, 3] = ceiling
-        # the bound reads max(C) from the volume, not from max_cost
-        aggregate_costs(CostVolume(costs=C, d_min=0, d_max=3, max_cost=UINT16_MAX), p)
+        aggregate_costs(CostVolume(costs=C, d_min=0), p)
         C[1, 2, 3] = ceiling + 1
         with pytest.raises(ValueError, match="uint16"):
-            aggregate_costs(CostVolume(costs=C, d_min=0, d_max=3, max_cost=24), p)
+            aggregate_costs(CostVolume(costs=C, d_min=0), p)
 
     def test_backtracked_dp_solution_is_optimal(self):
         # energy of the DP-chosen sequence equals the enumerated optimum (slack 0)
@@ -545,7 +553,7 @@ class TestSelectDisparity:
         p = params(d_max=shape[2] - 1)
         rng = np.random.default_rng(14)
         left, right = (CostVolume(costs=rng.integers(0, 25, shape, dtype=np.uint16),
-                                  d_min=0, d_max=shape[2] - 1, max_cost=24, base=base)
+                                  d_min=0, base=base)
                        for base in ("left", "right"))
         raw_bytes = left.costs.nbytes + right.costs.nbytes
         tracemalloc.start()
@@ -592,9 +600,7 @@ def select_volume(rng, shape, d_min, base, values):
             small[::4] = 9
         return small
 
-    D = shape[2]
-    return CostVolume(costs=draw(), d_min=d_min, d_max=d_min + D - 1, max_cost=24,
-                      base=base, raw=draw())
+    return CostVolume(costs=draw(), d_min=d_min, base=base, raw=draw())
 
 
 class TestSelectMatchesOracle:
@@ -684,3 +690,17 @@ class TestDisparityToCloud:
                 disparity_to_cloud(disp, stereo_cam, 0.2, pose, color=rgb)
         cloud = disparity_to_cloud(disp, stereo_cam, 0.2, pose, color=np.full((4, 4, 3), 255))
         assert cloud.colors.dtype == np.uint8 and (cloud.colors == 255).all()
+
+    @pytest.mark.parametrize("shape", [(20, 50, 3), (25, 40, 3), (19, 40, 3), (20, 40, 4),
+                                       (20, 40)],
+                             ids=["wider", "taller", "shorter", "four-channel", "grey"])
+    def test_color_must_match_the_map(self, stereo_cam, shape):
+        from tagbridge.sgm import DisparityMap
+
+        disp = DisparityMap(values=np.full((20, 40), 5.0, np.float32),
+                            valid=np.ones((20, 40), bool), flags=np.zeros((20, 40), np.uint8))
+        pose = Pose(t=np.zeros(3), r=np.zeros(3))
+        cloud = disparity_to_cloud(disp, stereo_cam, 0.2, pose, color=np.zeros((20, 40, 3)))
+        assert len(cloud) == 800
+        with pytest.raises(ValueError, match=r"\(20, 40, 3\)"):
+            disparity_to_cloud(disp, stereo_cam, 0.2, pose, color=np.zeros(shape))
