@@ -46,7 +46,6 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     _group_sums,
-    distortion_factor,
     rotation_from_angles,
 )
 
@@ -178,12 +177,10 @@ class _Packer:
         behind = depth <= BEHIND_CAMERA_EPS
         safe = np.where(behind, 1.0, depth)
         norm = cam[:, :2] / safe[:, None]
-        r2 = np.sum(norm * norm, axis=1, keepdims=True)
-        scale = distortion_factor(intr.k, r2)
         focal = intr.focal_px
-        res = self.obs - ((intr.x0, intr.y0) + focal * (norm * scale))
+        res = self.obs - ((intr.x0, intr.y0) + focal * norm)
         res[behind] = BEHIND_RESIDUAL
-        return res, behind, (R, d, r, safe, norm, r2, scale, focal)
+        return res, behind, (R, d, r, safe, norm, focal)
 
     def residuals(self, x: np.ndarray):
         res, behind, _ = self._predict(x)
@@ -199,19 +196,12 @@ class _Packer:
         Rows of behind-camera measurements are zero: their residual is the
         constant BEHIND_RESIDUAL.
         """
-        res, behind, (R, d, r, depth, norm, r2, scale, focal) = self._predict(x)
-        k = self.problem.intrinsics.k
-        dscale = np.zeros_like(scale)  # d scale / d r^2
-        for i in range(len(k) - 1, 0, -1):
-            dscale = dscale * r2 + i * k[i]
-        # d pixel / d normalized = focal (scale I + 2 scale' n n^T), and
-        # d normalized / d camera point = [I | -n] / depth
-        dpx_dn = 2.0 * dscale[:, :, None] * norm[:, :, None] * norm[:, None, :]
-        dpx_dn[:, [0, 1], [0, 1]] += scale
+        res, behind, (R, d, r, depth, norm, focal) = self._predict(x)
+        # d pixel / d camera point = focal [I | -n] / depth
         dn_dcam = np.zeros((len(norm), 2, 3))
         dn_dcam[:, [0, 1], [0, 1]] = 1.0
         dn_dcam[:, :, 2] = -norm
-        dpx_dcam = focal * dpx_dn @ (dn_dcam / depth[:, None, None])
+        dpx_dcam = focal * (dn_dcam / depth[:, None, None])
         # camera point = R^T (P - t), so d pixel / d P = dpx_dcam R^T
         dpx_dP = np.einsum("mik,mjk->mij", dpx_dcam, R)
 

@@ -8,10 +8,6 @@ class TagbridgeError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DistortionInversionDiverged(TagbridgeError):
-    """Fixed-point undistortion failed to converge."""
-
-
 class InsufficientObservations(TagbridgeError):
     """Fewer than two rays/observations for a triangulation target."""
 

@@ -8,6 +8,8 @@ Conventions used throughout the toolkit:
 * Camera frame: +Z is the viewing axis, +X points right (increasing pixel u),
   +Y points down (increasing pixel v).
 * Pixel origin at the top-left, pixel centers on integer coordinates.
+* Pixels are those of an ideal pinhole camera with calibrated interior
+  orientation: any lens correction is applied once, to the detector's input.
 * Angles are radians.
 """
 
@@ -17,15 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DistortionInversionDiverged
-
 # Depth below which a point counts as behind the camera (meters).
 BEHIND_CAMERA_EPS = 1e-9
-# Fixed-point undistortion: a point has converged once its step is below
-# UNDISTORT_TOL (normalized units); one that has not after UNDISTORT_MAX_ITER
-# steps raises.
-UNDISTORT_MAX_ITER = 20
-UNDISTORT_TOL = 1e-10
 
 
 def _checked(x, shape, name):
@@ -58,10 +53,9 @@ def _group_sums(group, values, n):
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Interior orientation: focal length, principal point, radial distortion.
+    """Interior orientation: focal length, principal point and sensor size.
 
-    f and pixel_pitch are in millimeters; x0/y0 in pixels; k holds the
-    radial coefficients (k0, k1, k2, ...) applied to the normalized radius.
+    f and pixel_pitch are in millimeters; x0/y0 in pixels.
     """
 
     f: float
@@ -70,7 +64,6 @@ class CameraIntrinsics:
     y0: float
     width: int
     height: int
-    k: tuple = ()
 
     def __post_init__(self):
         if not 0 < self.f < np.inf:
@@ -81,9 +74,6 @@ class CameraIntrinsics:
             raise ValueError("sensor must be a finite, whole number of px, at least 1x1")
         if not (0 <= self.x0 < self.width and 0 <= self.y0 < self.height):
             raise ValueError("principal point must lie inside the sensor")
-        object.__setattr__(self, "k", tuple(float(c) for c in self.k))
-        if not np.isfinite(self.k).all():
-            raise ValueError("distortion coefficients must be finite")
 
     @property
     def focal_px(self) -> float:
@@ -186,46 +176,6 @@ def angles_from_rotation(R) -> np.ndarray:
     return angles[0] if single else angles
 
 
-def distortion_factor(k, r2):
-    """Radial scaling 1 + k0 + k1*r^2 + k2*r^4 + ... evaluated at squared radius r2."""
-    factor = np.zeros_like(np.asarray(r2, dtype=float))
-    for c in reversed(k):
-        factor = factor * r2 + c
-    return 1.0 + factor
-
-
-def distort_normalized(k, xy: np.ndarray) -> np.ndarray:
-    """Apply the radial model to normalized image coordinates (..., 2)."""
-    xy = np.asarray(xy, dtype=float)
-    r2 = np.sum(xy * xy, axis=-1, keepdims=True)
-    return xy * distortion_factor(k, r2)
-
-
-def undistort_normalized(k, xy: np.ndarray) -> np.ndarray:
-    """Invert distort_normalized by fixed-point iteration, point by point.
-
-    Each point stops once its own step is below UNDISTORT_TOL, so its result
-    does not depend on which other points share the call. Raises
-    DistortionInversionDiverged when a point has not converged after
-    UNDISTORT_MAX_ITER steps.
-    """
-    xy = np.asarray(xy, dtype=float)
-    if not k:
-        return xy.copy()
-    flat = xy.reshape(-1, 2)
-    und = flat.copy()
-    todo = np.arange(len(flat))
-    for _ in range(UNDISTORT_MAX_ITER):
-        cur = und[todo]
-        new = flat[todo] / distortion_factor(k, np.sum(cur * cur, axis=1, keepdims=True))
-        und[todo] = new
-        todo = todo[~(np.max(np.abs(new - cur), axis=1) < UNDISTORT_TOL)]  # NaN never converges
-        if not len(todo):
-            return und.reshape(xy.shape)
-    raise DistortionInversionDiverged(
-        f"{len(todo)} point(s) did not reach {UNDISTORT_TOL} in {UNDISTORT_MAX_ITER} iterations")
-
-
 def project_points(intrinsics: CameraIntrinsics, pose: Pose, points: np.ndarray):
     """Project (N, 3) world points; returns ((N, 2) pixels, (N,) in-front mask).
 
@@ -240,18 +190,12 @@ def project_points(intrinsics: CameraIntrinsics, pose: Pose, points: np.ndarray)
     with np.errstate(divide="ignore", invalid="ignore"):
         norm = cam[:, :2] / depth[:, None]
     norm = np.where(in_front[:, None], norm, np.nan)
-    dist = distort_normalized(intrinsics.k, norm)
-    focal = intrinsics.focal_px
-    pixels = np.empty_like(dist)
-    pixels[:, 0] = intrinsics.x0 + focal * dist[:, 0]
-    pixels[:, 1] = intrinsics.y0 + focal * dist[:, 1]
-    return pixels, in_front
+    return (intrinsics.x0, intrinsics.y0) + intrinsics.focal_px * norm, in_front
 
 
 def _pixels_to_normalized(intrinsics: CameraIntrinsics, pixels: np.ndarray) -> np.ndarray:
-    """Undistorted normalized image coordinates of (N, 2) float pixel coordinates."""
-    return undistort_normalized(
-        intrinsics.k, (pixels - (intrinsics.x0, intrinsics.y0)) / intrinsics.focal_px)
+    """Normalized image coordinates of (N, 2) float pixel coordinates."""
+    return (pixels - (intrinsics.x0, intrinsics.y0)) / intrinsics.focal_px
 
 
 def pixels_to_directions(intrinsics: CameraIntrinsics, rotation, pixels: np.ndarray) -> np.ndarray:

@@ -43,11 +43,8 @@ class LocalTagSighting:
 
     tag_id: int
     local_vector: np.ndarray
-    timestamp: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.timestamp < np.inf:
-            raise ValueError("timestamp must be non-negative and finite")
         object.__setattr__(self, "local_vector", _checked(self.local_vector, (3,), "local_vector"))
 
 

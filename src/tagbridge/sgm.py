@@ -72,6 +72,15 @@ def _check_census_window(window):
         raise ValueError("census window sizes must be odd and positive, and not both 1")
 
 
+def _check_disparity_range(d_min, d_max):
+    """Raise ValueError unless d_min < d_max are both integers."""
+    # integer types, not integer-valued floats: they size arrays and bound ranges
+    if not all(isinstance(v, numbers.Integral) for v in (d_min, d_max)):
+        raise ValueError("d_min and d_max must be integers")
+    if d_min >= d_max:
+        raise ValueError("d_min must be < d_max")
+
+
 @dataclass(frozen=True)
 class SgmParams:
     d_min: int
@@ -83,11 +92,7 @@ class SgmParams:
     uniqueness_ratio: float = 1.05
 
     def __post_init__(self):
-        # integer types, not integer-valued floats: they size arrays and bound ranges
-        if not all(isinstance(v, numbers.Integral) for v in (self.d_min, self.d_max)):
-            raise ValueError("d_min and d_max must be integers")
-        if self.d_min >= self.d_max:
-            raise ValueError("d_min must be < d_max")
+        _check_disparity_range(self.d_min, self.d_max)
         if not (0 < self.p1 < self.p2):
             raise ValueError("penalties must satisfy 0 < P1 < P2")
         if not (float(self.p1).is_integer() and float(self.p2).is_integer()):
@@ -182,14 +187,13 @@ def matching_cost_volume(base_desc: np.ndarray, match_desc: np.ndarray,
 
     The match pixel is x - d for a left base and x + d for a right base;
     out-of-bounds matches get `max_cost`, the census bit count
-    (`census_bits`). `max_cost` must be an integer in [0, 65535]
-    (ValueError otherwise).
+    (`census_bits`). `d_min` < `d_max` must be integers, and `max_cost` an
+    integer in [0, 65535] (ValueError otherwise).
     """
     if base_desc.shape != match_desc.shape:
         raise DimensionMismatch(
             f"raster shapes differ: {base_desc.shape} vs {match_desc.shape}")
-    if d_min >= d_max:
-        raise ValueError("d_min must be < d_max")
+    _check_disparity_range(d_min, d_max)
     if base not in ("left", "right"):
         raise ValueError("base must be 'left' or 'right'")
     if not (isinstance(max_cost, numbers.Integral) and 0 <= max_cost <= UINT16_MAX):

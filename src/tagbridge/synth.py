@@ -222,19 +222,15 @@ def render_observations(scene: Scene, intrinsics: CameraIntrinsics,
 def render_sightings(scene: Scene, sigma_m: float = 0.0, seed: int = 0):
     """Local-frame tag sightings as the ground rig would measure them.
 
-    Each tag is sighted once, stamped onto the earliest trajectory samples
-    (one tag per sample, in tag-id order).
+    Each tag is sighted once, in tag-id order.
     """
     inv = scene.world_from_local.inverse()
-    ts = scene.trajectory_local.timestamps
     sightings = []
     for i, tag_id in enumerate(sorted(scene.tags)):
         rng = _stream(seed, _KEY_SIGHTINGS, i)
         local = apply_transform(inv, scene.tags[tag_id])
         local = local + gaussian(rng, (3,)) * sigma_m
-        stamp = float(ts[min(i, len(ts) - 1)])
-        sightings.append(LocalTagSighting(tag_id=tag_id, local_vector=local,
-                                          timestamp=stamp))
+        sightings.append(LocalTagSighting(tag_id=tag_id, local_vector=local))
     return sightings
 
 

