@@ -6,15 +6,17 @@ selection with subpixel refinement, uniqueness and left-right checks ->
 optional conversion of the disparity map to a 3D point cloud.
 
 Matching cost is census + Hamming: deterministic, offset-invariant, and
-checkable against small exhaustive oracles. Costs are small unsigned
-integers bounded by the census bit count. Aggregation sums the eight paths
-of PATHS, the fewest that Hirschmueller (TPAMI 2008, section 3.3) asks for.
-Aggregated costs are uint16 and exact: with integer P1 and P2 a path value
-is at most max(C) + P2, so the 8-path sum is at most 8 * (max(C) + P2),
-1 152 for a 5x5 census at the defaults; `aggregate_costs` rejects volumes
-whose bound exceeds 65 535. The path states themselves are uint8 whenever
-max(C) + P1 + P2 <= 255 (a 5x5 census at the defaults: 24 + 10 + 120),
-else uint16, so a sweep step moves half the bytes on census costs.
+checkable against small exhaustive oracles. A block of cost rows is one XOR
+of uint32 census words against a sliding window over the zero-padded match
+raster, one popcount sum and one masked store of the out-of-bounds cost.
+Raw costs are uint8 while that cost and the word bits fit (CostVolume).
+Aggregation sums the eight paths of PATHS, the fewest that Hirschmueller
+(TPAMI 2008, section 3.3) asks for. Aggregated costs are uint16 and exact:
+with integer P1 and P2 a path value is at most max(C) + P2, so the 8-path
+sum is at most 8 * (max(C) + P2), 1 152 for a 5x5 census at the defaults;
+`aggregate_costs` rejects volumes whose bound exceeds 65 535. The path
+states are uint8 whenever max(C) + P1 + P2 <= 255 (a 5x5 census at the
+defaults: 24 + 10 + 120), else uint16.
 
 Volumes are (H, W, D). One row sweep steps the down and the up paths
 together as a disparity-major (2, 3, D, W + 2) state, so the minimum
@@ -28,7 +30,7 @@ where it lies, H rows of D contiguous cells, so it copies nothing; each
 line's two pad cells hold iinfo(dtype).max - P1, dtype the state dtype, so
 no flat +-1 shift carries one line's edge into the next. Selection reads
 the volumes in place too, a block of rows at a time. No volume-sized copy
-is made.
+is made; the cost layer's buffers are one padded match raster and one block.
 """
 
 from __future__ import annotations
@@ -54,9 +56,9 @@ FLAG_OUT_OF_RANGE = 4
 # The eight aggregated paths as (dy, dx) steps, in fixed summation order.
 PATHS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
-# Cells per block in matching_cost_volume: its plane-major (D, rows, W) buffer
-# stays small while each block is stored with one transposing copy.
-COST_BLOCK_CELLS = 32 * 320 * 64
+# Cost cells times census words per block in matching_cost_volume: 16 rows at
+# 320 x 64 with one word. 64-row blocks took 35 % longer at 240 x 320 x 64.
+COST_BLOCK_CELLS = 16 * 320 * 64
 # Rows per block in select_disparity: its temporaries are one uint32 and one
 # uint16 (SELECT_BLOCK_ROWS, W, D) buffer, whatever the image height.
 SELECT_BLOCK_ROWS = 16
@@ -108,11 +110,12 @@ class SgmParams:
 class CostVolume:
     """Per-pixel, per-disparity matching costs C(x, y, d), d = d_min..d_min + D - 1.
 
-    `costs` is uint16, both for matching costs and for the path sums that
-    `aggregate_costs` returns; D is its last axis. `base` records which
-    image the volume is anchored to ("left": matches at x - d in the other
-    image; "right": matches at x + d). After aggregation, `raw` keeps the
-    pre-aggregation matching costs: the uniqueness test runs on them,
+    D is the last axis of `costs`. Matching costs are uint8 when
+    max(max_cost, 32 * census words) <= 255 (a 5x5 census: 24 and 32), else
+    uint16; the path sums of `aggregate_costs` are uint16. `base` records
+    which image the volume is anchored to ("left": matches at x - d in the
+    other image; "right": matches at x + d). After aggregation, `raw` keeps
+    the pre-aggregation matching costs: the uniqueness test runs on them,
     because path accumulation seeds a spurious unique minimum from the
     out-of-bounds border wedge even when every true matching cost ties
     (textureless input).
@@ -142,7 +145,7 @@ def census_transform(image: np.ndarray, window=(5, 5)) -> np.ndarray:
 
     Neighbors are enumerated in row-major order over the window with the
     center excluded; borders use edge-clamped neighborhoods. Returns an
-    (H, W, n_words) uint64 raster (LSB-first packing within each word).
+    (H, W, ceil(n_bits / 32)) uint32 raster, LSB first within each word.
     NaN pixels raise ValueError, since they compare false with every
     neighbour; +-inf are ordered and accepted.
     """
@@ -160,8 +163,7 @@ def census_transform(image: np.ndarray, window=(5, 5)) -> np.ndarray:
     ph, pw = wh // 2, ww // 2
     padded = np.pad(image, ((ph, ph), (pw, pw)), mode="edge")
     n_bits = wh * ww - 1
-    n_words = (n_bits + 63) // 64
-    desc = np.zeros((H, W, n_words), dtype=np.uint64)
+    desc = np.zeros((H, W, -(-n_bits // 32)), dtype=np.uint32)
 
     bit = 0
     for dy in range(-ph, ph + 1):
@@ -170,8 +172,8 @@ def census_transform(image: np.ndarray, window=(5, 5)) -> np.ndarray:
                 continue
             neighbor = padded[ph + dy:ph + dy + H, pw + dx:pw + dx + W]
             mask = neighbor < image
-            word, offset = divmod(bit, 64)
-            desc[:, :, word] |= mask.astype(np.uint64) << np.uint64(offset)
+            word, offset = divmod(bit, 32)
+            desc[:, :, word] |= mask.astype(np.uint32) << np.uint32(offset)
             bit += 1
     return desc
 
@@ -188,7 +190,8 @@ def matching_cost_volume(base_desc: np.ndarray, match_desc: np.ndarray,
     The match pixel is x - d for a left base and x + d for a right base;
     out-of-bounds matches get `max_cost`, the census bit count
     (`census_bits`). `d_min` < `d_max` must be integers, and `max_cost` an
-    integer in [0, 65535] (ValueError otherwise).
+    integer in [0, 65535] (ValueError otherwise). Costs are uint8 when
+    max(max_cost, n_words * word bits) <= 255, else uint16.
     """
     if base_desc.shape != match_desc.shape:
         raise DimensionMismatch(
@@ -199,27 +202,24 @@ def matching_cost_volume(base_desc: np.ndarray, match_desc: np.ndarray,
     if not (isinstance(max_cost, numbers.Integral) and 0 <= max_cost <= UINT16_MAX):
         raise ValueError("max_cost must be an integer in [0, 65535]")
 
-    H, W = base_desc.shape[:2]
+    H, W, n_words = base_desc.shape
     D = d_max - d_min + 1
-    costs = np.empty((H, W, D), dtype=np.uint16)
-    sign = 1 if base == "left" else -1
-    # fill each block of rows plane by plane, then store it transposed at once;
-    # every block writes the same in-bounds columns, so the rest stay max_cost
-    rows = min(H, max(1, COST_BLOCK_CELLS // (W * D)))
-    buf = np.full((D, rows, W), max_cost, dtype=np.uint16)
+    dtype = np.uint8 if max(max_cost, 8 * base_desc.itemsize * n_words) <= 255 else np.uint16
+    costs = np.empty((H, W, D), dtype)
+    # window[y, j, i] holds match column j + i - pad: base column x matches x -+ (d_min + i)
+    pad = max(-d_min, d_max)
+    padded = np.pad(match_desc, ((0, 0), (pad, pad), (0, 0)))
+    window = np.moveaxis(sliding_window_view(padded, D, axis=1), -1, 2)
+    match = (window[:, pad - d_max:pad - d_max + W, ::-1] if base == "left"
+             else window[:, pad + d_min:pad + d_min + W])
+    bounds = _InBounds(W, d_min, D, base)
+    rows = min(H, max(1, COST_BLOCK_CELLS // (W * D * n_words)))
+    xor = np.empty((rows, W, D, n_words), base_desc.dtype)
     for r0 in range(0, H, rows):
-        r1 = min(r0 + rows, H)
-        block = buf[:, :r1 - r0]
-        for i, d in enumerate(range(d_min, d_max + 1)):
-            shift = sign * d  # match pixel is x - shift
-            lo = max(0, shift)
-            hi = min(W, W + shift)
-            if lo >= hi:
-                continue
-            block[i, :, lo:hi] = np.bitwise_count(np.bitwise_xor(
-                base_desc[r0:r1, lo:hi], match_desc[r0:r1, lo - shift:hi - shift]
-            )).sum(axis=-1, dtype=np.uint16)
-        costs[r0:r1] = block.transpose(1, 2, 0)
+        block, x = costs[r0:r0 + rows], xor[:H - r0]
+        np.bitwise_xor(base_desc[r0:r0 + rows, :, None], match[r0:r0 + rows], out=x)
+        np.bitwise_count(x).sum(axis=-1, dtype=dtype, out=block)
+        np.copyto(block[:, bounds.wedge], dtype(max_cost), where=bounds.wedge_out)
     return CostVolume(costs=costs, d_min=d_min, base=base)
 
 
@@ -350,11 +350,11 @@ class _InBounds:
     """The disparities that map into the other image, column by column.
 
     Column x's in-bounds disparity indices are one interval, lo[x]..hi[x]
-    (empty where lo > hi). Selection masks only the wedge: the columns from
-    the first to the last whose interval is not all of 0..D-1. With
-    d_min >= 0 these are the first d_max columns of a left base and the last
-    d_max of a right one. `wedge_out` is their (columns, D) out-of-bounds
-    mask.
+    (empty where lo > hi). The cost volume and selection mask only the
+    wedge: the columns from the first to the last whose interval is not all
+    of 0..D-1. With d_min >= 0 these are the first d_max columns of a left
+    base and the last d_max of a right one. `wedge_out` is their (columns,
+    D) out-of-bounds mask.
     """
 
     def __init__(self, W: int, d_min: int, D: int, base: str):
@@ -437,7 +437,7 @@ def select_disparity(aggregated: CostVolume, params: SgmParams,
     at a time into two block buffers, a uint32 one for the winner-take-all
     and a uint16 one for the uniqueness test; only the wedge columns are
     masked. The result is bit-identical to the float32 whole-volume
-    reference in `tests/oracles.py`, for every uint16 input.
+    reference in `tests/oracles.py`, for every uint8 or uint16 input.
     """
     H, W, D = aggregated.costs.shape
     if right_aggregated is not None:

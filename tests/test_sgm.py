@@ -120,8 +120,18 @@ class TestCensus:
     def test_wide_window_multiword(self):
         rng = np.random.default_rng(2)
         img = rng.integers(0, 256, (11, 13)).astype(np.uint8)
-        desc = census_transform(img, (9, 9))  # 80 bits -> 2 words
-        assert desc.shape[-1] == 2
+        desc = census_transform(img, (9, 9))  # 80 bits -> 3 words
+        assert desc.dtype == np.uint32
+        assert desc.shape[-1] == 3
+
+    def test_hand_enumerated_7x7_word_boundary(self):
+        # 48 bits: bit 31 is the neighbour (+1, +1), the last of word 0, and
+        # bit 32 the neighbour (+1, +2), the first of word 1
+        img = np.full((9, 9), 100, np.uint8)
+        img[5, 5] = img[5, 6] = 50
+        desc = census_transform(img, (7, 7))
+        assert desc.shape == (9, 9, 2)
+        assert desc[4, 4].tolist() == [1 << 31, 1]
 
     @pytest.mark.parametrize("window", [(-1, 5), (5, -3), (1, 1), (4, 5)],
                              ids=["negative-height", "negative-width", "no-neighbour", "even"])
@@ -182,19 +192,61 @@ def reference_cost_volume(base_desc, match_desc, d_min, d_max, max_cost, base):
 
 class TestCostVolume:
     # 70 rows span several row blocks and a partial one; disparities up to 14
-    # include shifts of W or more, whose planes are all max_cost
-    @pytest.mark.parametrize("shape,window", [((70, 9), (5, 5)), ((11, 13), (9, 9))])
+    # include shifts of W or more, whose planes are all max_cost. The costs
+    # are uint8 while max(max_cost, 32 * words) <= 255: not for a 17x17
+    # census (9 words) or a max_cost of 300
+    @pytest.mark.parametrize("shape,window,max_cost,dtype", [
+        ((70, 9), (5, 5), 24, np.uint8), ((11, 13), (9, 9), 80, np.uint8),
+        ((19, 18), (17, 17), 288, np.uint16), ((11, 13), (5, 5), 300, np.uint16),
+    ], ids=["shape0-window0", "shape1-window1", "17x17", "max_cost-300"])
     @pytest.mark.parametrize("base", ["left", "right"])
-    def test_matches_per_pixel_reference(self, shape, window, base):
+    def test_matches_per_pixel_reference(self, shape, window, max_cost, dtype, base):
         rng = np.random.default_rng(31)
         left = census_transform(rng.integers(0, 256, shape).astype(np.uint8), window)
         right = census_transform(rng.integers(0, 256, shape).astype(np.uint8), window)
-        bits = census_bits(window)
         base_desc, match_desc = (left, right) if base == "left" else (right, left)
-        vol = matching_cost_volume(base_desc, match_desc, 3, 14, max_cost=bits, base=base)
-        expected = reference_cost_volume(base_desc, match_desc, 3, 14, bits, base)
-        assert vol.costs.dtype == np.uint16
+        vol = matching_cost_volume(base_desc, match_desc, 3, 14, max_cost=max_cost, base=base)
+        expected = reference_cost_volume(base_desc, match_desc, 3, 14, max_cost, base)
+        assert vol.costs.dtype == dtype
         assert np.array_equal(vol.costs, expected)
+
+    # a negative d_min puts out-of-bounds matches at both edges; D > W puts
+    # every column in the wedge and pads the match raster by more than W
+    @pytest.mark.parametrize("W,d_min,d_max",
+                             [(23, 0, 9), (23, -6, 9), (17, -9, -2), (11, -4, 15), (9, 3, 14)])
+    def test_right_base_is_the_left_base_sheared(self, W, d_min, d_max):
+        # C_R[y, x, i] and C_L[y, x + d_min + i, i] compare the same two pixels
+        rng = np.random.default_rng([W, d_max - d_min])
+        left, right = (census_transform(rng.integers(0, 256, (13, W)).astype(np.uint8), (5, 5))
+                       for _ in range(2))
+        c_left = matching_cost_volume(left, right, d_min, d_max, max_cost=24).costs
+        c_right = matching_cost_volume(right, left, d_min, d_max, max_cost=24, base="right").costs
+        x = np.arange(W)[:, None]
+        i = np.arange(d_max - d_min + 1)[None, :]
+        x_left = x + d_min + i
+        inside = (x_left >= 0) & (x_left < W)
+        sheared = c_left[:, np.clip(x_left, 0, W - 1), i]
+        assert inside.any() and not inside.all()
+        assert np.array_equal(c_left, reference_cost_volume(left, right, d_min, d_max, 24, "left"))
+        assert np.array_equal(c_right, np.where(inside, sheared, 24))
+
+    def test_memory_bounded(self):
+        # beyond the uint8 volume only one block's uint32 XOR words and their
+        # popcounts (5 bytes per block cell) and the padded match raster, here
+        # under a fifth of that, may be held
+        shape = (128, 256, 128)
+        rng = np.random.default_rng(15)
+        left, right = (census_transform(rng.integers(0, 256, shape[:2]).astype(np.uint8))
+                       for _ in range(2))
+        for base in ("left", "right"):
+            tracemalloc.start()
+            try:
+                vol = matching_cost_volume(left, right, 0, shape[2] - 1, max_cost=24, base=base)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert vol.costs.dtype == np.uint8
+            assert peak <= vol.costs.nbytes + 2 * 5 * sgm.COST_BLOCK_CELLS
 
     def test_identical_images_zero_at_d0(self):
         left, _ = random_dot_pair(shift=0)
@@ -629,6 +681,57 @@ class TestSelectMatchesOracle:
             assert np.array_equal(got.values, want.values)
             assert np.array_equal(got.valid, want.valid)
             assert np.array_equal(got.flags, want.flags)
+
+
+class TestUint8RawVolumes:
+    """uint8 raw volumes give what the same values give as uint16, down the chain."""
+
+    # costs up to 24 at the defaults step uint8 states; costs up to 255 with
+    # P2 = 2000 step uint16 ones
+    @pytest.mark.parametrize("high,p2", [(24, 120), (255, 2000)],
+                             ids=["uint8-states", "uint16-states"])
+    @pytest.mark.parametrize("base", ["left", "right"])
+    def test_aggregate_equals_uint16_and_oracle(self, high, p2, base):
+        rng = np.random.default_rng([high, len(base)])
+        p = params(p2=p2)
+        C = rng.integers(0, high + 1, (9, 14, 6), dtype=np.uint8)
+        C.flat[0] = high
+        vol = CostVolume(costs=C, d_min=0, base=base)
+        agg = aggregate_costs(vol, p)
+        wide = aggregate_costs(CostVolume(costs=C.astype(np.uint16), d_min=0, base=base), p)
+        oracle = np.zeros(C.shape, np.float32)
+        for direction in PATHS:
+            oracle += aggregate_one_path(vol, direction, p.p1, p.p2)
+        assert agg.costs.dtype == np.uint16 and agg.raw is C
+        assert np.array_equal(agg.costs, wide.costs)
+        assert np.array_equal(agg.costs, oracle)
+
+    @pytest.mark.parametrize("right_base", [None, "right"], ids=["no-lr", "lr"])
+    @pytest.mark.parametrize("d_min", [0, -3])
+    def test_select_equals_uint16_and_oracle(self, right_base, d_min):
+        # uint8 raw costs under uint16 sums, and uint8 volumes selected
+        # unaggregated; 255 fills a third of the cells and every fourth row ties
+        shape = (SELECT_BLOCK_ROWS + 3, 23, 9)
+        rng = np.random.default_rng([d_min + 3, bool(right_base)])
+
+        def draw(dtype):
+            v = np.where(rng.random(shape) < 0.3, 255, rng.integers(0, 25, shape))
+            v[::4] = 9
+            return v.astype(dtype)
+
+        for ratio in (1.0, 1.05):
+            p = params(d_min=d_min, d_max=d_min + shape[2] - 1, uniqueness_ratio=ratio)
+            for sums in (np.uint16, np.uint8):
+                vols = [CostVolume(costs=draw(sums), d_min=d_min, base=base, raw=draw(np.uint8))
+                        for base in ("left", right_base) if base]
+                wide = [CostVolume(costs=v.costs.astype(np.uint16), d_min=d_min, base=v.base,
+                                   raw=v.raw.astype(np.uint16)) for v in vols]
+                got = select_disparity(vols[0], p, *vols[1:])
+                for a in (select_disparity(wide[0], p, *wide[1:]),
+                          reference_select(wide[0], p, *wide[1:])):
+                    assert np.array_equal(got.values, a.values)
+                    assert np.array_equal(got.valid, a.valid)
+                    assert np.array_equal(got.flags, a.flags)
 
 
 class TestDisparityToCloud:
