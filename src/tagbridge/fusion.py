@@ -285,7 +285,8 @@ def colorize_with_occlusion(cloud: PointCloud, grid: VoxelGrid, rgb: np.ndarray,
     camera's own included, where (dx, dy, dz) is the index difference between
     the point's voxel and the camera's; a ray that has not reached its
     point's voxel by then stops, and its point counts as visible. Voxels
-    beyond the packable span around the grid's base are empty.
+    beyond the packable span around the grid's base are empty. Sampled
+    pixels are checked as PointCloud colours (ValueError unless bytes).
     """
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
@@ -302,7 +303,7 @@ def colorize_with_occlusion(cloud: PointCloud, grid: VoxelGrid, rgb: np.ndarray,
     if len(visible) == 0:
         return PointCloud(positions=cloud.positions.copy())
     n = len(cloud)
-    colors = np.zeros((n, 3), dtype=np.uint8)
+    colors = np.zeros((n, 3), dtype=rgb.dtype)
     valid = np.zeros(n, dtype=bool)
     colors[visible] = rgb[rows[visible], cols[visible]]
     valid[visible] = True

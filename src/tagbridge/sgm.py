@@ -59,10 +59,11 @@ PATHS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
 # Cost cells times census words per block in matching_cost_volume: 16 rows at
 # 320 x 64 with one word. 64-row blocks took 35 % longer at 240 x 320 x 64.
 COST_BLOCK_CELLS = 16 * 320 * 64
-# Rows per block in select_disparity: its temporaries are one uint32 and one
-# uint16 (SELECT_BLOCK_ROWS, W, D) buffer, whatever the image height.
+# Rows per block in select_disparity: its temporaries are one uint32
+# (SELECT_BLOCK_ROWS, W, D) buffer and per-row maps, whatever the image height.
 SELECT_BLOCK_ROWS = 16
 UINT16_MAX = np.iinfo(np.uint16).max
+OUT_OF_BOUNDS = UINT16_MAX + 1  # selection's masked cells: above every uint16 cost
 
 
 def _check_census_window(window):
@@ -114,11 +115,11 @@ class CostVolume:
     max(max_cost, 32 * census words) <= 255 (a 5x5 census: 24 and 32), else
     uint16; the path sums of `aggregate_costs` are uint16. `base` records
     which image the volume is anchored to ("left": matches at x - d in the
-    other image; "right": matches at x + d). After aggregation, `raw` keeps
-    the pre-aggregation matching costs: the uniqueness test runs on them,
-    because path accumulation seeds a spurious unique minimum from the
-    out-of-bounds border wedge even when every true matching cost ties
-    (textureless input).
+    other image; "right": matches at x + d). `aggregate_costs` sets `raw` to
+    the pre-aggregation matching costs, and `select_disparity` reads them for
+    the uniqueness test: path accumulation seeds a spurious unique minimum
+    from the out-of-bounds border wedge even when every true matching cost
+    ties (textureless input).
     """
 
     costs: np.ndarray  # (H, W, D)
@@ -372,23 +373,27 @@ class _InBounds:
         self.wedge_out = (i < self.lo[self.wedge, None]) | (i > self.hi[self.wedge, None])
 
 
+def _widen(block: np.ndarray, bounds: _InBounds, buffer: np.ndarray) -> np.ndarray:
+    """Copy an (h, W, D) block into the uint32 buffer, wedge out-of-bounds cells OUT_OF_BOUNDS."""
+    out = buffer[:len(block)]
+    np.copyto(out, block)
+    np.copyto(out[:, bounds.wedge], OUT_OF_BOUNDS, where=bounds.wedge_out)
+    return out
+
+
 def _wta(costs: np.ndarray, bounds: _InBounds, d_min: int, wide: np.ndarray):
     """In-bounds winner-take-all with parabolic subpixel refinement on an (h, W, D) row block.
 
-    The block is widened into `wide`, a uint32 (h, W, D) buffer, where the
-    wedge's out-of-bounds cells are set above every uint16 cost. numpy's
-    argmin over a short last axis is also faster on uint32 than on uint16
-    (0.41 against 0.78 ms on a 16 x 320 x 64 block, numpy 2.4). The winner
-    and its +-1 neighbours, clipped to 0..D-1, are gathered by flat index,
-    and the parabola is fitted in float32. Returns (disparity float32
-    (h, W), valid bool, best_idx, near), `near` holding the flat indices of
-    the clipped -1, 0 and +1 neighbours.
+    The block is widened into `wide` (see _widen). numpy's argmin over a
+    short last axis is also faster on uint32 than on uint16 (0.41 against
+    0.78 ms on a 16 x 320 x 64 block, numpy 2.4). The winner and its +-1
+    neighbours, clipped to 0..D-1, are gathered by flat index, and the
+    parabola is fitted in float32. Returns (disparity float32 (h, W), near),
+    `near` holding the flat indices of the clipped -1, 0 and +1 neighbours.
     """
     h, W, D = costs.shape
-    np.copyto(wide, costs)
-    np.copyto(wide[:, bounds.wedge], UINT16_MAX + 1, where=bounds.wedge_out)
+    wide = _widen(costs, bounds, wide)
     best_idx = np.argmin(wide, axis=2)
-    valid = np.tile(bounds.valid, (h, 1))
 
     cell = np.arange(0, h * W * D, D).reshape(h, W) + best_idx
     near = np.stack([cell - (best_idx > 0), cell, cell + (best_idx < D - 1)])
@@ -402,87 +407,78 @@ def _wta(costs: np.ndarray, bounds: _InBounds, d_min: int, wide: np.ndarray):
     offset = np.clip(offset, -0.5, 0.5)
 
     disparity = (d_min + best_idx + offset).astype(np.float32)
-    return disparity, valid, best_idx, near
+    return disparity, near
 
 
-def _unique(raw: np.ndarray, bounds: _InBounds, best_idx: np.ndarray, near: np.ndarray,
-            ratio: float, rest: np.ndarray) -> np.ndarray:
-    """Does the best raw competitor beyond best_idx +- 1 exceed best * ratio?
+def _unique(raw: np.ndarray, bounds: _InBounds, near: np.ndarray, ratio: float,
+            wide: np.ndarray) -> np.ndarray:
+    """Does the best raw competitor beyond the winner +- 1 exceed best * ratio?
 
-    `rest` receives a uint16 copy of the block in which the out-of-bounds
-    cells and the winner +- 1 hold 65535; its minimum over d is the best
-    competitor. A competitor may itself cost 65535, so whether a column has
-    one at all is read from its in-bounds interval instead.
+    The raw block is widened into `wide` with the winner +- 1 also set to
+    OUT_OF_BOUNDS, so its minimum over d is the best competitor, and a
+    column has one exactly where that minimum is a uint16 cost.
     """
-    best = raw.reshape(-1)[near[1]].astype(np.float32)
-    np.copyto(rest, raw)
-    np.copyto(rest[:, bounds.wedge], UINT16_MAX, where=bounds.wedge_out)
-    rest.reshape(-1)[near] = UINT16_MAX
-    second = rest.min(axis=2)
-    competed = (best_idx - 1 > bounds.lo) | (best_idx + 1 < bounds.hi)
-    return competed & (second > best * ratio)
+    wide = _widen(raw, bounds, wide)
+    flat = wide.reshape(-1)
+    best = flat[near[1]].astype(np.float32)
+    flat[near] = OUT_OF_BOUNDS
+    second = wide.min(axis=2)
+    return (second <= UINT16_MAX) & (second > best * ratio)
 
 
 def select_disparity(aggregated: CostVolume, params: SgmParams,
-                     right_aggregated: CostVolume = None) -> DisparityMap:
+                     right_aggregated: CostVolume) -> DisparityMap:
     """Winner-take-all selection with uniqueness and left-right consistency.
 
-    Uniqueness: on the raw (pre-aggregation) costs, the winner's best distinct
-    competitor (immediate disparity neighbors exempt) must exceed
-    best * uniqueness_ratio; ties, as in textureless input, fail. Left-right:
-    |d_L(x, y) - d_R(x - d_L, y)| <= lr_max_diff, checked when a right-base
-    aggregated volume is supplied beside a left-base one (ValueError for
-    any other pair of bases). Failing pixels are INVALID with the
-    corresponding provenance flag set. Rows are selected SELECT_BLOCK_ROWS
-    at a time into two block buffers, a uint32 one for the winner-take-all
-    and a uint16 one for the uniqueness test; only the wedge columns are
-    masked. The result is bit-identical to the float32 whole-volume
-    reference in `tests/oracles.py`, for every uint8 or uint16 input.
+    Takes the pair: a left-base and a right-base volume from
+    `aggregate_costs` (ValueError for other bases, or a left volume without
+    `raw` costs). Uniqueness: on the left raw costs, the winner's best
+    competitor beyond its +-1 neighbours must exceed best * uniqueness_ratio;
+    ties, as in textureless input, fail. Left-right:
+    |d_L(x, y) - d_R(x - d_L, y)| <= lr_max_diff, d_R the right volume's
+    winner. A pixel gets the flag of its first failure (out of range,
+    uniqueness, left-right) and is INVALID; `valid` is flags == 0. Rows go
+    SELECT_BLOCK_ROWS at a time through one uint32 block buffer, which the
+    winner, the uniqueness test and the right map each fill with their
+    block, its wedge out-of-bounds cells set to OUT_OF_BOUNDS = 65 536, one
+    above any uint16 cost. The result is bit-identical to the float32
+    whole-volume reference in `tests/oracles.py`, for every uint8 or uint16
+    input.
     """
-    H, W, D = aggregated.costs.shape
-    if right_aggregated is not None:
-        if aggregated.base != "left" or right_aggregated.base != "right":
-            raise ValueError("the left-right check takes a left-base volume and a right-base one")
-        if right_aggregated.costs.shape != aggregated.costs.shape:
-            raise DimensionMismatch("left and right volumes differ in shape")
-        r_bounds = _InBounds(W, right_aggregated.d_min, D, right_aggregated.base)
-    bounds = _InBounds(W, aggregated.d_min, D, aggregated.base)
+    if aggregated.base != "left" or right_aggregated.base != "right":
+        raise ValueError("the left-right check takes a left-base volume and a right-base one")
+    if right_aggregated.costs.shape != aggregated.costs.shape:
+        raise DimensionMismatch("left and right volumes differ in shape")
     # uniqueness on raw costs; aggregation would break the all-tie case via
     # the border wedge (see CostVolume.raw)
-    raw = aggregated.raw if aggregated.raw is not None else aggregated.costs
-    rest = np.empty((min(SELECT_BLOCK_ROWS, H), W, D), np.uint16)
-    wide = np.empty(rest.shape, np.uint32)
+    if aggregated.raw is None:
+        raise ValueError("the left volume has no raw costs: pass the output of aggregate_costs")
+    H, W, D = aggregated.costs.shape
+    bounds = _InBounds(W, aggregated.d_min, D, aggregated.base)
+    r_bounds = _InBounds(W, right_aggregated.d_min, D, right_aggregated.base)
+    wide = np.empty((min(SELECT_BLOCK_ROWS, H), W, D), np.uint32)
 
     values = np.empty((H, W), np.float32)
-    valid = np.empty((H, W), bool)
     flags = np.zeros((H, W), np.uint8)
+    flags[:, ~bounds.valid] = FLAG_OUT_OF_RANGE
     for y0 in range(0, H, SELECT_BLOCK_ROWS):
         rows = slice(y0, y0 + SELECT_BLOCK_ROWS)
         f = flags[rows]
-        disparity, ok, best_idx, near = _wta(aggregated.costs[rows], bounds, aggregated.d_min,
-                                             wide[:len(f)])
-        f[~ok] |= FLAG_OUT_OF_RANGE
+        disparity, near = _wta(aggregated.costs[rows], bounds, aggregated.d_min, wide)
+        unique_ok = _unique(aggregated.raw[rows], bounds, near, params.uniqueness_ratio, wide)
+        f[(f == 0) & ~unique_ok] = FLAG_UNIQUENESS_FAILED
 
-        unique_ok = _unique(raw[rows], bounds, best_idx, near, params.uniqueness_ratio,
-                            rest[:len(f)])
-        f[ok & ~unique_ok] |= FLAG_UNIQUENESS_FAILED
-        ok &= unique_ok
+        d_right, _ = _wta(right_aggregated.costs[rows], r_bounds, right_aggregated.d_min, wide)
+        xr = np.rint(np.arange(W)[None, :] - disparity).astype(int)
+        in_img = (xr >= 0) & (xr < W)
+        xr_safe = np.clip(xr, 0, W - 1)
+        d_match = np.take_along_axis(d_right, xr_safe, axis=1)
+        lr_ok = (in_img & r_bounds.valid[xr_safe]
+                 & (np.abs(disparity - d_match) <= params.lr_max_diff))
+        f[(f == 0) & ~lr_ok] = FLAG_LR_FAILED
 
-        if right_aggregated is not None:
-            d_right, r_valid, _, _ = _wta(right_aggregated.costs[rows], r_bounds,
-                                          right_aggregated.d_min, wide[:len(f)])
-            xr = np.rint(np.arange(W)[None, :] - disparity).astype(int)
-            in_img = (xr >= 0) & (xr < W)
-            xr_safe = np.clip(xr, 0, W - 1)
-            r = np.arange(len(xr))[:, None]
-            lr_ok = (in_img & r_valid[r, xr_safe]
-                     & (np.abs(disparity - d_right[r, xr_safe]) <= params.lr_max_diff))
-            f[ok & ~lr_ok] |= FLAG_LR_FAILED
-            ok &= lr_ok
-
-        valid[rows] = ok
-        values[rows] = np.where(ok, disparity, np.float32(INVALID_DISPARITY))
-    return DisparityMap(values=values, valid=valid, flags=flags)
+        values[rows] = np.where(f == 0, disparity, np.float32(INVALID_DISPARITY))
+    return DisparityMap(values=values, valid=flags == 0, flags=flags)
 
 
 def disparity_to_cloud(disp: DisparityMap, intrinsics: CameraIntrinsics,

@@ -4,9 +4,9 @@
   Jacobian blocks;
 - `path_step` and `aggregate_one_path`: one SGM path at a time in float32,
   for the disparity-major uint16 sweeps of `aggregate_costs`;
-- `reference_select`: masked float32 winner-take-all and uniqueness over
-  whole volumes, for the row-blocked uint16 selection of
-  `sgm.select_disparity`;
+- `reference_select`: masked float32 winner-take-all, uniqueness and
+  left-right check over whole volumes, for the row-blocked uint32
+  selection of `sgm.select_disparity`;
 - `walk_voxels`: one voxel walk per ray, for the batched walk of
   `fusion._occluded`.
 """
@@ -136,30 +136,28 @@ def _unique(raw: np.ndarray, in_bounds: np.ndarray, best_idx: np.ndarray,
     return np.isfinite(second) & (second > best * ratio)
 
 
-def reference_select(aggregated, params, right_aggregated=None) -> DisparityMap:
+def reference_select(aggregated, params, right_aggregated) -> DisparityMap:
     """`select_disparity` over the whole volume at once, out-of-bounds cells inf in float32."""
     H, W, D = aggregated.costs.shape
     in_bounds = _in_bounds_mask(W, aggregated.d_min, D, aggregated.base)
-    raw = aggregated.raw if aggregated.raw is not None else aggregated.costs
     disparity, ok, best_idx = _wta(aggregated.costs, in_bounds, aggregated.d_min)
     flags = np.zeros((H, W), np.uint8)
     flags[~ok] |= FLAG_OUT_OF_RANGE
 
-    unique_ok = _unique(raw, in_bounds, best_idx, params.uniqueness_ratio)
+    unique_ok = _unique(aggregated.raw, in_bounds, best_idx, params.uniqueness_ratio)
     flags[ok & ~unique_ok] |= FLAG_UNIQUENESS_FAILED
     ok &= unique_ok
 
-    if right_aggregated is not None:
-        r_in_bounds = _in_bounds_mask(W, right_aggregated.d_min, D, right_aggregated.base)
-        d_right, r_valid, _ = _wta(right_aggregated.costs, r_in_bounds, right_aggregated.d_min)
-        xr = np.rint(np.arange(W)[None, :] - disparity).astype(int)
-        in_img = (xr >= 0) & (xr < W)
-        xr_safe = np.clip(xr, 0, W - 1)
-        r = np.arange(H)[:, None]
-        lr_ok = (in_img & r_valid[r, xr_safe]
-                 & (np.abs(disparity - d_right[r, xr_safe]) <= params.lr_max_diff))
-        flags[ok & ~lr_ok] |= FLAG_LR_FAILED
-        ok &= lr_ok
+    r_in_bounds = _in_bounds_mask(W, right_aggregated.d_min, D, right_aggregated.base)
+    d_right, r_valid, _ = _wta(right_aggregated.costs, r_in_bounds, right_aggregated.d_min)
+    xr = np.rint(np.arange(W)[None, :] - disparity).astype(int)
+    in_img = (xr >= 0) & (xr < W)
+    xr_safe = np.clip(xr, 0, W - 1)
+    r = np.arange(H)[:, None]
+    lr_ok = (in_img & r_valid[r, xr_safe]
+             & (np.abs(disparity - d_right[r, xr_safe]) <= params.lr_max_diff))
+    flags[ok & ~lr_ok] |= FLAG_LR_FAILED
+    ok &= lr_ok
 
     values = np.where(ok, disparity, np.float32(INVALID_DISPARITY))
     return DisparityMap(values=values, valid=ok, flags=flags)

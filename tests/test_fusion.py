@@ -345,6 +345,17 @@ class TestColorize:
         assert out.color_valid[0]
         assert np.array_equal(out.colors[0], (42, 42, 42))
 
+    @pytest.mark.parametrize("value", [0.6, 300, -5, np.nan],
+                             ids=["fractional", "above-255", "negative", "nan"])
+    def test_non_byte_sample_rejected(self, value):
+        cam = small_cam()
+        pose = nadirless_pose()
+        cloud = PointCloud(positions=np.array([[0.0, 0.0, 3.0]]))
+        grid = accumulate(VoxelGrid(voxel_size=0.1), cloud)
+        rgb = np.full((480, 640, 3), value)
+        with pytest.raises(ValueError, match="colors"):
+            colorize_with_occlusion(cloud, grid, rgb, cam, pose)
+
     def test_far_point_on_same_ray_uncolored(self):
         cam = small_cam()
         pose = nadirless_pose()

@@ -38,16 +38,13 @@ def random_dot_pair(shape=(48, 96), shift=7, seed=0):
     return left, right
 
 
-def run_sgm(left, right, p, with_lr=False):
+def run_sgm(left, right, p):
     ld = census_transform(left, p.census_window)
     rd = census_transform(right, p.census_window)
     bits = census_bits(p.census_window)
-    vol = matching_cost_volume(ld, rd, p.d_min, p.d_max, max_cost=bits)
-    agg = aggregate_costs(vol, p)
-    right_agg = None
-    if with_lr:
-        rvol = matching_cost_volume(rd, ld, p.d_min, p.d_max, max_cost=bits, base="right")
-        right_agg = aggregate_costs(rvol, p)
+    agg, right_agg = (aggregate_costs(matching_cost_volume(a, b, p.d_min, p.d_max,
+                                                           max_cost=bits, base=base), p)
+                      for base, a, b in (("left", ld, rd), ("right", rd, ld)))
     return select_disparity(agg, p, right_agg)
 
 
@@ -556,7 +553,7 @@ class TestSelectDisparity:
         # 7x7 census: on pure random dots the 5x5 descriptor collides often
         # enough (rank-extreme windows) to cost ~3% of pixels to uniqueness
         p = params(d_max=15, census_window=(7, 7))
-        disp = run_sgm(left, right, p, with_lr=True)
+        disp = run_sgm(left, right, p)
         # consistent region: x >= shift and clear of the census border
         region_vals = disp.values[4:-4, 10:110]
         region_valid = disp.valid[4:-4, 10:110]
@@ -577,7 +574,7 @@ class TestSelectDisparity:
         rng = np.random.default_rng(12)
         right[:, 20:30] = rng.integers(0, 256, (32, 10))
         p = params(d_max=10)
-        disp = run_sgm(left, right, p, with_lr=True)
+        disp = run_sgm(left, right, p)
         from tagbridge.sgm import FLAG_LR_FAILED
 
         assert (disp.flags & FLAG_LR_FAILED).any()
@@ -595,11 +592,24 @@ class TestSelectDisparity:
             with pytest.raises(ValueError, match="left-base volume and a right-base"):
                 select_disparity(agg[first], p, agg[second])
 
+    def test_left_volume_needs_raw_costs(self):
+        # matching_cost_volume output has no raw costs; uniqueness reads them
+        left, right = random_dot_pair(shape=(20, 40), shift=3, seed=15)
+        p = params(d_max=6)
+        ld, rd = census_transform(left), census_transform(right)
+        bits = census_bits(p.census_window)
+        vol = matching_cost_volume(ld, rd, p.d_min, p.d_max, max_cost=bits)
+        right_agg = aggregate_costs(matching_cost_volume(rd, ld, p.d_min, p.d_max,
+                                                         max_cost=bits, base="right"), p)
+        assert vol.raw is None
+        with pytest.raises(ValueError, match="raw costs"):
+            select_disparity(vol, p, right_agg)
+
     def test_determinism(self):
         left, right = random_dot_pair(shape=(40, 80), shift=4, seed=13)
         p = params(d_max=9)
-        a = run_sgm(left, right, p, with_lr=True)
-        b = run_sgm(left, right, p, with_lr=True)
+        a = run_sgm(left, right, p)
+        b = run_sgm(left, right, p)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.flags, b.flags)
 
@@ -665,15 +675,12 @@ class TestSelectMatchesOracle:
     # and a negative d_min puts wedge columns at both image edges
     @pytest.mark.parametrize("d_min", [0, 5, -3])
     @pytest.mark.parametrize("W,D", [(9, 1), (1, 2), (13, 2), (2, 3), (17, 3), (70, 64), (40, 64)])
-    @pytest.mark.parametrize("bases", [("left", None), ("right", None), ("left", "right")],
-                             ids=["left", "right", "left-lr"])
+    @pytest.mark.parametrize("bases", [("left", "right")], ids=["left-lr"])
     def test_bit_identical_to_float32_reference(self, bases, W, D, d_min):
-        base, right_base = bases
         shape = (SELECT_BLOCK_ROWS + 3, W, D)
-        rng = np.random.default_rng([W, D, d_min + 3, len(base) + 2 * bool(right_base)])
+        rng = np.random.default_rng([W, D, d_min + 3, 6])
         for values, ratio in itertools.product(("small", "saturated", "ties"), (1.0, 1.05)):
-            left = select_volume(rng, shape, d_min, base, values)
-            right = right_base and select_volume(rng, shape, d_min, right_base, values)
+            left, right = (select_volume(rng, shape, d_min, base, values) for base in bases)
             # SgmParams needs d_min < d_max; selection reads the range from the volumes
             p = params(d_min=d_min, d_max=d_min + max(D - 1, 1), uniqueness_ratio=ratio)
             got = select_disparity(left, p, right)
@@ -706,13 +713,13 @@ class TestUint8RawVolumes:
         assert np.array_equal(agg.costs, wide.costs)
         assert np.array_equal(agg.costs, oracle)
 
-    @pytest.mark.parametrize("right_base", [None, "right"], ids=["no-lr", "lr"])
+    @pytest.mark.parametrize("right_base", ["right"], ids=["lr"])
     @pytest.mark.parametrize("d_min", [0, -3])
     def test_select_equals_uint16_and_oracle(self, right_base, d_min):
         # uint8 raw costs under uint16 sums, and uint8 volumes selected
         # unaggregated; 255 fills a third of the cells and every fourth row ties
         shape = (SELECT_BLOCK_ROWS + 3, 23, 9)
-        rng = np.random.default_rng([d_min + 3, bool(right_base)])
+        rng = np.random.default_rng([d_min + 3, 1])
 
         def draw(dtype):
             v = np.where(rng.random(shape) < 0.3, 255, rng.integers(0, 25, shape))
@@ -723,12 +730,12 @@ class TestUint8RawVolumes:
             p = params(d_min=d_min, d_max=d_min + shape[2] - 1, uniqueness_ratio=ratio)
             for sums in (np.uint16, np.uint8):
                 vols = [CostVolume(costs=draw(sums), d_min=d_min, base=base, raw=draw(np.uint8))
-                        for base in ("left", right_base) if base]
+                        for base in ("left", right_base)]
                 wide = [CostVolume(costs=v.costs.astype(np.uint16), d_min=d_min, base=v.base,
                                    raw=v.raw.astype(np.uint16)) for v in vols]
-                got = select_disparity(vols[0], p, *vols[1:])
-                for a in (select_disparity(wide[0], p, *wide[1:]),
-                          reference_select(wide[0], p, *wide[1:])):
+                got = select_disparity(vols[0], p, vols[1])
+                for a in (select_disparity(wide[0], p, wide[1]),
+                          reference_select(wide[0], p, wide[1])):
                     assert np.array_equal(got.values, a.values)
                     assert np.array_equal(got.valid, a.valid)
                     assert np.array_equal(got.flags, a.flags)

@@ -247,8 +247,10 @@ class TestStereoPair:
         ld = census_transform(pair.left, p.census_window)
         rd = census_transform(pair.right, p.census_window)
         bits = census_bits(p.census_window)
-        vol = matching_cost_volume(ld, rd, p.d_min, p.d_max, max_cost=bits)
-        disp = select_disparity(aggregate_costs(vol, p), p)
+        agg, right_agg = (aggregate_costs(matching_cost_volume(a, b, p.d_min, p.d_max,
+                                                               max_cost=bits, base=base), p)
+                          for base, a, b in (("left", ld, rd), ("right", rd, ld)))
+        disp = select_disparity(agg, p, right_agg)
         unocc = ~pair.occlusion
         good = disp.valid & (np.abs(disp.values - pair.disparity) <= 1.0)
         assert (good & unocc).sum() / unocc.sum() >= 0.95
