@@ -5,8 +5,15 @@ Levenberg-Marquardt. The interior orientation is fixed calibration.
 The Jacobian is closed-form, built in one vectorized pass over the
 measurements that shares the projection with the residuals: per
 measurement a 2x6 pose block (t, omega, phi, kappa) and a 2x3 point block.
+Every per-measurement array is component-major, its M measurements on the
+last axis: residuals (2, M), rotations (3, 3, M), Jacobian blocks (2, 6, M)
+and (2, 3, M). So each product and sum over the small axes is an
+elementwise expression over rows of length M, its terms added in the order
+of the per-measurement einsums it replaced (`tests/oracles.py`).
 The normal equations are accumulated by block: U, dense over the camera
 unknowns (the unanchored poses); V, one 3x3 block per point; W between them.
+Each block, and each half of g = J^T r, is one bincount into bin indices
+that depend only on the problem's structure, so `_Packer` builds them once.
 Each LM trial eliminates the points by the Schur complement, solves the
 reduced camera system and back-substitutes the points (Triggs et al.,
 "Bundle Adjustment -- A Modern Synthesis", 2000; Lourakis & Argyros, SBA,
@@ -45,7 +52,6 @@ from .geometry import (
     BEHIND_CAMERA_EPS,
     CameraIntrinsics,
     Pose,
-    _group_sums,
     rotation_from_angles,
 )
 
@@ -129,8 +135,9 @@ class _Packer:
         point_index = {p: i for i, p in enumerate(self.point_ids)}
 
         meas = problem.measurements
-        self.obs = _stacked([m[2] for m in meas], 2,
-                            lambda i: f"pixel of point {meas[i][1]!r} in image {meas[i][0]!r}")
+        obs = _stacked([m[2] for m in meas], 2,
+                       lambda i: f"pixel of point {meas[i][1]!r} in image {meas[i][0]!r}")
+        self.obs = obs.T.copy()  # (2, M)
         self.meas_pose = np.array([pose_index[m[0]] for m in meas], dtype=int)
         self.meas_point = np.array([point_index[m[1]] for m in meas], dtype=int)
 
@@ -153,6 +160,18 @@ class _Packer:
         pose_cols = 6 * np.where(self.meas_pose_free, free_rank[self.meas_pose], 0)
         self.cam_cols = pose_cols[:, None] + np.arange(6 if self.n_free else 0)
 
+        # Bin indices of the normal equations' (a, b, M) terms, flattened, so
+        # each bin adds its measurements in m order: U[cam[a], cam[b]],
+        # V[meas_point, a, b], W[cam[a], pt[b]], g_cam[cam[a]], g_point[pt[a]]
+        # for cam = cam_cols.T and pt = 3 meas_point + (0, 1, 2)
+        cam = self.cam_cols.T
+        pt = 3 * self.meas_point + np.arange(3)[:, None]
+        self.u_bins = (cam[:, None] * self.n_cam + cam).ravel()
+        self.v_bins = (3 * pt[:, None] + np.arange(3)[:, None]).ravel()
+        self.w_bins = (cam[:, None] * 3 * len(self.point_ids) + pt).ravel()
+        self.g_cam_bins = cam.ravel()
+        self.g_point_bins = pt.ravel()
+
     def pose_block(self, x: np.ndarray) -> np.ndarray:
         """The free poses in x as (n_free, 6) rows of (t, omega, phi, kappa)."""
         return x[:self.n_cam].reshape(-1, 6)
@@ -170,57 +189,62 @@ class _Packer:
     def _predict(self, x: np.ndarray):
         t, r, pts = self.unpack(x)
         intr = self.problem.intrinsics
-        R = rotation_from_angles(r)[self.meas_pose]
-        d = pts[self.meas_point] - t[self.meas_pose]
-        cam = np.einsum("mji,mj->mi", R, d)
-        depth = cam[:, 2]
+        R = rotation_from_angles(r).transpose(1, 2, 0).take(self.meas_pose, axis=2)
+        d = pts.T.take(self.meas_point, axis=1) - t.T.take(self.meas_pose, axis=1)
+        # camera point = R^T d, its three terms added in sequence
+        cam = R[0] * d[0] + R[1] * d[1] + R[2] * d[2]
+        depth = cam[2]
         behind = depth <= BEHIND_CAMERA_EPS
         safe = np.where(behind, 1.0, depth)
-        norm = cam[:, :2] / safe[:, None]
+        norm = cam[:2] / safe
         focal = intr.focal_px
-        res = self.obs - ((intr.x0, intr.y0) + focal * norm)
-        res[behind] = BEHIND_RESIDUAL
+        res = self.obs - ([[intr.x0], [intr.y0]] + focal * norm)
+        res[:, behind] = BEHIND_RESIDUAL
         return res, behind, (R, d, r, safe, norm, focal)
 
     def residuals(self, x: np.ndarray):
         res, behind, _ = self._predict(x)
-        return res.ravel(), behind
+        return res.T.ravel(), behind
 
     def linearize(self, x: np.ndarray):
-        """Residuals at x and their closed-form Jacobian blocks.
+        """Residuals at x and their closed-form Jacobian blocks, component-major.
 
-        Returns (residuals (M, 2), J_cam (M, 2, q), J_point (M, 2, 3)):
-        J_cam holds each measurement's derivatives in the camera columns
-        `cam_cols` (M, q); J_point those in its point's columns
-        n_cam + 3 * meas_point + (0, 1, 2).
-        Rows of behind-camera measurements are zero: their residual is the
-        constant BEHIND_RESIDUAL.
+        Returns (residuals (2, M), J_cam (2, q, M), J_point (2, 3, M)):
+        J_cam[i, a, m] is the derivative of measurement m's pixel component
+        i in its camera column `cam_cols[m, a]`; J_point[i, b, m] that in
+        its point's column n_cam + 3 * meas_point[m] + b.
+        Columns of behind-camera measurements are zero: their residual is
+        the constant BEHIND_RESIDUAL.
         """
         res, behind, (R, d, r, depth, norm, focal) = self._predict(x)
-        # d pixel / d camera point = focal [I | -n] / depth
-        dn_dcam = np.zeros((len(norm), 2, 3))
-        dn_dcam[:, [0, 1], [0, 1]] = 1.0
-        dn_dcam[:, :, 2] = -norm
-        dpx_dcam = focal * (dn_dcam / depth[:, None, None])
-        # camera point = R^T (P - t), so d pixel / d P = dpx_dcam R^T
-        dpx_dP = np.einsum("mik,mjk->mij", dpx_dcam, R)
+        # d pixel / d camera point = focal [I | -n] / depth, and camera point
+        # = R^T (P - t), so d pixel_i / d P_j = scale R[j, i] + slope_i R[j, 2],
+        # the zero product of [I | -n]'s off-diagonal dropped
+        scale = focal * (1.0 / depth)
+        slope = focal * (-norm / depth)
+        dpx_dP = slope[:, None] * R[:, 2]
+        dpx_dP += scale * R[:, :2].transpose(1, 0, 2)
 
-        J_cam = np.zeros((len(norm), 2, 0))
+        J_cam = np.zeros((2, 0, len(depth)))
         if self.n_free:
             # d R / d angle = [a]x R with a = R e_x (omega), Rz(kappa) e_y (phi)
-            # and e_z (kappa), so d camera point / d angle = R^T ((P - t) x a)
+            # and e_z (kappa), so d camera point / d angle = R^T ((P - t) x a);
+            # each cross product's terms as np.cross computes them, less the
+            # products with a zero component of the axis
+            d0, d1, d2 = d
+            e0, e1, e2 = R[:, 0]
             kappa = r[self.meas_pose, 2]
-            axes = np.zeros((len(norm), 3, 3))
-            axes[:, 0] = R[:, :, 0]
-            axes[:, 1, 0] = -np.sin(kappa)
-            axes[:, 1, 1] = np.cos(kappa)
-            axes[:, 2, 2] = 1.0
-            dpx_dangles = np.einsum("mij,maj->mia", dpx_dP, np.cross(d[:, None, :], axes))
-            J_cam = (np.concatenate([dpx_dP, -dpx_dangles], axis=2)
-                     * self.meas_pose_free[:, None, None])
-        J_cam[behind] = 0.0
+            sk, ck = np.sin(kappa), np.cos(kappa)
+            cross = np.array([[d1 * e2 - d2 * e1, d2 * e0 - d0 * e2, d0 * e1 - d1 * e0],
+                              [-(d2 * ck), -(d2 * sk), d0 * ck + d1 * sk],
+                              [d1, -d0, np.zeros_like(d0)]])
+            # the sum over j added as (j0 + j2) + j1, the einsum oracle's order
+            dpx_dangles = (dpx_dP[:, None, 0] * cross[:, 0] + dpx_dP[:, None, 2] * cross[:, 2]
+                           + dpx_dP[:, None, 1] * cross[:, 1])
+            J_cam = np.concatenate([dpx_dP, -dpx_dangles], axis=1) * self.meas_pose_free
+        J_cam[..., behind] = 0.0
         J_point = -dpx_dP
-        J_point[behind] = 0.0
+        J_point[..., behind] = 0.0
         return res, J_cam, J_point
 
     def rebuild_problem(self, x: np.ndarray) -> BundleProblem:
@@ -236,37 +260,43 @@ class _Packer:
 def _times_block_diag(W: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """W (q, 3 p) times the block diagonal of `blocks` (p, 3, 3).
 
-    Each output adds its three products in the order that
-    np.einsum("cpi,pij->cpj") adds them, so the two agree bit for bit; a
+    The operands are taken as (3, q, p) and (3, 3, p), so every product is
+    over rows of length p. Each output adds its three products in the order
+    that np.einsum("cpi,pij->cpj") adds them, so the two agree bit for bit; a
     matmul may differ in the last bit, which changes the LM path.
     """
-    W3 = W.reshape(len(W), len(blocks), 3)
-    return sum(W3[:, :, i, None] * blocks[:, i] for i in range(3)).reshape(W.shape)
+    W3 = W.reshape(len(W), len(blocks), 3).transpose(2, 0, 1)
+    B = blocks.transpose(1, 2, 0)
+    out = np.empty((len(W), len(blocks), 3))
+    for j, o in enumerate(out.transpose(2, 0, 1)):
+        np.multiply(W3[0], B[0, j], out=o)
+        o += W3[1] * B[1, j]
+        o += W3[2] * B[2, j]
+    return out.reshape(W.shape)
+
+
+def _binned_products(bins: np.ndarray, A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
+    """Each measurement's A^T B over its two pixel rows, (2, k, M) A and
+    (2, l, M) B, summed into the (k, l, M) `bins` of an n-vector."""
+    return np.bincount(bins, (A[0, :, None] * B[0] + A[1, :, None] * B[1]).ravel(), n)
 
 
 class _NormalEquations:
     """J^T J and g = J^T r at x, by block: U over the camera unknowns (dense),
     V as one 3x3 block per point, W (n_cam, 3 n_points) between them, and
-    the damping scale D = max(diag(J^T J), 1e-12)."""
+    the damping scale D = max(diag(J^T J), 1e-12). Each block of J^T J
+    and each half of g is one bincount into the packer's bins."""
 
     def __init__(self, packer: _Packer, x: np.ndarray):
         res, J_cam, J_point = packer.linearize(x)
-        nc = packer.n_cam
-        cols = packer.cam_cols
-        self.U = np.bincount((cols[:, :, None] * nc + cols[:, None, :]).ravel(),
-                             np.einsum("mia,mib->mab", J_cam, J_cam).ravel(),
-                             minlength=nc * nc).reshape(nc, nc)
-        g_cam = np.bincount(cols.ravel(), np.einsum("mia,mi->ma", J_cam, res).ravel(),
-                            minlength=nc)
-        n_pts = len(packer.point_ids)
-        pt = packer.meas_point[:, None] * 3 + np.arange(3)  # point columns
-        JtJ = np.einsum("mia,mib->mab", J_point, J_point).reshape(-1, 9)
-        self.V = _group_sums(packer.meas_point, JtJ, n_pts).reshape(n_pts, 3, 3)
-        self.W = np.bincount((cols[:, :, None] * 3 * n_pts + pt[:, None, :]).ravel(),
-                             np.einsum("mia,mib->mab", J_cam, J_point).ravel(),
-                             minlength=nc * 3 * n_pts).reshape(nc, 3 * n_pts)
-        g_point = _group_sums(packer.meas_point, np.einsum("mia,mi->ma", J_point, res), n_pts)
-        self.g = np.concatenate([g_cam, g_point.ravel()])
+        nc, n_pts = packer.n_cam, len(packer.point_ids)
+        res = res[:, None]
+        self.U = _binned_products(packer.u_bins, J_cam, J_cam, nc * nc).reshape(nc, nc)
+        self.V = _binned_products(packer.v_bins, J_point, J_point, 9 * n_pts).reshape(n_pts, 3, 3)
+        self.W = _binned_products(packer.w_bins, J_cam, J_point,
+                                  nc * 3 * n_pts).reshape(nc, 3 * n_pts)
+        self.g = np.concatenate([_binned_products(packer.g_cam_bins, J_cam, res, nc),
+                                 _binned_products(packer.g_point_bins, J_point, res, 3 * n_pts)])
         self.D = np.maximum(np.concatenate([np.diag(self.U),
                                             self.V[:, [0, 1, 2], [0, 1, 2]].ravel()]), 1e-12)
 

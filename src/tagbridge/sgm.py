@@ -225,12 +225,16 @@ def matching_cost_volume(base_desc: np.ndarray, match_desc: np.ndarray,
 
 
 class _PathStep:
-    """min(prev[d], prev[d+-1]+P1, min_k prev[k]+P2) - min_k prev[k] on `dtype` states.
+    """min(q[d], q[d+-1] + P1, P2) for q = prev - min_k prev[k], on `dtype` states.
 
+    That is min(prev[d], prev[d+-1] + P1, min_k prev[k] + P2) - min_k prev[k]
+    exactly, with the minimum subtracted first. P2 is a state-shaped array:
+    numpy 2.4's minimum against a uint8 scalar takes over 10 times as long.
     `dtype` is the unsigned state dtype that `aggregate_costs` picks: every
     real state, and itself plus P1, fits in it. `axis` is the disparity
     axis: 1 for the disparity-major (k, D, m) states of the y sweep, 2 for
-    the disparity-last (k, m, D + 2) states of the x sweep. States are
+    the disparity-last (k, m, D + 2) states of the x sweep, whose minimum
+    over d is one `reduceat` over the flat state. States are
     C-contiguous, so each path's state is one flat row, and the +-1
     disparity neighbours are shifts of those rows by the disparity stride.
     With the disparity axis last a shift crosses from one line into the
@@ -240,22 +244,27 @@ class _PathStep:
     """
 
     def __init__(self, shape, p1: int, p2: int, dtype, axis: int = 1):
-        self.p1, self.p2, self.axis = dtype(p1), dtype(p2), axis
+        self.p1, self.axis = dtype(p1), axis
+        self.p2 = np.full(shape, p2, dtype)
         self.low = np.empty(shape[:axis] + (1,) + shape[axis + 1:], dtype)
-        self.low_p2 = np.empty_like(self.low)
-        self.prev_p1 = np.empty(shape, dtype)
+        self.q = np.empty(shape, dtype)
         self.rows, self.stride = (shape[0], -1), math.prod(shape[axis + 1:])
+        # where each line of a disparity-last state starts in the flat state
+        last = axis == len(shape) - 1
+        self.lines = np.arange(0, math.prod(shape), shape[-1]) if last else None
 
     def __call__(self, prev: np.ndarray, out: np.ndarray) -> None:
-        low, low_p2, prev_p1, s = self.low, self.low_p2, self.prev_p1, self.stride
-        np.minimum.reduce(prev, self.axis, None, low, True)
-        np.add(low, self.p2, out=low_p2)
-        np.minimum(prev, low_p2, out=out)
-        np.add(prev, self.p1, out=prev_p1)
-        o, q = out.reshape(self.rows), prev_p1.reshape(self.rows)
+        low, q, s = self.low, self.q, self.stride
+        if self.lines is None:
+            np.minimum.reduce(prev, self.axis, None, low, True)
+        else:
+            np.minimum.reduceat(prev.reshape(-1), self.lines, out=low.reshape(-1))
+        np.subtract(prev, low, out=q)
+        np.minimum(q, self.p2, out=out)
+        np.add(q, self.p1, out=q)
+        o, q = out.reshape(self.rows), q.reshape(self.rows)
         np.minimum(o[:, s:], q[:, :-s], out=o[:, s:])
         np.minimum(o[:, :-s], q[:, s:], out=o[:, :-s])
-        np.subtract(out, low, out=out)
 
 
 def _sweep_y(C: np.ndarray, total: np.ndarray, p1: int, p2: int, dtype) -> None:
@@ -415,14 +424,16 @@ def _unique(raw: np.ndarray, bounds: _InBounds, near: np.ndarray, ratio: float,
     """Does the best raw competitor beyond the winner +- 1 exceed best * ratio?
 
     The raw block is widened into `wide` with the winner +- 1 also set to
-    OUT_OF_BOUNDS, so its minimum over d is the best competitor, and a
-    column has one exactly where that minimum is a uint16 cost.
+    OUT_OF_BOUNDS, so its minimum over d, a `reduceat` over the flat block,
+    is the best competitor, and a column has one exactly where that minimum
+    is a uint16 cost.
     """
+    h, W, D = raw.shape
     wide = _widen(raw, bounds, wide)
     flat = wide.reshape(-1)
     best = flat[near[1]].astype(np.float32)
     flat[near] = OUT_OF_BOUNDS
-    second = wide.min(axis=2)
+    second = np.minimum.reduceat(flat, np.arange(0, flat.size, D)).reshape(h, W)
     return (second <= UINT16_MAX) & (second > best * ratio)
 
 

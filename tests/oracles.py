@@ -2,6 +2,11 @@
 
 - `numeric_jacobian`: central differences, for the closed-form bundle
   Jacobian blocks;
+- `reference_linearize` and `ReferenceNormalEquations`: the bundle's
+  residuals, Jacobian blocks and block normal equations from
+  measurement-major (M, 2, k) blocks and per-measurement einsums, for the
+  component-major build of `bundle._Packer.linearize` and
+  `bundle._NormalEquations`;
 - `path_step` and `aggregate_one_path`: one SGM path at a time in float32,
   for the disparity-major uint16 sweeps of `aggregate_costs`;
 - `reference_select`: masked float32 winner-take-all, uniqueness and
@@ -13,6 +18,8 @@
 
 import numpy as np
 
+from tagbridge.bundle import BEHIND_RESIDUAL, _NormalEquations
+from tagbridge.geometry import BEHIND_CAMERA_EPS, _group_sums, rotation_from_angles
 from tagbridge.sgm import (
     FLAG_LR_FAILED,
     FLAG_OUT_OF_RANGE,
@@ -37,6 +44,75 @@ def numeric_jacobian(fun, x: np.ndarray, rel_step: float = JACOBIAN_REL_STEP) ->
         xm[j] -= h
         J[:, j] = (fun(xp) - fun(xm)) / (2.0 * h)
     return J
+
+
+def reference_linearize(packer, x: np.ndarray):
+    """(residuals (M, 2), J_cam (M, 2, q), J_point (M, 2, 3)) of a bundle `_Packer` at x.
+
+    The blocks of `_Packer.linearize`, transposed, built with (3, 3)
+    rotations and 2x3 derivative blocks per measurement.
+    """
+    t, r, pts = packer.unpack(x)
+    intr = packer.problem.intrinsics
+    R = rotation_from_angles(r)[packer.meas_pose]
+    d = pts[packer.meas_point] - t[packer.meas_pose]
+    cam = np.einsum("mji,mj->mi", R, d)
+    depth = cam[:, 2]
+    behind = depth <= BEHIND_CAMERA_EPS
+    depth = np.where(behind, 1.0, depth)
+    norm = cam[:, :2] / depth[:, None]
+    focal = intr.focal_px
+    res = packer.obs.T - ((intr.x0, intr.y0) + focal * norm)
+    res[behind] = BEHIND_RESIDUAL
+
+    dn_dcam = np.zeros((len(norm), 2, 3))
+    dn_dcam[:, [0, 1], [0, 1]] = 1.0
+    dn_dcam[:, :, 2] = -norm
+    dpx_dcam = focal * (dn_dcam / depth[:, None, None])
+    dpx_dP = np.einsum("mik,mjk->mij", dpx_dcam, R)
+
+    J_cam = np.zeros((len(norm), 2, 0))
+    if packer.n_free:
+        kappa = r[packer.meas_pose, 2]
+        axes = np.zeros((len(norm), 3, 3))
+        axes[:, 0] = R[:, :, 0]
+        axes[:, 1, 0] = -np.sin(kappa)
+        axes[:, 1, 1] = np.cos(kappa)
+        axes[:, 2, 2] = 1.0
+        dpx_dangles = np.einsum("mij,maj->mia", dpx_dP, np.cross(d[:, None, :], axes))
+        J_cam = (np.concatenate([dpx_dP, -dpx_dangles], axis=2)
+                 * packer.meas_pose_free[:, None, None])
+    J_cam[behind] = 0.0
+    J_point = -dpx_dP
+    J_point[behind] = 0.0
+    return res, J_cam, J_point
+
+
+class ReferenceNormalEquations(_NormalEquations):
+    """`bundle._NormalEquations` (and its `step`) with U, V, W, g and D summed
+    from `reference_linearize`'s blocks by per-measurement einsums, the bins
+    indexed per call."""
+
+    def __init__(self, packer, x: np.ndarray):
+        res, J_cam, J_point = reference_linearize(packer, x)
+        nc = packer.n_cam
+        cols = packer.cam_cols
+        self.U = np.bincount((cols[:, :, None] * nc + cols[:, None, :]).ravel(),
+                             np.einsum("mia,mib->mab", J_cam, J_cam).ravel(),
+                             minlength=nc * nc).reshape(nc, nc)
+        g_cam = np.bincount(cols.ravel(), np.einsum("mia,mi->ma", J_cam, res).ravel(),
+                            minlength=nc)
+        n_pts = len(packer.point_ids)
+        pt = packer.meas_point[:, None] * 3 + np.arange(3)
+        JtJ = np.einsum("mia,mib->mab", J_point, J_point).reshape(-1, 9)
+        self.V = _group_sums(packer.meas_point, JtJ, n_pts).reshape(n_pts, 3, 3)
+        self.W = np.bincount((cols[:, :, None] * 3 * n_pts + pt[:, None, :]).ravel(),
+                             np.einsum("mia,mib->mab", J_cam, J_point).ravel(),
+                             minlength=nc * 3 * n_pts).reshape(nc, 3 * n_pts)
+        g_point = _group_sums(packer.meas_point, np.einsum("mia,mi->ma", J_point, res), n_pts)
+        self.g = np.concatenate([g_cam, g_point.ravel()])
+        self.D = np.maximum(np.concatenate([np.diag(self.U),
+                                            self.V[:, [0, 1, 2], [0, 1, 2]].ravel()]), 1e-12)
 
 
 def path_step(prev: np.ndarray, p1: float, p2: float) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tagbridge import bundle
 from tagbridge.bundle import (
     LAMBDA_INIT,
     LAMBDA_MAX,
@@ -19,7 +20,7 @@ from tagbridge.errors import GaugeNotFixed, GimbalLock, Underconstrained
 from tagbridge.geometry import Pose, apply_transform, project_points
 
 from conftest import strip_poses
-from oracles import numeric_jacobian
+from oracles import ReferenceNormalEquations, numeric_jacobian, reference_linearize
 
 
 def rotation_angle(R):
@@ -94,6 +95,7 @@ def aligned_pose_errors(est_poses, est_points, true_poses, true_points):
 def analytic_jacobian(packer, x):
     """Dense J assembled from the closed-form blocks and their column indices."""
     res, J_cam, J_point = packer.linearize(x)
+    res, J_cam, J_point = res.T, J_cam.transpose(2, 0, 1), J_point.transpose(2, 0, 1)
     m = len(res)
     J = np.zeros((2 * m, packer.n_params))
     rows = np.arange(2 * m).reshape(m, 2, 1)
@@ -460,6 +462,63 @@ class TestJacobian:
         dense = np.linalg.solve(A + lam * np.diag(np.maximum(np.diag(A), 1e-12)), -J.T @ r)
         step = _NormalEquations(packer, x).step(lam)
         assert np.linalg.norm(step - dense) <= 1e-8 * np.linalg.norm(dense)
+
+
+def oracle_block(cam, anchors, seed):
+    """A packer and a perturbed x on a noisy block with two measurements
+    behind their cameras, measurements on every anchored pose and one
+    measurement repeated in its image (two terms in one bin)."""
+    poses, points, meas = synthetic_block(cam, n_cams=5, n_points=12, sigma=0.3, seed=seed)
+    points[99] = np.array([0.0, 0.0, 300.0])  # above the cameras: behind every one of them
+    meas = meas + [("img_0000", 99, np.array([100.0, 100.0])),
+                   ("img_0003", 99, np.array([900.0, 100.0])), meas[7]]
+    anchors = {"all": set(poses), "one": {"img_0000"}, "two": {"img_0000", "img_0003"}}[anchors]
+    packer = _Packer(BundleProblem(cam, poses, points, meas, anchors=anchors))
+    rng = np.random.default_rng(seed)
+    x = packer.initial_vector()
+    return packer, x + rng.normal(0, 1e-2, x.size) * np.maximum(np.abs(x), 1.0)
+
+
+class TestComponentMajorBuild:
+    """The component-major blocks and bins against the measurement-major
+    einsum formulation of `tests/oracles.py`, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("anchors", ["one", "two", "all"])
+    def test_linearize_equals_einsum_oracle(self, aerial_cam, anchors, seed):
+        packer, x = oracle_block(aerial_cam, anchors, seed)
+        res, J_cam, J_point = packer.linearize(x)
+        ref_res, ref_cam, ref_point = reference_linearize(packer, x)
+        assert J_cam.shape == (2, 0 if anchors == "all" else 6, len(ref_res))
+        assert packer.residuals(x)[1][-3:-1].all()  # point 99's two measurements
+        assert np.array_equal(res.T, ref_res)
+        assert np.array_equal(packer.residuals(x)[0], ref_res.ravel())
+        assert np.array_equal(J_cam.transpose(2, 0, 1), ref_cam)
+        assert np.array_equal(J_point.transpose(2, 0, 1), ref_point)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("anchors", ["one", "two", "all"])
+    def test_normal_equations_equal_einsum_oracle(self, aerial_cam, anchors, seed):
+        packer, x = oracle_block(aerial_cam, anchors, seed)
+        normal = _NormalEquations(packer, x)
+        ref = ReferenceNormalEquations(packer, x)
+        for name in ("U", "V", "W", "g", "D"):
+            assert np.array_equal(getattr(normal, name), getattr(ref, name)), name
+
+    def test_solve_equals_solve_on_oracle_normal_equations(self, aerial_cam, monkeypatch):
+        poses, points, meas = synthetic_block(aerial_cam, n_points=30, sigma=0.5, seed=8)
+        start = perturb(poses, {"img_0000"}, dt=0.3, dr_deg=0.3, seed=5)
+        problem = BundleProblem(aerial_cam, start, points, meas, anchors={"img_0000"})
+        refined, report = solve(problem)
+        monkeypatch.setattr(bundle, "_NormalEquations", ReferenceNormalEquations)
+        ref_refined, ref_report = solve(problem)
+        assert report.iterations > 2
+        assert report.cost_trace == ref_report.cost_trace
+        for i in poses:
+            assert np.array_equal(refined.poses[i].t, ref_refined.poses[i].t)
+            assert np.array_equal(refined.poses[i].r, ref_refined.poses[i].r)
+        for p in points:
+            assert np.array_equal(refined.points[p], ref_refined.points[p])
 
 
 class TestNormalEquationsStep:
