@@ -161,12 +161,15 @@ class _Packer:
         self.cam_cols = pose_cols[:, None] + np.arange(6 if self.n_free else 0)
 
         # Bin indices of the normal equations' (a, b, M) terms, flattened, so
-        # each bin adds its measurements in m order: U[cam[a], cam[b]],
+        # each bin adds its measurements in m order: U[cam[a], cam[b]] for
+        # the pairs a <= b of `u_pairs` (the upper triangle, cam[a] <= cam[b]),
         # V[meas_point, a, b], W[cam[a], pt[b]], g_cam[cam[a]], g_point[pt[a]]
         # for cam = cam_cols.T and pt = 3 meas_point + (0, 1, 2)
         cam = self.cam_cols.T
         pt = 3 * self.meas_point + np.arange(3)[:, None]
-        self.u_bins = (cam[:, None] * self.n_cam + cam).ravel()
+        self.u_pairs = np.triu_indices(len(cam))
+        a, b = self.u_pairs
+        self.u_bins = (cam[a] * self.n_cam + cam[b]).ravel()
         self.v_bins = (3 * pt[:, None] + np.arange(3)[:, None]).ravel()
         self.w_bins = (cam[:, None] * 3 * len(self.point_ids) + pt).ravel()
         self.g_cam_bins = cam.ravel()
@@ -291,7 +294,11 @@ class _NormalEquations:
         res, J_cam, J_point = packer.linearize(x)
         nc, n_pts = packer.n_cam, len(packer.point_ids)
         res = res[:, None]
-        self.U = _binned_products(packer.u_bins, J_cam, J_cam, nc * nc).reshape(nc, nc)
+        a, b = packer.u_pairs  # U is symmetric: form the a <= b products, mirror the rest
+        upper = J_cam[0, a] * J_cam[0, b] + J_cam[1, a] * J_cam[1, b]
+        self.U = np.bincount(packer.u_bins, upper.ravel(), nc * nc).reshape(nc, nc)
+        lower = np.tril_indices(nc, -1)
+        self.U[lower] = self.U.T[lower]
         self.V = _binned_products(packer.v_bins, J_point, J_point, 9 * n_pts).reshape(n_pts, 3, 3)
         self.W = _binned_products(packer.w_bins, J_cam, J_point,
                                   nc * 3 * n_pts).reshape(nc, 3 * n_pts)
@@ -336,8 +343,9 @@ def _rms(residuals: np.ndarray) -> float:
 def _check_preconditions(problem: BundleProblem, packer: _Packer):
     if not problem.anchors:
         raise GaugeNotFixed("all poses free: anchor at least one pose id")
-    pairs = np.unique(np.stack([packer.meas_point, packer.meas_pose], axis=1), axis=0)
-    n_images = np.bincount(pairs[:, 0], minlength=len(packer.point_ids))
+    n_poses = len(packer.pose_ids)
+    pairs = np.unique(packer.meas_point * n_poses + packer.meas_pose)  # one per point and image
+    n_images = np.bincount(pairs // n_poses, minlength=len(packer.point_ids))
     few = np.flatnonzero(n_images < 2)
     if few.size:
         raise Underconstrained(packer.point_ids[few[0]], int(n_images[few[0]]))

@@ -10,8 +10,10 @@ with too few points; the survivors are emitted as one centroid per voxel,
 colored with the rounded mean of its valid colors. An occlusion test that
 walks every viewing ray through the grid at once guards color assignment
 from a separate RGB camera: each ray carries its voxel's packed key and
-steps it by adding one axis's key stride, and rays that stop are masked
-out, then dropped once they are the majority.
+steps it by adding one axis's key stride, its per-axis state held as (3, N)
+rows; a hashed occupancy table lets only the rays whose slot is set reach
+the exact lookup in the sorted keys, and rays that stop are masked out, then
+dropped once they are the majority.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ DEFAULT_VOXEL_SIZE = 0.1
 _AXIS_BITS = 21  # per axis in a packed voxel key
 _HALF_SPAN = 1 << (_AXIS_BITS - 1)  # offsets from the base voxel lie in [-2**20, 2**20)
 _KEY_STRIDES = np.array([1 << 2 * _AXIS_BITS, 1 << _AXIS_BITS, 1])  # key step per voxel on x, y, z
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio
 
 
 @dataclass
@@ -115,13 +118,17 @@ class VoxelGrid:
 def _pack(vox: np.ndarray, base: np.ndarray):
     """Packed keys of (N, 3) voxel indices, and the mask of those within the span.
 
-    A key is the dot product of the offsets with `_KEY_STRIDES` (mod 2**64), so
-    a step of one voxel along an axis adds that axis's stride. Keys outside the
-    span alias keys inside it; callers mask them out or reject them.
+    A key is the dot product of the offsets with `_KEY_STRIDES` (mod 2**64),
+    added up as shifts, so a step of one voxel along an axis adds that axis's
+    stride. Keys outside the span alias keys inside it; callers mask them out
+    or reject them.
     """
     off = vox - base + _HALF_SPAN
-    inside = np.all((off >= 0) & (off < 2 * _HALF_SPAN), axis=1)
-    return off @ _KEY_STRIDES, inside
+    ok = (off >= 0) & (off < 2 * _HALF_SPAN)
+    keys = off[:, 0] << 2 * _AXIS_BITS
+    keys += off[:, 1] << _AXIS_BITS
+    keys += off[:, 2]
+    return keys, ok[:, 0] & ok[:, 1] & ok[:, 2]
 
 
 def _lookup(sorted_keys: np.ndarray, keys: np.ndarray):
@@ -202,6 +209,26 @@ def filter_voxels(grid: VoxelGrid, min_points: int) -> PointCloud:
     return PointCloud(positions=positions, colors=colors.astype(np.uint8), color_valid=valid)
 
 
+def _occupancy_table(keys: np.ndarray):
+    """(shift, table): one bool per slot of `_slots(key, shift)`, set where a key lies.
+
+    The table has 2**bits >= 8 len(keys) slots, so at most one in eight is
+    set and it takes at most twice the bytes of the int64 keys (voxel
+    hashing: Niessner et al., "Real-time 3D reconstruction at scale using
+    voxel hashing", TOG 2013).
+    """
+    bits = (8 * len(keys) - 1).bit_length()
+    shift = np.uint64(64 - bits)
+    table = np.zeros(1 << bits, dtype=bool)
+    table[_slots(keys, shift)] = True
+    return shift, table
+
+
+def _slots(keys: np.ndarray, shift: np.uint64) -> np.ndarray:
+    """Multiplicative hash: the top 64 - shift bits of key * _HASH_MULTIPLIER mod 2**64."""
+    return (keys.view(np.uint64) * _HASH_MULTIPLIER) >> shift
+
+
 def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Whether a voxel of the grid lies on each segment from start_point to a point.
 
@@ -210,61 +237,75 @@ def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray) -> n
     Traversal Algorithm", 1987) with the arithmetic of the one-ray walk in
     `tests/oracles.py`, so each visits the same voxels in the same order.
 
-    Each ray holds its voxel's packed key and a step adds the chosen axis's
-    stride, so the arrival, camera-voxel and occupancy tests compare one int64
-    per ray; two voxels within 2**20 of the start on every axis (any walk of
-    fewer than 2**20 steps) have equal keys only if they are the same voxel.
-    A ray that stops leaves `active` and steps on, masked out of every hit,
-    until fewer than half the rays are active and the arrays are compacted.
-    A key beyond the packable span aliases one inside it, so when some walk
-    may leave the span (the start voxel +- its limit lies outside on an axis),
-    every ray also tracks its per-axis offsets and voxels beyond count as empty.
+    The ray state is component-major: `t_max`, `t_delta`, the key step per
+    voxel and the per-axis offsets are (3, N), one row per axis. A step
+    picks each ray's axis with two comparisons that keep argmin's
+    first-minimum tie rule and updates `t_max` and the key at that one flat
+    cell. Each ray holds its voxel's packed key, so the arrival and occupancy
+    tests compare one int64 per ray; two voxels within 2**20 of the start on
+    every axis (any walk of fewer than 2**20 steps) have equal keys only if
+    they are the same voxel. Every step moves a ray one voxel further, never
+    back, so no ray is in the camera's voxel after the first.
+
+    Occupancy is read from the hashed table of `_occupancy_table` first: only
+    the active rays whose key's slot is set are looked up in the sorted keys,
+    which confirms them exactly. A ray that stops leaves `active` and steps
+    on, masked out of every hit, until fewer than half the rays are active
+    and the arrays are compacted. A key beyond the packable span aliases one
+    inside it, so when some walk may leave the span (the start voxel +- its
+    limit lies outside on an axis), the offsets are stepped too and voxels
+    beyond count as empty.
     """
     occluded = np.zeros(len(points), dtype=bool)
     if grid.n_voxels == 0 or len(points) == 0:
         return occluded
     start = grid.voxel_indices(start_point[None, :])
     end = grid.voxel_indices(points)
-    direction = points - start_point
+    direction = (points - start_point).T.copy()  # (3, N), C-contiguous like every state array
     step = np.sign(direction).astype(np.int64)
     moving = direction != 0
-    boundary = (start + (step > 0)) * grid.voxel_size
+    boundary = (start.T + (step > 0)) * grid.voxel_size
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_max = np.where(moving, (boundary - start_point) / direction, np.inf)
+        t_max = np.where(moving, (boundary - start_point[:, None]) / direction, np.inf)
         t_delta = np.where(moving, grid.voxel_size / np.abs(direction), np.inf)
     limit = np.abs(end - start).sum(axis=1) + 3
 
     (start_key,), _ = _pack(start, grid._base)
     end_key, _ = _pack(end, grid._base)
-    offset = np.repeat(start - grid._base + _HALF_SPAN, len(points), axis=0)
+    key_step = step * _KEY_STRIDES[:, None]
+    offset = np.repeat(start.T - grid._base[:, None] + _HALF_SPAN, len(points), axis=1)
     leaves = offset.min() < limit.max() or offset.max() + limit.max() >= 2 * _HALF_SPAN
+    shift, table = _occupancy_table(grid._keys)
     rays = np.arange(len(points))
+    lanes = np.arange(3 * len(points)).reshape(3, -1)  # flat cell of each ray on each axis
     key = np.full(len(points), start_key)
-    active = np.ones(len(points), dtype=bool)
+    active = end_key != start_key
     taken = 0
-    while True:
-        active &= key != end_key
-        _, hit = _lookup(grid._keys, key)
-        hit &= active & (key != start_key)
-        if leaves:
-            hit &= np.all((offset >= 0) & (offset < 2 * _HALF_SPAN), axis=1)
-        occluded[rays[hit]] = True
-        active &= ~hit & (taken + 1 < limit)
-        n_active = np.count_nonzero(active)
-        if n_active == 0:
-            break
+    while n_active := np.count_nonzero(active):
         if 2 * n_active < len(active):  # inactive rays step on, masked out, until here
-            rays, key, end_key, limit, step, t_max, t_delta, offset = (
-                a[active] for a in (rays, key, end_key, limit, step, t_max, t_delta, offset))
+            rays, key, end_key, limit, t_max, t_delta, key_step, step, offset = (
+                a.compress(active, axis=-1)  # C-contiguous, so reshape(-1) is a view
+                for a in (rays, key, end_key, limit, t_max, t_delta, key_step, step, offset))
             active = np.ones(n_active, dtype=bool)
-        axis = np.argmin(t_max, axis=1)  # ties go to the lowest axis
-        cell = np.arange(0, 3 * len(key), 3) + axis
+            lanes = np.arange(3 * n_active).reshape(3, -1)
+        t0, t1, t2 = t_max  # ties go to the lowest axis
+        cell = np.where(t2 < np.minimum(t0, t1), lanes[2], np.where(t1 < t0, lanes[1], lanes[0]))
         t_max.reshape(-1)[cell] += t_delta.reshape(-1)[cell]
-        moved = step.reshape(-1)[cell]
-        key += moved * _KEY_STRIDES[axis]
+        key += key_step.reshape(-1)[cell]
         if leaves:
-            offset.reshape(-1)[cell] += moved
+            offset.reshape(-1)[cell] += step.reshape(-1)[cell]
         taken += 1
+        active &= key != end_key
+        maybe = np.flatnonzero(table[_slots(key, shift)] & active)
+        if len(maybe):
+            _, found = _lookup(grid._keys, key[maybe])
+            if leaves:
+                near = offset[:, maybe]
+                found &= np.all((near >= 0) & (near < 2 * _HALF_SPAN), axis=0)
+            hit = maybe[found]
+            occluded[rays[hit]] = True
+            active[hit] = False
+        active &= taken + 1 < limit
     return occluded
 
 

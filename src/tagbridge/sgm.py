@@ -306,22 +306,30 @@ def _sweep_y(C: np.ndarray, total: np.ndarray, p1: int, p2: int, dtype) -> None:
 def _sweep_x(C: np.ndarray, total: np.ndarray, p1: int, p2: int, dtype) -> None:
     """Add the paths (0, +1) and (0, -1) to `total`, stepped as one (2, H, D + 2) state.
 
-    Step t reads the columns C[:, t] and C[:, W-1-t] where they lie, rows of
-    D contiguous cells, and adds each path straight into the same column of
-    `total`; an odd W's middle column is read and added by both paths. Each
-    line's two end cells hold iinfo(dtype).max - P1 throughout (see
-    _PathStep).
+    Step t reads the columns C[:, t] and C[:, W-1-t], rows of D contiguous
+    cells, as one two-column slice of the column-major views (its stride
+    negative past the middle), and adds both paths into the same two columns
+    of `total` with one call; an odd W's middle column is read and added by
+    each path in turn. Each line's two end cells hold iinfo(dtype).max - P1
+    throughout (see _PathStep).
     """
     H, W, D = C.shape
     L = np.full((2, H, D + 2), np.iinfo(dtype).max - p1, dtype)
     L[..., 1:-1] = 0
     stepped = np.empty_like(L)
     step = _PathStep(L.shape, p1, p2, dtype, axis=2)
+    columns, sums = C.transpose(1, 0, 2), total.transpose(1, 0, 2)
     for t in range(W):
         step(L, out=stepped)
-        for i, x in enumerate((t, W - 1 - t)):
-            np.add(C[:, x], stepped[i, :, 1:-1], out=L[i, :, 1:-1], dtype=dtype)
-            np.add(total[:, x], L[i, :, 1:-1], out=total[:, x])
+        u = W - 1 - t
+        if t == u:
+            for i in range(2):
+                np.add(columns[t], stepped[i, :, 1:-1], out=L[i, :, 1:-1], dtype=dtype)
+                np.add(sums[t], L[i, :, 1:-1], out=sums[t])
+        else:
+            x, into = columns[t::u - t][:2], sums[t::u - t][:2]  # columns t and u
+            np.add(x, stepped[..., 1:-1], out=L[..., 1:-1], dtype=dtype)
+            np.add(into, L[..., 1:-1], out=into)
 
 
 def aggregate_costs(volume: CostVolume, params: SgmParams) -> CostVolume:

@@ -281,6 +281,20 @@ class TestSolve:
         with pytest.raises(Underconstrained):
             solve(problem)
 
+    def test_repeat_in_one_image_counts_once(self, aerial_cam):
+        # point 2's two measurements both lie in img_0002: one image, whether
+        # or not a third measurement in another image is kept
+        poses, points, meas = synthetic_block(aerial_cam, n_points=3)
+        twice = next(m for m in meas if m[:2] == ("img_0002", 2))
+        other = next(m for m in meas if m[:2] == ("img_0004", 2))
+        meas = [m for m in meas if m[1] != 2] + [twice, twice]
+        problem = BundleProblem(aerial_cam, poses, points, meas, anchors={"img_0000"})
+        with pytest.raises(Underconstrained, match=r"^point 2 seen in 1 image\(s\)"):
+            solve(problem)
+        _, report = solve(BundleProblem(aerial_cam, poses, points, meas + [other],
+                                        anchors={"img_0000"}))
+        assert report.final_rms < 1e-8
+
     def test_first_underconstrained_point_named(self, aerial_cam):
         # points 1 and 3 keep one image each; a repeat in the same image
         # does not count as a second one

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from tagbridge.fusion import (
+    _HALF_SPAN,
+    _KEY_STRIDES,
     PointCloud,
     VoxelGrid,
+    _occluded,
+    _occupancy_table,
+    _pack,
+    _slots,
     accumulate,
     colorize_with_occlusion,
     filter_voxels,
@@ -71,6 +77,14 @@ def reference_filter(clouds, grid, min_points):
     return np.array(positions), np.array(colors, dtype=np.uint8), np.array(valid)
 
 
+def reference_occluded(grid, start_point, point):
+    """Whether an occupied voxel other than its two ends lies on one `walk_voxels` walk."""
+    start = tuple(grid.voxel_indices(start_point[None, :])[0])
+    own = tuple(grid.voxel_indices(point[None, :])[0])
+    return any(key not in (start, own) and grid.count(key) >= 1
+               for key in walk_voxels(start, own, start_point, point - start_point, grid))
+
+
 def reference_colorize(cloud, grid, rgb, intrinsics, rgb_pose):
     """One `walk_voxels` walk per candidate point; returns (colors, color_valid)."""
     H, W = rgb.shape[:2]
@@ -79,24 +93,20 @@ def reference_colorize(cloud, grid, rgb, intrinsics, rgb_pose):
     cols = np.round(pixels[:, 0]).astype(int)
     rows = np.round(pixels[:, 1]).astype(int)
     candidates = in_front & (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H)
-    cam_voxel = tuple(grid.voxel_indices(rgb_pose.t[None, :])[0])
-    point_voxels = grid.voxel_indices(cloud.positions)
     colors = np.zeros((len(cloud), 3), dtype=np.uint8)
     valid = np.zeros(len(cloud), dtype=bool)
     for i in np.nonzero(candidates)[0]:
-        own = tuple(point_voxels[i])
-        direction = cloud.positions[i] - rgb_pose.t
-        occluded = False
-        for key in walk_voxels(cam_voxel, own, rgb_pose.t, direction, grid):
-            if key == cam_voxel or key == own:
-                continue
-            if grid.count(key) >= 1:
-                occluded = True
-                break
-        if not occluded:
+        if not reference_occluded(grid, rgb_pose.t, cloud.positions[i]):
             colors[i] = rgb[rows[i], cols[i]]
             valid[i] = True
     return colors, valid
+
+
+def assert_occluded_matches_reference(grid, start_point, points):
+    """The batched walk and one `walk_voxels` walk per point agree; returns the mask."""
+    got = _occluded(grid, start_point, points)
+    assert got.tolist() == [reference_occluded(grid, start_point, p) for p in points]
+    return got
 
 
 def assert_colorize_matches_reference(cloud, grid, cam, pose):
@@ -480,6 +490,21 @@ class TestColorize:
 
 
 class TestKeyPacking:
+    def test_pack_equals_matmul_form(self):
+        # offsets far beyond the span make the products wrap mod 2**64
+        rng = np.random.default_rng(17)
+        base = np.array([5, -7, 11])
+        edges = [[-1, 0, 0], [2 * _HALF_SPAN, 0, 0], [0, 2 * _HALF_SPAN - 1, 0], [0, 0, -1]]
+        vox = np.vstack([base + rng.integers(-_HALF_SPAN, _HALF_SPAN, (200, 3)),
+                         base + rng.integers(-2 ** 40, 2 ** 40, (200, 3)),
+                         base - _HALF_SPAN + np.array(edges)])
+        keys, inside = _pack(vox, base)
+        off = vox - base + _HALF_SPAN
+        assert np.array_equal(keys, off @ _KEY_STRIDES)
+        assert np.array_equal(inside, np.all((off >= 0) & (off < 2 * _HALF_SPAN), axis=1))
+        assert inside[:200].all() and not inside[200:400].any()
+        assert inside[400:].tolist() == [False, False, True, False]
+
     def test_utm_scale_coordinates(self):
         rng = np.random.default_rng(15)
         corner = np.array([5.0e5, 5.4e6, 120.0])  # UTM-size easting and northing
@@ -603,3 +628,58 @@ class TestOcclusionWalk:
                                                     wide_cam(), pose)
         assert 0 < visible[:150].sum() < 150  # the near plane hides part of the far one
         assert visible[150:250].all()  # nothing lies in front of the near plane
+
+    @pytest.mark.parametrize("n_voxels", [1, 2, 3, 8, 9, 1000])
+    def test_occupancy_table_size(self, n_voxels):
+        pts = np.column_stack([np.arange(n_voxels) * 0.1 + 0.05, np.full((n_voxels, 2), 0.05)])
+        grid = accumulate(VoxelGrid(voxel_size=0.1), PointCloud(positions=pts))
+        shift, table = _occupancy_table(grid._keys)
+        assert len(table) == 2 ** (64 - int(shift)) >= 8 * n_voxels
+        assert table.nbytes <= 2 * grid._keys.nbytes
+        assert np.flatnonzero(table).tolist() == np.unique(_slots(grid._keys, shift)).tolist()
+
+    def test_slot_shared_with_occupied_voxel_stays_visible(self):
+        # One occupied voxel, (4, 0, 0), so the occupancy table has 8 slots and
+        # some empty voxel on the first ray's path shares its slot: the
+        # prefilter passes that voxel on to the exact lookup, which finds it
+        # empty. The second ray passes through the occupied voxel.
+        size = 0.5
+        grid = accumulate(VoxelGrid(voxel_size=size), PointCloud(positions=[[2.25, 0.25, 0.25]]))
+        shift, table = _occupancy_table(grid._keys)
+        path = np.column_stack([np.zeros((20, 2), np.int64), np.arange(1, 21)])
+        keys, _ = _pack(path, grid._base)
+        assert table[_slots(keys, shift)].any()
+        assert not any(grid.count(v) for v in map(tuple, path))
+        start = np.array([0.25, 0.25, 0.25])
+        points = np.array([[0.25, 0.25, 10.75], [4.25, 0.25, 0.25]])
+        assert assert_occluded_matches_reference(grid, start, points).tolist() == [False, True]
+
+    def test_camera_far_outside_the_map(self):
+        # The camera's voxel lies more than 40 voxel steps from the map's
+        # bounding box, so the first steps of every walk find nothing.
+        rng = np.random.default_rng(18)
+        far = np.column_stack([rng.uniform(-1.0, 1.0, (2, 1500)).T, np.full(1500, 3.0)])
+        near = np.column_stack([rng.uniform(-0.3, 0.3, (2, 300)).T, np.full(300, 2.5)])
+        grid = accumulate(VoxelGrid(voxel_size=0.05), PointCloud(positions=np.vstack([far, near])))
+        pose = nadirless_pose(0.13, -0.08, -0.2)
+        vox = grid.voxel_indices(np.vstack([far, near]))
+        cam = grid.voxel_indices(pose.t[None, :])[0]
+        gap = np.maximum(vox.min(axis=0) - cam, 0) + np.maximum(cam - vox.max(axis=0), 0)
+        assert gap.sum() > 40
+        queries = PointCloud(positions=np.vstack([far[:150], near[:50]]))
+        visible = assert_colorize_matches_reference(queries, grid, wide_cam(), pose)
+        assert 0 < visible[:150].sum() < 150
+        assert visible[150:].all()
+
+    def test_zero_length_ray(self):
+        # Two queries sit at the camera itself: every t_max is inf, so a step
+        # takes axis 0 by the tie rule and adds a zero step. The walk is the
+        # camera's voxel alone, and the point is never occluded.
+        size = 0.5
+        cam = np.array([0.3, 0.3, 0.3])
+        grid = accumulate(VoxelGrid(voxel_size=size),
+                          PointCloud(positions=[cam, [0.3, 0.3, 1.3], [0.3, 1.3, 0.3]]))
+        assert list(walk_voxels((0, 0, 0), (0, 0, 0), cam, np.zeros(3), grid)) == [(0, 0, 0)]
+        points = np.array([cam, [0.3, 0.3, 2.3], cam, [0.3, 2.3, 0.3], [2.3, 0.3, 0.3]])
+        got = assert_occluded_matches_reference(grid, cam, points)
+        assert got.tolist() == [False, True, False, True, False]
