@@ -98,11 +98,14 @@ class SolveReport:
     initial_rms: float
     final_rms: float
     iterations: int
-    converged: bool
     damping_trace: list  # initial damping, then the damping after each trial
     cost_trace: list  # initial cost, then the cost after each accepted step
     stop: str  # the rule that ended the solve: one of STOP_RULES
     residual_evals: int  # passes projecting every measurement, Jacobians included
+
+    @property
+    def converged(self) -> bool:
+        return STOP_RULES[self.stop]
 
 
 def _stacked(values, width: int, name) -> np.ndarray:
@@ -395,7 +398,7 @@ def solve(problem: BundleProblem, max_iters: int = 100):
 
     if packer.n_params == 0:
         return packer.rebuild_problem(x), SolveReport(
-            initial_rms, initial_rms, 0, True, trace, costs, "no_free_parameters", evals)
+            initial_rms, initial_rms, 0, trace, costs, "no_free_parameters", evals)
 
     eps = np.finfo(float).eps
     floor = (eps * np.linalg.norm(packer.obs)) ** 2  # the residuals' own rounding
@@ -439,13 +442,11 @@ def solve(problem: BundleProblem, max_iters: int = 100):
         if stop != "max_iters":
             break
 
-    converged = STOP_RULES[stop]
     final_rms = _rms(r)
-    report = SolveReport(initial_rms=initial_rms, final_rms=final_rms,
-                         iterations=iterations, converged=converged,
+    report = SolveReport(initial_rms=initial_rms, final_rms=final_rms, iterations=iterations,
                          damping_trace=trace, cost_trace=costs, stop=stop,
                          residual_evals=evals)
-    if not converged:
+    if not report.converged:
         logger.warning("LM stopped on %s after %d iterations (rms %.3e px)",
                        stop, iterations, final_rms)
     return packer.rebuild_problem(x), report

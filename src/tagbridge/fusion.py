@@ -1,10 +1,11 @@
 """Voxel-based fusion of per-frame point clouds.
 
 Clouds accumulated along a trajectory are binned into a sparse voxel grid
-held as columns: one sorted int64 key per occupied voxel, with its point
-count, compensated position sum, colored count and per-channel color sums
-beside it. A cloud's points are grouped by the inverse index of their
-unique keys and summed per voxel in point order. The grid keeps only this
+held as columns: one sorted int64 key per occupied voxel and one int64 row
+beside it, with its point count, fixed-point position sums (each point adds
+its offset from its voxel's corner in units of 2**-32 voxel), colored count
+and per-channel color sums. Every sum is an exact integer, so no centroid
+depends on the order or chunking of the clouds. The grid keeps only this
 per-voxel state, never the points themselves. Filtering removes voxels
 with too few points; the survivors are emitted as one centroid per voxel,
 colored with the rounded mean of its valid colors. An occlusion test that
@@ -31,8 +32,11 @@ DEFAULT_VOXEL_SIZE = 0.1
 
 _AXIS_BITS = 21  # per axis in a packed voxel key
 _HALF_SPAN = 1 << (_AXIS_BITS - 1)  # offsets from the base voxel lie in [-2**20, 2**20)
-_KEY_STRIDES = np.array([1 << 2 * _AXIS_BITS, 1 << _AXIS_BITS, 1])  # key step per voxel on x, y, z
+_KEY_SHIFTS = np.array([2 * _AXIS_BITS, _AXIS_BITS, 0])  # bit offset of x, y, z in a key
+_KEY_STRIDES = 1 << _KEY_SHIFTS  # key step per voxel on x, y, z
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio
+_FRACTION_BITS = 32  # a position sum counts units of 2**-32 voxel
+_SUM_LIMIT = 1 << 53  # voxel sums stay below, so float64 holds them exactly
 
 
 @dataclass
@@ -77,9 +81,10 @@ class VoxelGrid:
     beyond that span. The offset is the same on every axis of every voxel,
     so key order is the lexicographic (x, y, z) order of the voxel indices.
 
-    Beside the keys: `_count`, the Kahan sum `_csum` and its compensation
-    `_comp` ((V, 3) each), `_colored`, the number of points with valid
-    RGB, and `_rgb`, their (V, 3) int64 per-channel sums, exact below 2**53.
+    Beside the keys, `_table` holds one (V, 8) int64 row per voxel: the point
+    count, the x, y and z sums of each point's offset from its voxel's corner
+    in units of 2**-32 voxel, the number of points with valid RGB, and their
+    per-channel color sums, all exact below 2**53.
     No accumulated cloud is kept: memory follows the voxels, not the points.
     """
 
@@ -88,23 +93,17 @@ class VoxelGrid:
     def __post_init__(self):
         if not 0 < self.voxel_size < np.inf:
             raise ValueError("voxel size must be positive and finite")
-        self._base = None  # (3,) int64, fixed by the first non-empty accumulate
+        self._base = np.zeros(3, np.int64)  # until the first non-empty accumulate fixes it
         self._keys = np.zeros(0, np.int64)
-        self._count = np.zeros(0, np.int64)
-        self._csum = np.zeros((0, 3))
-        self._comp = np.zeros((0, 3))
-        self._colored = np.zeros(0, np.int64)
-        self._rgb = np.zeros((0, 3), np.int64)
+        self._table = np.zeros((0, 8), np.int64)
 
     def voxel_indices(self, points: np.ndarray) -> np.ndarray:
         return np.floor(np.asarray(points, dtype=float) / self.voxel_size).astype(np.int64)
 
     def count(self, key) -> int:
-        if self._base is None:
-            return 0
         keys, inside = _pack(np.asarray(key, dtype=np.int64).reshape(1, 3), self._base)
         pos, found = _lookup(self._keys, keys)
-        return int(self._count[pos[0]]) if inside[0] and found[0] else 0
+        return int(self._table[pos[0], 0]) if inside[0] and found[0] else 0
 
     @property
     def n_voxels(self) -> int:
@@ -112,7 +111,7 @@ class VoxelGrid:
 
     @property
     def n_points(self) -> int:
-        return int(self._count.sum())
+        return int(self._table[:, 0].sum())
 
 
 def _pack(vox: np.ndarray, base: np.ndarray):
@@ -131,6 +130,11 @@ def _pack(vox: np.ndarray, base: np.ndarray):
     return keys, ok[:, 0] & ok[:, 1] & ok[:, 2]
 
 
+def _unpack(keys: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """(N, 3) voxel indices of packed keys: the inverse of `_pack` within the span."""
+    return (keys[:, None] >> _KEY_SHIFTS & 2 * _HALF_SPAN - 1) - _HALF_SPAN + base
+
+
 def _lookup(sorted_keys: np.ndarray, keys: np.ndarray):
     """Insertion position of each key in sorted_keys, and whether it is there."""
     pos = np.searchsorted(sorted_keys, keys)
@@ -140,48 +144,44 @@ def _lookup(sorted_keys: np.ndarray, keys: np.ndarray):
 
 
 def accumulate(grid: VoxelGrid, cloud: PointCloud) -> VoxelGrid:
-    """Bin a cloud into the grid (counts, position sums, color sums).
+    """Bin a cloud into the grid (counts, fixed-point position sums, color sums).
 
-    Points are grouped by the inverse index of their unique voxel keys and summed
-    in cloud order; color sums go through float64, exact below 2**53. Re-adding
-    the same cloud re-counts it. Raises ValueError, leaving the grid unchanged, when
-    a point lies beyond the packable span around the base voxel. Returns the grid.
+    A point adds rint(frac * 2**32), its offset from its voxel's corner in
+    2**-32 voxel, to the position sums. Points are grouped by the inverse
+    index of their unique keys; only the columns the cloud has are summed.
+    Re-adding a cloud re-counts it. Raises ValueError, leaving the grid
+    unchanged, when a point lies beyond the packable span around the base
+    voxel or a voxel's sum would reach 2**53. Returns the grid.
     """
     if len(cloud) == 0:
         return grid
-    vox = grid.voxel_indices(cloud.positions)
-    base = vox[0].copy() if grid._base is None else grid._base
-    keys, inside = _pack(vox, base)
+    scaled = cloud.positions / grid.voxel_size
+    vox = np.floor(scaled)
+    base = vox[0].astype(np.int64) if grid.n_voxels == 0 else grid._base
+    keys, inside = _pack(vox.astype(np.int64), base)
     if not inside.all():
         far = cloud.positions[np.argmin(inside)]
         raise ValueError(f"point {far.tolist()} lies beyond +-2**{_AXIS_BITS - 1} "
                          f"voxels of the grid's base voxel {base.tolist()}")
-    grid._base = base
 
     new_keys, voxel, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    values = np.rint((scaled - vox) * 2.0 ** _FRACTION_BITS)
+    if cloud.colors is not None and cloud.color_valid.any():
+        valid = cloud.color_valid
+        values = np.column_stack([values, valid, cloud.colors * valid[:, None]])
+    rows = np.column_stack([counts, _group_sums(voxel, values, len(new_keys))]).astype(np.int64)
     pos, found = _lookup(grid._keys, new_keys)
+    k = rows.shape[1]  # count and positions, then the color columns if the cloud has them
+    rows[found] += grid._table[pos[found], :k]
+    if rows.max() >= _SUM_LIMIT:
+        raise ValueError("a voxel's sums would reach 2**53")
+    grid._base = base
     if not found.all():
         at = pos[~found]
         grid._keys = np.insert(grid._keys, at, new_keys[~found])
-        grid._count = np.insert(grid._count, at, 0)
-        grid._csum = np.insert(grid._csum, at, 0.0, axis=0)
-        grid._comp = np.insert(grid._comp, at, 0.0, axis=0)
-        grid._colored = np.insert(grid._colored, at, 0)
-        grid._rgb = np.insert(grid._rgb, at, 0, axis=0)
+        grid._table = np.insert(grid._table, at, 0, axis=0)
         pos = np.searchsorted(grid._keys, new_keys)
-
-    n = len(new_keys)
-    grid._count[pos] += counts
-    # Kahan step keeps centroids permutation-invariant to ~1e-14
-    y = _group_sums(voxel, cloud.positions, n) - grid._comp[pos]
-    t = grid._csum[pos] + y
-    grid._comp[pos] = (t - grid._csum[pos]) - y
-    grid._csum[pos] = t
-
-    if cloud.colors is not None and cloud.color_valid.any():
-        valid = cloud.color_valid
-        grid._colored[pos] += np.bincount(voxel, valid, n).astype(np.int64)
-        grid._rgb[pos] += _group_sums(voxel, cloud.colors * valid[:, None], n).astype(np.int64)
+    grid._table[pos, :k] = rows
     return grid
 
 
@@ -189,22 +189,23 @@ def filter_voxels(grid: VoxelGrid, min_points: int) -> PointCloud:
     """One centroid per surviving voxel, in lexicographic voxel-index order.
 
     Voxels with fewer than min_points points are removed; colorless voxels
-    survive as geometry-only centroids. A colored voxel gets the mean of its
-    valid colors per channel, rounded to nearest with halves up; the sums are
-    exact integers, so the color does not depend on the order or chunking of
-    the accumulated clouds. Raises ValueError unless min_points >= 1.
+    survive as geometry-only centroids. A centroid, (voxel index + sum / count
+    * 2**-32) * voxel_size, lies within 2**-32 voxel of its points' mean plus
+    float64 rounding. A colored voxel gets the mean of its valid colors per
+    channel, rounded to nearest with halves up; neither depends on the order
+    or chunking of the clouds. Raises ValueError unless min_points >= 1.
     """
     if not min_points >= 1:
         raise ValueError("min_points must be at least 1")
 
-    rows = np.flatnonzero(grid._count >= min_points)
-    positions = (grid._csum[rows] + grid._comp[rows]) / grid._count[rows, None]
-    n = grid._colored[rows, None]
+    rows = np.flatnonzero(grid._table[:, 0] >= min_points)
+    count, sums, n, colors = np.split(grid._table[rows], [1, 4, 5], axis=1)
+    positions = (_unpack(grid._keys[rows], grid._base)
+                 + sums / count * 2.0 ** -_FRACTION_BITS) * grid.voxel_size
     valid = n[:, 0] > 0
     if not valid.any():
         return PointCloud(positions=positions)
-    colors = grid._rgb[rows]  # rounded half up in place; colorless voxels get black
-    colors += n // 2
+    colors += n // 2  # rounded half up in place; colorless voxels get black
     colors //= np.maximum(n, 1)
     return PointCloud(positions=positions, colors=colors.astype(np.uint8), color_valid=valid)
 

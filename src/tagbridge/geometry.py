@@ -42,9 +42,7 @@ def _group_sums(group, values, n):
     """(n, k) float64 sums of the (M, k) `values` rows by their (M,) `group` in [0, n).
 
     Each group's rows are added in row order from zero, whatever the other
-    groups hold, so a fused centroid keeps the bits that settle its
-    pixel-rounding ties in colorize; an empty group sums to zero. Integers
-    sum exactly below 2**53.
+    groups hold; an empty group sums to zero. Integers sum exactly below 2**53.
     """
     k = values.shape[1]
     return np.bincount((group[:, None] * k + np.arange(k)).ravel(), values.ravel(),

@@ -81,6 +81,8 @@ class SceneSpec:
             raise InvalidSpec("walk speed and rate must be positive")
         if len(self.walk.waypoints) < 2:
             raise InvalidSpec("walk needs at least two waypoints")
+        if not np.all(np.linalg.norm(np.diff(self.walk.waypoints, axis=0), axis=1) > 0):
+            raise InvalidSpec("consecutive walk waypoints must differ")
         if self.n_tie_points < 0:
             raise InvalidSpec("n_tie_points must be non-negative")
         if (len(self.tags) >= 3 and not self.allow_collinear_tags
@@ -122,8 +124,6 @@ def _walk_trajectory(walk: WalkPlan) -> Trajectory:
     seg = np.diff(wp, axis=0)
     seg_len = np.linalg.norm(seg, axis=1)
     total = float(seg_len.sum())
-    if total <= 0:
-        raise InvalidSpec("walk waypoints are coincident")
     dt = 1.0 / walk.rate_hz
     n = int(math.floor(total / walk.speed / dt)) + 1
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])

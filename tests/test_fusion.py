@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tagbridge import fusion
 from tagbridge.fusion import (
     _HALF_SPAN,
     _KEY_STRIDES,
@@ -14,6 +15,7 @@ from tagbridge.fusion import (
     _occupancy_table,
     _pack,
     _slots,
+    _unpack,
     accumulate,
     colorize_with_occlusion,
     filter_voxels,
@@ -42,39 +44,49 @@ def wide_cam():
 def reference_filter(clouds, grid, min_points):
     """Per-voxel accumulation over a dict, then filter_voxels' selection.
 
-    Each cloud adds its per-voxel `.sum(axis=0)` with one Kahan step, as the
-    grid does; a color is the per-channel mean of the valid colors in exact
-    rational arithmetic, rounded half up. Returns (centroids, colors,
-    color_valid) in voxel-index order.
+    Each point adds its offset from its voxel's corner, rounded to nearest in
+    units of 2**-32 voxel, to Python-integer sums; a centroid is
+    (voxel index + sum / count * 2**-32) * voxel size. A color is the
+    per-channel mean of the valid colors in exact rational arithmetic,
+    rounded half up. Returns (centroids, colors, color_valid, means) in
+    voxel-index order, where means are each voxel's exact rational mean point
+    as (3,) lists of Fractions.
     """
     voxels = {}
     for cloud in clouds:
-        for i, key in enumerate(map(tuple, grid.voxel_indices(cloud.positions))):
-            voxels.setdefault(key, {}).setdefault(id(cloud), []).append(i)
-    positions, colors, valid = [], [], []
+        colors = [None] * len(cloud) if cloud.colors is None else cloud.colors.tolist()
+        valid = [False] * len(cloud) if cloud.colors is None else cloud.color_valid.tolist()
+        for p, rgb, ok in zip(cloud.positions.tolist(), colors, valid):
+            scaled = [c / grid.voxel_size for c in p]
+            key = tuple(math.floor(c) for c in scaled)
+            v = voxels.setdefault(key, {"count": 0, "sum": [0] * 3, "exact": [Fraction(0)] * 3,
+                                        "colored": 0, "rgb": [0] * 3})
+            v["count"] += 1
+            v["sum"] = [s + round((c - k) * 2 ** 32) for s, c, k in zip(v["sum"], scaled, key)]
+            v["exact"] = [e + Fraction(c) for e, c in zip(v["exact"], p)]
+            if ok:
+                v["colored"] += 1
+                v["rgb"] = [s + c for s, c in zip(v["rgb"], rgb)]
+    positions, colors, valid, means = [], [], [], []
     for key in sorted(voxels):
-        count, colored, rgb_sum = 0, 0, [0, 0, 0]
-        csum, comp = np.zeros(3), np.zeros(3)
-        for cloud in clouds:
-            members = np.array(voxels[key].get(id(cloud), []), dtype=int)
-            if len(members) == 0:
-                continue
-            count += len(members)
-            y = cloud.positions[members].sum(axis=0) - comp
-            t = csum + y
-            comp = (t - csum) - y
-            csum = t
-            if cloud.colors is not None:
-                for rgb in cloud.colors[members[cloud.color_valid[members]]]:
-                    colored += 1
-                    rgb_sum = [s + int(c) for s, c in zip(rgb_sum, rgb)]
+        v = voxels[key]
+        count, colored = v["count"], v["colored"]
         if count < min_points:
             continue
-        positions.append((csum + comp) / count)
+        positions.append((np.array(key) + np.array(v["sum"]) / count * 2.0 ** -32)
+                         * grid.voxel_size)
+        means.append([e / count for e in v["exact"]])
         valid.append(colored > 0)
-        colors.append([math.floor(Fraction(s, colored) + Fraction(1, 2)) for s in rgb_sum]
+        colors.append([math.floor(Fraction(s, colored) + Fraction(1, 2)) for s in v["rgb"]]
                       if colored else (0, 0, 0))
-    return np.array(positions), np.array(colors, dtype=np.uint8), np.array(valid)
+    return np.array(positions), np.array(colors, dtype=np.uint8), np.array(valid), means
+
+
+def assert_near_exact_means(positions, means, voxel_size):
+    """Each centroid lies within 2**-32 voxel of its points' exact mean, plus float64 rounding."""
+    for centroid, mean in zip(positions, means):
+        for c, m in zip(centroid.tolist(), mean):
+            assert abs(Fraction(c) - m) <= 2.0 ** -32 * voxel_size + 4 * np.spacing(abs(c))
 
 
 def reference_occluded(grid, start_point, point):
@@ -175,6 +187,11 @@ class TestAccumulate:
         accumulate(grid, PointCloud(positions=np.array([[-0.05, -0.15, 0.0]])))
         assert grid.count((-1, -2, 0)) == 1
 
+    def test_fresh_grid_filters_to_empty_cloud(self):
+        out = filter_voxels(VoxelGrid(voxel_size=0.1), min_points=1)
+        assert out.positions.shape == (0, 3)
+        assert out.colors is None
+
     def test_order_independent_centroids(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(-5, 5, (2000, 3)) * np.array([1, 1, 0.3]) + 50.0
@@ -194,11 +211,11 @@ class TestAccumulate:
         for key in {tuple(k) for k in grid_a.voxel_indices(pts)}:
             assert grid_a.count(key) == grid_b.count(key)
         # rows of both grids are in (x, y, z) voxel order, whatever their base
-        assert np.array_equal(grid_a._colored, grid_b._colored)
-        assert np.count_nonzero(grid_a._colored >= 2) > 20
+        assert np.array_equal(grid_a._table, grid_b._table)
+        assert np.count_nonzero(grid_a._table[:, 4] >= 2) > 20
         out_a = filter_voxels(grid_a, min_points=1)
         out_b = filter_voxels(grid_b, min_points=1)
-        assert np.max(np.abs(out_a.positions - out_b.positions)) < 1e-12
+        assert np.array_equal(out_a.positions, out_b.positions)
         assert np.array_equal(out_a.color_valid, out_b.color_valid)
         assert np.array_equal(out_a.colors, out_b.colors)
 
@@ -221,7 +238,7 @@ class TestAccumulate:
         grid = VoxelGrid(voxel_size=0.1)
         accumulate(grid, PointCloud(positions=pts, colors=colors, color_valid=valid))
         assert grid.count((0, 0, 0)) == 4
-        assert grid._colored.tolist() == [3]
+        assert grid._table[:, 4].tolist() == [3]
         # the mean of the three valid colors; the invalid one is left out
         assert np.array_equal(filter_voxels(grid, min_points=1).colors[0], (170, 85, 0))
 
@@ -240,8 +257,8 @@ class TestAccumulate:
         assert np.array_equal(filter_voxels(grid, min_points=1).colors, [base])
 
     def test_color_state_follows_voxels_not_points(self):
-        # 20 000 distinct colors in 40 clouds go into 8 voxels; every
-        # per-voxel array keeps one row per voxel
+        # 20 000 distinct colors in 40 clouds go into 8 voxels; the key and
+        # the (8,) int64 table keep one row per voxel
         rng = np.random.default_rng(17)
         codes = np.arange(20000) * 811  # distinct 24-bit rgb codes
         colors = ((codes[:, None] >> np.array([16, 8, 0])) & 0xFF).astype(np.uint8)
@@ -252,12 +269,56 @@ class TestAccumulate:
         assert (grid.n_voxels, grid.n_points) == (8, 20000)
         state = {name: a for name, a in vars(grid).items()
                  if isinstance(a, np.ndarray) and name != "_base"}
-        assert len(state) == 6
+        assert len(state) == 2
         assert {name: len(a) for name, a in state.items()} == dict.fromkeys(state, 8)
+        assert sum(a.nbytes for a in state.values()) == 72 * grid.n_voxels  # key + (8,) row
+
+    def test_chunked_reordered_and_split_grids_equal(self):
+        # one cloud; shuffled chunks; the same chunks in reverse; and a split
+        # into the points with valid RGB and a colorless cloud of the rest:
+        # equal integer tables, so equal centroids and colors to the bit
+        rng = np.random.default_rng(20)
+        pts = rng.normal(0.0, 0.5, (3000, 3)) + np.array([-20.0, 7.0, 1.5])
+        colors = rng.integers(0, 256, (len(pts), 3)).astype(np.uint8)
+        valid = rng.random(len(pts)) < 0.7
+        chunks = np.array_split(rng.permutation(len(pts)), 7)
+
+        def fused(clouds):
+            grid = VoxelGrid(voxel_size=0.25)
+            for cloud in clouds:
+                accumulate(grid, cloud)
+            return grid, filter_voxels(grid, min_points=1)
+
+        grids = [fused([PointCloud(positions=pts, colors=colors, color_valid=valid)]),
+                 fused(PointCloud(positions=pts[c], colors=colors[c], color_valid=valid[c])
+                       for c in chunks),
+                 fused(PointCloud(positions=pts[c], colors=colors[c], color_valid=valid[c])
+                       for c in chunks[::-1]),
+                 fused([PointCloud(positions=pts[~valid]),
+                        PointCloud(positions=pts[valid], colors=colors[valid])])]
+        (grid, out), rest = grids[0], grids[1:]
+        assert grid._table[:, 0].max() > 20
+        for other, other_out in rest:
+            assert np.array_equal(other._table, grid._table)
+            assert np.array_equal(other_out.positions, out.positions)
+            assert np.array_equal(other_out.colors, out.colors)
+            assert np.array_equal(other_out.color_valid, out.color_valid)
+
+    def test_sum_reaching_limit_raises_and_leaves_grid(self, monkeypatch):
+        # a small stand-in for 2**53: points at the middle of their voxel add
+        # 2**31 each, so the limit of 2**35 holds 15 of them and not 16
+        monkeypatch.setattr(fusion, "_SUM_LIMIT", 2 ** 35)
+        grid = VoxelGrid(voxel_size=0.5)
+        accumulate(grid, PointCloud(positions=np.full((10, 3), 0.25)))
+        accumulate(grid, PointCloud(positions=np.full((5, 3), 0.25)))
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            accumulate(grid, PointCloud(positions=[[0.25, 0.25, 0.25], [3.0, 3.0, 3.0]]))
+        assert (grid.n_voxels, grid.n_points) == (1, 15)
+        assert np.array_equal(filter_voxels(grid, min_points=1).positions, [[0.25] * 3])
 
     def test_matches_per_voxel_reference(self):
         # dense voxels and several clouds: centroids and colors are bit-identical
-        # to summing each voxel's points in cloud order with one Kahan step per cloud
+        # to summing each voxel's fixed-point offsets in exact integers
         rng = np.random.default_rng(8)
         grid = VoxelGrid(voxel_size=0.2)
         clouds = []
@@ -270,10 +331,11 @@ class TestAccumulate:
             accumulate(grid, clouds[-1])
         clouds.append(PointCloud(positions=rng.normal(0.0, 0.4, (500, 3)) + 1e3))
         accumulate(grid, clouds[-1])
-        positions, colors, valid = reference_filter(clouds, grid, min_points=2)
+        positions, colors, valid, means = reference_filter(clouds, grid, min_points=2)
         out = filter_voxels(grid, min_points=2)
-        assert grid._count.max() > 50
+        assert grid._table[:, 0].max() > 50
         assert np.array_equal(out.positions, positions)
+        assert_near_exact_means(out.positions, means, grid.voxel_size)
         assert np.array_equal(out.color_valid, valid)
         assert np.array_equal(out.colors, colors)
 
@@ -505,6 +567,17 @@ class TestKeyPacking:
         assert inside[:200].all() and not inside[200:400].any()
         assert inside[400:].tolist() == [False, False, True, False]
 
+    def test_unpack_inverts_pack_across_the_span(self):
+        rng = np.random.default_rng(21)
+        base = np.array([5, -7, 11])
+        edges = np.array([[lo, mid, hi] for lo in (-_HALF_SPAN, _HALF_SPAN - 1)
+                          for mid in (-1, 0, 1) for hi in (_HALF_SPAN - 1, -_HALF_SPAN)])
+        vox = np.vstack([base + edges, base + edges[:, ::-1],
+                         base + rng.integers(-_HALF_SPAN, _HALF_SPAN, (200, 3))])
+        keys, inside = _pack(vox, base)
+        assert inside.all()
+        assert np.array_equal(_unpack(keys, base), vox)
+
     def test_utm_scale_coordinates(self):
         rng = np.random.default_rng(15)
         corner = np.array([5.0e5, 5.4e6, 120.0])  # UTM-size easting and northing
@@ -522,8 +595,9 @@ class TestKeyPacking:
         means = np.zeros((len(vox), 3))
         np.add.at(means, inverse.ravel(), pts - corner)
         assert np.max(np.abs(out.positions - corner - means / counts[:, None])) < 1e-8
-        positions, ref_colors, _ = reference_filter([cloud], grid, min_points=1)
+        positions, ref_colors, _, exact = reference_filter([cloud], grid, min_points=1)
         assert np.array_equal(out.positions, positions)
+        assert_near_exact_means(out.positions, exact, grid.voxel_size)
         assert np.array_equal(out.colors, ref_colors)
 
         pose = nadirless_pose(*(corner + np.array([0.3, 0.3, -0.5])))

@@ -16,10 +16,13 @@ def digests(*args) -> list:
 def test_rerun_in_a_fresh_interpreter_gives_equal_digests():
     first = digests("--workloads", "tiny", "--seeds", "1", "2")
     assert first == digests("--workloads", "tiny", "--seeds", "1", "2")
-    assert [line.split()[:5] for line in first] == [
-        ["tiny", "seed", "1", "instances", "2"], ["tiny", "seed", "2", "instances", "2"]]
-    (one, two) = (line.split()[-1] for line in first)
-    assert len(one) == 64 and one != two  # the digest follows the inputs
+    parts = ["stereo", "aerial", "fused", "recolor", "quality"]
+    assert [line.split()[:7] for line in first] == [
+        ["tiny", "seed", seed, "instances", "2", part, "sha256"]
+        for seed in ("1", "2") for part in parts]
+    one, two = ([line.split()[-1] for line in first[i:i + 5]] for i in (0, 5))
+    assert all(len(d) == 64 for d in one)
+    assert all(a != b for a, b in zip(one, two))  # each part's digest follows the inputs
 
 
 def test_unknown_workload_rejected():

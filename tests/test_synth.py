@@ -75,6 +75,13 @@ class TestSceneSpec:
         with pytest.raises(InvalidSpec):
             spec_with(walk=WalkPlan(waypoints=((0, 0, 0),)))
 
+    @pytest.mark.parametrize("waypoints", [((0, 0, 1.7), (0, 14, 1.7), (0, 14, 1.7)),
+                                           ((0, 0, 1.7), (0, 0, 1.7), (0, 14, 1.7))],
+                             ids=["repeated-last", "repeated-first"])
+    def test_coincident_consecutive_waypoints_rejected(self, waypoints):
+        with pytest.raises(InvalidSpec, match="waypoints"):
+            spec_with(walk=WalkPlan(waypoints=waypoints))
+
 
 class TestDeterminism:
     def test_scene_bit_identical_under_seed(self):

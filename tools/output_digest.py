@@ -1,21 +1,24 @@
 #!/usr/bin/env python3
-"""Print one sha256 per workload and seed over every output of the benchmark pipeline.
+"""Print one sha256 per output part, workload and seed of the benchmark pipeline.
 
     python3 tools/output_digest.py --workloads aerial_block fusion_recolor --seeds 3 21 22
 
 Every input instance that `bench/pipeline.py`'s `build_all` makes for a
-workload and seed runs once through `run_pipeline`. The digest covers, per
-instance in order:
-- each stereo frame's disparity map: values, valid and flags;
-- the fused and the recoloured clouds: positions, colours and validity;
-- the bundle's refined points and poses, and its `cost_trace`;
-- the bundle's iterations, LM trials and stop rule, the registered walk
-  and the quality metrics of `Scorer.quality`.
-Two checkouts that print equal digests for the same workloads and seeds give
-bit-identical outputs on those inputs. Each line reads
-`<workload> seed <seed> instances <n> sha256 <hex>`. The package and the
-benchmark are imported from this checkout's `src/` and `bench/`, and BLAS is
-pinned to one thread, both as `bench/run.py` does it; nothing is written.
+workload and seed runs once through `run_pipeline`. Each part's digest
+covers, per instance in order:
+- `stereo`: each stereo frame's disparity map: values, valid and flags;
+- `aerial`: the bundle's refined points and poses, its `cost_trace`, its
+  iterations, LM trials and stop rule, and the registered walk;
+- `fused`: the fused cloud's positions, colours and validity;
+- `recolor`: the recoloured cloud's positions, colours and validity;
+- `quality`: the quality metrics of `Scorer.quality`.
+Two checkouts that print equal digests for a part, workload and seed give
+bit-identical outputs of that part on those inputs, so a change that moves
+one part can show the others unchanged. Each line reads
+`<workload> seed <seed> instances <n> <part> sha256 <hex>`. The package and
+the benchmark are imported from this checkout's `src/` and `bench/`, and
+BLAS is pinned to one thread, both as `bench/run.py` does it; nothing is
+written.
 """
 
 from __future__ import annotations
@@ -63,32 +66,35 @@ def _update_cloud(h, cloud) -> None:
         _update(h, cloud.colors, cloud.color_valid)
 
 
-def digest(workload: str, seed: int) -> tuple[int, str]:
-    """(instances, sha256 hex) over the outputs of one workload and seed."""
+PARTS = ("stereo", "aerial", "fused", "recolor", "quality")
+
+
+def digest(workload: str, seed: int) -> tuple[int, dict]:
+    """(instances, {part: sha256 hex}) over the outputs of one workload and seed."""
     import numpy as np
     import pipeline as pl
 
     inputs, _, _ = pl.build_all(workload, seed)
-    h = hashlib.sha256()
+    h = {part: hashlib.sha256() for part in PARTS}
     for inp in inputs:
         tr = Recorder()
         out = pl.run_pipeline(inp, tr)
         for d in out.disparities:
-            _update(h, d.values, d.valid, d.flags)
-        _update_cloud(h, out.fused)
-        _update_cloud(h, out.colored)
+            _update(h["stereo"], d.values, d.valid, d.flags)
         (solved, report), = tr.results["bundle.solve"]
-        _update(h, np.array([solved.points[k] for k in sorted(solved.points)]),
+        _update(h["aerial"], np.array([solved.points[k] for k in sorted(solved.points)]),
                 np.array([np.concatenate([solved.poses[k].t, solved.poses[k].r])
                           for k in sorted(solved.poses)]),
                 np.array(report.cost_trace), out.walk.t, out.walk.r)
-        h.update(json.dumps({
+        h["aerial"].update(json.dumps({
             "iterations": report.iterations,
             "lm_trials": len(report.damping_trace) - 1,
             "stop": report.stop,
-            "quality": pl.Scorer(inp).quality(out),
         }, sort_keys=True).encode())
-    return len(inputs), h.hexdigest()
+        _update_cloud(h["fused"], out.fused)
+        _update_cloud(h["recolor"], out.colored)
+        h["quality"].update(json.dumps(pl.Scorer(inp).quality(out), sort_keys=True).encode())
+    return len(inputs), {part: sha.hexdigest() for part, sha in h.items()}
 
 
 def main(argv=None) -> int:
@@ -110,8 +116,10 @@ def main(argv=None) -> int:
         parser.error(f"unknown workloads {unknown}; presets are {sorted(pl.PRESETS)}")
     for workload in args.workloads:
         for seed in args.seeds:
-            n, hexdigest = digest(workload, seed)
-            print(f"{workload} seed {seed} instances {n} sha256 {hexdigest}", flush=True)
+            n, hexdigests = digest(workload, seed)
+            for part, hexdigest in hexdigests.items():
+                print(f"{workload} seed {seed} instances {n} {part} sha256 {hexdigest}",
+                      flush=True)
     return 0
 
 
