@@ -1,6 +1,8 @@
 """Voxel-based fusion of per-frame point clouds.
 
-Clouds accumulated along a trajectory are binned into a sparse voxel grid
+Every point cloud has one color layout: (N, 3) uint8 colors and an (N,)
+bool validity mask, black and invalid where a point has no color. Clouds
+accumulated along a trajectory are binned into a sparse voxel grid
 held as columns: one sorted int64 key per occupied voxel and one int64 row
 beside it, with its point count, fixed-point position sums (each point adds
 its offset from its voxel's corner in units of 2**-32 voxel), colored count
@@ -19,14 +21,11 @@ dropped once they are the majority.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import CameraIntrinsics, Pose, _group_sums, project_points
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_VOXEL_SIZE = 0.1
 
@@ -41,11 +40,15 @@ _SUM_LIMIT = 1 << 53  # voxel sums stay below, so float64 holds them exactly
 
 @dataclass
 class PointCloud:
-    """World-frame points with optional per-point color."""
+    """World-frame points, each with an RGB color and whether that color is valid.
+
+    `colors` is always (N, 3) uint8 and `color_valid` (N,) bool: a cloud
+    built without colors is black and color-invalid everywhere.
+    """
 
     positions: np.ndarray  # (N, 3) float64
-    colors: np.ndarray = None  # (N, 3) uint8 or None
-    color_valid: np.ndarray = None  # (N,) bool; defaults to all True when colored
+    colors: np.ndarray = None  # (N, 3) uint8; zeros when not given
+    color_valid: np.ndarray = None  # (N,) bool; all True when colors are given, else all False
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float).reshape(-1, 3)
@@ -53,17 +56,17 @@ class PointCloud:
             raise ValueError("positions must be finite")
         self.positions = pos
         n = len(pos)
-        if self.colors is not None:
-            colors = np.asarray(self.colors)
-            if not np.all((colors >= 0) & (colors <= 255) & (colors == np.round(colors))):
-                raise ValueError("colors must be integers in [0, 255]")
-            self.colors = colors.astype(np.uint8, copy=False).reshape(n, 3)
-            if self.color_valid is None:
-                self.color_valid = np.ones(n, dtype=bool)
-            else:
-                self.color_valid = np.asarray(self.color_valid, dtype=bool).reshape(n)
-        elif self.color_valid is not None:
-            raise ValueError("color_valid given without colors")
+        if self.colors is None:
+            if self.color_valid is not None:
+                raise ValueError("color_valid given without colors")
+            self.colors, self.color_valid = np.zeros((n, 3), np.uint8), np.zeros(n, bool)
+            return
+        colors = np.asarray(self.colors)
+        if not np.all((colors >= 0) & (colors <= 255) & (colors == np.round(colors))):
+            raise ValueError("colors must be integers in [0, 255]")
+        self.colors = colors.astype(np.uint8, copy=False).reshape(n, 3)
+        self.color_valid = (np.ones(n, dtype=bool) if self.color_valid is None
+                            else np.asarray(self.color_valid, dtype=bool).reshape(n))
 
     def __len__(self):
         return len(self.positions)
@@ -166,7 +169,7 @@ def accumulate(grid: VoxelGrid, cloud: PointCloud) -> VoxelGrid:
 
     new_keys, voxel, counts = np.unique(keys, return_inverse=True, return_counts=True)
     values = np.rint((scaled - vox) * 2.0 ** _FRACTION_BITS)
-    if cloud.colors is not None and cloud.color_valid.any():
+    if cloud.color_valid.any():
         valid = cloud.color_valid
         values = np.column_stack([values, valid, cloud.colors * valid[:, None]])
     rows = np.column_stack([counts, _group_sums(voxel, values, len(new_keys))]).astype(np.int64)
@@ -189,7 +192,7 @@ def filter_voxels(grid: VoxelGrid, min_points: int) -> PointCloud:
     """One centroid per surviving voxel, in lexicographic voxel-index order.
 
     Voxels with fewer than min_points points are removed; colorless voxels
-    survive as geometry-only centroids. A centroid, (voxel index + sum / count
+    survive black and color-invalid. A centroid, (voxel index + sum / count
     * 2**-32) * voxel_size, lies within 2**-32 voxel of its points' mean plus
     float64 rounding. A colored voxel gets the mean of its valid colors per
     channel, rounded to nearest with halves up; neither depends on the order
@@ -202,12 +205,9 @@ def filter_voxels(grid: VoxelGrid, min_points: int) -> PointCloud:
     count, sums, n, colors = np.split(grid._table[rows], [1, 4, 5], axis=1)
     positions = (_unpack(grid._keys[rows], grid._base)
                  + sums / count * 2.0 ** -_FRACTION_BITS) * grid.voxel_size
-    valid = n[:, 0] > 0
-    if not valid.any():
-        return PointCloud(positions=positions)
     colors += n // 2  # rounded half up in place; colorless voxels get black
     colors //= np.maximum(n, 1)
-    return PointCloud(positions=positions, colors=colors.astype(np.uint8), color_valid=valid)
+    return PointCloud(positions=positions, colors=colors.astype(np.uint8), color_valid=n[:, 0] > 0)
 
 
 def _occupancy_table(keys: np.ndarray):
@@ -317,8 +317,9 @@ def colorize_with_occlusion(cloud: PointCloud, grid: VoxelGrid, rgb: np.ndarray,
     A point is colored only when no voxel of the grid (each holds at least
     one point) lies strictly between the camera and the point's own voxel
     along the viewing ray; the camera's voxel and the point's own voxel never
-    count as occluders. Points outside the frustum or behind the camera stay
-    uncolored.
+    count as occluders. The returned cloud has the input's positions; points
+    outside the frustum, behind the camera or occluded are black and
+    color-invalid.
 
     Every candidate ray starts in the camera's voxel and steps into the
     neighbour across the nearest voxel boundary; where boundaries tie (the
@@ -342,8 +343,6 @@ def colorize_with_occlusion(cloud: PointCloud, grid: VoxelGrid, rgb: np.ndarray,
     candidates = np.flatnonzero(in_front & (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H))
     visible = candidates[~_occluded(grid, rgb_pose.t, cloud.positions[candidates])]
 
-    if len(visible) == 0:
-        return PointCloud(positions=cloud.positions.copy())
     n = len(cloud)
     colors = np.zeros((n, 3), dtype=rgb.dtype)
     valid = np.zeros(n, dtype=bool)

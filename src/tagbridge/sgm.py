@@ -508,7 +508,8 @@ def disparity_to_cloud(disp: DisparityMap, intrinsics: CameraIntrinsics,
     Depth per valid pixel is Z = f * B / (d * pitch); pixels with disparity
     below 1e-3 px are skipped. The baseline must be positive and finite
     (ValueError otherwise). `color` is an optional (H, W, 3) raster of
-    integers in [0, 255] (ValueError otherwise), sampled at the source pixel.
+    integers in [0, 255] (ValueError otherwise), sampled at the source pixel;
+    without it every point is black and color-invalid.
     """
     if not 0 < baseline < np.inf:
         raise ValueError("baseline must be positive and finite")
@@ -527,5 +528,4 @@ def disparity_to_cloud(disp: DisparityMap, intrinsics: CameraIntrinsics,
     cam = np.column_stack([norm[:, 0] * Z, norm[:, 1] * Z, Z])
     world = cam @ pose.rotation().T + pose.t
 
-    colors = None if color is None else color[ys, xs]
-    return PointCloud(positions=world, colors=colors)
+    return PointCloud(positions=world, colors=None if color is None else color[ys, xs])

@@ -24,7 +24,7 @@ from .geometry import (
     project_points,
     rotation_from_angles,
 )
-from .register import LocalTagSighting, Trajectory, _collinear, apply_to_trajectory
+from .register import LocalTagSighting, Trajectory, apply_to_trajectory
 from .triangulate import TagObservation
 
 # spawn-key namespaces for the per-entity sub-streams
@@ -66,29 +66,28 @@ class SceneSpec:
     walk: WalkPlan = WalkPlan()
     seed: int = 0
     n_tie_points: int = 40
-    allow_collinear_tags: bool = False
 
     def __post_init__(self):
         if self.tags is None:
             object.__setattr__(self, "tags", default_tag_layout())
-        if self.flight.altitude <= 0:
-            raise InvalidSpec("flight altitude must be positive")
+        if not self.tags or not all(np.shape(p) == (3,) and np.all(np.isfinite(p))
+                                    for p in self.tags.values()):
+            raise InvalidSpec("tags must be a non-empty map of finite (3,) positions")
+        if not 0 < self.flight.altitude < np.inf:
+            raise InvalidSpec("flight altitude must be positive and finite")
         if not 0.0 <= self.flight.overlap < 1.0:
             raise InvalidSpec("overlap must be in [0, 1)")
-        if self.flight.strips < 1:
-            raise InvalidSpec("at least one flight strip required")
-        if self.walk.speed <= 0 or self.walk.rate_hz <= 0:
-            raise InvalidSpec("walk speed and rate must be positive")
-        if len(self.walk.waypoints) < 2:
-            raise InvalidSpec("walk needs at least two waypoints")
-        if not np.all(np.linalg.norm(np.diff(self.walk.waypoints, axis=0), axis=1) > 0):
+        if not (isinstance(self.flight.strips, (int, np.integer)) and self.flight.strips >= 1):
+            raise InvalidSpec("flight strips must be an integer of at least 1")
+        if not (0 < self.walk.speed < np.inf and 0 < self.walk.rate_hz < np.inf):
+            raise InvalidSpec("walk speed and rate must be positive and finite")
+        wp = np.asarray(self.walk.waypoints, dtype=float)
+        if wp.ndim != 2 or wp.shape[1] != 3 or len(wp) < 2 or not np.all(np.isfinite(wp)):
+            raise InvalidSpec("walk needs at least two finite (3,) waypoints")
+        if not np.all(np.linalg.norm(np.diff(wp, axis=0), axis=1) > 0):
             raise InvalidSpec("consecutive walk waypoints must differ")
-        if self.n_tie_points < 0:
-            raise InvalidSpec("n_tie_points must be non-negative")
-        if (len(self.tags) >= 3 and not self.allow_collinear_tags
-                and _collinear(np.array(list(self.tags.values()), dtype=float))):
-            raise InvalidSpec(
-                "tags lie on a single line; set allow_collinear_tags for negative tests")
+        if not (isinstance(self.n_tie_points, (int, np.integer)) and self.n_tie_points >= 0):
+            raise InvalidSpec("n_tie_points must be a non-negative integer")
 
 
 def default_tag_layout() -> dict:
@@ -275,7 +274,7 @@ def gen_stereo_pair(depth: np.ndarray, baseline: float,
     noise.
     """
     depth = np.asarray(depth, dtype=float)
-    if np.any(depth <= 0):
+    if not np.all(depth > 0):
         raise InvalidSpec("depth plan must be strictly positive")
     H, W = depth.shape
     disparity = (intrinsics.focal_px * baseline / depth).astype(np.float32)

@@ -54,9 +54,8 @@ def reference_filter(clouds, grid, min_points):
     """
     voxels = {}
     for cloud in clouds:
-        colors = [None] * len(cloud) if cloud.colors is None else cloud.colors.tolist()
-        valid = [False] * len(cloud) if cloud.colors is None else cloud.color_valid.tolist()
-        for p, rgb, ok in zip(cloud.positions.tolist(), colors, valid):
+        for p, rgb, ok in zip(cloud.positions.tolist(), cloud.colors.tolist(),
+                              cloud.color_valid.tolist()):
             scaled = [c / grid.voxel_size for c in p]
             key = tuple(math.floor(c) for c in scaled)
             v = voxels.setdefault(key, {"count": 0, "sum": [0] * 3, "exact": [Fraction(0)] * 3,
@@ -126,11 +125,8 @@ def assert_colorize_matches_reference(cloud, grid, cam, pose):
     rgb = np.random.default_rng(99).integers(0, 256, (cam.height, cam.width, 3), dtype=np.uint8)
     out = colorize_with_occlusion(cloud, grid, rgb, cam, pose)
     colors, valid = reference_colorize(cloud, grid, rgb, cam, pose)
-    if out.colors is None:
-        assert not valid.any()
-    else:
-        assert np.array_equal(out.color_valid, valid)
-        assert np.array_equal(out.colors, colors)
+    assert np.array_equal(out.color_valid, valid)
+    assert np.array_equal(out.colors, colors)
     return valid
 
 
@@ -152,6 +148,15 @@ class TestPointCloud:
         assert np.array_equal(PointCloud(positions=[[0, 0, 0]],
                                          colors=np.array([[0.0, 7.0, 255.0]])).colors,
                               [[0, 7, 255]])
+
+    def test_colorless_cloud_is_black_and_invalid(self):
+        cloud = PointCloud(positions=np.zeros((4, 3)))
+        assert cloud.colors.dtype == np.uint8 and np.array_equal(cloud.colors, np.zeros((4, 3)))
+        assert cloud.color_valid.dtype == bool and cloud.color_valid.tolist() == [False] * 4
+
+    def test_color_valid_without_colors_rejected(self):
+        with pytest.raises(ValueError, match="color_valid given without colors"):
+            PointCloud(positions=np.zeros((2, 3)), color_valid=[True, False])
 
 
 class TestAccumulate:
@@ -190,7 +195,8 @@ class TestAccumulate:
     def test_fresh_grid_filters_to_empty_cloud(self):
         out = filter_voxels(VoxelGrid(voxel_size=0.1), min_points=1)
         assert out.positions.shape == (0, 3)
-        assert out.colors is None
+        assert out.colors.shape == (0, 3) and out.colors.dtype == np.uint8
+        assert out.color_valid.shape == (0,) and out.color_valid.dtype == bool
 
     def test_order_independent_centroids(self):
         rng = np.random.default_rng(1)
@@ -393,8 +399,8 @@ class TestFilterVoxels:
         pts = np.zeros((3, 3)) + 0.05
         grid = accumulate(VoxelGrid(voxel_size=0.1), PointCloud(positions=pts))
         out = filter_voxels(grid, min_points=1)
-        assert len(out) == 1
-        assert out.colors is None
+        assert out.colors.tolist() == [[0, 0, 0]]
+        assert out.color_valid.tolist() == [False]
         # beside a colored voxel: kept, black and not color-valid
         colors = np.tile(np.array([[200, 10, 10]], np.uint8), (3, 1))
         accumulate(grid, PointCloud(positions=pts + 1.0, colors=colors))
@@ -413,7 +419,6 @@ class TestColorize:
         grid = accumulate(VoxelGrid(voxel_size=0.1), cloud)
         rgb = np.full((480, 640, 3), 42, np.uint8)
         out = colorize_with_occlusion(cloud, grid, rgb, cam, pose)
-        assert out.colors is not None
         assert out.color_valid[0]
         assert np.array_equal(out.colors[0], (42, 42, 42))
 
@@ -445,7 +450,7 @@ class TestColorize:
         grid = accumulate(VoxelGrid(voxel_size=0.1), cloud)
         rgb = np.full((480, 640, 3), 7, np.uint8)
         out = colorize_with_occlusion(cloud, grid, rgb, cam, pose)
-        assert out.colors is None or not out.color_valid.any()
+        assert out.colors.tolist() == [[0, 0, 0]] and not out.color_valid.any()
 
     def test_out_of_frustum_uncolored(self):
         cam = small_cam()
@@ -454,7 +459,7 @@ class TestColorize:
         grid = accumulate(VoxelGrid(voxel_size=0.1), cloud)
         rgb = np.full((480, 640, 3), 7, np.uint8)
         out = colorize_with_occlusion(cloud, grid, rgb, cam, pose)
-        assert out.colors is None or not out.color_valid.any()
+        assert out.colors.tolist() == [[0, 0, 0]] and not out.color_valid.any()
 
     def test_never_colors_through_occupied_voxel(self):
         # exhaustive check on a 20^3 grid: every colored point's ray must be
@@ -467,7 +472,7 @@ class TestColorize:
         grid = accumulate(VoxelGrid(voxel_size=0.1), cloud)
         rgb = np.full((480, 640, 3), 1, np.uint8)
         out = colorize_with_occlusion(cloud, grid, rgb, cam, pose)
-        assert out.colors is not None
+        assert out.color_valid.any()
 
         # independent sampling check along each colored ray
         for i in np.nonzero(out.color_valid)[0]:

@@ -778,9 +778,11 @@ class TestDisparityToCloud:
                             valid=np.ones((H, W), bool),
                             flags=np.zeros((H, W), np.uint8))
         pose = Pose(t=np.zeros(3), r=np.zeros(3))
-        cloud = disparity_to_cloud(disp, stereo_cam, 0.2, pose, color=rgb)
-        assert cloud.colors is not None
-        assert cloud.colors[3, 0] == 30  # row-major order: pixel (0,3) -> 4th point
+        for color, red, valid in ((rgb, 30, True), (None, 0, False)):  # None: black, invalid
+            cloud = disparity_to_cloud(disp, stereo_cam, 0.2, pose, color=color)
+            assert cloud.colors.shape == (H * W, 3) and cloud.colors.dtype == np.uint8
+            assert cloud.colors[3, 0] == red  # row-major order: pixel (0,3) -> 4th point
+            assert cloud.color_valid.tolist() == [valid] * (H * W)
 
     @pytest.mark.parametrize("baseline", [np.nan, np.inf, 0.0, -0.2])
     @pytest.mark.parametrize("any_valid", [False, True], ids=["all-invalid", "all-valid"])

@@ -56,15 +56,10 @@ class TestSceneSpec:
         scene = gen_scene(spec_with(seed=42))
         assert len(scene.tags) == 7
 
-    def test_collinear_tags_rejected(self):
+    def test_collinear_tags_accepted(self):
+        # registration, not the spec, rejects collinear tags (DegenerateGeometry)
         tags = {i: np.array([float(i), 0.0, 0.0]) for i in range(1, 5)}
-        with pytest.raises(InvalidSpec):
-            spec_with(tags=tags)
-
-    def test_collinear_allowed_when_flagged(self):
-        tags = {i: np.array([float(i), 0.0, 0.0]) for i in range(1, 5)}
-        spec = spec_with(tags=tags, allow_collinear_tags=True)
-        scene = gen_scene(spec)
+        scene = gen_scene(spec_with(tags=tags))
         assert len(scene.tags) == 4
 
     def test_invalid_plans_rejected(self):
@@ -74,6 +69,22 @@ class TestSceneSpec:
             spec_with(flight=FlightPlan(overlap=1.0))
         with pytest.raises(InvalidSpec):
             spec_with(walk=WalkPlan(waypoints=((0, 0, 0),)))
+
+    @pytest.mark.parametrize("field", [
+        {"flight": FlightPlan(altitude=np.nan)}, {"flight": FlightPlan(altitude=np.inf)},
+        {"walk": WalkPlan(speed=np.nan)}, {"walk": WalkPlan(speed=np.inf)},
+        {"walk": WalkPlan(rate_hz=np.nan)}, {"walk": WalkPlan(rate_hz=np.inf)},
+        {"walk": WalkPlan(waypoints=((0, 0, 1.7), (0, np.inf, 1.7)))},
+        {"walk": WalkPlan(waypoints=((0, 0), (0, 14)))},
+        {"flight": FlightPlan(strips=1.5)}, {"n_tie_points": 2.5},
+        {"tags": {}}, {"tags": {1: np.array([0.0, 1.0])}},
+        {"tags": {**default_tag_layout(), 8: np.array([np.nan, 0.0, 0.0])}},
+    ], ids=["altitude-nan", "altitude-inf", "speed-nan", "speed-inf", "rate-nan", "rate-inf",
+            "waypoint-inf", "waypoint-2d", "strips-fractional", "tie-points-fractional",
+            "no-tags", "tag-2d", "tag-nan"])
+    def test_bad_field_rejected(self, field):
+        with pytest.raises(InvalidSpec):
+            spec_with(**field)
 
     @pytest.mark.parametrize("waypoints", [((0, 0, 1.7), (0, 14, 1.7), (0, 14, 1.7)),
                                            ((0, 0, 1.7), (0, 0, 1.7), (0, 14, 1.7))],
@@ -189,6 +200,15 @@ class TestStereoPair:
         depth = np.full((32, 64), stereo_cam.focal_px * 0.2 / 8.0)
         pair = gen_stereo_pair(depth, 0.2, stereo_cam, texture_seed=1)
         assert np.all(pair.disparity == 8.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_non_positive_depth_rejected(self, stereo_cam, bad):
+        depth = np.full((8, 16), stereo_cam.focal_px * 0.2 / 4.0)
+        depth[3, 5] = bad
+        with pytest.raises(InvalidSpec, match="depth"):
+            gen_stereo_pair(depth, 0.2, stereo_cam)
+        depth[3, 5] = np.inf  # disparity 0: at infinity, accepted
+        assert gen_stereo_pair(depth, 0.2, stereo_cam).disparity[3, 5] == 0.0
 
     def test_two_plane_step_edge(self, stereo_cam):
         depth = two_plane_depth(stereo_cam, 0.2, (40, 80), d_background=6, d_foreground=14)

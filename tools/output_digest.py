@@ -59,11 +59,7 @@ def _update(h, *arrays) -> None:
 
 
 def _update_cloud(h, cloud) -> None:
-    _update(h, cloud.positions)
-    if cloud.colors is None:
-        h.update(b"uncolored")
-    else:
-        _update(h, cloud.colors, cloud.color_valid)
+    _update(h, cloud.positions, cloud.colors, cloud.color_valid)
 
 
 PARTS = ("stereo", "aerial", "fused", "recolor", "quality")
