@@ -12,6 +12,8 @@ elementwise expression over rows of length M, its terms added in the order
 of the per-measurement einsums it replaced (`tests/oracles.py`).
 The normal equations are accumulated by block: U, dense over the camera
 unknowns (the unanchored poses); V, one 3x3 block per point; W between them.
+Every pose owns six camera columns, the unanchored poses' first, so every
+measurement is binned alike and the unknowns' blocks are the leading ones.
 Each block, and each half of g = J^T r, is one bincount into bin indices
 that depend only on the problem's structure, so `_Packer` builds them once.
 Each LM trial eliminates the points by the Schur complement, solves the
@@ -23,15 +25,17 @@ unknowns only, so it puts no cap on the number of points (dense normal
 equations over every unknown would cap a block at about 10^3 parameters).
 The closed-form blocks are tested against central differences (`tests/oracles.py`).
 
-The LM loop stops on a vanishing gradient, or before a trial step delta whose
-decrease of cost = r^T r, as the damped linear model predicts it, is within
-the float64 rounding of the cost: size(r) * eps * cost for the sum, plus
-the floor (eps |obs|)^2 that the residuals' own rounding, each about eps
-times its measured pixel, sets under the cost (|obs| is the norm of all
-measured pixel coordinates). Such a step cannot lower the cost measurably
-(Madsen, Nielsen & Tingleff, "Methods for Non-Linear Least Squares
-Problems", 2004, sec. 3.2; MINPACK's `ftol` test, More 1978). The prediction, lam delta^T D delta - g^T delta, is exact for
-the damped system (J^T J + lam D) delta = -g. There is no step-norm test.
+The LM loop stops before a trial step delta whose decrease of cost = r^T r,
+as the damped linear model predicts it, is within the float64 rounding of
+the cost: size(r) * eps * cost for the sum, plus the floor (eps |obs|)^2
+that the residuals' own rounding, each about eps times its measured pixel,
+sets under the cost (|obs| is the norm of all measured pixel coordinates).
+Such a step cannot lower the cost measurably (Madsen, Nielsen & Tingleff,
+"Methods for Non-Linear Least Squares Problems", 2004, sec. 3.2; MINPACK's
+`ftol` test, More 1978). The prediction, lam delta^T D delta - g^T delta,
+is exact for the damped system (J^T J + lam D) delta = -g. A vanishing
+gradient or step predicts a vanishing decrease, so there is no gradient or
+step-norm test.
 """
 
 from __future__ import annotations
@@ -62,11 +66,10 @@ BEHIND_RESIDUAL = 1e6
 MAX_PHI_DEG = 89.0
 _MAX_PHI = math.radians(MAX_PHI_DEG)
 LAMBDA_INIT = 1e-3
-GRADIENT_TOL = 1e-10
 LAMBDA_MAX = 1e15
 # The rules that can end `solve` (`SolveReport.stop`), each with whether it
 # counts as converged
-STOP_RULES = {"gradient": True, "predicted_decrease": True, "no_free_parameters": True,
+STOP_RULES = {"predicted_decrease": True, "no_free_parameters": True,
               "no_acceptable_step": False, "max_iters": False}
 
 
@@ -151,17 +154,15 @@ class _Packer:
 
         pose_free = np.array([p not in problem.anchors for p in self.pose_ids], dtype=bool)
         self.free_pose_rows = np.flatnonzero(pose_free)
-        self.n_free = len(self.free_pose_rows)
-        self.n_cam = 6 * self.n_free
+        self.n_cam = 6 * len(self.free_pose_rows)
         self.n_params = self.n_cam + 3 * len(self.point_ids)
 
-        # Camera columns of each measurement: its pose's six, when any pose
-        # is free. A measurement on an anchored pose gets zero entries,
-        # indexed at column 0.
-        self.meas_pose_free = pose_free[self.meas_pose]
-        free_rank = np.cumsum(pose_free) - 1
-        pose_cols = 6 * np.where(self.meas_pose_free, free_rank[self.meas_pose], 0)
-        self.cam_cols = pose_cols[:, None] + np.arange(6 if self.n_free else 0)
+        # Camera columns of each measurement: its pose's six. Every pose owns
+        # six, the free poses' first in sorted-id order (the camera unknowns,
+        # columns < n_cam), then the anchored poses'.
+        pose_rank = np.argsort(np.argsort(~pose_free, kind="stable"))
+        self.n_cam_cols = 6 * len(self.pose_ids)
+        self.cam_cols = 6 * pose_rank[self.meas_pose][:, None] + np.arange(6)
 
         # Bin indices of the normal equations' (a, b, M) terms, flattened, so
         # each bin adds its measurements in m order: U[cam[a], cam[b]] for
@@ -170,16 +171,16 @@ class _Packer:
         # for cam = cam_cols.T and pt = 3 meas_point + (0, 1, 2)
         cam = self.cam_cols.T
         pt = 3 * self.meas_point + np.arange(3)[:, None]
-        self.u_pairs = np.triu_indices(len(cam))
+        self.u_pairs = np.triu_indices(6)
         a, b = self.u_pairs
-        self.u_bins = (cam[a] * self.n_cam + cam[b]).ravel()
+        self.u_bins = (cam[a] * self.n_cam_cols + cam[b]).ravel()
         self.v_bins = (3 * pt[:, None] + np.arange(3)[:, None]).ravel()
         self.w_bins = (cam[:, None] * 3 * len(self.point_ids) + pt).ravel()
         self.g_cam_bins = cam.ravel()
         self.g_point_bins = pt.ravel()
 
     def pose_block(self, x: np.ndarray) -> np.ndarray:
-        """The free poses in x as (n_free, 6) rows of (t, omega, phi, kappa)."""
+        """The free poses in x as (n, 6) rows of (t, omega, phi, kappa)."""
         return x[:self.n_cam].reshape(-1, 6)
 
     def initial_vector(self) -> np.ndarray:
@@ -215,10 +216,11 @@ class _Packer:
     def linearize(self, x: np.ndarray):
         """Residuals at x and their closed-form Jacobian blocks, component-major.
 
-        Returns (residuals (2, M), J_cam (2, q, M), J_point (2, 3, M)):
+        Returns (residuals (2, M), J_cam (2, 6, M), J_point (2, 3, M)):
         J_cam[i, a, m] is the derivative of measurement m's pixel component
-        i in its camera column `cam_cols[m, a]`; J_point[i, b, m] that in
-        its point's column n_cam + 3 * meas_point[m] + b.
+        i in its pose's camera column `cam_cols[m, a]`, an unknown when that
+        is below n_cam; J_point[i, b, m] that in its point's column
+        n_cam + 3 * meas_point[m] + b.
         Columns of behind-camera measurements are zero: their residual is
         the constant BEHIND_RESIDUAL.
         """
@@ -231,23 +233,21 @@ class _Packer:
         dpx_dP = slope[:, None] * R[:, 2]
         dpx_dP += scale * R[:, :2].transpose(1, 0, 2)
 
-        J_cam = np.zeros((2, 0, len(depth)))
-        if self.n_free:
-            # d R / d angle = [a]x R with a = R e_x (omega), Rz(kappa) e_y (phi)
-            # and e_z (kappa), so d camera point / d angle = R^T ((P - t) x a);
-            # each cross product's terms as np.cross computes them, less the
-            # products with a zero component of the axis
-            d0, d1, d2 = d
-            e0, e1, e2 = R[:, 0]
-            kappa = r[self.meas_pose, 2]
-            sk, ck = np.sin(kappa), np.cos(kappa)
-            cross = np.array([[d1 * e2 - d2 * e1, d2 * e0 - d0 * e2, d0 * e1 - d1 * e0],
-                              [-(d2 * ck), -(d2 * sk), d0 * ck + d1 * sk],
-                              [d1, -d0, np.zeros_like(d0)]])
-            # the sum over j added as (j0 + j2) + j1, the einsum oracle's order
-            dpx_dangles = (dpx_dP[:, None, 0] * cross[:, 0] + dpx_dP[:, None, 2] * cross[:, 2]
-                           + dpx_dP[:, None, 1] * cross[:, 1])
-            J_cam = np.concatenate([dpx_dP, -dpx_dangles], axis=1) * self.meas_pose_free
+        # d R / d angle = [a]x R with a = R e_x (omega), Rz(kappa) e_y (phi)
+        # and e_z (kappa), so d camera point / d angle = R^T ((P - t) x a);
+        # each cross product's terms as np.cross computes them, less the
+        # products with a zero component of the axis
+        d0, d1, d2 = d
+        e0, e1, e2 = R[:, 0]
+        kappa = r[self.meas_pose, 2]
+        sk, ck = np.sin(kappa), np.cos(kappa)
+        cross = np.array([[d1 * e2 - d2 * e1, d2 * e0 - d0 * e2, d0 * e1 - d1 * e0],
+                          [-(d2 * ck), -(d2 * sk), d0 * ck + d1 * sk],
+                          [d1, -d0, np.zeros_like(d0)]])
+        # the sum over j added as (j0 + j2) + j1, the einsum oracle's order
+        dpx_dangles = (dpx_dP[:, None, 0] * cross[:, 0] + dpx_dP[:, None, 2] * cross[:, 2]
+                       + dpx_dP[:, None, 1] * cross[:, 1])
+        J_cam = np.concatenate([dpx_dP, -dpx_dangles], axis=1)
         J_cam[..., behind] = 0.0
         J_point = -dpx_dP
         J_point[..., behind] = 0.0
@@ -291,21 +291,23 @@ class _NormalEquations:
     """J^T J and g = J^T r at x, by block: U over the camera unknowns (dense),
     V as one 3x3 block per point, W (n_cam, 3 n_points) between them, and
     the damping scale D = max(diag(J^T J), 1e-12). Each block of J^T J
-    and each half of g is one bincount into the packer's bins."""
+    and each half of g is one bincount into the packer's bins over every
+    pose's camera columns, of which U, W and g keep the leading n_cam."""
 
     def __init__(self, packer: _Packer, x: np.ndarray):
         res, J_cam, J_point = packer.linearize(x)
-        nc, n_pts = packer.n_cam, len(packer.point_ids)
+        nc, n_cols, n_pts = packer.n_cam, packer.n_cam_cols, len(packer.point_ids)
         res = res[:, None]
         a, b = packer.u_pairs  # U is symmetric: form the a <= b products, mirror the rest
         upper = J_cam[0, a] * J_cam[0, b] + J_cam[1, a] * J_cam[1, b]
-        self.U = np.bincount(packer.u_bins, upper.ravel(), nc * nc).reshape(nc, nc)
+        self.U = np.bincount(packer.u_bins, upper.ravel(),
+                             n_cols * n_cols).reshape(n_cols, n_cols)[:nc, :nc]
         lower = np.tril_indices(nc, -1)
         self.U[lower] = self.U.T[lower]
         self.V = _binned_products(packer.v_bins, J_point, J_point, 9 * n_pts).reshape(n_pts, 3, 3)
         self.W = _binned_products(packer.w_bins, J_cam, J_point,
-                                  nc * 3 * n_pts).reshape(nc, 3 * n_pts)
-        self.g = np.concatenate([_binned_products(packer.g_cam_bins, J_cam, res, nc),
+                                  n_cols * 3 * n_pts).reshape(n_cols, 3 * n_pts)[:nc]
+        self.g = np.concatenate([_binned_products(packer.g_cam_bins, J_cam, res, n_cols)[:nc],
                                  _binned_products(packer.g_point_bins, J_point, res, 3 * n_pts)])
         self.D = np.maximum(np.concatenate([np.diag(self.U),
                                             self.V[:, [0, 1, 2], [0, 1, 2]].ravel()]), 1e-12)
@@ -369,12 +371,12 @@ def solve(problem: BundleProblem, max_iters: int = 100):
     never increases. Returns (updated problem, SolveReport).
 
     `SolveReport.stop` names the rule that ended the solve (STOP_RULES):
-    - "gradient": max |J^T r| < GRADIENT_TOL.
     - "predicted_decrease": the next trial step, solved but not evaluated,
       is predicted to lower the cost by at most its float64 rounding,
       size(r) * eps * cost + (eps |obs|)^2 (see the module docstring). A
-      vanishing step predicts a vanishing decrease, so this rule also
-      stops where a step-norm test would; there is no `step_tol`.
+      vanishing gradient or step predicts a vanishing decrease, so this
+      rule also stops where a gradient or step-norm test would; there is
+      no `gradient_tol` or `step_tol`.
     - "no_acceptable_step": the damping passed LAMBDA_MAX without a trial
       that lowered the cost.
     - "max_iters".
@@ -406,11 +408,6 @@ def solve(problem: BundleProblem, max_iters: int = 100):
     for iterations in range(1, max_iters + 1):
         normal = _NormalEquations(packer, x)
         evals += 1
-        if np.max(np.abs(normal.g)) < GRADIENT_TOL:
-            stop = "gradient"
-            iterations -= 1
-            break
-
         rounding = r.size * eps * cost + floor
         while True:
             if lam > LAMBDA_MAX:
@@ -424,8 +421,7 @@ def solve(problem: BundleProblem, max_iters: int = 100):
                 stop = "predicted_decrease"
                 break
             x_new = x + delta
-            phi = packer.pose_block(x_new)[:, 4]
-            if phi.size and np.max(np.abs(phi)) >= _MAX_PHI:
+            if np.any(np.abs(packer.pose_block(x_new)[:, 4]) >= _MAX_PHI):
                 cost_new = math.inf  # rejected without evaluating it
             else:
                 r_new = fun(x_new)

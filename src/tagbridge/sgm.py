@@ -115,11 +115,11 @@ class CostVolume:
     max(max_cost, 32 * census words) <= 255 (a 5x5 census: 24 and 32), else
     uint16; the path sums of `aggregate_costs` are uint16. `base` records
     which image the volume is anchored to ("left": matches at x - d in the
-    other image; "right": matches at x + d). `aggregate_costs` sets `raw` to
-    the pre-aggregation matching costs, and `select_disparity` reads them for
-    the uniqueness test: path accumulation seeds a spurious unique minimum
-    from the out-of-bounds border wedge even when every true matching cost
-    ties (textureless input).
+    other image; "right": matches at x + d). A matching cost volume has no
+    `raw`; `aggregate_costs` sets it to the costs of the volume it
+    aggregated, and `select_disparity` reads them for the uniqueness test:
+    path accumulation seeds a spurious unique minimum from the out-of-bounds
+    border wedge even when every true matching cost ties (textureless input).
     """
 
     costs: np.ndarray  # (H, W, D)
@@ -360,8 +360,7 @@ def aggregate_costs(volume: CostVolume, params: SgmParams) -> CostVolume:
     total = np.zeros(C.shape, np.uint16)
     _sweep_y(C, total, p1, p2, dtype)
     _sweep_x(C, total, p1, p2, dtype)
-    raw = volume.raw if volume.raw is not None else volume.costs
-    return CostVolume(costs=total, d_min=volume.d_min, base=volume.base, raw=raw)
+    return CostVolume(costs=total, d_min=volume.d_min, base=volume.base, raw=volume.costs)
 
 
 class _InBounds:

@@ -5,8 +5,8 @@ The rays (origin o, unit direction d) of all images seeing a tag meet at
 the least-squares midpoint, which solves the 3x3 normal equations A p = b
 with A = sum (I - d d^T) and b = sum (I - d d^T) o (Hartley & Zisserman,
 Multiple View Geometry, sec. 12.2). All tags are solved in one batched pass
-over arrays of the observations; the outlier re-solve is a second pass over
-only the tags that drop rays.
+over arrays of the observations; when a tag drops outlier rays, a second
+pass solves every tag again over its kept rays.
 """
 
 from __future__ import annotations
@@ -144,20 +144,19 @@ def triangulate_tags(observations, poses, intrinsics: CameraIntrinsics) -> Trian
                                 np.concatenate([o.pixel for o in obs]).reshape(-1, 2))
     points, rms, dist, errors = _solve_groups(group, tag_ids.tolist(), origins, dirs)
 
-    # rays farther than 3x their tag's RMS are dropped once, and those tags
-    # solved again in a second batched pass over their kept rays
+    # rays farther than 3x their tag's RMS are dropped once, and every tag
+    # solved again over its kept rays: each tag's sums and 3x3 solve are its
+    # own, so a tag that keeps all its rays comes out with the same bits
     keep = dist <= np.maximum(OUTLIER_RMS_FACTOR * rms, 1e-12)[group]
     kept = np.bincount(group, keep, len(tag_ids)).astype(int)
     redo = (kept >= 2) & (kept < n_rays)
     if redo.any():
-        again = keep & redo[group]
-        redone, sub = np.unique(group[again], return_inverse=True)
-        for i in redone:
+        for i in np.flatnonzero(redo):
             logger.info("tag %d: dropping %d outlier ray(s)", tag_ids[i], n_rays[i] - kept[i])
-        points2, rms2, _, errors2 = _solve_groups(sub, tag_ids[redone].tolist(), origins[again],
-                                                  dirs[again])
-        points[redone], rms[redone], n_rays[redone] = points2, rms2, kept[redone]
-        errors.update({int(redone[g]): err for g, err in errors2.items()})
+        rays = keep | ~redo[group]
+        points, rms, _, errors = _solve_groups(group[rays], tag_ids.tolist(), origins[rays],
+                                               dirs[rays])
+        n_rays[redo] = kept[redo]
 
     failures = {int(tag_ids[g]): err for g, err in sorted(errors.items())}
     for tag_id, err in failures.items():

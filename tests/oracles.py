@@ -47,7 +47,7 @@ def numeric_jacobian(fun, x: np.ndarray, rel_step: float = JACOBIAN_REL_STEP) ->
 
 
 def reference_linearize(packer, x: np.ndarray):
-    """(residuals (M, 2), J_cam (M, 2, q), J_point (M, 2, 3)) of a bundle `_Packer` at x.
+    """(residuals (M, 2), J_cam (M, 2, 6), J_point (M, 2, 3)) of a bundle `_Packer` at x.
 
     The blocks of `_Packer.linearize`, transposed, built with (3, 3)
     rotations and 2x3 derivative blocks per measurement.
@@ -71,17 +71,14 @@ def reference_linearize(packer, x: np.ndarray):
     dpx_dcam = focal * (dn_dcam / depth[:, None, None])
     dpx_dP = np.einsum("mik,mjk->mij", dpx_dcam, R)
 
-    J_cam = np.zeros((len(norm), 2, 0))
-    if packer.n_free:
-        kappa = r[packer.meas_pose, 2]
-        axes = np.zeros((len(norm), 3, 3))
-        axes[:, 0] = R[:, :, 0]
-        axes[:, 1, 0] = -np.sin(kappa)
-        axes[:, 1, 1] = np.cos(kappa)
-        axes[:, 2, 2] = 1.0
-        dpx_dangles = np.einsum("mij,maj->mia", dpx_dP, np.cross(d[:, None, :], axes))
-        J_cam = (np.concatenate([dpx_dP, -dpx_dangles], axis=2)
-                 * packer.meas_pose_free[:, None, None])
+    kappa = r[packer.meas_pose, 2]
+    axes = np.zeros((len(norm), 3, 3))
+    axes[:, 0] = R[:, :, 0]
+    axes[:, 1, 0] = -np.sin(kappa)
+    axes[:, 1, 1] = np.cos(kappa)
+    axes[:, 2, 2] = 1.0
+    dpx_dangles = np.einsum("mij,maj->mia", dpx_dP, np.cross(d[:, None, :], axes))
+    J_cam = np.concatenate([dpx_dP, -dpx_dangles], axis=2)
     J_cam[behind] = 0.0
     J_point = -dpx_dP
     J_point[behind] = 0.0
@@ -91,24 +88,24 @@ def reference_linearize(packer, x: np.ndarray):
 class ReferenceNormalEquations(_NormalEquations):
     """`bundle._NormalEquations` (and its `step`) with U, V, W, g and D summed
     from `reference_linearize`'s blocks by per-measurement einsums, the bins
-    indexed per call."""
+    indexed per call over every pose's camera columns, the leading n_cam kept."""
 
     def __init__(self, packer, x: np.ndarray):
         res, J_cam, J_point = reference_linearize(packer, x)
-        nc = packer.n_cam
+        nc, n_cols = packer.n_cam, packer.n_cam_cols
         cols = packer.cam_cols
-        self.U = np.bincount((cols[:, :, None] * nc + cols[:, None, :]).ravel(),
+        self.U = np.bincount((cols[:, :, None] * n_cols + cols[:, None, :]).ravel(),
                              np.einsum("mia,mib->mab", J_cam, J_cam).ravel(),
-                             minlength=nc * nc).reshape(nc, nc)
+                             minlength=n_cols * n_cols).reshape(n_cols, n_cols)[:nc, :nc]
         g_cam = np.bincount(cols.ravel(), np.einsum("mia,mi->ma", J_cam, res).ravel(),
-                            minlength=nc)
+                            minlength=n_cols)[:nc]
         n_pts = len(packer.point_ids)
         pt = packer.meas_point[:, None] * 3 + np.arange(3)
         JtJ = np.einsum("mia,mib->mab", J_point, J_point).reshape(-1, 9)
         self.V = _group_sums(packer.meas_point, JtJ, n_pts).reshape(n_pts, 3, 3)
         self.W = np.bincount((cols[:, :, None] * 3 * n_pts + pt[:, None, :]).ravel(),
                              np.einsum("mia,mib->mab", J_cam, J_point).ravel(),
-                             minlength=nc * 3 * n_pts).reshape(nc, 3 * n_pts)
+                             minlength=n_cols * 3 * n_pts).reshape(n_cols, 3 * n_pts)[:nc]
         g_point = _group_sums(packer.meas_point, np.einsum("mia,mi->ma", J_point, res), n_pts)
         self.g = np.concatenate([g_cam, g_point.ravel()])
         self.D = np.maximum(np.concatenate([np.diag(self.U),
