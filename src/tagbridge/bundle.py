@@ -85,6 +85,7 @@ class BundleProblem:
     anchors: frozenset = frozenset()
 
     def __post_init__(self):
+        self.measurements = list(self.measurements)
         self.anchors = frozenset(self.anchors)
         for image_id, point_id, _ in self.measurements:
             if image_id not in self.poses:
@@ -259,7 +260,7 @@ class _Packer:
         points = {p: pts[i].copy() for i, p in enumerate(self.point_ids)}
         return BundleProblem(
             intrinsics=self.problem.intrinsics, poses=poses, points=points,
-            measurements=list(self.problem.measurements), anchors=self.problem.anchors,
+            measurements=self.problem.measurements, anchors=self.problem.anchors,
         )
 
 

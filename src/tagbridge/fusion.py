@@ -72,7 +72,7 @@ class PointCloud:
         return len(self.positions)
 
 
-@dataclass
+@dataclass(eq=False)
 class VoxelGrid:
     """Sparse accumulation grid; points on a boundary go to the higher-index voxel.
 
@@ -80,9 +80,10 @@ class VoxelGrid:
     voxel's (x, y, z) indices, 21 bits per axis, as offsets from `_base`:
     the voxel of the first point that the first non-empty `accumulate` bins.
     Offsets in [-2**20, 2**20) pack, about +-52 km at 0.05 m voxels, so
-    UTM-size coordinates fit; `accumulate` raises ValueError for a point
-    beyond that span. The offset is the same on every axis of every voxel,
-    so key order is the lexicographic (x, y, z) order of the voxel indices.
+    UTM-size coordinates fit. The span bounds every point the grid stores and
+    every walk it answers (ValueError beyond it; `count` there is 0). Every
+    offset adds the same shift, so key order is the lexicographic (x, y, z)
+    order of the voxel indices.
 
     Beside the keys, `_table` holds one (V, 8) int64 row per voxel: the point
     count, the x, y and z sums of each point's offset from its voxel's corner
@@ -122,8 +123,8 @@ def _pack(vox: np.ndarray, base: np.ndarray):
 
     A key is the dot product of the offsets with `_KEY_STRIDES` (mod 2**64),
     added up as shifts, so a step of one voxel along an axis adds that axis's
-    stride. Keys outside the span alias keys inside it; callers mask them out
-    or reject them.
+    stride. Keys outside the span alias keys inside it, so `accumulate` and
+    the occlusion walk reject such voxels and `count` masks them out.
     """
     off = vox - base + _HALF_SPAN
     ok = (off >= 0) & (off < 2 * _HALF_SPAN)
@@ -238,24 +239,22 @@ def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray) -> n
     Traversal Algorithm", 1987) with the arithmetic of the one-ray walk in
     `tests/oracles.py`, so each visits the same voxels in the same order.
 
-    The ray state is component-major: `t_max`, `t_delta`, the key step per
-    voxel and the per-axis offsets are (3, N), one row per axis. A step
-    picks each ray's axis with two comparisons that keep argmin's
-    first-minimum tie rule and updates `t_max` and the key at that one flat
-    cell. Each ray holds its voxel's packed key, so the arrival and occupancy
-    tests compare one int64 per ray; two voxels within 2**20 of the start on
-    every axis (any walk of fewer than 2**20 steps) have equal keys only if
-    they are the same voxel. Every step moves a ray one voxel further, never
-    back, so no ray is in the camera's voxel after the first.
+    The ray state is component-major: `t_max`, `t_delta` and the key step per
+    voxel are (3, N), one row per axis. A step picks each ray's axis with two
+    comparisons that keep argmin's first-minimum tie rule and updates `t_max`
+    and the key at that one flat cell. Each ray holds its voxel's packed key,
+    so the arrival and occupancy tests compare one int64 per ray, and two
+    voxels inside the span have equal keys only if they are the same voxel.
+    Every step moves a ray one voxel further, never back, so no ray is in the
+    camera's voxel after the first.
 
     Occupancy is read from the hashed table of `_occupancy_table` first: only
     the active rays whose key's slot is set are looked up in the sorted keys,
-    which confirms them exactly. A ray that stops leaves `active` and steps
+    which confirms them exactly. A ray that stops drops out of `active`, steps
     on, masked out of every hit, until fewer than half the rays are active
-    and the arrays are compacted. A key beyond the packable span aliases one
-    inside it, so when some walk may leave the span (the start voxel +- its
-    limit lies outside on an axis), the offsets are stepped too and voxels
-    beyond count as empty.
+    and the arrays are compacted. Raises ValueError when a walk could leave
+    the span (the start voxel +- the longest limit lies outside it on an
+    axis), so every key a walk compares is exact.
     """
     occluded = np.zeros(len(points), dtype=bool)
     if grid.n_voxels == 0 or len(points) == 0:
@@ -274,8 +273,9 @@ def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray) -> n
     (start_key,), _ = _pack(start, grid._base)
     end_key, _ = _pack(end, grid._base)
     key_step = step * _KEY_STRIDES[:, None]
-    offset = np.repeat(start.T - grid._base[:, None] + _HALF_SPAN, len(points), axis=1)
-    leaves = offset.min() < limit.max() or offset.max() + limit.max() >= 2 * _HALF_SPAN
+    corners = start + np.array([[-1], [1]]) * limit.max()  # of a box holding every walk
+    if not _pack(corners, grid._base)[1].all():
+        raise ValueError(f"a walk from voxel {start[0].tolist()} could leave the packable span")
     shift, table = _occupancy_table(grid._keys)
     rays = np.arange(len(points))
     lanes = np.arange(3 * len(points)).reshape(3, -1)  # flat cell of each ray on each axis
@@ -284,25 +284,20 @@ def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray) -> n
     taken = 0
     while n_active := np.count_nonzero(active):
         if 2 * n_active < len(active):  # inactive rays step on, masked out, until here
-            rays, key, end_key, limit, t_max, t_delta, key_step, step, offset = (
+            rays, key, end_key, limit, t_max, t_delta, key_step = (
                 a.compress(active, axis=-1)  # C-contiguous, so reshape(-1) is a view
-                for a in (rays, key, end_key, limit, t_max, t_delta, key_step, step, offset))
+                for a in (rays, key, end_key, limit, t_max, t_delta, key_step))
             active = np.ones(n_active, dtype=bool)
             lanes = np.arange(3 * n_active).reshape(3, -1)
         t0, t1, t2 = t_max  # ties go to the lowest axis
         cell = np.where(t2 < np.minimum(t0, t1), lanes[2], np.where(t1 < t0, lanes[1], lanes[0]))
         t_max.reshape(-1)[cell] += t_delta.reshape(-1)[cell]
         key += key_step.reshape(-1)[cell]
-        if leaves:
-            offset.reshape(-1)[cell] += step.reshape(-1)[cell]
         taken += 1
         active &= key != end_key
         maybe = np.flatnonzero(table[_slots(key, shift)] & active)
         if len(maybe):
             _, found = _lookup(grid._keys, key[maybe])
-            if leaves:
-                near = offset[:, maybe]
-                found &= np.all((near >= 0) & (near < 2 * _HALF_SPAN), axis=0)
             hit = maybe[found]
             occluded[rays[hit]] = True
             active[hit] = False
@@ -327,9 +322,10 @@ def colorize_with_occlusion(cloud: PointCloud, grid: VoxelGrid, rgb: np.ndarray,
     steps first. A ray checks at most |dx| + |dy| + |dz| + 3 voxels, the
     camera's own included, where (dx, dy, dz) is the index difference between
     the point's voxel and the camera's; a ray that has not reached its
-    point's voxel by then stops, and its point counts as visible. Voxels
-    beyond the packable span around the grid's base are empty. Sampled
-    pixels are checked as PointCloud colours (ValueError unless bytes).
+    point's voxel by then stops, and its point counts as visible. A walk
+    that could leave the grid's packable span raises ValueError, as a point
+    beyond it does in `accumulate`. Sampled pixels are checked as PointCloud
+    colours (ValueError unless bytes).
     """
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3:

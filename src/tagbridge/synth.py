@@ -254,14 +254,15 @@ class StereoPair:
 def two_plane_depth(intrinsics: CameraIntrinsics, baseline: float,
                     shape, d_background: int, d_foreground: int,
                     rect=None) -> np.ndarray:
-    """Depth plan producing exact integer disparities for two parallel planes."""
+    """Depth plan with exact integer disparities for two parallel planes; disparity 0 is +inf."""
     H, W = shape
     if rect is None:
         rect = (H // 4, H * 3 // 4, W // 4, W * 3 // 4)
-    depth = np.full((H, W), intrinsics.focal_px * baseline / d_background)
+    disparity = np.full((H, W), d_background, dtype=np.float64)
     r0, r1, c0, c1 = rect
-    depth[r0:r1, c0:c1] = intrinsics.focal_px * baseline / d_foreground
-    return depth
+    disparity[r0:r1, c0:c1] = d_foreground
+    with np.errstate(divide="ignore"):
+        return intrinsics.focal_px * baseline / disparity
 
 
 def gen_stereo_pair(depth: np.ndarray, baseline: float,

@@ -116,7 +116,7 @@ def _solve_groups(group, labels, origins, dirs):
 
 
 def triangulate_tags(observations, poses, intrinsics: CameraIntrinsics) -> TriangulationResult:
-    """Triangulate every tag seen in the observation list.
+    """Triangulate every tag seen in an iterable of observations.
 
     `poses` maps image_id -> Pose. Raises MissingPose if any observation
     references an unknown image; per-tag geometric failures are collected in
@@ -125,6 +125,7 @@ def triangulate_tags(observations, poses, intrinsics: CameraIntrinsics) -> Trian
     discarded once and the tag re-solved. Landmarks come out in ascending tag
     order.
     """
+    observations = list(observations)
     for obs in observations:
         if obs.image_id not in poses:
             raise MissingPose(obs.image_id)

@@ -45,16 +45,3 @@ def observe_tags(tags, poses, cam, sigma=0.0, rng=None):
                 p = p + rng.normal(0.0, sigma, 2)
             obs.append(TagObservation(image_id=image_id, tag_id=tag_id, pixel=p))
     return obs
-
-
-def seven_tag_layout():
-    """Tags spread in front of a building footprint, not on a single line."""
-    return {
-        1: np.array([-12.0, 4.0, 0.0]),
-        2: np.array([-8.0, -3.0, 0.2]),
-        3: np.array([-3.0, 5.0, 0.0]),
-        4: np.array([0.5, -4.5, 0.1]),
-        5: np.array([4.0, 3.0, 0.0]),
-        6: np.array([9.0, -2.0, 0.3]),
-        7: np.array([13.0, 4.5, 0.0]),
-    }

@@ -272,6 +272,19 @@ class TestSolve:
         assert pos_err < 1e-6
         assert rot_err < 1e-7
 
+    def test_generator_measurements_solve_as_list(self, aerial_cam):
+        poses, points, meas = synthetic_block(aerial_cam, sigma=0.3)
+        start = perturb(poses, {"img_0000"})
+        results = [solve(BundleProblem(aerial_cam, start, points, given, anchors={"img_0000"}))
+                   for given in (meas, (m for m in meas))]
+        (listed, list_report), (generated, gen_report) = results
+        assert generated.measurements == listed.measurements
+        assert gen_report == list_report
+        for image_id, pose in listed.poses.items():
+            assert np.array_equal(generated.poses[image_id].t, pose.t)
+            assert np.array_equal(generated.poses[image_id].r, pose.r)
+        assert all(np.array_equal(generated.points[p], listed.points[p]) for p in points)
+
     def test_gauge_not_fixed(self, aerial_cam):
         poses, points, meas = synthetic_block(aerial_cam)
         problem = BundleProblem(aerial_cam, poses, points, meas, anchors=frozenset())

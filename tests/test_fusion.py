@@ -237,6 +237,14 @@ class TestAccumulate:
         assert ref() is None
         assert grid.n_points == 50
 
+    def test_grids_compare_by_identity(self):
+        # a grid's contents are its private arrays, so equality is identity:
+        # grids with different voxels never compare equal
+        grid = accumulate(VoxelGrid(voxel_size=0.1), PointCloud(positions=[[0.0, 0.0, 0.0]]))
+        assert grid == grid
+        assert grid != VoxelGrid(voxel_size=0.1)
+        assert VoxelGrid(voxel_size=0.1) != VoxelGrid(voxel_size=0.2)
+
     def test_color_counting(self):
         pts = np.zeros((4, 3)) + 0.05
         colors = np.array([[255, 0, 0], [255, 0, 0], [0, 255, 0], [9, 9, 9]], np.uint8)
@@ -631,39 +639,40 @@ class TestKeyPacking:
         accumulate(grid, PointCloud(positions=[[0.0, 0.05 * 2 ** 21, 0.0]]))
         assert grid.count((0, 2 ** 21, 0)) == 1
 
-    def test_walk_beyond_span_counts_as_empty(self):
-        # The camera's voxel and the ray's next voxel lie one row past the +y
-        # edge of the span; packed without the span check, that next voxel
-        # would alias the occupied voxel (1, -2**20, 1) on the far -y edge.
+    def test_walk_from_beyond_span_raises(self):
+        # The camera's voxel lies one row past the +y edge of the span, or one
+        # column past the -x edge; packed, its key would alias a voxel on the
+        # far edge. No walk from there is answered.
         size = 0.5
         grid = VoxelGrid(voxel_size=size)
         accumulate(grid, PointCloud(positions=[[0.25, 0.25, 0.25]]))  # base voxel (0, 0, 0)
         accumulate(grid, PointCloud(positions=[[0.75, -2 ** 20 * size + 0.25, 0.75]]))
-        assert grid.count((1, -2 ** 20, 1)) == 1
-        pose = nadirless_pose(0.25, 2 ** 20 * size + 0.25, 0.25)
-        point = PointCloud(positions=[[0.25, (2 ** 20 - 1) * size + 0.25, 1.25]])
-        visible = assert_colorize_matches_reference(point, grid, wide_cam(), pose)
-        assert visible[0]
+        rgb = np.zeros((640, 640, 3), dtype=np.uint8)
+        for x, y in ((0.25, 2 ** 20 * size + 0.25), (-(2 ** 20 + 1) * size + 0.25, 0.25)):
+            point = PointCloud(positions=[[x, y - size, 1.25]])
+            with pytest.raises(ValueError, match="could leave"):
+                colorize_with_occlusion(point, grid, rgb, wide_cam(), nadirless_pose(x, y, 0.25))
 
-    def test_walk_leaving_span_counts_as_empty(self):
+    def test_walk_leaving_span_raises(self):
         # The camera sits two voxels inside the +z edge of the span and both
-        # queries lie two voxels beyond it. Keys past +z alias the next y row
-        # at the -z edge (past +x they would alias nothing): unchecked, the
-        # first voxel beyond the edge on query 0's ray would alias the occupied
-        # voxel (0, 1, -2**20). Query 1's ray meets an occupied voxel inside
-        # the span before it leaves.
+        # queries lie two voxels beyond it, so their walks could leave the
+        # span: the query raises. Ten voxels inside the edge, a walk of at most
+        # nine voxels to a query six voxels up stays inside and is answered.
         size = 0.5
         edge = 2 ** 20  # first z index beyond the span
         grid = VoxelGrid(voxel_size=size)
         accumulate(grid, PointCloud(positions=[[0.25, 0.25, 0.25]]))  # base voxel (0, 0, 0)
         accumulate(grid, PointCloud(positions=[[0.25, 0.75, -edge * size + 0.25],
                                                [0.75, 0.25, (edge - 1) * size + 0.25]]))
-        assert grid.count((0, 1, -edge)) == grid.count((1, 0, edge - 1)) == 1
         pose = nadirless_pose(0.25, 0.25, (edge - 2) * size + 0.25)
         queries = PointCloud(positions=[[0.25, 0.25, (edge + 2) * size + 0.25],
                                         [1.25, 0.25, (edge + 2) * size + 0.25]])
-        visible = assert_colorize_matches_reference(queries, grid, wide_cam(), pose)
-        assert visible.tolist() == [True, False]
+        rgb = np.zeros((640, 640, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match="could leave"):
+            colorize_with_occlusion(queries, grid, rgb, wide_cam(), pose)
+        pose = nadirless_pose(0.25, 0.25, (edge - 10) * size + 0.25)
+        inside = PointCloud(positions=[[0.25, 0.25, (edge - 4) * size + 0.25]])
+        assert assert_colorize_matches_reference(inside, grid, wide_cam(), pose).tolist() == [True]
 
 
 class TestOcclusionWalk:

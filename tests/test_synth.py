@@ -216,6 +216,17 @@ class TestStereoPair:
         vals = np.unique(pair.disparity)
         assert set(vals.tolist()) == {6.0, 14.0}
 
+    def test_zero_background_disparity_is_at_infinity(self, stereo_cam):
+        rect = (10, 30, 20, 60)
+        depth = two_plane_depth(stereo_cam, 0.2, (40, 80), d_background=0,
+                                d_foreground=14, rect=rect)
+        fore = np.zeros(depth.shape, dtype=bool)
+        fore[10:30, 20:60] = True
+        assert np.all(depth[~fore] == np.inf)
+        assert np.all(depth[fore] == stereo_cam.focal_px * 0.2 / 14)
+        pair = gen_stereo_pair(depth, 0.2, stereo_cam, texture_seed=2)
+        assert np.all(pair.disparity[~fore] == 0.0) and np.all(pair.disparity[fore] == 14.0)
+
     def test_shifted_content_matches_disparity(self, stereo_cam):
         depth = np.full((24, 48), stereo_cam.focal_px * 0.2 / 5.0)
         pair = gen_stereo_pair(depth, 0.2, stereo_cam, texture_seed=3)

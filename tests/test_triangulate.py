@@ -13,9 +13,10 @@ from tagbridge.geometry import (
     project_points,
     rotation_from_angles,
 )
+from tagbridge.synth import default_tag_layout
 from tagbridge.triangulate import TagObservation, _solve_groups, triangulate_tags
 
-from conftest import observe_tags, seven_tag_layout, strip_poses
+from conftest import observe_tags, strip_poses
 
 
 def ray_towards(origin, target):
@@ -131,7 +132,7 @@ class TestTriangulatePoint:
 
 class TestTriangulateTags:
     def test_seven_tags_exact(self, aerial_cam):
-        tags = seven_tag_layout()
+        tags = default_tag_layout()
         poses = strip_poses(5, altitude=100.0, spacing=10.0)
         obs = observe_tags(tags, poses, aerial_cam)
         result = triangulate_tags(obs, poses, aerial_cam)
@@ -142,8 +143,20 @@ class TestTriangulateTags:
             assert lm.rms_residual < 1e-9
             assert lm.n_rays == 5
 
+    def test_generator_observations_triangulate_as_list(self, aerial_cam):
+        poses = strip_poses(5)
+        obs = observe_tags(default_tag_layout(), poses, aerial_cam, sigma=0.5,
+                           rng=np.random.default_rng(8))
+        listed = triangulate_tags(obs, poses, aerial_cam)
+        generated = triangulate_tags((o for o in obs), poses, aerial_cam)
+        assert len(generated.landmarks) == len(listed.landmarks) == 7
+        for got, want in zip(generated.landmarks, listed.landmarks):
+            assert (got.tag_id, got.n_rays, got.rms_residual) == (want.tag_id, want.n_rays,
+                                                                  want.rms_residual)
+            assert np.array_equal(got.position, want.position)
+
     def test_tag_with_single_view_reported(self, aerial_cam):
-        tags = seven_tag_layout()
+        tags = default_tag_layout()
         poses = strip_poses(5)
         obs = observe_tags(tags, poses, aerial_cam)
         obs = [o for o in obs if not (o.tag_id == 3 and o.image_id != "img_0000")]
@@ -164,7 +177,7 @@ class TestTriangulateTags:
 
     def test_invariant_under_common_rigid_motion(self, aerial_cam):
         rng = np.random.default_rng(3)
-        tags = seven_tag_layout()
+        tags = default_tag_layout()
         poses = strip_poses(5)
         obs = observe_tags(tags, poses, aerial_cam)
         base = triangulate_tags(obs, poses, aerial_cam)
