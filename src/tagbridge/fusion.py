@@ -16,7 +16,9 @@ from a separate RGB camera: each ray carries its voxel's packed key and
 steps it by adding one axis's key stride, its per-axis state held as (3, N)
 rows; a hashed occupancy table lets only the rays whose slot is set reach
 the exact lookup in the sorted keys, and rays that stop are masked out, then
-dropped once they are the majority.
+dropped once they are the majority. The rays' rows, flat views and step
+buffers are bound once per compaction, so a step writes into them with
+`out=` and builds no view.
 """
 
 from __future__ import annotations
@@ -169,13 +171,20 @@ def accumulate(grid: VoxelGrid, cloud: PointCloud) -> VoxelGrid:
                          f"voxels of the grid's base voxel {base.tolist()}")
 
     new_keys, voxel, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    values = np.rint((scaled - vox) * 2.0 ** _FRACTION_BITS)
-    if cloud.color_valid.any():
+    colored = cloud.color_valid.any()
+    # each point's position fractions, then its color validity and valid colors if the
+    # cloud has any, one contiguous column each for the per-column sums
+    values = np.empty((7 if colored else 3, len(cloud))).T
+    np.rint((scaled - vox) * 2.0 ** _FRACTION_BITS, out=values[:, :3])
+    if colored:
         valid = cloud.color_valid
-        values = np.column_stack([values, valid, cloud.colors * valid[:, None]])
-    rows = np.column_stack([counts, _group_sums(voxel, values, len(new_keys))]).astype(np.int64)
+        values[:, 3] = valid
+        np.multiply(cloud.colors, valid[:, None], out=values[:, 4:])
+    k = 1 + values.shape[1]  # count and positions, then the color columns if the cloud has them
+    rows = np.empty((len(new_keys), k), np.int64)
+    rows[:, 0] = counts
+    rows[:, 1:] = _group_sums(voxel, values, len(new_keys))
     pos, found = _lookup(grid._keys, new_keys)
-    k = rows.shape[1]  # count and positions, then the color columns if the cloud has them
     rows[found] += grid._table[pos[found], :k]
     if rows.max() >= _SUM_LIMIT:
         raise ValueError("a voxel's sums would reach 2**53")
@@ -252,7 +261,10 @@ def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray) -> n
     the active rays whose key's slot is set are looked up in the sorted keys,
     which confirms them exactly. A ray that stops drops out of `active`, steps
     on, masked out of every hit, until fewer than half the rays are active
-    and the arrays are compacted. Raises ValueError when a walk could leave
+    and the arrays are compacted; the rays that start in their point's voxel
+    are dropped before the first step. Each compaction binds the rows, flat
+    views and buffers that the steps until the next one read and write with
+    `out=`. Raises ValueError when a walk could leave
     the span (the start voxel +- the longest limit lies outside it on an
     axis), so every key a walk compares is exact.
     """
@@ -277,31 +289,41 @@ def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray) -> n
     if not _pack(corners, grid._base)[1].all():
         raise ValueError(f"a walk from voxel {start[0].tolist()} could leave the packable span")
     shift, table = _occupancy_table(grid._keys)
-    rays = np.arange(len(points))
-    lanes = np.arange(3 * len(points)).reshape(3, -1)  # flat cell of each ray on each axis
-    key = np.full(len(points), start_key)
+    state = (np.arange(len(points)), np.full(len(points), start_key), end_key, limit, t_max,
+             t_delta, key_step)
     active = end_key != start_key
-    taken = 0
+    taken = n = 0
     while n_active := np.count_nonzero(active):
-        if 2 * n_active < len(active):  # inactive rays step on, masked out, until here
-            rays, key, end_key, limit, t_max, t_delta, key_step = (
-                a.compress(active, axis=-1)  # C-contiguous, so reshape(-1) is a view
-                for a in (rays, key, end_key, limit, t_max, t_delta, key_step))
-            active = np.ones(n_active, dtype=bool)
-            lanes = np.arange(3 * n_active).reshape(3, -1)
-        t0, t1, t2 = t_max  # ties go to the lowest axis
-        cell = np.where(t2 < np.minimum(t0, t1), lanes[2], np.where(t1 < t0, lanes[1], lanes[0]))
-        t_max.reshape(-1)[cell] += t_delta.reshape(-1)[cell]
-        key += key_step.reshape(-1)[cell]
+        if 2 * n_active < len(active) or not n:  # inactive rays step on, masked out, until here
+            state = tuple(a.compress(active, axis=-1) for a in state)  # C-contiguous
+            rays, key, end_key, limit, t_max, t_delta, key_step = state
+            n = n_active
+            active = np.ones(n, dtype=bool)
+            # rows, flat views and step buffers of these rays, bound until the next compaction
+            t0, t1, t2 = t_max
+            lane0, lane1, lane2 = np.arange(3 * n).reshape(3, -1)  # each ray's flat cell per axis
+            t_flat, delta_flat = t_max.reshape(-1), t_delta.reshape(-1)
+            step_flat, key_bits = key_step.reshape(-1), key.view(np.uint64)
+            low, hashed = np.empty(n), np.empty(n, np.uint64)
+            slot = hashed.view(np.int64)  # the slot of `_slots`, below 2**63
+            on_y, on_z, maybe = (np.empty(n, dtype=bool) for _ in range(3))
+        np.minimum(t0, t1, out=low)  # ties go to the lowest axis
+        np.less(t2, low, out=on_z)
+        np.less(t1, t0, out=on_y)
+        cell = np.where(on_z, lane2, np.where(on_y, lane1, lane0))
+        t_flat[cell] += delta_flat[cell]
+        key += step_flat[cell]
         taken += 1
-        active &= key != end_key
-        maybe = np.flatnonzero(table[_slots(key, shift)] & active)
-        if len(maybe):
-            _, found = _lookup(grid._keys, key[maybe])
-            hit = maybe[found]
+        active &= np.not_equal(key, end_key, out=on_y)
+        np.multiply(key_bits, _HASH_MULTIPLIER, out=hashed)
+        np.right_shift(hashed, shift, out=hashed)
+        np.logical_and(table.take(slot, out=maybe, mode="clip"), active, out=maybe)
+        if maybe.any():
+            hit = np.flatnonzero(maybe)
+            hit = hit[_lookup(grid._keys, key[hit])[1]]
             occluded[rays[hit]] = True
             active[hit] = False
-        active &= taken + 1 < limit
+        active &= np.less(taken + 1, limit, out=on_z)
     return occluded
 
 

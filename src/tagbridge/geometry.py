@@ -43,10 +43,12 @@ def _group_sums(group, values, n):
 
     Each group's rows are added in row order from zero, whatever the other
     groups hold; an empty group sums to zero. Integers sum exactly below 2**53.
+    One `np.bincount` per column fills its column of the result.
     """
-    k = values.shape[1]
-    return np.bincount((group[:, None] * k + np.arange(k)).ravel(), values.ravel(),
-                       n * k).reshape(n, k)
+    sums = np.empty((n, values.shape[1]))
+    for j, column in enumerate(values.T):
+        sums[:, j] = np.bincount(group, column, n)
+    return sums
 
 
 @dataclass(frozen=True)

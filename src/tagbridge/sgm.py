@@ -28,13 +28,17 @@ what a path entering from the border reads. The x sweep steps a
 disparity-last (2, H, D + 2) state and reads each column of the volume
 where it lies, H rows of D contiguous cells, so it copies nothing; each
 line's two pad cells hold iinfo(dtype).max - P1, dtype the state dtype, so
-no flat +-1 shift carries one line's edge into the next. Selection reads
+no flat +-1 shift carries one line's edge into the next. Each sweep binds
+its state buffers, the path step's shifted views and its line views once,
+before the first step, so a step builds no view but those of the volume's
+and the total's lines it reads and adds into. Selection reads
 the volumes in place too, a block of rows at a time. No volume-sized copy
 is made; the cost layer's buffers are one padded match raster and one block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -44,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, ImageTooSmall
 from .fusion import PointCloud
-from .geometry import CameraIntrinsics, Pose, _pixels_to_normalized
+from .geometry import CameraIntrinsics, Pose
 
 INVALID_DISPARITY = -1.0
 MIN_CLOUD_DISPARITY = 1e-3
@@ -225,46 +229,52 @@ def matching_cost_volume(base_desc: np.ndarray, match_desc: np.ndarray,
 
 
 class _PathStep:
-    """min(q[d], q[d+-1] + P1, P2) for q = prev - min_k prev[k], on `dtype` states.
+    """Steps `prev` into `out`: min(q[d], q[d+-1] + P1, P2) for q = prev - min_k prev[k].
 
     That is min(prev[d], prev[d+-1] + P1, min_k prev[k] + P2) - min_k prev[k]
-    exactly, with the minimum subtracted first. P2 is a state-shaped array:
-    numpy 2.4's minimum against a uint8 scalar takes over 10 times as long.
-    `dtype` is the unsigned state dtype that `aggregate_costs` picks: every
-    real state, and itself plus P1, fits in it. `axis` is the disparity
-    axis: 1 for the disparity-major (k, D, m) states of the y sweep, 2 for
-    the disparity-last (k, m, D + 2) states of the x sweep, whose minimum
-    over d is one `reduceat` over the flat state. States are
-    C-contiguous, so each path's state is one flat row, and the +-1
-    disparity neighbours are shifts of those rows by the disparity stride.
-    With the disparity axis last a shift crosses from one line into the
-    next, so those states pad every line with a cell on each end that holds
-    iinfo(dtype).max - P1: no lower than any real state, so it never wins a
-    minimum, and without wrapping once P1 is added.
+    exactly, with the minimum subtracted first. `prev` and `out` are the
+    sweep's two C-contiguous state buffers, of the unsigned state dtype that
+    `aggregate_costs` picks: every real state, and itself plus P1, fits in
+    it. P2 is a state-shaped array: numpy 2.4's minimum against a uint8
+    scalar takes over 10 times as long. `axis` is the disparity axis: 1 for
+    the disparity-major (k, D, m) states of the y sweep, 2 for the
+    disparity-last (k, m, D + 2) states of the x sweep, whose minimum over d
+    is one `reduceat` over the flat state. Each path's state is one flat
+    row, and the +-1 disparity neighbours are shifts of those rows by the
+    disparity stride. With the disparity axis last a shift crosses from one
+    line into the next, so those states pad every line with a cell on each
+    end that holds iinfo(dtype).max - P1: no lower than any real state, so
+    it never wins a minimum, and without wrapping once P1 is added.
+
+    The buffers, their flat rows and the shifted views are bound here, once
+    per sweep, so a step is six ufunc calls that build no view.
     """
 
-    def __init__(self, shape, p1: int, p2: int, dtype, axis: int = 1):
-        self.p1, self.axis = dtype(p1), axis
+    def __init__(self, prev: np.ndarray, out: np.ndarray, p1: int, p2: int, axis: int = 1):
+        shape, dtype = prev.shape, prev.dtype.type
+        self.prev, self.out, self.p1 = prev, out, dtype(p1)
         self.p2 = np.full(shape, p2, dtype)
         self.low = np.empty(shape[:axis] + (1,) + shape[axis + 1:], dtype)
         self.q = np.empty(shape, dtype)
-        self.rows, self.stride = (shape[0], -1), math.prod(shape[axis + 1:])
-        # where each line of a disparity-last state starts in the flat state
-        last = axis == len(shape) - 1
-        self.lines = np.arange(0, math.prod(shape), shape[-1]) if last else None
-
-    def __call__(self, prev: np.ndarray, out: np.ndarray) -> None:
-        low, q, s = self.low, self.q, self.stride
-        if self.lines is None:
-            np.minimum.reduce(prev, self.axis, None, low, True)
+        if axis == len(shape) - 1:  # one line of the flat state per minimum
+            lines = np.arange(0, prev.size, shape[-1])
+            self.minimum = functools.partial(np.minimum.reduceat, prev.reshape(-1), lines,
+                                             out=self.low.reshape(-1))
         else:
-            np.minimum.reduceat(prev.reshape(-1), self.lines, out=low.reshape(-1))
-        np.subtract(prev, low, out=q)
-        np.minimum(q, self.p2, out=out)
+            self.minimum = functools.partial(np.minimum.reduce, prev, axis, None, self.low, True)
+        s = math.prod(shape[axis + 1:])  # the disparity stride
+        o, q = out.reshape(shape[0], -1), self.q.reshape(shape[0], -1)
+        self.out_hi, self.q_lo = o[:, s:], q[:, :-s]  # out[d] against q[d - 1] + P1
+        self.out_lo, self.q_hi = o[:, :-s], q[:, s:]  # out[d] against q[d + 1] + P1
+
+    def __call__(self) -> None:
+        q = self.q
+        self.minimum()
+        np.subtract(self.prev, self.low, out=q)
+        np.minimum(q, self.p2, out=self.out)
         np.add(q, self.p1, out=q)
-        o, q = out.reshape(self.rows), q.reshape(self.rows)
-        np.minimum(o[:, s:], q[:, :-s], out=o[:, s:])
-        np.minimum(o[:, :-s], q[:, s:], out=o[:, :-s])
+        np.minimum(self.out_hi, self.q_lo, out=self.out_hi)
+        np.minimum(self.out_lo, self.q_hi, out=self.out_lo)
 
 
 def _sweep_y(C: np.ndarray, total: np.ndarray, p1: int, p2: int, dtype) -> None:
@@ -277,9 +287,10 @@ def _sweep_y(C: np.ndarray, total: np.ndarray, p1: int, p2: int, dtype) -> None:
     0: a zero column steps to exactly 0, so a path entering from the border
     reads 0 and L = C there. At step t the rows C[t] and C[H-1-t] are copied
     transposed into one (2, D, W) buffer, added to every path's stepped state
-    shifted by its dx, and the paths' uint16 sums go back into `total`
-    through the transposed view; an odd H's middle row is added by both
-    directions.
+    shifted by its dx, and the paths' uint16 sums are added into `total`
+    through the transposed views of the sum buffer; an odd H's middle row is
+    added by both directions. Every buffer and view but the rows of C and
+    `total` is bound before the first step.
     """
     H, W, D = C.shape
     L = np.zeros((2, 3, D, W + 2), dtype)  # paths dx = +1, 0, -1
@@ -290,17 +301,19 @@ def _sweep_y(C: np.ndarray, total: np.ndarray, p1: int, p2: int, dtype) -> None:
     lines = np.empty((2, 1, D, W), dtype)
     line_sum = np.empty((2, D, W), np.uint16)
     # the step sees the six paths as one (6, D, W + 2) state
-    flat_L, flat_stepped = L.reshape(-1, D, W + 2), stepped.reshape(-1, D, W + 2)
+    step = _PathStep(L.reshape(-1, D, W + 2), stepped.reshape(-1, D, W + 2), p1, p2)
     inner, CT = L[..., 1:-1], C.transpose(0, 2, 1)
-    step = _PathStep(flat_L.shape, p1, p2, dtype)
-    for t in range(H):
-        step(flat_L, out=flat_stepped)
-        np.copyto(lines[0, 0], CT[t])
-        np.copyto(lines[1, 0], CT[H - 1 - t])
+    down, up = lines[:, 0]
+    down_sum, up_sum = line_sum.transpose(0, 2, 1)
+    # step t reads the rows C[t] and C[H-1-t] and adds into the same rows of total
+    for c_down, c_up, t_down, t_up in zip(CT, CT[::-1], total, total[::-1]):
+        step()
+        np.copyto(down, c_down)
+        np.copyto(up, c_up)
         np.add(lines, shifted, out=inner)
         np.add.reduce(inner, axis=1, dtype=np.uint16, out=line_sum)
-        total[t] += line_sum[0].T
-        total[H - 1 - t] += line_sum[1].T
+        np.add(t_down, down_sum, out=t_down)
+        np.add(t_up, up_sum, out=t_up)
 
 
 def _sweep_x(C: np.ndarray, total: np.ndarray, p1: int, p2: int, dtype) -> None:
@@ -315,21 +328,22 @@ def _sweep_x(C: np.ndarray, total: np.ndarray, p1: int, p2: int, dtype) -> None:
     """
     H, W, D = C.shape
     L = np.full((2, H, D + 2), np.iinfo(dtype).max - p1, dtype)
-    L[..., 1:-1] = 0
     stepped = np.empty_like(L)
-    step = _PathStep(L.shape, p1, p2, dtype, axis=2)
+    step = _PathStep(L, stepped, p1, p2, axis=2)
+    state, new = L[..., 1:-1], stepped[..., 1:-1]
+    state[...] = 0
     columns, sums = C.transpose(1, 0, 2), total.transpose(1, 0, 2)
     for t in range(W):
-        step(L, out=stepped)
+        step()
         u = W - 1 - t
         if t == u:
             for i in range(2):
-                np.add(columns[t], stepped[i, :, 1:-1], out=L[i, :, 1:-1], dtype=dtype)
-                np.add(sums[t], L[i, :, 1:-1], out=sums[t])
+                np.add(columns[t], new[i], out=state[i])
+                np.add(sums[t], state[i], out=sums[t])
         else:
             x, into = columns[t::u - t][:2], sums[t::u - t][:2]  # columns t and u
-            np.add(x, stepped[..., 1:-1], out=L[..., 1:-1], dtype=dtype)
-            np.add(into, L[..., 1:-1], out=into)
+            np.add(x, new, out=state)
+            np.add(into, state, out=into)
 
 
 def aggregate_costs(volume: CostVolume, params: SgmParams) -> CostVolume:
@@ -520,11 +534,15 @@ def disparity_to_cloud(disp: DisparityMap, intrinsics: CameraIntrinsics,
                              f"not {color.shape}")
     use = disp.valid & (disp.values > MIN_CLOUD_DISPARITY)
     ys, xs = np.nonzero(use)
-    d = disp.values[ys, xs].astype(float)
-    Z = intrinsics.focal_px * baseline / d
-
-    norm = _pixels_to_normalized(intrinsics, np.stack([xs, ys], axis=1).astype(float))
-    cam = np.column_stack([norm[:, 0] * Z, norm[:, 1] * Z, Z])
+    # camera coordinates ((u - x0) / f * Z, (v - y0) / f * Z, Z), filled column by column
+    cam = np.empty((len(xs), 3))
+    x, y, Z = cam.T
+    Z[:] = disp.values[ys, xs]
+    np.divide(intrinsics.focal_px * baseline, Z, out=Z)
+    for c, pixel, centre in ((x, xs, intrinsics.x0), (y, ys, intrinsics.y0)):
+        np.subtract(pixel, centre, out=c)
+        np.divide(c, intrinsics.focal_px, out=c)
+        np.multiply(c, Z, out=c)
     world = cam @ pose.rotation().T + pose.t
 
     return PointCloud(positions=world, colors=None if color is None else color[ys, xs])

@@ -13,18 +13,30 @@
   left-right check over whole volumes, for the row-blocked uint32
   selection of `sgm.select_disparity`;
 - `walk_voxels`: one voxel walk per ray, for the batched walk of
-  `fusion._occluded`.
+  `fusion._occluded`;
+- `reference_disparity_to_cloud`: back-projection through normalized pixel
+  coordinates and stacked columns, for the in-place fill of
+  `sgm.disparity_to_cloud`.
 """
 
 import numpy as np
 
 from tagbridge.bundle import BEHIND_RESIDUAL, _NormalEquations
-from tagbridge.geometry import BEHIND_CAMERA_EPS, _group_sums, rotation_from_angles
+from tagbridge.fusion import PointCloud
+from tagbridge.geometry import (
+    BEHIND_CAMERA_EPS,
+    CameraIntrinsics,
+    Pose,
+    _group_sums,
+    _pixels_to_normalized,
+    rotation_from_angles,
+)
 from tagbridge.sgm import (
     FLAG_LR_FAILED,
     FLAG_OUT_OF_RANGE,
     FLAG_UNIQUENESS_FAILED,
     INVALID_DISPARITY,
+    MIN_CLOUD_DISPARITY,
     DisparityMap,
 )
 
@@ -257,3 +269,34 @@ def walk_voxels(start_voxel, end_voxel, start_point, direction, grid):
         v[axis] += step[axis]
         t_max[axis] += t_delta[axis]
     yield tuple(end)
+
+
+def reference_disparity_to_cloud(disp: DisparityMap, intrinsics: CameraIntrinsics,
+                                 baseline: float, pose: Pose,
+                                 color: np.ndarray = None) -> PointCloud:
+    """Back-project a disparity map to a world-frame point cloud.
+
+    Depth per valid pixel is Z = f * B / (d * pitch); pixels with disparity
+    below 1e-3 px are skipped. The baseline must be positive and finite
+    (ValueError otherwise). `color` is an optional (H, W, 3) raster of
+    integers in [0, 255] (ValueError otherwise), sampled at the source pixel;
+    without it every point is black and color-invalid.
+    """
+    if not 0 < baseline < np.inf:
+        raise ValueError("baseline must be positive and finite")
+    H, W = disp.values.shape
+    if color is not None:
+        color = np.asarray(color)
+        if color.shape != (H, W, 3):
+            raise ValueError(f"color must be an (H, W, 3) = ({H}, {W}, 3) raster, "
+                             f"not {color.shape}")
+    use = disp.valid & (disp.values > MIN_CLOUD_DISPARITY)
+    ys, xs = np.nonzero(use)
+    d = disp.values[ys, xs].astype(float)
+    Z = intrinsics.focal_px * baseline / d
+
+    norm = _pixels_to_normalized(intrinsics, np.stack([xs, ys], axis=1).astype(float))
+    cam = np.column_stack([norm[:, 0] * Z, norm[:, 1] * Z, Z])
+    world = cam @ pose.rotation().T + pose.t
+
+    return PointCloud(positions=world, colors=None if color is None else color[ys, xs])

@@ -113,6 +113,37 @@ def reference_colorize(cloud, grid, rgb, intrinsics, rgb_pose):
     return colors, valid
 
 
+def stop_steps(grid, start_point, points):
+    """The step at which `_occluded` stops each ray, from its `walk_voxels` walk.
+
+    0 for a ray that starts in its point's voxel; else the first step onto
+    that voxel or an occupied one, or limit - 1 if it reaches neither.
+    """
+    start = tuple(grid.voxel_indices(start_point[None, :])[0])
+    stops = []
+    for point in points:
+        own = tuple(grid.voxel_indices(point[None, :])[0])
+        limit = sum(abs(a - b) for a, b in zip(own, start)) + 3
+        walk = list(walk_voxels(start, own, start_point, point - start_point, grid))[:limit]
+        stops.append(0 if own == start else next(
+            (s for s, v in enumerate(walk[1:], 1) if v == own or grid.count(v)), limit - 1))
+    return np.array(stops)
+
+
+def compactions(stops):
+    """How often `_occluded` compacts rays that stop at `stops` (see stop_steps).
+
+    The rays that stop at step 0 are dropped before the first step; after
+    that, the rays are compacted when fewer than half of those held still walk.
+    """
+    held, count = np.count_nonzero(stops), 0
+    for taken in range(1, stops.max()):
+        walking = np.count_nonzero(stops > taken)
+        if 2 * walking < held:
+            held, count = walking, count + 1
+    return count
+
+
 def assert_occluded_matches_reference(grid, start_point, points):
     """The batched walk and one `walk_voxels` walk per point agree; returns the mask."""
     got = _occluded(grid, start_point, points)
@@ -716,6 +747,26 @@ class TestOcclusionWalk:
                                                     wide_cam(), pose)
         assert 0 < visible[:150].sum() < 150  # the near plane hides part of the far one
         assert visible[150:250].all()  # nothing lies in front of the near plane
+
+    def test_walk_compacting_twice_matches_reference(self):
+        # Free-space queries from 2 to about 55 voxels ahead of the camera, a
+        # far wall and a small near block: the rays stop at many different
+        # steps, by arrival, by a hit or in their own voxel, so the walk
+        # compacts its rays at least twice before the last one stops.
+        rng = np.random.default_rng(23)
+        pose = nadirless_pose(0.03, -0.02, 0.0)
+        wall = np.column_stack([rng.uniform(-2.0, 2.0, (2, 3000)).T, np.full(3000, 5.5)])
+        block = rng.uniform([-0.2, -0.2, 2.0], [0.2, 0.2, 2.4], (300, 3))
+        grid = accumulate(VoxelGrid(voxel_size=0.1), PointCloud(positions=np.vstack([wall, block])))
+        depth = rng.uniform(0.2, 5.4, 200)
+        free = np.column_stack([rng.uniform(-0.4, 0.4, (2, 200)).T * depth[:, None], depth])
+        queries = np.vstack([free, wall[:100], block[:50], pose.t + 0.01])
+        stops = stop_steps(grid, pose.t, queries)
+        assert len(np.unique(stops)) > 20 and compactions(stops) >= 2
+        visible = assert_colorize_matches_reference(PointCloud(positions=queries), grid,
+                                                    wide_cam(), pose)
+        assert 0 < visible[200:300].sum() < 100  # the block hides part of the wall
+        assert visible[-1]  # the query in the camera's own voxel
 
     @pytest.mark.parametrize("n_voxels", [1, 2, 3, 8, 9, 1000])
     def test_occupancy_table_size(self, n_voxels):

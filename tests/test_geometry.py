@@ -342,6 +342,22 @@ class TestGroupSums:
         assert np.array_equal(sums, expected)
         assert not sums[[5, 7]].any()
 
+    @pytest.mark.parametrize("layout", ["fortran", "column-sliced"])
+    def test_strided_values_sum_as_in_row_order(self, layout):
+        # each column is read through its strides, in row order
+        rng = np.random.default_rng(len(layout))
+        group = rng.choice([0, 2, 3], 150)
+        wide = rng.standard_normal((150, 7)) * 10.0 ** rng.uniform(-6, 6, (150, 7))
+        values = np.asfortranarray(wide[:, :4]) if layout == "fortran" else wide[:, 1:6:2]
+        expected = np.zeros((5, values.shape[1]))
+        for row, g in zip(values, group):
+            expected[g] = expected[g] + row
+        assert np.array_equal(_group_sums(group, values, 5), expected)
+
+    def test_no_columns(self):
+        sums = _group_sums(np.array([0, 2, 1]), np.zeros((3, 0)), 4)
+        assert sums.shape == (4, 0)
+
     def test_no_rows(self):
         assert np.array_equal(_group_sums(np.zeros(0, dtype=int), np.zeros((0, 3)), 2),
                               np.zeros((2, 3)))

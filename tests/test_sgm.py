@@ -7,12 +7,14 @@ import pytest
 
 from tagbridge import sgm
 from tagbridge.errors import DimensionMismatch, ImageTooSmall
-from tagbridge.geometry import Pose
+from tagbridge.geometry import CameraIntrinsics, Pose
 from tagbridge.sgm import (
     PATHS,
     SELECT_BLOCK_ROWS,
     UINT16_MAX,
+    MIN_CLOUD_DISPARITY,
     CostVolume,
+    DisparityMap,
     SgmParams,
     _PathStep,
     aggregate_costs,
@@ -23,7 +25,7 @@ from tagbridge.sgm import (
     select_disparity,
 )
 
-from oracles import aggregate_one_path, path_step, reference_select
+from oracles import aggregate_one_path, path_step, reference_disparity_to_cloud, reference_select
 
 
 def params(d_min=0, d_max=16, **kw):
@@ -397,9 +399,9 @@ class TestAggregation:
         seen = []
 
         class RecordingStep(sgm._PathStep):
-            def __init__(self, shape, p1, p2, dtype, axis=1):
-                seen.append(dtype)
-                super().__init__(shape, p1, p2, dtype, axis)
+            def __init__(self, prev, out, p1, p2, axis=1):
+                seen.append(prev.dtype.type)
+                super().__init__(prev, out, p1, p2, axis)
 
         monkeypatch.setattr(sgm, "_PathStep", RecordingStep)
         C = np.zeros((3, 4, 5), np.uint16)
@@ -418,6 +420,27 @@ class TestAggregation:
         for direction in PATHS:
             oracle += aggregate_one_path(vol, direction, p.p1, p.p2)
         assert np.array_equal(aggregate_costs(vol, p).costs, oracle)
+
+    def test_repeated_interleaved_calls_return_equal_fresh_arrays(self):
+        # no buffer outlives its call: the sums of one volume, taken again
+        # after the other's, are equal, and every result is its own array
+        rng = np.random.default_rng(30)
+        p = params(d_max=5)
+        vols = [CostVolume(costs=rng.integers(0, 25, (7, 9, 6)).astype(np.uint8), d_min=0),
+                CostVolume(costs=rng.integers(0, 400, (5, 11, 6)).astype(np.uint16), d_min=0,
+                           base="right")]  # uint8 states, then uint16 ones
+        first = []
+        for vol in vols:
+            oracle = np.zeros(vol.costs.shape, np.float32)
+            for direction in PATHS:
+                oracle += aggregate_one_path(vol, direction, p.p1, p.p2)
+            first.append(oracle)
+        results = []
+        for _ in range(3):
+            for vol, expected in zip(vols, first):
+                results.append(aggregate_costs(vol, p).costs)
+                assert np.array_equal(results[-1], expected)
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(results, 2))
 
     def test_sum_beyond_uint16_rejected(self):
         p = params(d_max=3)
@@ -487,7 +510,7 @@ class TestPathStep:
         for high, p1, p2 in ((30, 10, 120), (1000, 7, 23)):
             prev = step_states(rng, shape, 1, dtype, high, p1, p2)
             out = np.empty_like(prev)
-            _PathStep(shape, p1, p2, dtype)(prev, out)
+            _PathStep(prev, out, p1, p2)()
             expected = path_step(prev.astype(np.int64).transpose(0, 2, 1), p1, p2)
             assert np.array_equal(out, expected.transpose(0, 2, 1))
 
@@ -502,9 +525,37 @@ class TestPathStep:
             prev = np.full(shape[:2] + (shape[2] + 2,), np.iinfo(dtype).max - p1, dtype)
             prev[..., 1:-1] = step_states(rng, shape, 2, dtype, high, p1, p2)
             out = np.empty_like(prev)
-            _PathStep(prev.shape, p1, p2, dtype, axis=2)(prev, out)
+            _PathStep(prev, out, p1, p2, axis=2)()
             assert np.array_equal(out[..., 1:-1],
                                   path_step(prev[..., 1:-1].astype(np.int64), p1, p2))
+
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint8])
+    @pytest.mark.parametrize("axis", [1, 2], ids=["disparity-major", "disparity-last"])
+    def test_bound_step_repeated_equals_path_steps(self, axis, dtype):
+        # One step bound to its two buffers and applied k times, each time to
+        # its last output plus fresh costs as a sweep drives it, equals k
+        # applications of path_step. The disparity-last state keeps its pad cells.
+        rng = np.random.default_rng([axis, np.dtype(dtype).itemsize])
+        p1, p2 = 10, 120
+        c_max = 255 - p1 - p2 if dtype == np.uint8 else 1000
+        k, m, D = 3, 7, 9
+        prev = np.full((k, D, m) if axis == 1 else (k, m, D + 2), np.iinfo(dtype).max - p1, dtype)
+        out = np.empty_like(prev)
+        # the real states as (k, m, D), the layout of path_step
+        real, new = ((prev.transpose(0, 2, 1), out.transpose(0, 2, 1)) if axis == 1
+                     else (prev[..., 1:-1], out[..., 1:-1]))
+        step = _PathStep(prev, out, p1, p2, axis=axis)
+        expected = rng.integers(0, c_max + 1, (k, m, D))
+        real[...] = expected
+        for _ in range(6):
+            step()
+            costs = rng.integers(0, c_max + 1, (k, m, D))
+            np.add(new, costs, out=real, casting="unsafe")
+            expected = path_step(expected, p1, p2) + costs
+            assert np.array_equal(real, expected)
+        if axis == 2:
+            assert (prev[..., [0, -1]] == np.iinfo(dtype).max - p1).all()
 
 
 class TestParams:
@@ -741,7 +792,47 @@ class TestUint8RawVolumes:
                     assert np.array_equal(got.flags, a.flags)
 
 
+def cloud_case(case):
+    """(disparity map, camera, pose, color) for one case of the reference comparison."""
+    rng = np.random.default_rng(len(case))
+    H, W = (10, 30) if case == "non-square" else (12, 16)
+    cam = (CameraIntrinsics(f=3.7, pixel_pitch=0.0031, x0=21.3, y0=3.6, width=W, height=H)
+           if case == "non-square"
+           else CameraIntrinsics(f=4.8, pixel_pitch=0.0048, x0=7.5, y0=5.5, width=W, height=H))
+    values = rng.uniform(0.5, 60.0, (H, W)).astype(np.float32)
+    valid = rng.random((H, W)) < 0.7
+    if case == "all-invalid":
+        valid[:] = False
+    elif case == "one-valid":
+        valid[:] = False
+        valid[4, 9] = True
+    elif case == "at-min-disparity":
+        # float32 values just below, nearest to and just above 1e-3 px
+        near = np.float32(MIN_CLOUD_DISPARITY)
+        values[:, :3] = [np.nextafter(near, np.float32(0)), near, np.nextafter(near, np.float32(1))]
+        valid[:, :3] = True
+    values[~valid] = sgm.INVALID_DISPARITY
+    pose = (Pose(t=[1.5, -2.0, 3.25], r=[0.3, -0.2, 1.1]) if case == "rotated"
+            else Pose(t=np.zeros(3), r=np.zeros(3)))
+    color = None if case == "no-colour" else rng.integers(0, 256, (H, W, 3), dtype=np.uint8)
+    disp = DisparityMap(values=values, valid=valid, flags=np.where(valid, 0, 1).astype(np.uint8))
+    return disp, cam, pose, color
+
+
 class TestDisparityToCloud:
+    @pytest.mark.parametrize("case", ["colour", "no-colour", "all-invalid", "one-valid",
+                                      "at-min-disparity", "non-square", "rotated"])
+    def test_equals_reference(self, case):
+        disp, cam, pose, color = cloud_case(case)
+        got = disparity_to_cloud(disp, cam, 0.12, pose, color=color)
+        expected = reference_disparity_to_cloud(disp, cam, 0.12, pose, color=color)
+        assert np.array_equal(got.positions, expected.positions)
+        assert np.array_equal(got.colors, expected.colors)
+        assert np.array_equal(got.color_valid, expected.color_valid)
+        # the map compares with 1e-3 in float32, so float32(1e-3) gives no point
+        below = 2 * len(disp.values) if case == "at-min-disparity" else 0
+        assert len(got) == {"all-invalid": 0, "one-valid": 1}.get(case, disp.valid.sum() - below)
+
     def test_constant_disparity_constant_depth(self, stereo_cam):
         from tagbridge.sgm import DisparityMap
 
