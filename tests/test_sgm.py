@@ -9,10 +9,10 @@ from tagbridge import sgm
 from tagbridge.errors import DimensionMismatch, ImageTooSmall
 from tagbridge.geometry import CameraIntrinsics, Pose
 from tagbridge.sgm import (
+    MIN_CLOUD_DISPARITY,
     PATHS,
     SELECT_BLOCK_ROWS,
     UINT16_MAX,
-    MIN_CLOUD_DISPARITY,
     CostVolume,
     DisparityMap,
     SgmParams,
@@ -528,7 +528,6 @@ class TestPathStep:
             _PathStep(prev, out, p1, p2, axis=2)()
             assert np.array_equal(out[..., 1:-1],
                                   path_step(prev[..., 1:-1].astype(np.int64), p1, p2))
-
 
     @pytest.mark.parametrize("dtype", [np.uint16, np.uint8])
     @pytest.mark.parametrize("axis", [1, 2], ids=["disparity-major", "disparity-last"])
