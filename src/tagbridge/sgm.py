@@ -48,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, ImageTooSmall
 from .fusion import PointCloud
-from .geometry import CameraIntrinsics, Pose
+from .geometry import CameraIntrinsics, Pose, _pixels_to_normalized
 
 INVALID_DISPARITY = -1.0
 MIN_CLOUD_DISPARITY = 1e-3
@@ -338,11 +338,11 @@ def _sweep_x(C: np.ndarray, total: np.ndarray, p1: int, p2: int, dtype) -> None:
         u = W - 1 - t
         if t == u:
             for i in range(2):
-                np.add(columns[t], new[i], out=state[i])
+                np.add(columns[t], new[i], out=state[i], dtype=dtype)
                 np.add(sums[t], state[i], out=sums[t])
         else:
             x, into = columns[t::u - t][:2], sums[t::u - t][:2]  # columns t and u
-            np.add(x, new, out=state)
+            np.add(x, new, out=state, dtype=dtype)
             np.add(into, state, out=into)
 
 
@@ -534,15 +534,12 @@ def disparity_to_cloud(disp: DisparityMap, intrinsics: CameraIntrinsics,
                              f"not {color.shape}")
     use = disp.valid & (disp.values > MIN_CLOUD_DISPARITY)
     ys, xs = np.nonzero(use)
-    # camera coordinates ((u - x0) / f * Z, (v - y0) / f * Z, Z), filled column by column
+    # camera coordinates (normalized (u, v) * Z, Z), filled in place
     cam = np.empty((len(xs), 3))
-    x, y, Z = cam.T
-    Z[:] = disp.values[ys, xs]
+    Z = cam[:, 2:]
+    Z[:, 0] = disp.values[ys, xs]
     np.divide(intrinsics.focal_px * baseline, Z, out=Z)
-    for c, pixel, centre in ((x, xs, intrinsics.x0), (y, ys, intrinsics.y0)):
-        np.subtract(pixel, centre, out=c)
-        np.divide(c, intrinsics.focal_px, out=c)
-        np.multiply(c, Z, out=c)
+    np.multiply(_pixels_to_normalized(intrinsics, np.column_stack([xs, ys])), Z, out=cam[:, :2])
     world = cam @ pose.rotation().T + pose.t
 
     return PointCloud(positions=world, colors=None if color is None else color[ys, xs])

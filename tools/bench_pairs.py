@@ -8,8 +8,7 @@
 ran once per workload and seed, each run leaving its record in
 `.bench_out/<workload>-seed<seed>-trace0.json`. The two runs of one seed
 form a pair, and the side whose record was written first ran first. Every
-workload with records is read, or those named by `--workloads`; both sides
-must hold the same seeds.
+workload with records is read; both sides must hold the same seeds.
 
 For each workload the `workloads` block lists the seeds, which side ran
 first in each pair, whether every run passed its checks, each side's
@@ -20,8 +19,10 @@ to the parent's, the parent's IQR, the median gap (positive when the change
 is better), the pairs the change won, lost and tied, and every run.
 
 `--claim WORKLOAD METRIC` adds the `claim` block. The claim holds when there
-are at least 10 pairs, the change wins at least nine tenths of them (ties
-count for neither side) and the median gap exceeds the parent's IQR. The
+are at least 10 pairs, every run of the workload passed its checks, the
+change's largest `fail_frac` is no larger than the parent's, the change wins
+at least nine tenths of the pairs (ties count for neither side) and the
+median gap exceeds the parent's IQR. The
 blocks written replace those of the `--out` file; its other blocks are kept.
 """
 
@@ -37,8 +38,9 @@ import numpy as np
 
 RECORD = re.compile(r"(?P<workload>\w+)-seed(?P<seed>-?\d+)-trace0\.json")
 MIN_PAIRS = 10
-RULE = (f"change wins at least 9 in 10 of at least {MIN_PAIRS} alternating pairs (ties count for "
-        "neither side) and the median gap exceeds the parent's IQR")
+RULE = (f"every run passes its checks, the change fails no larger share of operations, and it "
+        f"wins at least 9 in 10 of at least {MIN_PAIRS} alternating pairs (ties count for neither "
+        "side) with a median gap above the parent's IQR")
 
 
 def records(checkout: Path) -> dict:
@@ -96,14 +98,15 @@ def summarise(spec: list, parent: dict, change: dict) -> dict:
 
 
 def claim(workloads: dict, workload: str, metric: str) -> dict:
-    m = workloads[workload]["metrics"][metric]
-    pairs = workloads[workload]["pairs"]
+    block = workloads[workload]
+    m, pairs, fail_frac = block["metrics"][metric], block["pairs"], block["fail_frac"]
     return {
         "metric": metric, "workload": workload, "rule": RULE, "pairs": pairs,
         "pairs_won": m["pairs_won"], "median_gap": m["median_gap"],
         "parent_iqr": m["parent_iqr"], "change_vs_parent_median": m["change_vs_parent_median"],
-        "holds": (pairs >= MIN_PAIRS and 10 * m["pairs_won"] >= 9 * pairs
-                  and m["median_gap"] > m["parent_iqr"]),
+        "holds": (pairs >= MIN_PAIRS and block["all_correct"]
+                  and fail_frac["change"] <= fail_frac["parent"]
+                  and 10 * m["pairs_won"] >= 9 * pairs and m["median_gap"] > m["parent_iqr"]),
     }
 
 
@@ -111,14 +114,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workloads", nargs="+")
     parser.add_argument("--claim", nargs=2, metavar=("WORKLOAD", "METRIC"))
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     parent, change = records(args.parent), records(args.change)
-    names = args.workloads or sorted(set(parent) | set(change))
+    names = sorted(set(parent) | set(change))
     for w in names:
         seeds = sorted(parent.get(w, {})), sorted(change.get(w, {}))
         if not seeds[0] or seeds[0] != seeds[1]:
