@@ -22,8 +22,8 @@ is better), the pairs the change won, lost and tied, and every run.
 are at least 10 pairs, every run of the workload passed its checks, the
 change's largest `fail_frac` is no larger than the parent's, the change wins
 at least nine tenths of the pairs (ties count for neither side) and the
-median gap exceeds the parent's IQR. The
-blocks written replace those of the `--out` file; its other blocks are kept.
+median gap exceeds the parent's IQR. The blocks written replace those of
+the `--out` file; its other blocks are kept.
 """
 
 from __future__ import annotations
