@@ -16,9 +16,11 @@ from a separate RGB camera: each ray carries its voxel's packed key and
 steps it by adding one axis's key stride, its per-axis state held as (3, N)
 rows; a hashed occupancy table lets only the rays whose slot is set reach
 the exact lookup in the sorted keys, and rays that stop are masked out, then
-dropped once they are the majority. The rays' rows, flat views and step
-buffers are bound once per compaction, so a step writes into them with
-`out=` and builds no view.
+dropped once they are the majority. No ray is tested before it can reach the
+box of the occupied and the queried voxels. The rays' rows, flat views and
+step buffers are bound once per compaction, so a step writes into them with
+`out=` and builds no view. Binning and the walk keep voxel indices as
+component-major (3, N) rows.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ class VoxelGrid:
         return np.floor(np.asarray(points, dtype=float) / self.voxel_size).astype(np.int64)
 
     def count(self, key) -> int:
-        keys, inside = _pack(np.asarray(key, dtype=np.int64).reshape(1, 3), self._base)
+        keys, inside = _pack(np.asarray(key, dtype=np.int64).reshape(3, 1), self._base)
         pos, found = _lookup(self._keys, keys)
         return int(self._table[pos[0], 0]) if inside[0] and found[0] else 0
 
@@ -121,24 +123,38 @@ class VoxelGrid:
 
 
 def _pack(vox: np.ndarray, base: np.ndarray):
-    """Packed keys of (N, 3) voxel indices, and the mask of those within the span.
+    """Packed keys of (3, N) voxel indices, and the mask of those within the span.
 
     A key is the dot product of the offsets with `_KEY_STRIDES` (mod 2**64),
     added up as shifts, so a step of one voxel along an axis adds that axis's
     stride. Keys outside the span alias keys inside it, so `accumulate` and
     the occlusion walk reject such voxels and `count` masks them out.
     """
-    off = vox - base + _HALF_SPAN
+    x, y, z = off = vox - base[:, None] + _HALF_SPAN
     ok = (off >= 0) & (off < 2 * _HALF_SPAN)
-    keys = off[:, 0] << 2 * _AXIS_BITS
-    keys += off[:, 1] << _AXIS_BITS
-    keys += off[:, 2]
-    return keys, ok[:, 0] & ok[:, 1] & ok[:, 2]
+    keys = x << 2 * _AXIS_BITS
+    keys += y << _AXIS_BITS
+    keys += z
+    return keys, ok[0] & ok[1] & ok[2]
 
 
 def _unpack(keys: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """(N, 3) voxel indices of packed keys: the inverse of `_pack` within the span."""
-    return (keys[:, None] >> _KEY_SHIFTS & 2 * _HALF_SPAN - 1) - _HALF_SPAN + base
+    """(3, N) voxel indices of packed keys: the inverse of `_pack` within the span."""
+    return (keys >> _KEY_SHIFTS[:, None] & 2 * _HALF_SPAN - 1) - _HALF_SPAN + base[:, None]
+
+
+def _bounds(keys: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """(3, 2) least and greatest voxel index per axis of sorted, non-empty packed keys.
+
+    Keys sort by x first, so x's bounds are those of the first and last key;
+    y and z each take one masked pass over the keys.
+    """
+    bounds = [keys[[0, -1]] >> _KEY_SHIFTS[0]]
+    field = np.empty_like(keys)
+    for shift in _KEY_SHIFTS[1:]:
+        np.bitwise_and(keys, 2 * _HALF_SPAN - 1 << shift, out=field)
+        bounds.append(np.array([field.min(), field.max()]) >> shift)
+    return np.array(bounds) - _HALF_SPAN + base[:, None]
 
 
 def _lookup(sorted_keys: np.ndarray, keys: np.ndarray):
@@ -154,16 +170,18 @@ def accumulate(grid: VoxelGrid, cloud: PointCloud) -> VoxelGrid:
 
     A point adds rint(frac * 2**32), its offset from its voxel's corner in
     2**-32 voxel, to the position sums. Points are grouped by the inverse
-    index of their unique keys; only the columns the cloud has are summed.
+    index of their unique keys; only the columns the cloud has are summed,
+    each held as one contiguous row of a (k, N) array, as the positions are.
     Re-adding a cloud re-counts it. Raises ValueError, leaving the grid
     unchanged, when a point lies beyond the packable span around the base
     voxel or a voxel's sum would reach 2**53. Returns the grid.
     """
     if len(cloud) == 0:
         return grid
-    scaled = cloud.positions / grid.voxel_size
+    # component-major (3, N) rows, so every pass below reads contiguous memory
+    scaled = np.divide(cloud.positions.T, grid.voxel_size, order="C")
     vox = np.floor(scaled)
-    base = vox[0].astype(np.int64) if grid.n_voxels == 0 else grid._base
+    base = vox[:, 0].astype(np.int64) if grid.n_voxels == 0 else grid._base
     keys, inside = _pack(vox.astype(np.int64), base)
     if not inside.all():
         far = cloud.positions[np.argmin(inside)]
@@ -172,18 +190,21 @@ def accumulate(grid: VoxelGrid, cloud: PointCloud) -> VoxelGrid:
 
     new_keys, voxel, counts = np.unique(keys, return_inverse=True, return_counts=True)
     colored = cloud.color_valid.any()
-    # each point's position fractions, then its color validity and valid colors if the
-    # cloud has any, one contiguous column each for the per-column sums
-    values = np.empty((7 if colored else 3, len(cloud))).T
-    np.rint((scaled - vox) * 2.0 ** _FRACTION_BITS, out=values[:, :3])
+    # one row per summed column: each point's position fractions, then its color
+    # validity and valid colors if the cloud has any
+    values = np.empty((7 if colored else 3, len(cloud)))
+    frac = values[:3]
+    np.subtract(scaled, vox, out=frac)
+    frac *= 2.0 ** _FRACTION_BITS
+    np.rint(frac, out=frac)
     if colored:
         valid = cloud.color_valid
-        values[:, 3] = valid
-        np.multiply(cloud.colors, valid[:, None], out=values[:, 4:])
-    k = 1 + values.shape[1]  # count and positions, then the color columns if the cloud has them
+        values[3] = valid
+        np.multiply(cloud.colors.T, valid, out=values[4:])
+    k = 1 + len(values)  # count and positions, then the color columns if the cloud has them
     rows = np.empty((len(new_keys), k), np.int64)
     rows[:, 0] = counts
-    rows[:, 1:] = _group_sums(voxel, values, len(new_keys))
+    rows[:, 1:] = _group_sums(voxel, values.T, len(new_keys))
     pos, found = _lookup(grid._keys, new_keys)
     rows[found] += grid._table[pos[found], :k]
     if rows.max() >= _SUM_LIMIT:
@@ -213,7 +234,7 @@ def filter_voxels(grid: VoxelGrid, min_points: int) -> PointCloud:
 
     rows = np.flatnonzero(grid._table[:, 0] >= min_points)
     count, sums, n, colors = np.split(grid._table[rows], [1, 4, 5], axis=1)
-    positions = (_unpack(grid._keys[rows], grid._base)
+    positions = (_unpack(grid._keys[rows], grid._base).T
                  + sums / count * 2.0 ** -_FRACTION_BITS) * grid.voxel_size
     colors += n // 2  # rounded half up in place; colorless voxels get black
     colors //= np.maximum(n, 1)
@@ -257,6 +278,12 @@ def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray) -> n
     Every step moves a ray one voxel further, never back, so no ray is in the
     camera's voxel after the first.
 
+    A step moves a ray one voxel along one axis, so no ray enters the box of
+    every occupied voxel and every query point's voxel before step d, the L1
+    distance from the camera's voxel to that box, and every limit exceeds d:
+    the steps before d (the approach phase) skip the arrival, occupancy and
+    limit tests.
+
     Occupancy is read from the hashed table of `_occupancy_table` first: only
     the active rays whose key's slot is set are looked up in the sorted keys,
     which confirms them exactly. A ray that stops drops out of `active`, steps
@@ -264,30 +291,36 @@ def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray) -> n
     and the arrays are compacted; the rays that start in their point's voxel
     are dropped before the first step. Each compaction binds the rows, flat
     views and buffers that the steps until the next one read and write with
-    `out=`. Raises ValueError when a walk could leave
-    the span (the start voxel +- the longest limit lies outside it on an
-    axis), so every key a walk compares is exact.
+    `out=`. Raises ValueError when a walk could leave the span (the start
+    voxel +- the longest limit lies outside it on an axis), so every key a
+    walk compares is exact.
     """
     occluded = np.zeros(len(points), dtype=bool)
     if grid.n_voxels == 0 or len(points) == 0:
         return occluded
-    start = grid.voxel_indices(start_point[None, :])
-    end = grid.voxel_indices(points)
+    start = grid.voxel_indices(start_point[:, None])  # (3, 1)
+    end = grid.voxel_indices(points.T)  # (3, N)
     direction = (points - start_point).T.copy()  # (3, N), C-contiguous like every state array
     step = np.sign(direction).astype(np.int64)
     moving = direction != 0
-    boundary = (start.T + (step > 0)) * grid.voxel_size
+    boundary = (start + (step > 0)) * grid.voxel_size
     with np.errstate(divide="ignore", invalid="ignore"):
         t_max = np.where(moving, (boundary - start_point[:, None]) / direction, np.inf)
         t_delta = np.where(moving, grid.voxel_size / np.abs(direction), np.inf)
-    limit = np.abs(end - start).sum(axis=1) + 3
+    limit = np.abs(end - start).sum(axis=0) + 3
 
     (start_key,), _ = _pack(start, grid._base)
     end_key, _ = _pack(end, grid._base)
     key_step = step * _KEY_STRIDES[:, None]
-    corners = start + np.array([[-1], [1]]) * limit.max()  # of a box holding every walk
+    corners = start + np.array([-1, 1]) * limit.max()  # of a box holding every walk
     if not _pack(corners, grid._base)[1].all():
-        raise ValueError(f"a walk from voxel {start[0].tolist()} could leave the packable span")
+        raise ValueError(f"a walk from voxel {start[:, 0].tolist()} could leave the packable span")
+    # the approach phase: steps before any ray can enter the box of the occupied
+    # and the query voxels
+    occupied = _bounds(grid._keys, grid._base)
+    lo = np.minimum(occupied[:, 0], end.min(axis=1)) - start[:, 0]
+    hi = np.maximum(occupied[:, 1], end.max(axis=1)) - start[:, 0]
+    approach = np.maximum(np.maximum(lo, -hi), 0).sum()
     shift, table = _occupancy_table(grid._keys)
     state = (np.arange(len(points)), np.full(len(points), start_key), end_key, limit, t_max,
              t_delta, key_step)
@@ -314,6 +347,8 @@ def _occluded(grid: VoxelGrid, start_point: np.ndarray, points: np.ndarray) -> n
         t_flat[cell] += delta_flat[cell]
         key += step_flat[cell]
         taken += 1
+        if taken < approach:  # every ray is still outside the box
+            continue
         active &= np.not_equal(key, end_key, out=on_y)
         np.multiply(key_bits, _HASH_MULTIPLIER, out=hashed)
         np.right_shift(hashed, shift, out=hashed)

@@ -32,8 +32,9 @@ no flat +-1 shift carries one line's edge into the next. Each sweep binds
 its state buffers, the path step's shifted views and its line views once,
 before the first step, so a step builds no view but those of the volume's
 and the total's lines it reads and adds into. Selection reads
-the volumes in place too, a block of rows at a time. No volume-sized copy
-is made; the cost layer's buffers are one padded match raster and one block.
+the volumes in place too, a block of rows at a time; both it and the cost
+layer size their blocks by BLOCK_CELLS cells. No volume-sized copy is made;
+the cost layer's buffers are one padded match raster and one block.
 """
 
 from __future__ import annotations
@@ -60,12 +61,10 @@ FLAG_OUT_OF_RANGE = 4
 # The eight aggregated paths as (dy, dx) steps, in fixed summation order.
 PATHS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
-# Cost cells times census words per block in matching_cost_volume: 16 rows at
-# 320 x 64 with one word. 64-row blocks took 35 % longer at 240 x 320 x 64.
-COST_BLOCK_CELLS = 16 * 320 * 64
-# Rows per block in select_disparity: its temporaries are one uint32
-# (SELECT_BLOCK_ROWS, W, D) buffer and per-row maps, whatever the image height.
-SELECT_BLOCK_ROWS = 16
+# Cells per row block, at least one row: cost cells times census words in
+# matching_cost_volume, volume cells in select_disparity. 16 rows at 320 x 64
+# with one word; 64-row cost blocks took 35 % longer at 240 x 320 x 64.
+BLOCK_CELLS = 16 * 320 * 64
 UINT16_MAX = np.iinfo(np.uint16).max
 OUT_OF_BOUNDS = UINT16_MAX + 1  # selection's masked cells: above every uint16 cost
 
@@ -218,7 +217,7 @@ def matching_cost_volume(base_desc: np.ndarray, match_desc: np.ndarray,
     match = (window[:, pad - d_max:pad - d_max + W, ::-1] if base == "left"
              else window[:, pad + d_min:pad + d_min + W])
     bounds = _InBounds(W, d_min, D, base)
-    rows = min(H, max(1, COST_BLOCK_CELLS // (W * D * n_words)))
+    rows = min(H, max(1, BLOCK_CELLS // (W * D * n_words)))
     xor = np.empty((rows, W, D, n_words), base_desc.dtype)
     for r0 in range(0, H, rows):
         block, x = costs[r0:r0 + rows], xor[:H - r0]
@@ -470,12 +469,12 @@ def select_disparity(aggregated: CostVolume, params: SgmParams,
     |d_L(x, y) - d_R(x - d_L, y)| <= lr_max_diff, d_R the right volume's
     winner. A pixel gets the flag of its first failure (out of range,
     uniqueness, left-right) and is INVALID; `valid` is flags == 0. Rows go
-    SELECT_BLOCK_ROWS at a time through one uint32 block buffer, which the
-    winner, the uniqueness test and the right map each fill with their
-    block, its wedge out-of-bounds cells set to OUT_OF_BOUNDS = 65 536, one
-    above any uint16 cost. The result is bit-identical to the float32
-    whole-volume reference in `tests/oracles.py`, for every uint8 or uint16
-    input.
+    BLOCK_CELLS // (W * D) at a time, at least one, through one uint32 block
+    buffer, which the winner, the uniqueness test and the right map each fill
+    with their block, its wedge out-of-bounds cells set to OUT_OF_BOUNDS =
+    65 536, one above any uint16 cost. The result is bit-identical to the
+    float32 whole-volume reference in `tests/oracles.py`, for every uint8 or
+    uint16 input.
     """
     if aggregated.base != "left" or right_aggregated.base != "right":
         raise ValueError("the left-right check takes a left-base volume and a right-base one")
@@ -488,13 +487,14 @@ def select_disparity(aggregated: CostVolume, params: SgmParams,
     H, W, D = aggregated.costs.shape
     bounds = _InBounds(W, aggregated.d_min, D, aggregated.base)
     r_bounds = _InBounds(W, right_aggregated.d_min, D, right_aggregated.base)
-    wide = np.empty((min(SELECT_BLOCK_ROWS, H), W, D), np.uint32)
+    block = min(H, max(1, BLOCK_CELLS // (W * D)))
+    wide = np.empty((block, W, D), np.uint32)
 
     values = np.empty((H, W), np.float32)
     flags = np.zeros((H, W), np.uint8)
     flags[:, ~bounds.valid] = FLAG_OUT_OF_RANGE
-    for y0 in range(0, H, SELECT_BLOCK_ROWS):
-        rows = slice(y0, y0 + SELECT_BLOCK_ROWS)
+    for y0 in range(0, H, block):
+        rows = slice(y0, y0 + block)
         f = flags[rows]
         disparity, near = _wta(aggregated.costs[rows], bounds, aggregated.d_min, wide)
         unique_ok = _unique(aggregated.raw[rows], bounds, near, params.uniqueness_ratio, wide)
@@ -518,11 +518,14 @@ def disparity_to_cloud(disp: DisparityMap, intrinsics: CameraIntrinsics,
                        color: np.ndarray = None) -> PointCloud:
     """Back-project a disparity map to a world-frame point cloud.
 
-    Depth per valid pixel is Z = f * B / (d * pitch); pixels with disparity
-    below 1e-3 px are skipped. The baseline must be positive and finite
-    (ValueError otherwise). `color` is an optional (H, W, 3) raster of
+    Depth per valid pixel is Z = f * B / (d * pitch). A pixel gives a point
+    only where its float32 disparity exceeds float32(MIN_CLOUD_DISPARITY)
+    (the Python float compares as float32), so float32(1e-3) =
+    1.0000000475e-3 px is skipped too. The baseline must be positive and
+    finite (ValueError otherwise). `color` is an optional (H, W, 3) raster of
     integers in [0, 255] (ValueError otherwise), sampled at the source pixel;
-    without it every point is black and color-invalid.
+    without it every point is black and color-invalid. Pixels are selected
+    by one flat index, which reads both rasters in row-major order.
     """
     if not 0 < baseline < np.inf:
         raise ValueError("baseline must be positive and finite")
@@ -532,14 +535,16 @@ def disparity_to_cloud(disp: DisparityMap, intrinsics: CameraIntrinsics,
         if color.shape != (H, W, 3):
             raise ValueError(f"color must be an (H, W, 3) = ({H}, {W}, 3) raster, "
                              f"not {color.shape}")
-    use = disp.valid & (disp.values > MIN_CLOUD_DISPARITY)
-    ys, xs = np.nonzero(use)
+    index = np.flatnonzero(disp.valid & (disp.values > MIN_CLOUD_DISPARITY))
     # camera coordinates (normalized (u, v) * Z, Z), filled in place
-    cam = np.empty((len(xs), 3))
+    cam = np.empty((len(index), 3))
     Z = cam[:, 2:]
-    Z[:, 0] = disp.values[ys, xs]
+    Z[:, 0] = disp.values.reshape(-1)[index]
     np.divide(intrinsics.focal_px * baseline, Z, out=Z)
-    np.multiply(_pixels_to_normalized(intrinsics, np.column_stack([xs, ys])), Z, out=cam[:, :2])
+    pixels = np.empty((2, len(index)))  # x and y rows, so each pass runs along the points
+    np.divmod(index, W, out=(pixels[1], pixels[0]))
+    np.multiply(_pixels_to_normalized(intrinsics, pixels.T), Z, out=cam[:, :2])
     world = cam @ pose.rotation().T + pose.t
 
-    return PointCloud(positions=world, colors=None if color is None else color[ys, xs])
+    return PointCloud(positions=world,
+                      colors=None if color is None else color.reshape(-1, 3)[index])

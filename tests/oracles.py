@@ -14,6 +14,9 @@
   selection of `sgm.select_disparity`;
 - `walk_voxels`: one voxel walk per ray, for the batched walk of
   `fusion._occluded`;
+- `reference_accumulate`: voxel binning on point-major (N, 3) rows and
+  strided value columns, for the component-major binning of
+  `fusion.accumulate`;
 - `reference_disparity_to_cloud`: back-projection through normalized pixel
   coordinates and stacked columns, for the in-place fill of
   `sgm.disparity_to_cloud`.
@@ -22,7 +25,15 @@
 import numpy as np
 
 from tagbridge.bundle import BEHIND_RESIDUAL, _NormalEquations
-from tagbridge.fusion import PointCloud
+from tagbridge.fusion import (
+    _AXIS_BITS,
+    _FRACTION_BITS,
+    _HALF_SPAN,
+    _SUM_LIMIT,
+    PointCloud,
+    VoxelGrid,
+    _lookup,
+)
 from tagbridge.geometry import (
     BEHIND_CAMERA_EPS,
     CameraIntrinsics,
@@ -269,6 +280,65 @@ def walk_voxels(start_voxel, end_voxel, start_point, direction, grid):
         v[axis] += step[axis]
         t_max[axis] += t_delta[axis]
     yield tuple(end)
+
+
+def _pack_rows(vox: np.ndarray, base: np.ndarray):
+    """Packed keys of (N, 3) voxel indices, and the mask of those within the span."""
+    off = vox - base + _HALF_SPAN
+    ok = (off >= 0) & (off < 2 * _HALF_SPAN)
+    keys = off[:, 0] << 2 * _AXIS_BITS
+    keys += off[:, 1] << _AXIS_BITS
+    keys += off[:, 2]
+    return keys, ok[:, 0] & ok[:, 1] & ok[:, 2]
+
+
+def reference_accumulate(grid: VoxelGrid, cloud: PointCloud) -> VoxelGrid:
+    """Bin a cloud into the grid (counts, fixed-point position sums, color sums).
+
+    A point adds rint(frac * 2**32), its offset from its voxel's corner in
+    2**-32 voxel, to the position sums. Points are grouped by the inverse
+    index of their unique keys; only the columns the cloud has are summed.
+    Re-adding a cloud re-counts it. Raises ValueError, leaving the grid
+    unchanged, when a point lies beyond the packable span around the base
+    voxel or a voxel's sum would reach 2**53. Returns the grid.
+    """
+    if len(cloud) == 0:
+        return grid
+    scaled = cloud.positions / grid.voxel_size
+    vox = np.floor(scaled)
+    base = vox[0].astype(np.int64) if grid.n_voxels == 0 else grid._base
+    keys, inside = _pack_rows(vox.astype(np.int64), base)
+    if not inside.all():
+        far = cloud.positions[np.argmin(inside)]
+        raise ValueError(f"point {far.tolist()} lies beyond +-2**{_AXIS_BITS - 1} "
+                         f"voxels of the grid's base voxel {base.tolist()}")
+
+    new_keys, voxel, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    colored = cloud.color_valid.any()
+    # each point's position fractions, then its color validity and valid colors if the
+    # cloud has any, one contiguous column each for the per-column sums
+    values = np.empty((7 if colored else 3, len(cloud))).T
+    np.rint((scaled - vox) * 2.0 ** _FRACTION_BITS, out=values[:, :3])
+    if colored:
+        valid = cloud.color_valid
+        values[:, 3] = valid
+        np.multiply(cloud.colors, valid[:, None], out=values[:, 4:])
+    k = 1 + values.shape[1]  # count and positions, then the color columns if the cloud has them
+    rows = np.empty((len(new_keys), k), np.int64)
+    rows[:, 0] = counts
+    rows[:, 1:] = _group_sums(voxel, values, len(new_keys))
+    pos, found = _lookup(grid._keys, new_keys)
+    rows[found] += grid._table[pos[found], :k]
+    if rows.max() >= _SUM_LIMIT:
+        raise ValueError("a voxel's sums would reach 2**53")
+    grid._base = base
+    if not found.all():
+        at = pos[~found]
+        grid._keys = np.insert(grid._keys, at, new_keys[~found])
+        grid._table = np.insert(grid._table, at, 0, axis=0)
+        pos = np.searchsorted(grid._keys, new_keys)
+    grid._table[pos, :k] = rows
+    return grid
 
 
 def reference_disparity_to_cloud(disp: DisparityMap, intrinsics: CameraIntrinsics,

@@ -11,6 +11,7 @@ from tagbridge.fusion import (
     _KEY_STRIDES,
     PointCloud,
     VoxelGrid,
+    _bounds,
     _occluded,
     _occupancy_table,
     _pack,
@@ -22,7 +23,7 @@ from tagbridge.fusion import (
 )
 from tagbridge.geometry import CameraIntrinsics, Pose, project_points
 
-from oracles import walk_voxels
+from oracles import reference_accumulate, walk_voxels
 
 
 def small_cam():
@@ -149,6 +150,13 @@ def assert_occluded_matches_reference(grid, start_point, points):
     got = _occluded(grid, start_point, points)
     assert got.tolist() == [reference_occluded(grid, start_point, p) for p in points]
     return got
+
+
+def approach_steps(grid, start_point, occupied_points, queries):
+    """L1 steps from the camera's voxel to the box of the occupied and the query voxels."""
+    vox = grid.voxel_indices(np.vstack([occupied_points, queries]))
+    cam = grid.voxel_indices(start_point[None, :])[0]
+    return int((np.maximum(vox.min(axis=0) - cam, 0) + np.maximum(cam - vox.max(axis=0), 0)).sum())
 
 
 def assert_colorize_matches_reference(cloud, grid, cam, pose):
@@ -385,6 +393,65 @@ class TestAccumulate:
         assert np.array_equal(out.colors, colors)
 
 
+def assert_accumulate_matches_reference(clouds, voxel_size=0.1):
+    """`accumulate` and `reference_accumulate` leave equal grids after every cloud."""
+    grid, ref = VoxelGrid(voxel_size=voxel_size), VoxelGrid(voxel_size=voxel_size)
+    for cloud in clouds:
+        accumulate(grid, cloud)
+        reference_accumulate(ref, cloud)
+        assert np.array_equal(grid._keys, ref._keys)
+        assert np.array_equal(grid._table, ref._table)
+        assert np.array_equal(grid._base, ref._base)
+        assert grid._base.base is None  # no view into a cloud-sized buffer
+    return grid, ref
+
+
+def reference_case(case):
+    """The clouds of one case of the accumulate reference comparison."""
+    rng = np.random.default_rng(len(case))
+    pts = rng.normal(0.0, 0.6, (4000, 3)) + np.array([-3.0, 12.0, 0.4])
+    colors = rng.integers(0, 256, (len(pts), 3)).astype(np.uint8)
+    if case == "coloured":
+        return [PointCloud(positions=pts, colors=colors)]
+    if case == "colourless":
+        return [PointCloud(positions=pts)]
+    if case == "partly-valid":
+        return [PointCloud(positions=pts, colors=colors, color_valid=rng.random(len(pts)) < 0.6)]
+    if case == "single-point":
+        return [PointCloud(positions=pts[:1], colors=colors[:1])]
+    # chunks, colored and colorless, then the whole cloud and a chunk again
+    valid = rng.random(len(pts)) < 0.7
+    clouds = [PointCloud(positions=pts[c], colors=colors[c], color_valid=valid[c]) if i % 2
+              else PointCloud(positions=pts[c])
+              for i, c in enumerate(np.array_split(rng.permutation(len(pts)), 5))]
+    return clouds + [PointCloud(positions=pts, colors=colors, color_valid=valid), clouds[1]]
+
+
+class TestAccumulateMatchesReference:
+    @pytest.mark.parametrize("case", ["coloured", "colourless", "partly-valid", "single-point",
+                                      "chunked-and-re-added"])
+    def test_grid_equals_reference(self, case):
+        clouds = reference_case(case)
+        grid, _ = assert_accumulate_matches_reference(clouds)
+        assert grid.n_points == sum(map(len, clouds))
+
+    def test_beyond_span_cloud_raises_and_leaves_grid(self):
+        # the last point lies one voxel past the +y edge of the span
+        clouds = reference_case("partly-valid")
+        grid, ref = assert_accumulate_matches_reference(clouds)
+        keys, table, base = grid._keys.copy(), grid._table.copy(), grid._base.copy()
+        edge = (grid._base[1] + _HALF_SPAN + 0.5) * grid.voxel_size
+        far = PointCloud(positions=np.vstack([clouds[0].positions[:50], [[0.0, edge, 0.0]]]))
+        with pytest.raises(ValueError, match="beyond") as raised:
+            accumulate(grid, far)
+        with pytest.raises(ValueError) as expected:
+            reference_accumulate(ref, far)
+        assert str(raised.value) == str(expected.value)
+        assert np.array_equal(grid._keys, keys)
+        assert np.array_equal(grid._table, table)
+        assert np.array_equal(grid._base, base)
+
+
 class TestFilterVoxels:
     def test_min_points_one_keeps_all(self):
         rng = np.random.default_rng(2)
@@ -604,7 +671,7 @@ class TestKeyPacking:
         vox = np.vstack([base + rng.integers(-_HALF_SPAN, _HALF_SPAN, (200, 3)),
                          base + rng.integers(-2 ** 40, 2 ** 40, (200, 3)),
                          base - _HALF_SPAN + np.array(edges)])
-        keys, inside = _pack(vox, base)
+        keys, inside = _pack(vox.T, base)
         off = vox - base + _HALF_SPAN
         assert np.array_equal(keys, off @ _KEY_STRIDES)
         assert np.array_equal(inside, np.all((off >= 0) & (off < 2 * _HALF_SPAN), axis=1))
@@ -618,9 +685,21 @@ class TestKeyPacking:
                           for mid in (-1, 0, 1) for hi in (_HALF_SPAN - 1, -_HALF_SPAN)])
         vox = np.vstack([base + edges, base + edges[:, ::-1],
                          base + rng.integers(-_HALF_SPAN, _HALF_SPAN, (200, 3))])
-        keys, inside = _pack(vox, base)
+        keys, inside = _pack(vox.T, base)
         assert inside.all()
-        assert np.array_equal(_unpack(keys, base), vox)
+        assert np.array_equal(_unpack(keys, base), vox.T)
+
+    def test_bounds_of_sorted_keys(self):
+        # voxels on every edge of the span and inside it; the greatest x is not
+        # the x of the greatest y or z
+        rng = np.random.default_rng(22)
+        base = np.array([5, -7, 11])
+        edges = np.array([[-_HALF_SPAN, 3, -_HALF_SPAN], [_HALF_SPAN - 1, -4, 9],
+                          [0, _HALF_SPAN - 1, -2], [1, -_HALF_SPAN, _HALF_SPAN - 1]])
+        for vox in (base + edges, base + rng.integers(-300, 300, (500, 3)), base[None, :]):
+            keys = np.unique(_pack(vox.T, base)[0])
+            bounds = _bounds(keys, base)
+            assert np.array_equal(bounds, np.column_stack([vox.min(axis=0), vox.max(axis=0)]))
 
     def test_utm_scale_coordinates(self):
         rng = np.random.default_rng(15)
@@ -786,7 +865,7 @@ class TestOcclusionWalk:
         grid = accumulate(VoxelGrid(voxel_size=size), PointCloud(positions=[[2.25, 0.25, 0.25]]))
         shift, table = _occupancy_table(grid._keys)
         path = np.column_stack([np.zeros((20, 2), np.int64), np.arange(1, 21)])
-        keys, _ = _pack(path, grid._base)
+        keys, _ = _pack(path.T, grid._base)
         assert table[_slots(keys, shift)].any()
         assert not any(grid.count(v) for v in map(tuple, path))
         start = np.array([0.25, 0.25, 0.25])
@@ -809,6 +888,48 @@ class TestOcclusionWalk:
         visible = assert_colorize_matches_reference(queries, grid, wide_cam(), pose)
         assert 0 < visible[:150].sum() < 150
         assert visible[150:].all()
+
+    def test_camera_inside_the_box(self):
+        # A room: floor, ceiling and four walls around the camera, and a pillar
+        # in front of it. The camera's voxel lies inside the occupied box, so
+        # the walk has no approach phase and tests every step from the first.
+        rng = np.random.default_rng(24)
+        u, v = rng.uniform(-2.0, 2.0, (2, 6000))
+        h = np.full(6000, 2.0)
+        room = np.vstack([np.column_stack(c) for c in
+                          [(u, v, -h + 1.0), (u, v, h + 1.0), (h, u, v + 1.0),
+                           (-h, u, v + 1.0), (u, h, v + 1.0), (u, -h, v + 1.0)]])
+        pillar = rng.uniform([-0.3, -0.3, 1.0], [0.3, 0.3, 1.4], (400, 3))
+        occupied = np.vstack([room, pillar])
+        grid = accumulate(VoxelGrid(voxel_size=0.1), PointCloud(positions=occupied))
+        pose = nadirless_pose(0.03, 0.02, 0.0)
+        queries = np.vstack([room[::40], pillar[:40]])
+        assert approach_steps(grid, pose.t, occupied, queries) == 0
+        visible = assert_colorize_matches_reference(PointCloud(positions=queries), grid,
+                                                    wide_cam(), pose)
+        assert 0 < visible.sum() < np.count_nonzero(queries[:, 2] > 0)
+
+    def test_query_nearer_than_the_map(self):
+        # The map is a wall 30 voxels ahead; the queries lie between it and the
+        # camera, outside the map's box, the first straight ahead on the
+        # camera's axis. Their voxels set the box's near face, 5 voxels ahead:
+        # a walk that skipped its tests until the wall, 30 steps, would pass
+        # the first query's voxel unseen and stop on the wall voxel behind it.
+        size = 0.1
+        x, y = np.mgrid[-9:10, -9:10].reshape(2, -1) * size + 0.05
+        wall = np.column_stack([x, y, np.full(x.size, 3.05)])
+        grid = accumulate(VoxelGrid(voxel_size=size), PointCloud(positions=wall))
+        pose = nadirless_pose(0.05, 0.05, 0.05)
+        rng = np.random.default_rng(25)
+        depth = rng.uniform(0.55, 2.9, 60)
+        free = np.column_stack([rng.uniform(-0.3, 0.3, (2, 60)).T * depth[:, None], depth])
+        queries = np.vstack([[0.05, 0.05, 0.55], free + [0.05, 0.05, 0.0]])
+        assert grid.voxel_indices(queries)[:, 2].max() < 30
+        assert approach_steps(grid, pose.t, wall, queries) == 5
+        assert approach_steps(grid, pose.t, wall, wall) == 30
+        visible = assert_colorize_matches_reference(PointCloud(positions=queries), grid,
+                                                    wide_cam(), pose)
+        assert visible.all()
 
     def test_zero_length_ray(self):
         # Two queries sit at the camera itself: every t_max is inf, so a step

@@ -11,7 +11,6 @@ from tagbridge.geometry import CameraIntrinsics, Pose
 from tagbridge.sgm import (
     MIN_CLOUD_DISPARITY,
     PATHS,
-    SELECT_BLOCK_ROWS,
     UINT16_MAX,
     CostVolume,
     DisparityMap,
@@ -245,7 +244,7 @@ class TestCostVolume:
             finally:
                 tracemalloc.stop()
             assert vol.costs.dtype == np.uint8
-            assert peak <= vol.costs.nbytes + 2 * 5 * sgm.COST_BLOCK_CELLS
+            assert peak <= vol.costs.nbytes + 2 * 5 * sgm.BLOCK_CELLS
 
     def test_identical_images_zero_at_d0(self):
         left, _ = random_dot_pair(shift=0)
@@ -701,6 +700,17 @@ class TestSelectDisparity:
         assert totals[0] >= totals[1] >= totals[2]
 
 
+def block_rows(W, D):
+    """Rows per block of `select_disparity` on (H, W, D) volumes: the cell rule."""
+    return max(1, sgm.BLOCK_CELLS // (W * D))
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """A test-sized BLOCK_CELLS, 5 rows at 40 x 64, so volumes of a few blocks stay small."""
+    monkeypatch.setattr(sgm, "BLOCK_CELLS", 5 * 40 * 64)
+
+
 def select_volume(rng, shape, d_min, base, values):
     """An aggregated-looking CostVolume with its own raw costs, for selection tests.
 
@@ -720,24 +730,39 @@ def select_volume(rng, shape, d_min, base, values):
     return CostVolume(costs=draw(), d_min=d_min, base=base, raw=draw())
 
 
+def assert_select_matches_reference(shape, d_min, seed, bases=("left", "right")):
+    """Blocked selection equals the whole-volume reference on drawn volumes of one shape."""
+    D = shape[2]
+    rng = np.random.default_rng(seed)
+    for values, ratio in itertools.product(("small", "saturated", "ties"), (1.0, 1.05)):
+        left, right = (select_volume(rng, shape, d_min, base, values) for base in bases)
+        # SgmParams needs d_min < d_max; selection reads the range from the volumes
+        p = params(d_min=d_min, d_max=d_min + max(D - 1, 1), uniqueness_ratio=ratio)
+        got = select_disparity(left, p, right)
+        want = reference_select(left, p, right)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.valid, want.valid)
+        assert np.array_equal(got.flags, want.flags)
+
+
 class TestSelectMatchesOracle:
     # heights span a partial last block; W < D puts every column in the wedge,
     # and a negative d_min puts wedge columns at both image edges
     @pytest.mark.parametrize("d_min", [0, 5, -3])
     @pytest.mark.parametrize("W,D", [(9, 1), (1, 2), (13, 2), (2, 3), (17, 3), (70, 64), (40, 64)])
     @pytest.mark.parametrize("bases", [("left", "right")], ids=["left-lr"])
-    def test_bit_identical_to_float32_reference(self, bases, W, D, d_min):
-        shape = (SELECT_BLOCK_ROWS + 3, W, D)
-        rng = np.random.default_rng([W, D, d_min + 3, 6])
-        for values, ratio in itertools.product(("small", "saturated", "ties"), (1.0, 1.05)):
-            left, right = (select_volume(rng, shape, d_min, base, values) for base in bases)
-            # SgmParams needs d_min < d_max; selection reads the range from the volumes
-            p = params(d_min=d_min, d_max=d_min + max(D - 1, 1), uniqueness_ratio=ratio)
-            got = select_disparity(left, p, right)
-            want = reference_select(left, p, right)
-            assert np.array_equal(got.values, want.values)
-            assert np.array_equal(got.valid, want.valid)
-            assert np.array_equal(got.flags, want.flags)
+    def test_bit_identical_to_float32_reference(self, bases, W, D, d_min, small_blocks):
+        assert_select_matches_reference((block_rows(W, D) + 3, W, D), d_min, [W, D, d_min + 3, 6],
+                                        bases)
+
+    # at the shipped BLOCK_CELLS: a volume that one block holds whole, and rows
+    # of more than BLOCK_CELLS cells, which go one row per block
+    @pytest.mark.parametrize("shape,rows", [((20, 40, 64), 20), ((3, 2600, 128), 1)],
+                             ids=["one-block", "one-row"])
+    def test_block_extremes_match_reference(self, shape, rows):
+        H, W, D = shape
+        assert min(H, block_rows(W, D)) == rows
+        assert_select_matches_reference(shape, -3, [H, 7])
 
 
 class TestUint8RawVolumes:
@@ -765,10 +790,10 @@ class TestUint8RawVolumes:
 
     @pytest.mark.parametrize("right_base", ["right"], ids=["lr"])
     @pytest.mark.parametrize("d_min", [0, -3])
-    def test_select_equals_uint16_and_oracle(self, right_base, d_min):
+    def test_select_equals_uint16_and_oracle(self, right_base, d_min, small_blocks):
         # uint8 raw costs under uint16 sums, and uint8 volumes selected
         # unaggregated; 255 fills a third of the cells and every fourth row ties
-        shape = (SELECT_BLOCK_ROWS + 3, 23, 9)
+        shape = (block_rows(23, 9) + 3, 23, 9)
         rng = np.random.default_rng([d_min + 3, 1])
 
         def draw(dtype):
@@ -811,18 +836,26 @@ def cloud_case(case):
         values[:, :3] = [np.nextafter(near, np.float32(0)), near, np.nextafter(near, np.float32(1))]
         valid[:, :3] = True
     values[~valid] = sgm.INVALID_DISPARITY
+    if case == "strided-disparity":
+        values, valid = np.asfortranarray(values), np.asfortranarray(valid)  # column-major
     pose = (Pose(t=[1.5, -2.0, 3.25], r=[0.3, -0.2, 1.1]) if case == "rotated"
             else Pose(t=np.zeros(3), r=np.zeros(3)))
     color = None if case == "no-colour" else rng.integers(0, 256, (H, W, 3), dtype=np.uint8)
+    if case == "strided-colour":
+        color = color.transpose(1, 0, 2).copy().transpose(1, 0, 2)  # column-major pixels
     disp = DisparityMap(values=values, valid=valid, flags=np.where(valid, 0, 1).astype(np.uint8))
     return disp, cam, pose, color
 
 
 class TestDisparityToCloud:
     @pytest.mark.parametrize("case", ["colour", "no-colour", "all-invalid", "one-valid",
-                                      "at-min-disparity", "non-square", "rotated"])
+                                      "at-min-disparity", "non-square", "rotated",
+                                      "strided-colour", "strided-disparity"])
     def test_equals_reference(self, case):
         disp, cam, pose, color = cloud_case(case)
+        if case.startswith("strided"):
+            raster = color if case == "strided-colour" else disp.values
+            assert not raster.flags.c_contiguous
         got = disparity_to_cloud(disp, cam, 0.12, pose, color=color)
         expected = reference_disparity_to_cloud(disp, cam, 0.12, pose, color=color)
         assert np.array_equal(got.positions, expected.positions)
