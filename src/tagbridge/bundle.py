@@ -3,8 +3,10 @@ and the object points by minimizing reprojection error with
 Levenberg-Marquardt. The interior orientation is fixed calibration.
 
 The Jacobian is closed-form, built in one vectorized pass over the
-measurements that shares the projection with the residuals: per
-measurement a 2x6 pose block (t, omega, phi, kappa) and a 2x3 point block.
+measurements from the projection that gave the residuals: per measurement
+a 2x6 pose block (t, omega, phi, kappa) and a 2x3 point block. `solve`
+projects each state it evaluates once, the initial state and each trial,
+and builds an accepted state's Jacobian from that projection.
 Every per-measurement array is component-major, its M measurements on the
 last axis: residuals (2, M), rotations (3, 3, M), Jacobian blocks (2, 6, M)
 and (2, 3, M). So each product and sum over the small axes is an
@@ -15,7 +17,8 @@ unknowns (the unanchored poses); V, one 3x3 block per point; W between them.
 Every pose owns six camera columns, the unanchored poses' first, so every
 measurement is binned alike and the unknowns' blocks are the leading ones.
 Each block, and each half of g = J^T r, is one bincount into bin indices
-that depend only on the problem's structure, so `_Packer` builds them once.
+that depend only on the problem's structure, so `_Packer` builds them, and
+U's mirror index, once.
 Each LM trial eliminates the points by the Schur complement, solves the
 reduced camera system and back-substitutes the points (Triggs et al.,
 "Bundle Adjustment -- A Modern Synthesis", 2000; Lourakis & Argyros, SBA,
@@ -43,6 +46,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -85,13 +89,15 @@ class BundleProblem:
     anchors: frozenset = frozenset()
 
     def __post_init__(self):
-        self.measurements = list(self.measurements)
+        meas = self.measurements = list(self.measurements)
         self.anchors = frozenset(self.anchors)
-        for image_id, point_id, _ in self.measurements:
-            if image_id not in self.poses:
+        images = set(map(itemgetter(0), meas)) - self.poses.keys()
+        points = set(map(itemgetter(1), meas)) - self.points.keys()
+        if images or points:  # name the first measurement with an unknown id
+            image_id, point_id, _ = next(m for m in meas if m[0] in images or m[1] in points)
+            if image_id in images:
                 raise ValueError(f"measurement references unknown image {image_id!r}")
-            if point_id not in self.points:
-                raise ValueError(f"measurement references unknown point {point_id!r}")
+            raise ValueError(f"measurement references unknown point {point_id!r}")
         for a in self.anchors:
             if a not in self.poses:
                 raise ValueError(f"anchor references unknown image {a!r}")
@@ -105,7 +111,7 @@ class SolveReport:
     damping_trace: list  # initial damping, then the damping after each trial
     cost_trace: list  # initial cost, then the cost after each accepted step
     stop: str  # the rule that ended the solve: one of STOP_RULES
-    residual_evals: int  # passes projecting every measurement, Jacobians included
+    residual_evals: int  # passes projecting every measurement: 1 + the trials evaluated
 
     @property
     def converged(self) -> bool:
@@ -142,6 +148,8 @@ class _Packer:
         point_index = {p: i for i, p in enumerate(self.point_ids)}
 
         meas = problem.measurements
+        intr = problem.intrinsics
+        self.principal = np.array([[intr.x0], [intr.y0]])  # (2, 1)
         obs = _stacked([m[2] for m in meas], 2,
                        lambda i: f"pixel of point {meas[i][1]!r} in image {meas[i][0]!r}")
         self.obs = obs.T.copy()  # (2, M)
@@ -156,6 +164,7 @@ class _Packer:
         pose_free = np.array([p not in problem.anchors for p in self.pose_ids], dtype=bool)
         self.free_pose_rows = np.flatnonzero(pose_free)
         self.n_cam = 6 * len(self.free_pose_rows)
+        self.u_lower = np.tril_indices(self.n_cam, -1)  # U's entries mirrored from above
         self.n_params = self.n_cam + 3 * len(self.point_ids)
 
         # Camera columns of each measurement: its pose's six. Every pose owns
@@ -195,8 +204,9 @@ class _Packer:
         return pose[:, :3], pose[:, 3:], x[self.n_cam:].reshape(-1, 3)
 
     def _predict(self, x: np.ndarray):
+        """The projection of x: (residuals (2, M), behind (M,), the terms that
+        `linearize` builds the Jacobian blocks from)."""
         t, r, pts = self.unpack(x)
-        intr = self.problem.intrinsics
         R = rotation_from_angles(r).transpose(1, 2, 0).take(self.meas_pose, axis=2)
         d = pts.T.take(self.meas_point, axis=1) - t.T.take(self.meas_pose, axis=1)
         # camera point = R^T d, its three terms added in sequence
@@ -205,8 +215,8 @@ class _Packer:
         behind = depth <= BEHIND_CAMERA_EPS
         safe = np.where(behind, 1.0, depth)
         norm = cam[:2] / safe
-        focal = intr.focal_px
-        res = self.obs - ([[intr.x0], [intr.y0]] + focal * norm)
+        focal = self.problem.intrinsics.focal_px
+        res = self.obs - (self.principal + focal * norm)
         res[:, behind] = BEHIND_RESIDUAL
         return res, behind, (R, d, r, safe, norm, focal)
 
@@ -214,8 +224,9 @@ class _Packer:
         res, behind, _ = self._predict(x)
         return res.T.ravel(), behind
 
-    def linearize(self, x: np.ndarray):
-        """Residuals at x and their closed-form Jacobian blocks, component-major.
+    def linearize(self, projected):
+        """Residuals and closed-form Jacobian blocks of `projected` =
+        `_predict(x)`, component-major; x is not projected again.
 
         Returns (residuals (2, M), J_cam (2, 6, M), J_point (2, 3, M)):
         J_cam[i, a, m] is the derivative of measurement m's pixel component
@@ -225,7 +236,7 @@ class _Packer:
         Columns of behind-camera measurements are zero: their residual is
         the constant BEHIND_RESIDUAL.
         """
-        res, behind, (R, d, r, depth, norm, focal) = self._predict(x)
+        res, behind, (R, d, r, depth, norm, focal) = projected
         # d pixel / d camera point = focal [I | -n] / depth, and camera point
         # = R^T (P - t), so d pixel_i / d P_j = scale R[j, i] + slope_i R[j, 2],
         # the zero product of [I | -n]'s off-diagonal dropped
@@ -295,23 +306,26 @@ class _NormalEquations:
     and each half of g is one bincount into the packer's bins over every
     pose's camera columns, of which U, W and g keep the leading n_cam."""
 
-    def __init__(self, packer: _Packer, x: np.ndarray):
-        res, J_cam, J_point = packer.linearize(x)
+    def __init__(self, packer: _Packer, x: np.ndarray, projected):
+        """Built from `projected` = `packer._predict(x)`, the projection that
+        gave x's residuals, so x itself is not read (the oracle in
+        `tests/oracles.py` projects it again)."""
+        res, J_cam, J_point = packer.linearize(projected)
         nc, n_cols, n_pts = packer.n_cam, packer.n_cam_cols, len(packer.point_ids)
         res = res[:, None]
         a, b = packer.u_pairs  # U is symmetric: form the a <= b products, mirror the rest
         upper = J_cam[0, a] * J_cam[0, b] + J_cam[1, a] * J_cam[1, b]
         self.U = np.bincount(packer.u_bins, upper.ravel(),
                              n_cols * n_cols).reshape(n_cols, n_cols)[:nc, :nc]
-        lower = np.tril_indices(nc, -1)
-        self.U[lower] = self.U.T[lower]
+        self.U[packer.u_lower] = self.U.T[packer.u_lower]
         self.V = _binned_products(packer.v_bins, J_point, J_point, 9 * n_pts).reshape(n_pts, 3, 3)
         self.W = _binned_products(packer.w_bins, J_cam, J_point,
                                   n_cols * 3 * n_pts).reshape(n_cols, 3 * n_pts)[:nc]
         self.g = np.concatenate([_binned_products(packer.g_cam_bins, J_cam, res, n_cols)[:nc],
                                  _binned_products(packer.g_point_bins, J_point, res, 3 * n_pts)])
-        self.D = np.maximum(np.concatenate([np.diag(self.U),
-                                            self.V[:, [0, 1, 2], [0, 1, 2]].ravel()]), 1e-12)
+        # a 3x3 block's diagonal is every fourth entry of its flat row
+        v_diag = self.V.reshape(-1, 9)[:, ::4]
+        self.D = np.maximum(np.concatenate([np.diag(self.U), v_diag.ravel()]), 1e-12)
 
     def step(self, lam: float) -> np.ndarray:
         """Solve (J^T J + lam diag(D)) delta = -g.
@@ -323,7 +337,7 @@ class _NormalEquations:
         g_cam, g_point = self.g[:nc], self.g[nc:].reshape(-1, 3)
         U = self.U + lam * np.diag(self.D[:nc])
         V = self.V.copy()
-        V[:, [0, 1, 2], [0, 1, 2]] += lam * self.D[nc:].reshape(-1, 3)
+        V.reshape(-1, 9)[:, ::4] += lam * self.D[nc:].reshape(-1, 3)
         V_inv = np.linalg.inv(V)
         W = self.W
         W_V_inv = _times_block_diag(W, V_inv)
@@ -365,8 +379,9 @@ def _check_preconditions(problem: BundleProblem, packer: _Packer):
 def solve(problem: BundleProblem, max_iters: int = 100):
     """Levenberg-Marquardt over the unanchored poses and every point.
 
-    Each iteration builds the closed-form Jacobian blocks and the block
-    normal equations; each trial solves them with the points eliminated by
+    Each iteration builds the closed-form Jacobian blocks, from the
+    projection that evaluated its state, and the block normal equations;
+    each trial solves them with the points eliminated by
     the Schur complement. Damping starts at 1e-3, x10 on a rejected step,
     /10 on an accepted one; it scales D = max(diag(J^T J), 1e-12). Cost
     never increases. Returns (updated problem, SolveReport).
@@ -385,12 +400,9 @@ def solve(problem: BundleProblem, max_iters: int = 100):
     """
     packer = _Packer(problem)
     _check_preconditions(problem, packer)
-
-    def fun(x):
-        return packer.residuals(x)[0]
-
     x = packer.initial_vector()
-    r = fun(x)
+    projected = packer._predict(x)  # kept with x: its Jacobian is built from it
+    r = projected[0].T.ravel()
     evals = 1
     cost = float(r @ r)
     initial_rms = _rms(r)
@@ -407,8 +419,7 @@ def solve(problem: BundleProblem, max_iters: int = 100):
     floor = (eps * np.linalg.norm(packer.obs)) ** 2  # the residuals' own rounding
     stop = "max_iters"
     for iterations in range(1, max_iters + 1):
-        normal = _NormalEquations(packer, x)
-        evals += 1
+        normal = _NormalEquations(packer, x, projected)
         rounding = r.size * eps * cost + floor
         while True:
             if lam > LAMBDA_MAX:
@@ -425,11 +436,12 @@ def solve(problem: BundleProblem, max_iters: int = 100):
             if np.any(np.abs(packer.pose_block(x_new)[:, 4]) >= _MAX_PHI):
                 cost_new = math.inf  # rejected without evaluating it
             else:
-                r_new = fun(x_new)
+                projected_new = packer._predict(x_new)
+                r_new = projected_new[0].T.ravel()
                 evals += 1
                 cost_new = float(r_new @ r_new)
             if cost_new < cost:
-                x, r, cost = x_new, r_new, cost_new
+                x, r, cost, projected = x_new, r_new, cost_new, projected_new
                 lam = max(lam / 10.0, 1e-12)
                 trace.append(lam)
                 costs.append(cost)

@@ -30,9 +30,10 @@ def _checked(x, shape, name):
     products with the copy independent of the caller's memory layout.
     """
     a = np.array(x, dtype=float, order="C")
-    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+    if a.shape != shape and (a.ndim != len(shape)
+                             or any(n not in (None, m) for n, m in zip(shape, a.shape))):
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.isfinite(a).all():
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         raise ValueError(f"{name} must be finite")
     a.flags.writeable = False
     return a

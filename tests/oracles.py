@@ -111,9 +111,10 @@ def reference_linearize(packer, x: np.ndarray):
 class ReferenceNormalEquations(_NormalEquations):
     """`bundle._NormalEquations` (and its `step`) with U, V, W, g and D summed
     from `reference_linearize`'s blocks by per-measurement einsums, the bins
-    indexed per call over every pose's camera columns, the leading n_cam kept."""
+    indexed per call over every pose's camera columns, the leading n_cam kept.
+    It projects x on its own: the projection passed in is ignored."""
 
-    def __init__(self, packer, x: np.ndarray):
+    def __init__(self, packer, x: np.ndarray, projected):
         res, J_cam, J_point = reference_linearize(packer, x)
         nc, n_cols = packer.n_cam, packer.n_cam_cols
         cols = packer.cam_cols

@@ -19,10 +19,11 @@ PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
 
 
 def checkouts(tmp_path, parent, change, seeds=None, agree=(0.9, 0.9), fail_frac=(0.0, 0.0),
-              problems=()):
+              problems=(), seconds=None):
     """A parent and a change checkout with one record per seed; even pairs ran the parent first.
 
-    `fail_frac` is (parent, change) for every run; `problems` are the change's last run's.
+    `fail_frac` is (parent, change) for every run; `problems` are the change's last run's;
+    `seconds` maps (side, seed) to a run's `--seconds`, 25 where it has no entry.
     """
     seeds = list(range(101, 101 + len(parent))) if seeds is None else seeds
     dirs = {side: tmp_path / side for side in ("parent", "change")}
@@ -36,7 +37,9 @@ def checkouts(tmp_path, parent, change, seeds=None, agree=(0.9, 0.9), fail_frac=
                        "fail_frac": fail_frac[side == "change"]}
             failed = list(problems) if side == "change" and i == len(seeds) - 1 else []
             path = dirs[side] / ".bench_out" / f"recolor-seed{seed}-trace0.json"
-            path.write_text(json.dumps({"metrics": metrics, "problems": failed}))
+            length = (seconds or {}).get((side, seed), 25.0)
+            path.write_text(json.dumps({"metrics": metrics, "problems": failed,
+                                        "seconds": length}))
             written = 1_000_000 + 10 * i + rank
             os.utime(path, (written, written))
     return dirs
@@ -102,3 +105,19 @@ def test_seeds_must_pair_up(tmp_path):
     (dirs["change"] / ".bench_out" / "recolor-seed110-trace0.json").unlink()
     with pytest.raises(SystemExit):
         run_tool(tmp_path, dirs)
+
+
+@pytest.mark.parametrize("mixed", [{("change", 103): 12.0},
+                                   {("parent", 101): 12.0, ("parent", 102): 12.0,
+                                    ("change", 110): 5.0}],
+                         ids=["one-change-run", "both-sides"])
+def test_runs_of_different_lengths_refused(tmp_path, capsys, mixed):
+    dirs = checkouts(tmp_path, PARENT, PARENT, seconds=mixed)
+    with pytest.raises(SystemExit):
+        run_tool(tmp_path, dirs)
+    error = capsys.readouterr().err
+    assert "recolor: runs of different --seconds cannot be paired" in error
+    for side, seed in mixed:
+        assert f"{side} {seed}" in error
+    assert "25 s in parent 10" in error
+    assert not (tmp_path / "BENCH_1.json").exists()

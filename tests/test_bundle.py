@@ -98,7 +98,7 @@ def analytic_jacobian(packer, x):
     Every pose's camera columns are assembled, then the anchored poses'
     (`n_cam` up to `n_cam_cols`) dropped: they are not unknowns.
     """
-    res, J_cam, J_point = packer.linearize(x)
+    res, J_cam, J_point = packer.linearize(packer._predict(x))
     res, J_cam, J_point = res.T, J_cam.transpose(2, 0, 1), J_point.transpose(2, 0, 1)
     m = len(res)
     J = np.zeros((2 * m, packer.n_cam_cols + 3 * len(packer.point_ids)))
@@ -225,6 +225,20 @@ class TestMalformedInput:
             anchors.add("img_0099")
         with pytest.raises(ValueError, match=message):
             BundleProblem(aerial_cam, poses, points, meas, anchors=anchors)
+
+    @pytest.mark.parametrize("first, message", [
+        ("point", r"^measurement references unknown point 98$"),
+        ("image", r"^measurement references unknown image 'img_0098'$"),
+    ])
+    def test_first_measurement_with_an_unknown_id_named(self, aerial_cam, first, message):
+        poses, points, meas = synthetic_block(aerial_cam, n_cams=3, n_points=4)
+        bad = [("img_0001", 98, meas[0][2]), ("img_0098", 0, meas[0][2]),
+               ("img_0099", 99, meas[0][2]), ("img_0002", 97, meas[0][2])]
+        if first == "image":
+            bad[:2] = bad[1::-1]
+        meas[3:3] = bad
+        with pytest.raises(ValueError, match=message):
+            BundleProblem(aerial_cam, poses, points, meas, anchors={"img_0000"})
 
     @pytest.mark.parametrize("pixel", [np.array([10.0, np.nan]), np.array([10.0, 20.0, 1.0])],
                              ids=["nan", "three_values"])
@@ -393,10 +407,32 @@ class TestSolve:
         monkeypatch.setattr(_Packer, "_predict", counted)
         _, report = solve(problem)
         assert report.residual_evals == len(calls) > 2
-        # the initial evaluation, one Jacobian per iteration (the last one
-        # ends it before a trial) and one evaluation per trial
+        # the initial evaluation and one per trial (no trial here nears the
+        # gimbal guard, which rejects a step unevaluated); each Jacobian is
+        # built from its state's evaluation
         assert report.stop == "predicted_decrease"
-        assert report.residual_evals == 1 + report.iterations + len(report.damping_trace) - 1
+        assert report.residual_evals == 1 + len(report.damping_trace) - 1
+
+    @pytest.mark.parametrize("case", ["noisy", "one_iteration", "exact"])
+    def test_no_state_projected_twice(self, aerial_cam, monkeypatch, case):
+        sigma = 0.0 if case == "exact" else 0.5
+        poses, points, meas = synthetic_block(aerial_cam, n_points=15, sigma=sigma, seed=4)
+        if case != "exact":
+            poses = perturb(poses, {"img_0000"}, dt=0.3, dr_deg=0.3, seed=5)
+        problem = BundleProblem(aerial_cam, poses, points, meas, anchors={"img_0000"})
+        calls = []
+        predict = _Packer._predict
+
+        def counted(packer, x):
+            calls.append(x.copy())
+            return predict(packer, x)
+
+        monkeypatch.setattr(_Packer, "_predict", counted)
+        _, report = solve(problem, max_iters=1 if case == "one_iteration" else 100)
+        assert len({x.tobytes() for x in calls}) == len(calls)
+        assert np.array_equal(calls[0], _Packer(problem).initial_vector())
+        trials = len(report.damping_trace) - 1  # none rejected by the gimbal guard here
+        assert report.residual_evals == len(calls) == 1 + trials
 
     @pytest.mark.parametrize("case, stop", [
         ("exact", "predicted_decrease"),
@@ -421,7 +457,7 @@ class TestSolve:
             # rounding: one Jacobian, no trial, the block returned as it came
             assert report.iterations == 1
             assert len(report.damping_trace) == len(report.cost_trace) == 1
-            assert report.residual_evals == 2
+            assert report.residual_evals == 1
             for i in poses:
                 assert np.array_equal(refined.poses[i].t, poses[i].t)
                 assert np.array_equal(refined.poses[i].r, poses[i].r)
@@ -476,7 +512,7 @@ class TestJacobian:
             assert np.max(np.abs(J[:, j] - J_num[:, j])) <= 1e-6 * scale, j
 
         # the block normal equations are J^T J and J^T r of the same J
-        normal = _NormalEquations(packer, x)
+        normal = _NormalEquations(packer, x, packer._predict(x))
         A = J.T @ J
         nc = packer.n_cam
         tol = 1e-12 * np.max(np.abs(A))
@@ -502,7 +538,7 @@ class TestJacobian:
         J, r = analytic_jacobian(packer, x)
         A = J.T @ J
         dense = np.linalg.solve(A + lam * np.diag(np.maximum(np.diag(A), 1e-12)), -J.T @ r)
-        step = _NormalEquations(packer, x).step(lam)
+        step = _NormalEquations(packer, x, packer._predict(x)).step(lam)
         assert np.linalg.norm(step - dense) <= 1e-8 * np.linalg.norm(dense)
 
 
@@ -529,7 +565,7 @@ class TestComponentMajorBuild:
     @pytest.mark.parametrize("anchors", ["one", "two", "all"])
     def test_linearize_equals_einsum_oracle(self, aerial_cam, anchors, seed):
         packer, x = oracle_block(aerial_cam, anchors, seed)
-        res, J_cam, J_point = packer.linearize(x)
+        res, J_cam, J_point = packer.linearize(packer._predict(x))
         ref_res, ref_cam, ref_point = reference_linearize(packer, x)
         assert J_cam.shape == (2, 6, len(ref_res))
         assert packer.residuals(x)[1][-3:-1].all()  # point 99's two measurements
@@ -542,8 +578,8 @@ class TestComponentMajorBuild:
     @pytest.mark.parametrize("anchors", ["one", "two", "all"])
     def test_normal_equations_equal_einsum_oracle(self, aerial_cam, anchors, seed):
         packer, x = oracle_block(aerial_cam, anchors, seed)
-        normal = _NormalEquations(packer, x)
-        ref = ReferenceNormalEquations(packer, x)
+        normal = _NormalEquations(packer, x, packer._predict(x))
+        ref = ReferenceNormalEquations(packer, x, None)  # it projects x on its own
         for name in ("U", "V", "W", "g", "D"):
             assert np.array_equal(getattr(normal, name), getattr(ref, name)), name
 
@@ -583,7 +619,7 @@ class TestNormalEquationsStep:
         packer = _Packer(problem)
         x = packer.initial_vector()
         J, r = analytic_jacobian(packer, x)
-        normal = _NormalEquations(packer, x)
+        normal = _NormalEquations(packer, x, packer._predict(x))
         delta = normal.step(lam)
         model = r + J @ delta
         expected = r @ r - model @ model

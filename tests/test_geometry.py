@@ -7,6 +7,7 @@ from tagbridge.geometry import (
     CameraIntrinsics,
     Pose,
     RigidTransform,
+    _checked,
     _group_sums,
     angles_from_rotation,
     apply_transform,
@@ -320,6 +321,37 @@ class TestValueTypes:
             RigidTransform(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError, match=r"t must have shape \(2, 3\), got \(3, 3\)"):
             Trajectory(np.arange(2.0), np.zeros((3, 3)), np.zeros((2, 3)))
+
+
+class TestChecked:
+    @pytest.mark.parametrize("value, shape, message", [
+        ([1.0, 2.0], (3,), r"^v must have shape \(3,\), got \(2,\)$"),
+        ([[1.0, 2.0, 3.0]], (3,), r"^v must have shape \(3,\), got \(1, 3\)$"),
+        (1.0, (3,), r"^v must have shape \(3,\), got \(\)$"),
+        (np.zeros((2, 3)), (None, 2), r"^v must have shape \(None, 2\), got \(2, 3\)$"),
+        (np.zeros((2, 3, 1)), (None, 3), r"^v must have shape \(None, 3\), got \(2, 3, 1\)$"),
+        ([1.0, np.nan, 3.0], (3,), r"^v must be finite$"),
+        ([np.inf, 2.0, 3.0], (3,), r"^v must be finite$"),
+        ([1.0, 2.0, -np.inf], (3,), r"^v must be finite$"),
+        ([[0.0, 1.0], [np.nan, 2.0]], (None, 2), r"^v must be finite$"),
+    ], ids=["wrong-length", "wrong-rank", "scalar", "none-axis-length", "none-axis-rank",
+            "nan", "inf", "minus-inf", "none-axis-nan"])
+    def test_rejects(self, value, shape, message):
+        with pytest.raises(ValueError, match=message):
+            _checked(value, shape, "v")
+
+    @pytest.mark.parametrize("value, shape", [
+        ([1, 2, 3], (3,)),
+        (np.zeros((0, 3)), (None, 3)),
+        (np.arange(12.0).reshape(4, 3), (None, 3)),
+        (np.arange(12.0).reshape(3, 4).T, (4, None)),
+        (np.arange(5), (None,)),
+    ], ids=["ints", "empty-none-axis", "none-axis", "fortran-order", "none-1d"])
+    def test_returns_read_only_c_ordered_float_copy(self, value, shape):
+        a = _checked(value, shape, "v")
+        assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
+        assert np.array_equal(a, value)
+        assert not np.shares_memory(a, value)
 
 
 class TestGroupSums:

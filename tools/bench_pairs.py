@@ -8,7 +8,8 @@
 ran once per workload and seed, each run leaving its record in
 `.bench_out/<workload>-seed<seed>-trace0.json`. The two runs of one seed
 form a pair, and the side whose record was written first ran first. Every
-workload with records is read; both sides must hold the same seeds.
+workload with records is read; both sides must hold the same seeds, and
+every run of a workload must have run for the same `--seconds`.
 
 For each workload the `workloads` block lists the seeds, which side ran
 first in each pair, whether every run passed its checks, each side's
@@ -44,14 +45,14 @@ RULE = (f"every run passes its checks, the change fails no larger share of opera
 
 
 def records(checkout: Path) -> dict:
-    """{workload: {seed: (metrics, problems, mtime)}} of a checkout's untraced run records."""
+    """{workload: {seed: (metrics, problems, mtime, seconds)}} of a checkout's untraced runs."""
     found: dict = {}
     for path in sorted((checkout / ".bench_out").glob("*-trace0.json")):
         match = RECORD.fullmatch(path.name)
         if match:
             record = json.loads(path.read_text())
             found.setdefault(match["workload"], {})[int(match["seed"])] = (
-                record["metrics"], record["problems"], path.stat().st_mtime)
+                record["metrics"], record["problems"], path.stat().st_mtime, record["seconds"])
     return found
 
 
@@ -82,7 +83,7 @@ def compare(spec: dict, parent: list, change: list) -> dict:
 
 
 def summarise(spec: list, parent: dict, change: dict) -> dict:
-    """The block of one workload from {seed: (metrics, problems, mtime)} of each side."""
+    """The block of one workload from {seed: (metrics, problems, mtime, seconds)} of each side."""
     seeds = sorted(parent)
     return {
         "seeds": seeds,
@@ -126,6 +127,13 @@ def main(argv=None) -> int:
         if not seeds[0] or seeds[0] != seeds[1]:
             parser.error(f"{w}: parent seeds {seeds[0]} and change seeds {seeds[1]} "
                          "must be equal and not empty")
+        lengths: dict = {}  # --seconds: ["<side> <seed>" of each run at that length]
+        for side, runs in (("parent", parent[w]), ("change", change[w])):
+            for seed, run in sorted(runs.items()):
+                lengths.setdefault(run[3], []).append(f"{side} {seed}")
+        if len(lengths) > 1:
+            parser.error(f"{w}: runs of different --seconds cannot be paired: " + "; ".join(
+                f"{seconds:g} s in {', '.join(runs)}" for seconds, runs in sorted(lengths.items())))
     workloads = {w: summarise(spec, parent[w], change[w]) for w in names}
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
     bench["workloads"] = workloads
