@@ -2,11 +2,14 @@
 and the object points by minimizing reprojection error with
 Levenberg-Marquardt. The interior orientation is fixed calibration.
 
+The unknowns of a free pose are its center t and a rotation increment delta
+in its camera frame, R <- R exp([delta]x), which an accepted step folds into
+R (Triggs et al. 2000, sec. 2.2; Sola, Deray & Atchuthan, arXiv:1812.01537).
 The Jacobian is closed-form, built in one vectorized pass over the
 measurements from the projection that gave the residuals: per measurement
-a 2x6 pose block (t, omega, phi, kappa) and a 2x3 point block. `solve`
-projects each state it evaluates once, the initial state and each trial,
-and builds an accepted state's Jacobian from that projection.
+a 2x6 pose block (t, delta) and a 2x3 point block. `solve` projects each
+state it evaluates once, the initial state and each trial, and builds an
+accepted state's Jacobian from that projection.
 Every per-measurement array is component-major, its M measurements on the
 last axis: residuals (2, M), rotations (3, 3, M), Jacobian blocks (2, 6, M)
 and (2, 3, M). So each product and sum over the small axes is an
@@ -44,22 +47,17 @@ step-norm test.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
-from .errors import (
-    GaugeNotFixed,
-    GimbalLock,
-    SingularNormalEquations,
-    Underconstrained,
-)
+from .errors import GaugeNotFixed, SingularNormalEquations, Underconstrained
 from .geometry import (
     BEHIND_CAMERA_EPS,
     CameraIntrinsics,
     Pose,
+    angles_from_rotation,
     rotation_from_angles,
 )
 
@@ -67,14 +65,14 @@ logger = logging.getLogger(__name__)
 
 # Residual assigned (per component) to measurements behind the camera.
 BEHIND_RESIDUAL = 1e6
-MAX_PHI_DEG = 89.0
-_MAX_PHI = math.radians(MAX_PHI_DEG)
 LAMBDA_INIT = 1e-3
 LAMBDA_MAX = 1e15
 # The rules that can end `solve` (`SolveReport.stop`), each with whether it
 # counts as converged
 STOP_RULES = {"predicted_decrease": True, "no_free_parameters": True,
               "no_acceptable_step": False, "max_iters": False}
+# The (3, 9) map from w to [w]x flattened: row i is [e_i]x
+_SKEW = np.cross(np.eye(3)[:, None], np.eye(3)).transpose(0, 2, 1).reshape(3, 9)
 
 
 @dataclass
@@ -111,11 +109,14 @@ class SolveReport:
     damping_trace: list  # initial damping, then the damping after each trial
     cost_trace: list  # initial cost, then the cost after each accepted step
     stop: str  # the rule that ended the solve: one of STOP_RULES
-    residual_evals: int  # passes projecting every measurement: 1 + the trials evaluated
 
     @property
     def converged(self) -> bool:
         return STOP_RULES[self.stop]
+
+    @property
+    def residual_evals(self) -> int:  # projections: the initial state and each trial
+        return len(self.damping_trace)
 
 
 def _stacked(values, width: int, name) -> np.ndarray:
@@ -132,17 +133,33 @@ def _stacked(values, width: int, name) -> np.ndarray:
     raise ValueError(f"{name(i)} must be a finite ({width},) vector")
 
 
+def _exp(w: np.ndarray) -> np.ndarray:
+    """exp([w]x) of (n, 3) rotation vectors by Rodrigues' formula, cos(theta) I
+    + sin(theta) / theta [w]x + (1 - cos(theta)) / theta^2 w w^T, theta = |w|;
+    theta^2 floored at the smallest normal float, so w = 0 gives I."""
+    theta2 = np.maximum(np.vecdot(w, w), np.finfo(float).tiny)
+    theta = np.sqrt(theta2)
+    cos = np.cos(theta)
+    E = ((1.0 - cos) / theta2)[:, None, None] * (w[:, :, None] * w[:, None, :])
+    E += ((np.sin(theta) / theta)[:, None] * w @ _SKEW).reshape(-1, 3, 3)
+    E.reshape(-1, 9)[:, ::4] += cos[:, None]
+    return E
+
+
 class _Packer:
     """Maps between a flat parameter vector and problem state, vectorized.
 
-    The vector holds the unanchored poses as (t, omega, phi, kappa) rows
-    (the first `n_cam` entries: the camera unknowns), then the points as
-    (x, y, z) rows.
+    The vector holds the unanchored poses as (t, delta) rows (the first
+    `n_cam` entries: the camera unknowns), then the points as (x, y, z)
+    rows. It stands for the rotations R exp([delta]x) of the poses' kept
+    rotations R, which `fold` updates.
     """
 
     def __init__(self, problem: BundleProblem):
         self.problem = problem
-        self.pose_ids = sorted(problem.poses)
+        # the unanchored poses first, then the anchored ones, each in sorted-id order
+        self.pose_ids = sorted(sorted(problem.poses), key=problem.anchors.__contains__)
+        self.n_free = len(self.pose_ids) - len(problem.anchors)
         self.point_ids = sorted(problem.points)
         pose_index = {p: i for i, p in enumerate(self.pose_ids)}
         point_index = {p: i for i, p in enumerate(self.point_ids)}
@@ -156,23 +173,20 @@ class _Packer:
         self.meas_pose = np.array([pose_index[m[0]] for m in meas], dtype=int)
         self.meas_point = np.array([point_index[m[1]] for m in meas], dtype=int)
 
-        self.base_pose = np.array([np.concatenate([problem.poses[p].t, problem.poses[p].r])
-                                   for p in self.pose_ids]).reshape(-1, 6)
+        self.base_t = np.array([problem.poses[p].t for p in self.pose_ids]).reshape(-1, 3)
+        self.rot = rotation_from_angles(
+            np.array([problem.poses[p].r for p in self.pose_ids]).reshape(-1, 3))
         self.base_pts = _stacked([problem.points[p] for p in self.point_ids], 3,
                                  lambda i: f"point {self.point_ids[i]!r}")
 
-        pose_free = np.array([p not in problem.anchors for p in self.pose_ids], dtype=bool)
-        self.free_pose_rows = np.flatnonzero(pose_free)
-        self.n_cam = 6 * len(self.free_pose_rows)
+        self.n_cam = 6 * self.n_free
         self.u_lower = np.tril_indices(self.n_cam, -1)  # U's entries mirrored from above
         self.n_params = self.n_cam + 3 * len(self.point_ids)
 
         # Camera columns of each measurement: its pose's six. Every pose owns
-        # six, the free poses' first in sorted-id order (the camera unknowns,
-        # columns < n_cam), then the anchored poses'.
-        pose_rank = np.argsort(np.argsort(~pose_free, kind="stable"))
+        # six in pose order, so the free poses' are the unknowns, below n_cam.
         self.n_cam_cols = 6 * len(self.pose_ids)
-        self.cam_cols = 6 * pose_rank[self.meas_pose][:, None] + np.arange(6)
+        self.cam_cols = 6 * self.meas_pose[:, None] + np.arange(6)
 
         # Bin indices of the normal equations' (a, b, M) terms, flattened, so
         # each bin adds its measurements in m order: U[cam[a], cam[b]] for
@@ -190,24 +204,29 @@ class _Packer:
         self.g_point_bins = pt.ravel()
 
     def pose_block(self, x: np.ndarray) -> np.ndarray:
-        """The free poses in x as (n, 6) rows of (t, omega, phi, kappa)."""
+        """The free poses in x as (n, 6) rows of (t, delta), a view."""
         return x[:self.n_cam].reshape(-1, 6)
 
     def initial_vector(self) -> np.ndarray:
-        return np.concatenate([self.base_pose[self.free_pose_rows].ravel(),
-                               self.base_pts.ravel()])
+        poses = np.hstack([self.base_t[:self.n_free], np.zeros((self.n_free, 3))])
+        return np.concatenate([poses.ravel(), self.base_pts.ravel()])
 
     def unpack(self, x: np.ndarray):
-        """(t, r, points) at x."""
-        pose = self.base_pose.copy()
-        pose[self.free_pose_rows] = self.pose_block(x)
-        return pose[:, :3], pose[:, 3:], x[self.n_cam:].reshape(-1, 3)
+        """(t, rotations (n_poses, 3, 3), points) at x."""
+        block, n = self.pose_block(x), self.n_free
+        rot = np.concatenate([self.rot[:n] @ _exp(block[:, 3:]), self.rot[n:]])
+        return np.concatenate([block[:, :3], self.base_t[n:]]), rot, x[self.n_cam:].reshape(-1, 3)
+
+    def fold(self, x: np.ndarray, projected):
+        """Keep the rotations of `projected` = `_predict(x)`; zero x's increments in place."""
+        self.rot = projected[2][0]
+        self.pose_block(x)[:, 3:] = 0.0
 
     def _predict(self, x: np.ndarray):
-        """The projection of x: (residuals (2, M), behind (M,), the terms that
-        `linearize` builds the Jacobian blocks from)."""
-        t, r, pts = self.unpack(x)
-        R = rotation_from_angles(r).transpose(1, 2, 0).take(self.meas_pose, axis=2)
+        """The projection of x: (residuals (2, M), behind (M,), the rotations
+        at x and the terms that `linearize` builds the Jacobian blocks from)."""
+        t, rot, pts = self.unpack(x)
+        R = rot.transpose(1, 2, 0).take(self.meas_pose, axis=2)
         d = pts.T.take(self.meas_point, axis=1) - t.T.take(self.meas_pose, axis=1)
         # camera point = R^T d, its three terms added in sequence
         cam = R[0] * d[0] + R[1] * d[1] + R[2] * d[2]
@@ -218,7 +237,7 @@ class _Packer:
         focal = self.problem.intrinsics.focal_px
         res = self.obs - (self.principal + focal * norm)
         res[:, behind] = BEHIND_RESIDUAL
-        return res, behind, (R, d, r, safe, norm, focal)
+        return res, behind, (rot, R, safe, norm, focal)
 
     def residuals(self, x: np.ndarray):
         res, behind, _ = self._predict(x)
@@ -236,43 +255,36 @@ class _Packer:
         Columns of behind-camera measurements are zero: their residual is
         the constant BEHIND_RESIDUAL.
         """
-        res, behind, (R, d, r, depth, norm, focal) = projected
+        res, behind, (_, R, depth, norm, focal) = projected
         # d pixel / d camera point = focal [I | -n] / depth, and camera point
         # = R^T (P - t), so d pixel_i / d P_j = scale R[j, i] + slope_i R[j, 2],
         # the zero product of [I | -n]'s off-diagonal dropped
         scale = focal * (1.0 / depth)
         slope = focal * (-norm / depth)
-        dpx_dP = slope[:, None] * R[:, 2]
+        J_cam = np.empty((2, 6, len(depth)))
+        dpx_dP = J_cam[:, :3]
+        np.multiply(slope[:, None], R[:, 2], out=dpx_dP)
         dpx_dP += scale * R[:, :2].transpose(1, 0, 2)
-
-        # d R / d angle = [a]x R with a = R e_x (omega), Rz(kappa) e_y (phi)
-        # and e_z (kappa), so d camera point / d angle = R^T ((P - t) x a);
-        # each cross product's terms as np.cross computes them, less the
-        # products with a zero component of the axis
-        d0, d1, d2 = d
-        e0, e1, e2 = R[:, 0]
-        kappa = r[self.meas_pose, 2]
-        sk, ck = np.sin(kappa), np.cos(kappa)
-        cross = np.array([[d1 * e2 - d2 * e1, d2 * e0 - d0 * e2, d0 * e1 - d1 * e0],
-                          [-(d2 * ck), -(d2 * sk), d0 * ck + d1 * sk],
-                          [d1, -d0, np.zeros_like(d0)]])
-        # the sum over j added as (j0 + j2) + j1, the einsum oracle's order
-        dpx_dangles = (dpx_dP[:, None, 0] * cross[:, 0] + dpx_dP[:, None, 2] * cross[:, 2]
-                       + dpx_dP[:, None, 1] * cross[:, 1])
-        J_cam = np.concatenate([dpx_dP, -dpx_dangles], axis=1)
-        J_cam[..., behind] = 0.0
         J_point = -dpx_dP
         J_point[..., behind] = 0.0
+
+        # camera point c = exp(-[delta]x) R^T (P - t), so d c / d delta = [c]x
+        # at delta = 0, and d pixel / d delta = focal [I | -n] [c]x / depth
+        # = focal [[n0 n1, -(1 + n0^2), n1], [1 + n1^2, -n0 n1, -n0]]
+        n0, n1 = norm
+        J_cam[:, 3:] = [[n0 * n1, -1.0 - n0 * n0, n1], [1.0 + n1 * n1, -(n0 * n1), -n0]]
+        J_cam[:, 3:] *= -focal
+        J_cam[..., behind] = 0.0
         return res, J_cam, J_point
 
     def rebuild_problem(self, x: np.ndarray) -> BundleProblem:
-        t, r, pts = self.unpack(x)
-        poses = {p: Pose(t=t[i], r=r[i]) for i, p in enumerate(self.pose_ids)}
+        t, rot, pts = self.unpack(x)
+        r = angles_from_rotation(rot[:self.n_free])  # the anchored poses as given
+        poses = {p: Pose(t=t[i], r=r[i]) for i, p in enumerate(self.pose_ids[:self.n_free])}
+        poses.update((p, self.problem.poses[p]) for p in self.pose_ids[self.n_free:])
         points = {p: pts[i].copy() for i, p in enumerate(self.point_ids)}
-        return BundleProblem(
-            intrinsics=self.problem.intrinsics, poses=poses, points=points,
-            measurements=self.problem.measurements, anchors=self.problem.anchors,
-        )
+        given = self.problem
+        return BundleProblem(given.intrinsics, poses, points, given.measurements, given.anchors)
 
 
 def _times_block_diag(W: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -369,11 +381,6 @@ def _check_preconditions(problem: BundleProblem, packer: _Packer):
     few = np.flatnonzero(n_images < 2)
     if few.size:
         raise Underconstrained(packer.point_ids[few[0]], int(n_images[few[0]]))
-    steep = np.flatnonzero(np.abs(packer.base_pose[:, 4]) >= _MAX_PHI)
-    if steep.size:
-        raise GimbalLock(
-            f"pose {packer.pose_ids[steep[0]]!r} has |phi| >= {MAX_PHI_DEG} deg; "
-            "reparameterize the block")
 
 
 def solve(problem: BundleProblem, max_iters: int = 100):
@@ -403,7 +410,6 @@ def solve(problem: BundleProblem, max_iters: int = 100):
     x = packer.initial_vector()
     projected = packer._predict(x)  # kept with x: its Jacobian is built from it
     r = projected[0].T.ravel()
-    evals = 1
     cost = float(r @ r)
     initial_rms = _rms(r)
     lam = LAMBDA_INIT
@@ -413,7 +419,7 @@ def solve(problem: BundleProblem, max_iters: int = 100):
 
     if packer.n_params == 0:
         return packer.rebuild_problem(x), SolveReport(
-            initial_rms, initial_rms, 0, trace, costs, "no_free_parameters", evals)
+            initial_rms, initial_rms, 0, trace, costs, "no_free_parameters")
 
     eps = np.finfo(float).eps
     floor = (eps * np.linalg.norm(packer.obs)) ** 2  # the residuals' own rounding
@@ -433,14 +439,11 @@ def solve(problem: BundleProblem, max_iters: int = 100):
                 stop = "predicted_decrease"
                 break
             x_new = x + delta
-            if np.any(np.abs(packer.pose_block(x_new)[:, 4]) >= _MAX_PHI):
-                cost_new = math.inf  # rejected without evaluating it
-            else:
-                projected_new = packer._predict(x_new)
-                r_new = projected_new[0].T.ravel()
-                evals += 1
-                cost_new = float(r_new @ r_new)
+            projected_new = packer._predict(x_new)
+            r_new = projected_new[0].T.ravel()
+            cost_new = float(r_new @ r_new)
             if cost_new < cost:
+                packer.fold(x_new, projected_new)
                 x, r, cost, projected = x_new, r_new, cost_new, projected_new
                 lam = max(lam / 10.0, 1e-12)
                 trace.append(lam)
@@ -453,8 +456,7 @@ def solve(problem: BundleProblem, max_iters: int = 100):
 
     final_rms = _rms(r)
     report = SolveReport(initial_rms=initial_rms, final_rms=final_rms, iterations=iterations,
-                         damping_trace=trace, cost_trace=costs, stop=stop,
-                         residual_evals=evals)
+                         damping_trace=trace, cost_trace=costs, stop=stop)
     if not report.converged:
         logger.warning("LM stopped on %s after %d iterations (rms %.3e px)",
                        stop, iterations, final_rms)

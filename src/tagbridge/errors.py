@@ -54,10 +54,6 @@ class SingularNormalEquations(TagbridgeError):
     """Damped normal equations could not be solved."""
 
 
-class GimbalLock(TagbridgeError):
-    """A pose's pitch angle is too close to +-90 degrees for the angle parameterization."""
-
-
 class ImageTooSmall(TagbridgeError):
     """Image smaller than the census window."""
 

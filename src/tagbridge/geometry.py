@@ -4,7 +4,9 @@ Conventions used throughout the toolkit:
 
 * World frame: right-handed, Z up, metric (UTM-style easting/northing/height).
 * Rotation angles (omega, phi, kappa) give R = Rz(kappa) @ Ry(phi) @ Rx(omega),
-  and R maps camera-frame vectors into the world frame.
+  and R maps camera-frame vectors into the world frame. `Pose` stores the
+  angles; the bundle perturbs R on the right, R exp([delta]x), delta in the
+  camera frame.
 * Camera frame: +Z is the viewing axis, +X points right (increasing pixel u),
   +Y points down (increasing pixel v).
 * Pixel origin at the top-left, pixel centers on integer coordinates.

@@ -40,7 +40,6 @@ from tagbridge.geometry import (
     Pose,
     _group_sums,
     _pixels_to_normalized,
-    rotation_from_angles,
 )
 from tagbridge.sgm import (
     FLAG_LR_FAILED,
@@ -73,11 +72,14 @@ def reference_linearize(packer, x: np.ndarray):
     """(residuals (M, 2), J_cam (M, 2, 6), J_point (M, 2, 3)) of a bundle `_Packer` at x.
 
     The blocks of `_Packer.linearize`, transposed, built with (3, 3)
-    rotations and 2x3 derivative blocks per measurement.
+    rotations and 2x3 derivative blocks per measurement. The rotation block
+    is the closed form in the normalized coordinates n, each measurement's
+    -focal [[n0 n1, -(1 + n0^2), n1], [1 + n1^2, -n0 n1, -n0]]; the tests
+    check it against central differences.
     """
-    t, r, pts = packer.unpack(x)
+    t, rot, pts = packer.unpack(x)
     intr = packer.problem.intrinsics
-    R = rotation_from_angles(r)[packer.meas_pose]
+    R = rot[packer.meas_pose]
     d = pts[packer.meas_point] - t[packer.meas_pose]
     cam = np.einsum("mji,mj->mi", R, d)
     depth = cam[:, 2]
@@ -94,14 +96,11 @@ def reference_linearize(packer, x: np.ndarray):
     dpx_dcam = focal * (dn_dcam / depth[:, None, None])
     dpx_dP = np.einsum("mik,mjk->mij", dpx_dcam, R)
 
-    kappa = r[packer.meas_pose, 2]
-    axes = np.zeros((len(norm), 3, 3))
-    axes[:, 0] = R[:, :, 0]
-    axes[:, 1, 0] = -np.sin(kappa)
-    axes[:, 1, 1] = np.cos(kappa)
-    axes[:, 2, 2] = 1.0
-    dpx_dangles = np.einsum("mij,maj->mia", dpx_dP, np.cross(d[:, None, :], axes))
-    J_cam = np.concatenate([dpx_dP, -dpx_dangles], axis=2)
+    n0, n1 = norm.T
+    dn_ddelta = np.empty((len(norm), 2, 3))
+    dn_ddelta[:, 0] = np.column_stack([n0 * n1, -1.0 - n0 * n0, n1])
+    dn_ddelta[:, 1] = np.column_stack([1.0 + n1 * n1, -(n0 * n1), -n0])
+    J_cam = np.concatenate([dpx_dP, -focal * dn_ddelta], axis=2)
     J_cam[behind] = 0.0
     J_point = -dpx_dP
     J_point[behind] = 0.0
