@@ -2,9 +2,11 @@
 and the object points by minimizing reprojection error with
 Levenberg-Marquardt. The interior orientation is fixed calibration.
 
-The unknowns of a free pose are its center t and a rotation increment delta
-in its camera frame, R <- R exp([delta]x), which an accepted step folds into
-R (Triggs et al. 2000, sec. 2.2; Sola, Deray & Atchuthan, arXiv:1812.01537).
+The solver's state is a value: centers (n_poses, 3), rotations (n_poses, 3,
+3) and points (n_points, 3). `_Packer.retract` moves it by a step of (t,
+delta) per free pose and (x, y, z) per point to t + dt, R exp([delta]x) and
+P + dP: delta is an increment in the camera frame (Triggs et al. 2000,
+sec. 2.2; Sola, Deray & Atchuthan, arXiv:1812.01537).
 The Jacobian is closed-form, built in one vectorized pass over the
 measurements from the projection that gave the residuals: per measurement
 a 2x6 pose block (t, delta) and a 2x3 point block. `solve` projects each
@@ -15,20 +17,21 @@ last axis: residuals (2, M), rotations (3, 3, M), Jacobian blocks (2, 6, M)
 and (2, 3, M). So each product and sum over the small axes is an
 elementwise expression over rows of length M, its terms added in the order
 of the per-measurement einsums it replaced (`tests/oracles.py`).
-The normal equations are accumulated by block: U, dense over the camera
-unknowns (the unanchored poses); V, one 3x3 block per point; W between them.
+The normal equations are accumulated by block: U and V, one 6x6 block per
+unanchored pose and one 3x3 block per point (no measurement couples two
+poses or two points), and W between them.
 Every pose owns six camera columns, the unanchored poses' first, so every
 measurement is binned alike and the unknowns' blocks are the leading ones.
 Each block, and each half of g = J^T r, is one bincount into bin indices
-that depend only on the problem's structure, so `_Packer` builds them, and
-U's mirror index, once.
+that depend only on the problem's structure, so `_Packer` builds them once.
 Each LM trial eliminates the points by the Schur complement, solves the
 reduced camera system and back-substitutes the points (Triggs et al.,
 "Bundle Adjustment -- A Modern Synthesis", 2000; Lourakis & Argyros, SBA,
-2009). V stays block-diagonal and W is n_cam x 3 n_points: no matrix over
-pairs of points is formed, and the dense, cubic solve is over the camera
-unknowns only, so it puts no cap on the number of points (dense normal
-equations over every unknown would cap a block at about 10^3 parameters).
+2009). U and V stay block-diagonal and W is n_cam x 3 n_points: no matrix
+over pairs of points is formed, and the dense, cubic solve is over the
+camera unknowns only, so it puts no cap on the number of points (dense
+normal equations over every unknown would cap a block at about 10^3
+parameters).
 The closed-form blocks are tested against central differences (`tests/oracles.py`).
 
 The LM loop stops before a trial step delta whose decrease of cost = r^T r,
@@ -147,12 +150,13 @@ def _exp(w: np.ndarray) -> np.ndarray:
 
 
 class _Packer:
-    """Maps between a flat parameter vector and problem state, vectorized.
+    """The problem's fixed structure: pose and point order, measurements,
+    bins, and `start`, the problem's own state.
 
-    The vector holds the unanchored poses as (t, delta) rows (the first
-    `n_cam` entries: the camera unknowns), then the points as (x, y, z)
-    rows. It stands for the rotations R exp([delta]x) of the poses' kept
-    rotations R, which `fold` updates.
+    A state is (centers (n_poses, 3), rotations (n_poses, 3, 3), points
+    (n_points, 3)), the unanchored poses first. A step is a flat vector: the
+    free poses' (t, delta) rows (the first `n_cam` entries: the camera
+    unknowns), then the points' (x, y, z) rows.
     """
 
     def __init__(self, problem: BundleProblem):
@@ -173,14 +177,13 @@ class _Packer:
         self.meas_pose = np.array([pose_index[m[0]] for m in meas], dtype=int)
         self.meas_point = np.array([point_index[m[1]] for m in meas], dtype=int)
 
-        self.base_t = np.array([problem.poses[p].t for p in self.pose_ids]).reshape(-1, 3)
-        self.rot = rotation_from_angles(
-            np.array([problem.poses[p].r for p in self.pose_ids]).reshape(-1, 3))
-        self.base_pts = _stacked([problem.points[p] for p in self.point_ids], 3,
-                                 lambda i: f"point {self.point_ids[i]!r}")
+        poses = [problem.poses[p] for p in self.pose_ids]
+        self.start = (np.array([p.t for p in poses]).reshape(-1, 3),
+                      rotation_from_angles(np.array([p.r for p in poses]).reshape(-1, 3)),
+                      _stacked([problem.points[p] for p in self.point_ids], 3,
+                               lambda i: f"point {self.point_ids[i]!r}"))
 
         self.n_cam = 6 * self.n_free
-        self.u_lower = np.tril_indices(self.n_cam, -1)  # U's entries mirrored from above
         self.n_params = self.n_cam + 3 * len(self.point_ids)
 
         # Camera columns of each measurement: its pose's six. Every pose owns
@@ -189,43 +192,32 @@ class _Packer:
         self.cam_cols = 6 * self.meas_pose[:, None] + np.arange(6)
 
         # Bin indices of the normal equations' (a, b, M) terms, flattened, so
-        # each bin adds its measurements in m order: U[cam[a], cam[b]] for
-        # the pairs a <= b of `u_pairs` (the upper triangle, cam[a] <= cam[b]),
+        # each bin adds its measurements in m order: U[meas_pose, k] for the
+        # k-th pair a <= b of `u_pairs` (a block's upper triangle),
         # V[meas_point, a, b], W[cam[a], pt[b]], g_cam[cam[a]], g_point[pt[a]]
         # for cam = cam_cols.T and pt = 3 meas_point + (0, 1, 2)
         cam = self.cam_cols.T
         pt = 3 * self.meas_point + np.arange(3)[:, None]
         self.u_pairs = np.triu_indices(6)
-        a, b = self.u_pairs
-        self.u_bins = (cam[a] * self.n_cam_cols + cam[b]).ravel()
+        self.u_bins = (21 * self.meas_pose + np.arange(21)[:, None]).ravel()
         self.v_bins = (3 * pt[:, None] + np.arange(3)[:, None]).ravel()
         self.w_bins = (cam[:, None] * 3 * len(self.point_ids) + pt).ravel()
         self.g_cam_bins = cam.ravel()
         self.g_point_bins = pt.ravel()
 
-    def pose_block(self, x: np.ndarray) -> np.ndarray:
-        """The free poses in x as (n, 6) rows of (t, delta), a view."""
-        return x[:self.n_cam].reshape(-1, 6)
+    def retract(self, state, step: np.ndarray):
+        """The state moved by `step`: t + dt, R exp([delta]x) and P + dP for
+        the free rows, the anchored poses kept."""
+        t, rot, pts = state
+        n, block = self.n_free, step[:self.n_cam].reshape(-1, 6)
+        return (np.concatenate([t[:n] + block[:, :3], t[n:]]),
+                np.concatenate([rot[:n] @ _exp(block[:, 3:]), rot[n:]]),
+                pts + step[self.n_cam:].reshape(-1, 3))
 
-    def initial_vector(self) -> np.ndarray:
-        poses = np.hstack([self.base_t[:self.n_free], np.zeros((self.n_free, 3))])
-        return np.concatenate([poses.ravel(), self.base_pts.ravel()])
-
-    def unpack(self, x: np.ndarray):
-        """(t, rotations (n_poses, 3, 3), points) at x."""
-        block, n = self.pose_block(x), self.n_free
-        rot = np.concatenate([self.rot[:n] @ _exp(block[:, 3:]), self.rot[n:]])
-        return np.concatenate([block[:, :3], self.base_t[n:]]), rot, x[self.n_cam:].reshape(-1, 3)
-
-    def fold(self, x: np.ndarray, projected):
-        """Keep the rotations of `projected` = `_predict(x)`; zero x's increments in place."""
-        self.rot = projected[2][0]
-        self.pose_block(x)[:, 3:] = 0.0
-
-    def _predict(self, x: np.ndarray):
-        """The projection of x: (residuals (2, M), behind (M,), the rotations
-        at x and the terms that `linearize` builds the Jacobian blocks from)."""
-        t, rot, pts = self.unpack(x)
+    def _predict(self, state):
+        """The projection of a state: (residuals (2, M), behind (M,), the
+        state and the terms that `linearize` builds the Jacobian blocks from)."""
+        t, rot, pts = state
         R = rot.transpose(1, 2, 0).take(self.meas_pose, axis=2)
         d = pts.T.take(self.meas_point, axis=1) - t.T.take(self.meas_pose, axis=1)
         # camera point = R^T d, its three terms added in sequence
@@ -237,15 +229,15 @@ class _Packer:
         focal = self.problem.intrinsics.focal_px
         res = self.obs - (self.principal + focal * norm)
         res[:, behind] = BEHIND_RESIDUAL
-        return res, behind, (rot, R, safe, norm, focal)
+        return res, behind, (state, R, safe, norm, focal)
 
-    def residuals(self, x: np.ndarray):
-        res, behind, _ = self._predict(x)
+    def residuals(self, state):
+        res, behind, _ = self._predict(state)
         return res.T.ravel(), behind
 
     def linearize(self, projected):
         """Residuals and closed-form Jacobian blocks of `projected` =
-        `_predict(x)`, component-major; x is not projected again.
+        `_predict(state)`, component-major; the state is not projected again.
 
         Returns (residuals (2, M), J_cam (2, 6, M), J_point (2, 3, M)):
         J_cam[i, a, m] is the derivative of measurement m's pixel component
@@ -277,8 +269,8 @@ class _Packer:
         J_cam[..., behind] = 0.0
         return res, J_cam, J_point
 
-    def rebuild_problem(self, x: np.ndarray) -> BundleProblem:
-        t, rot, pts = self.unpack(x)
+    def rebuild_problem(self, state) -> BundleProblem:
+        t, rot, pts = state
         r = angles_from_rotation(rot[:self.n_free])  # the anchored poses as given
         poses = {p: Pose(t=t[i], r=r[i]) for i, p in enumerate(self.pose_ids[:self.n_free])}
         poses.update((p, self.problem.poses[p]) for p in self.pose_ids[self.n_free:])
@@ -311,49 +303,55 @@ def _binned_products(bins: np.ndarray, A: np.ndarray, B: np.ndarray, n: int) -> 
     return np.bincount(bins, (A[0, :, None] * B[0] + A[1, :, None] * B[1]).ravel(), n)
 
 
-class _NormalEquations:
-    """J^T J and g = J^T r at x, by block: U over the camera unknowns (dense),
-    V as one 3x3 block per point, W (n_cam, 3 n_points) between them, and
-    the damping scale D = max(diag(J^T J), 1e-12). Each block of J^T J
-    and each half of g is one bincount into the packer's bins over every
-    pose's camera columns, of which U, W and g keep the leading n_cam."""
+def _diag(blocks: np.ndarray) -> np.ndarray:
+    """The diagonals of (n, k, k) blocks, a writable (n, k) strided view."""
+    k = blocks.shape[-1]
+    return blocks.reshape(len(blocks), k * k)[:, ::k + 1]
 
-    def __init__(self, packer: _Packer, x: np.ndarray, projected):
-        """Built from `projected` = `packer._predict(x)`, the projection that
-        gave x's residuals, so x itself is not read (the oracle in
-        `tests/oracles.py` projects it again)."""
+
+class _NormalEquations:
+    """J^T J and g = J^T r of a projected state, by block: U as one 6x6
+    block per unanchored pose, V as one 3x3 block per point, W (n_cam,
+    3 n_points) between them, and the damping scale D = max(diag(J^T J),
+    1e-12). Each block of J^T J and each half of g is one bincount into the
+    packer's bins over every pose, of which U, W and g keep the free poses'."""
+
+    def __init__(self, packer: _Packer, projected):
+        """Built from `projected` = `packer._predict(state)`, the projection
+        that gave the state's residuals; the state is not projected again."""
         res, J_cam, J_point = packer.linearize(projected)
         nc, n_cols, n_pts = packer.n_cam, packer.n_cam_cols, len(packer.point_ids)
         res = res[:, None]
-        a, b = packer.u_pairs  # U is symmetric: form the a <= b products, mirror the rest
+        a, b = packer.u_pairs  # U's blocks are symmetric: form a <= b, mirror the rest
         upper = J_cam[0, a] * J_cam[0, b] + J_cam[1, a] * J_cam[1, b]
-        self.U = np.bincount(packer.u_bins, upper.ravel(),
-                             n_cols * n_cols).reshape(n_cols, n_cols)[:nc, :nc]
-        self.U[packer.u_lower] = self.U.T[packer.u_lower]
+        upper = np.bincount(packer.u_bins, upper.ravel(), 21 * len(packer.pose_ids))
+        self.U = np.empty((packer.n_free, 6, 6))
+        self.U[:, a, b] = self.U[:, b, a] = upper.reshape(-1, 21)[:packer.n_free]
         self.V = _binned_products(packer.v_bins, J_point, J_point, 9 * n_pts).reshape(n_pts, 3, 3)
         self.W = _binned_products(packer.w_bins, J_cam, J_point,
                                   n_cols * 3 * n_pts).reshape(n_cols, 3 * n_pts)[:nc]
         self.g = np.concatenate([_binned_products(packer.g_cam_bins, J_cam, res, n_cols)[:nc],
                                  _binned_products(packer.g_point_bins, J_point, res, 3 * n_pts)])
-        # a 3x3 block's diagonal is every fourth entry of its flat row
-        v_diag = self.V.reshape(-1, 9)[:, ::4]
-        self.D = np.maximum(np.concatenate([np.diag(self.U), v_diag.ravel()]), 1e-12)
+        self.D = np.maximum(np.concatenate([_diag(self.U).ravel(), _diag(self.V).ravel()]), 1e-12)
 
     def step(self, lam: float) -> np.ndarray:
         """Solve (J^T J + lam diag(D)) delta = -g.
 
-        The points are eliminated by the Schur complement; raises
-        np.linalg.LinAlgError when a system is singular.
+        The points are eliminated by the Schur complement, S = U - W V^-1
+        W^T: formed as -W V^-1 W^T with the damped U blocks added on its
+        diagonal. Raises np.linalg.LinAlgError when a system is singular.
         """
-        nc = len(self.U)
+        n, nc = len(self.U), len(self.W)
         g_cam, g_point = self.g[:nc], self.g[nc:].reshape(-1, 3)
-        U = self.U + lam * np.diag(self.D[:nc])
-        V = self.V.copy()
-        V.reshape(-1, 9)[:, ::4] += lam * self.D[nc:].reshape(-1, 3)
+        U, V = self.U.copy(), self.V.copy()
+        _diag(U)[:] += lam * self.D[:nc].reshape(-1, 6)
+        _diag(V)[:] += lam * self.D[nc:].reshape(-1, 3)
         V_inv = np.linalg.inv(V)
         W = self.W
         W_V_inv = _times_block_diag(W, V_inv)
-        d_cam = np.linalg.solve(U - W_V_inv @ W.T, W_V_inv @ g_point.ravel() - g_cam)
+        S = np.negative(W_V_inv @ W.T)
+        S.reshape(n, 6, n, 6)[np.arange(n), :, np.arange(n)] += U
+        d_cam = np.linalg.solve(S, W_V_inv @ g_point.ravel() - g_cam)
         d_point = -np.einsum("pij,pj->pi", V_inv, g_point + (W.T @ d_cam).reshape(-1, 3))
         return np.concatenate([d_cam, d_point.ravel()])
 
@@ -407,8 +405,8 @@ def solve(problem: BundleProblem, max_iters: int = 100):
     """
     packer = _Packer(problem)
     _check_preconditions(problem, packer)
-    x = packer.initial_vector()
-    projected = packer._predict(x)  # kept with x: its Jacobian is built from it
+    state = packer.start
+    projected = packer._predict(state)  # kept with the state: its Jacobian is built from it
     r = projected[0].T.ravel()
     cost = float(r @ r)
     initial_rms = _rms(r)
@@ -418,14 +416,14 @@ def solve(problem: BundleProblem, max_iters: int = 100):
     iterations = 0
 
     if packer.n_params == 0:
-        return packer.rebuild_problem(x), SolveReport(
+        return packer.rebuild_problem(state), SolveReport(
             initial_rms, initial_rms, 0, trace, costs, "no_free_parameters")
 
     eps = np.finfo(float).eps
     floor = (eps * np.linalg.norm(packer.obs)) ** 2  # the residuals' own rounding
     stop = "max_iters"
     for iterations in range(1, max_iters + 1):
-        normal = _NormalEquations(packer, x, projected)
+        normal = _NormalEquations(packer, projected)
         rounding = r.size * eps * cost + floor
         while True:
             if lam > LAMBDA_MAX:
@@ -438,13 +436,12 @@ def solve(problem: BundleProblem, max_iters: int = 100):
             if normal.predicted_decrease(lam, delta) <= rounding:
                 stop = "predicted_decrease"
                 break
-            x_new = x + delta
-            projected_new = packer._predict(x_new)
+            state_new = packer.retract(state, delta)
+            projected_new = packer._predict(state_new)
             r_new = projected_new[0].T.ravel()
             cost_new = float(r_new @ r_new)
             if cost_new < cost:
-                packer.fold(x_new, projected_new)
-                x, r, cost, projected = x_new, r_new, cost_new, projected_new
+                state, r, cost, projected = state_new, r_new, cost_new, projected_new
                 lam = max(lam / 10.0, 1e-12)
                 trace.append(lam)
                 costs.append(cost)
@@ -460,4 +457,4 @@ def solve(problem: BundleProblem, max_iters: int = 100):
     if not report.converged:
         logger.warning("LM stopped on %s after %d iterations (rms %.3e px)",
                        stop, iterations, final_rms)
-    return packer.rebuild_problem(x), report
+    return packer.rebuild_problem(state), report

@@ -11,11 +11,10 @@ class TagbridgeError(Exception):
 class InsufficientObservations(TagbridgeError):
     """Fewer than two rays/observations for a triangulation target."""
 
-    def __init__(self, tag_id=None, n=0):
+    def __init__(self, tag_id, n):
         self.tag_id = tag_id
         self.n = n
-        what = f"tag {tag_id}: " if tag_id is not None else ""
-        super().__init__(f"{what}{n} observation(s), need at least 2")
+        super().__init__(f"tag {tag_id}: {n} observation(s), need at least 2")
 
 
 class DegenerateGeometry(TagbridgeError):

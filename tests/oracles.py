@@ -68,8 +68,8 @@ def numeric_jacobian(fun, x: np.ndarray, rel_step: float = JACOBIAN_REL_STEP) ->
     return J
 
 
-def reference_linearize(packer, x: np.ndarray):
-    """(residuals (M, 2), J_cam (M, 2, 6), J_point (M, 2, 3)) of a bundle `_Packer` at x.
+def reference_linearize(packer, state):
+    """(residuals (M, 2), J_cam (M, 2, 6), J_point (M, 2, 3)) of a bundle `_Packer` at a state.
 
     The blocks of `_Packer.linearize`, transposed, built with (3, 3)
     rotations and 2x3 derivative blocks per measurement. The rotation block
@@ -77,7 +77,7 @@ def reference_linearize(packer, x: np.ndarray):
     -focal [[n0 n1, -(1 + n0^2), n1], [1 + n1^2, -n0 n1, -n0]]; the tests
     check it against central differences.
     """
-    t, rot, pts = packer.unpack(x)
+    t, rot, pts = state
     intr = packer.problem.intrinsics
     R = rot[packer.meas_pose]
     d = pts[packer.meas_point] - t[packer.meas_pose]
@@ -109,17 +109,17 @@ def reference_linearize(packer, x: np.ndarray):
 
 class ReferenceNormalEquations(_NormalEquations):
     """`bundle._NormalEquations` (and its `step`) with U, V, W, g and D summed
-    from `reference_linearize`'s blocks by per-measurement einsums, the bins
-    indexed per call over every pose's camera columns, the leading n_cam kept.
-    It projects x on its own: the projection passed in is ignored."""
+    from `reference_linearize`'s blocks by per-measurement einsums: U and V
+    per pose and per point by `_group_sums`, W and g's camera half by bins
+    indexed per call over every pose's camera columns, the free poses' kept.
+    It projects the projection's state again on its own."""
 
-    def __init__(self, packer, x: np.ndarray, projected):
-        res, J_cam, J_point = reference_linearize(packer, x)
-        nc, n_cols = packer.n_cam, packer.n_cam_cols
+    def __init__(self, packer, projected):
+        res, J_cam, J_point = reference_linearize(packer, projected[2][0])
+        nc, n_cols, n_poses = packer.n_cam, packer.n_cam_cols, len(packer.pose_ids)
         cols = packer.cam_cols
-        self.U = np.bincount((cols[:, :, None] * n_cols + cols[:, None, :]).ravel(),
-                             np.einsum("mia,mib->mab", J_cam, J_cam).ravel(),
-                             minlength=n_cols * n_cols).reshape(n_cols, n_cols)[:nc, :nc]
+        JtJ = np.einsum("mia,mib->mab", J_cam, J_cam).reshape(-1, 36)
+        self.U = _group_sums(packer.meas_pose, JtJ, n_poses).reshape(n_poses, 6, 6)[:packer.n_free]
         g_cam = np.bincount(cols.ravel(), np.einsum("mia,mi->ma", J_cam, res).ravel(),
                             minlength=n_cols)[:nc]
         n_pts = len(packer.point_ids)
@@ -131,8 +131,8 @@ class ReferenceNormalEquations(_NormalEquations):
                              minlength=n_cols * 3 * n_pts).reshape(n_cols, 3 * n_pts)[:nc]
         g_point = _group_sums(packer.meas_point, np.einsum("mia,mi->ma", J_point, res), n_pts)
         self.g = np.concatenate([g_cam, g_point.ravel()])
-        self.D = np.maximum(np.concatenate([np.diag(self.U),
-                                            self.V[:, [0, 1, 2], [0, 1, 2]].ravel()]), 1e-12)
+        self.D = np.maximum(np.concatenate([np.einsum("pii->pi", self.U).ravel(),
+                                            np.einsum("pii->pi", self.V).ravel()]), 1e-12)
 
 
 def path_step(prev: np.ndarray, p1: float, p2: float) -> np.ndarray:

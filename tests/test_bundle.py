@@ -15,7 +15,7 @@ from tagbridge.bundle import (
     _times_block_diag,
     solve,
 )
-from tagbridge.errors import GaugeNotFixed, Underconstrained
+from tagbridge.errors import GaugeNotFixed, SingularNormalEquations, Underconstrained
 from tagbridge.geometry import (
     Pose,
     RigidTransform,
@@ -98,13 +98,14 @@ def aligned_pose_errors(est_poses, est_points, true_poses, true_points):
     return np.max(pos_err), np.max(rot_err)
 
 
-def analytic_jacobian(packer, x):
-    """Dense J assembled from the closed-form blocks and their column indices.
+def analytic_jacobian(packer, state):
+    """Dense J at a state, assembled from the closed-form blocks and their
+    column indices.
 
     Every pose's camera columns are assembled, then the anchored poses'
     (`n_cam` up to `n_cam_cols`) dropped: they are not unknowns.
     """
-    res, J_cam, J_point = packer.linearize(packer._predict(x))
+    res, J_cam, J_point = packer.linearize(packer._predict(state))
     res, J_cam, J_point = res.T, J_cam.transpose(2, 0, 1), J_point.transpose(2, 0, 1)
     m = len(res)
     J = np.zeros((2 * m, packer.n_cam_cols + 3 * len(packer.point_ids)))
@@ -115,27 +116,37 @@ def analytic_jacobian(packer, x):
     return np.delete(J, np.s_[packer.n_cam:packer.n_cam_cols], axis=1), res.ravel()
 
 
+def residuals_near(packer, state):
+    """The residuals of `packer.retract(state, v)` as a function of the step
+    v, which `numeric_jacobian` differentiates at v = 0: along exp(h e_j)
+    for a rotation column."""
+    return lambda v: packer.residuals(packer.retract(state, v))[0]
+
+
+def moved_start(packer, sigma, seed):
+    """The problem's start moved by a normal step of `sigma` in every unknown."""
+    step = np.random.default_rng(seed).normal(0, sigma, packer.n_params)
+    return packer.retract(packer.start, step)
+
+
 def reference_solve(problem, max_iters=100, gradient_tol=1e-10, step_tol=1e-12):
     """The LM loop on a central-difference Jacobian and dense normal equations.
 
     The oracle that `solve`'s early stop is measured against: the same
     damping rules and rotation update, but exhaustive stopping rules. Past
     the cost's rounding it keeps rejecting trials, raising the damping each
-    time, until the step norm falls below step_tol * (|x| + step_tol).
-    Returns (final cost, converged).
+    time, until the step norm falls below step_tol * (|x| + step_tol), |x|
+    the norm of the free centres and the points. Returns (final cost,
+    converged).
     """
     packer = _Packer(problem)
-
-    def fun(v):
-        return packer.residuals(v)[0]
-
-    x = packer.initial_vector()
-    r = fun(x)
+    state = packer.start
+    r = packer.residuals(state)[0]
     cost = float(r @ r)
     lam = LAMBDA_INIT
     converged = False
     for _ in range(max_iters):
-        J = numeric_jacobian(fun, x)
+        J = numeric_jacobian(residuals_near(packer, state), np.zeros(packer.n_params))
         g = J.T @ r
         if np.max(np.abs(g)) < gradient_tol:
             converged = True
@@ -145,15 +156,15 @@ def reference_solve(problem, max_iters=100, gradient_tol=1e-10, step_tol=1e-12):
         accepted = False
         while lam <= LAMBDA_MAX:
             delta = np.linalg.solve(A + lam * np.diag(diag), -g)
-            if np.linalg.norm(delta) < step_tol * (np.linalg.norm(x) + step_tol):
+            size = np.hypot(np.linalg.norm(state[0][:packer.n_free]), np.linalg.norm(state[2]))
+            if np.linalg.norm(delta) < step_tol * (size + step_tol):
                 converged = True
                 break
-            x_new = x + delta
-            r_new = fun(x_new)
+            state_new = packer.retract(state, delta)
+            r_new = packer.residuals(state_new)[0]
             cost_new = float(r_new @ r_new)
             if cost_new < cost:
-                packer.fold(x_new, packer._predict(x_new))  # the next Jacobian at zero increments
-                x, r, cost = x_new, r_new, cost_new
+                state, r, cost = state_new, r_new, cost_new
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
                 break
@@ -166,7 +177,7 @@ def reference_solve(problem, max_iters=100, gradient_tol=1e-10, step_tol=1e-12):
 def initial_residuals(problem):
     """(residuals (2M,), behind-camera mask (M,)) at the problem's initial state."""
     packer = _Packer(problem)
-    return packer.residuals(packer.initial_vector())
+    return packer.residuals(packer.start)
 
 
 class TestResiduals:
@@ -209,6 +220,25 @@ class TestResiduals:
         res, behind = initial_residuals(problem)
         assert behind.all()
         assert np.all(res == 1e6)
+
+
+class TestState:
+    def test_predict_is_pure(self, aerial_cam):
+        # a state projects to the same bits whatever the packer projected
+        # or retracted before: the packer keeps no state of its own
+        poses, points, meas = synthetic_block(aerial_cam, n_cams=4, n_points=8, sigma=0.3, seed=2)
+        packer = _Packer(BundleProblem(aerial_cam, poses, points, meas, anchors={"img_0000"}))
+        before = packer.residuals(packer.start)[0]
+        moved = moved_start(packer, 1e-2, seed=4)
+        packer.residuals(moved)
+        packer.residuals(packer.retract(moved, np.full(packer.n_params, 1e-3)))
+        assert np.array_equal(packer.residuals(packer.start)[0], before)
+
+    @pytest.mark.parametrize("anchors", ["one", "two", "all"])
+    def test_zero_step_keeps_state(self, aerial_cam, anchors):
+        packer, state = oracle_block(aerial_cam, anchors, seed=0)
+        for got, given in zip(packer.retract(state, np.zeros(packer.n_params)), state):
+            assert np.array_equal(got, given)
 
 
 class TestMalformedInput:
@@ -308,6 +338,18 @@ class TestSolve:
         with pytest.raises(GaugeNotFixed):
             solve(problem)
 
+    def test_singular_normal_equations(self, aerial_cam, monkeypatch):
+        poses, points, meas = synthetic_block(aerial_cam, n_cams=3, n_points=4)
+        problem = BundleProblem(aerial_cam, poses, points, meas, anchors={"img_0000"})
+
+        def singular(normal, lam):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(_NormalEquations, "step", singular)
+        with pytest.raises(SingularNormalEquations, match=r"^Singular matrix$") as info:
+            solve(problem)
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
     def test_underconstrained_point(self, aerial_cam):
         poses, points, meas = synthetic_block(aerial_cam, n_points=3)
         meas = [m for m in meas if not (m[1] == 2 and m[0] != "img_0000")]
@@ -381,9 +423,8 @@ class TestSolve:
 
         def gradient_ratio(problem):
             packer = _Packer(problem)
-            x = packer.initial_vector()
-            r = packer.residuals(x)[0]
-            J = numeric_jacobian(lambda v: packer.residuals(v)[0], x)
+            r = packer.residuals(packer.start)[0]
+            J = numeric_jacobian(residuals_near(packer, packer.start), np.zeros(packer.n_params))
             return np.linalg.norm(J.T @ r) / (np.linalg.norm(J) * np.linalg.norm(r))
 
         assert gradient_ratio(solved) < 1e-9
@@ -429,9 +470,9 @@ class TestSolve:
         calls = []
         predict = _Packer._predict
 
-        def counted(packer, x):
-            calls.append(x)
-            return predict(packer, x)
+        def counted(packer, state):
+            calls.append(state)
+            return predict(packer, state)
 
         monkeypatch.setattr(_Packer, "_predict", counted)
         _, report = solve(problem)
@@ -451,14 +492,14 @@ class TestSolve:
         calls = []
         predict = _Packer._predict
 
-        def counted(packer, x):
-            calls.append(x.copy())
-            return predict(packer, x)
+        def counted(packer, state):
+            calls.append(state)
+            return predict(packer, state)
 
         monkeypatch.setattr(_Packer, "_predict", counted)
         _, report = solve(problem, max_iters=1 if case == "one_iteration" else 100)
-        assert len({x.tobytes() for x in calls}) == len(calls)
-        assert np.array_equal(calls[0], _Packer(problem).initial_vector())
+        assert len({b"".join(a.tobytes() for a in state) for state in calls}) == len(calls)
+        assert all(map(np.array_equal, calls[0], _Packer(problem).start))
         assert report.residual_evals == len(calls) == len(report.damping_trace)
 
     @pytest.mark.parametrize("case, stop", [
@@ -498,18 +539,13 @@ class TestSolve:
 
 class TestJacobian:
     def test_matches_independent_step_size(self, aerial_cam):
-        rng = np.random.default_rng(9)
         poses, points, meas = synthetic_block(aerial_cam, n_cams=3, n_points=5, sigma=0.2, seed=7)
         problem = BundleProblem(aerial_cam, poses, points, meas, anchors={"img_0000"})
         packer = _Packer(problem)
-        x = packer.initial_vector() + rng.normal(0, 1e-3, packer.n_params)
-        packer.fold(x, packer._predict(x))  # the rotations moved, their increments zero
-
-        def fun(v):
-            return packer.residuals(v)[0]
-
-        J1 = numeric_jacobian(fun, x, rel_step=1e-7)
-        J2 = numeric_jacobian(fun, x, rel_step=1e-5)
+        fun = residuals_near(packer, moved_start(packer, 1e-3, seed=9))
+        v = np.zeros(packer.n_params)
+        J1 = numeric_jacobian(fun, v, rel_step=1e-7)
+        J2 = numeric_jacobian(fun, v, rel_step=1e-5)
         scale = np.maximum(np.abs(J1), np.abs(J2))
         mask = scale > 1e-3  # ignore structurally tiny entries
         rel = np.abs(J1 - J2)[mask] / scale[mask]
@@ -525,20 +561,15 @@ class TestJacobian:
         anchors = set(poses) if all_anchored else {"img_0000"}
         problem = BundleProblem(aerial_cam, poses, points, meas, anchors=anchors)
         packer = _Packer(problem)
-        rng = np.random.default_rng(3)
-        x = packer.initial_vector()
-        x = x + rng.normal(0, 1e-3, x.size) * np.maximum(np.abs(x), 1.0)
-        # the rotations moved, their increments zero: a rotation column is
-        # differentiated along R exp(h e_j)
-        packer.fold(x, packer._predict(x))
-        assert not packer.pose_block(x)[:, 3:].any()
+        state = moved_start(packer, 1e-3, seed=3)
 
-        J, r = analytic_jacobian(packer, x)
+        J, r = analytic_jacobian(packer, state)
         # rel_step 1e-5: at 1e-7 the roundoff of ~2000 px residuals reaches
         # ~1e-6 of the smallest columns (point z), at 1e-5 it is ~1e-9
-        J_num = numeric_jacobian(lambda v: packer.residuals(v)[0], x, rel_step=1e-5)
+        J_num = numeric_jacobian(residuals_near(packer, state), np.zeros(packer.n_params),
+                                 rel_step=1e-5)
         assert J.shape == J_num.shape == (2 * len(meas), packer.n_params)
-        behind = packer.residuals(x)[1]
+        behind = packer.residuals(state)[1]
         assert behind.sum() == 2 and behind[-2:].all()
         assert not J[-4:].any() and not J_num[-4:].any()
         for j in range(packer.n_params):  # the behind point's own columns are all zero
@@ -546,12 +577,17 @@ class TestJacobian:
             assert np.max(np.abs(J[:, j] - J_num[:, j])) <= 1e-6 * scale, j
 
         # the block normal equations are J^T J and J^T r of the same J
-        normal = _NormalEquations(packer, x, packer._predict(x))
+        normal = _NormalEquations(packer, packer._predict(state))
         A = J.T @ J
-        nc = packer.n_cam
+        nc, n = packer.n_cam, packer.n_free
         tol = 1e-12 * np.max(np.abs(A))
         assert np.allclose(normal.g, J.T @ r, rtol=0, atol=1e-12 * np.max(np.abs(J.T @ r)))
-        assert np.allclose(normal.U, A[:nc, :nc], rtol=0, atol=tol)
+        # no measurement couples two poses: J^T J's pose blocks off the
+        # diagonal are zero, and U holds the diagonal ones
+        pose_blocks = A[:nc, :nc].reshape(n, 6, n, 6).transpose(0, 2, 1, 3)
+        assert not pose_blocks[~np.eye(n, dtype=bool)].any()
+        assert normal.U.shape == (n, 6, 6)
+        assert np.allclose(normal.U, pose_blocks[np.arange(n), np.arange(n)], rtol=0, atol=tol)
         assert np.allclose(normal.W, A[:nc, nc:], rtol=0, atol=tol)
         n_pts = len(normal.V)
         blocks = A[nc:, nc:].reshape(n_pts, 3, n_pts, 3).transpose(0, 2, 1, 3)
@@ -568,16 +604,15 @@ class TestJacobian:
         start = perturb(poses, anchors, dt=0.3, dr_deg=0.3, seed=5)
         problem = BundleProblem(aerial_cam, start, points, meas, anchors=anchors)
         packer = _Packer(problem)
-        x = packer.initial_vector()
-        J, r = analytic_jacobian(packer, x)
+        J, r = analytic_jacobian(packer, packer.start)
         A = J.T @ J
         dense = np.linalg.solve(A + lam * np.diag(np.maximum(np.diag(A), 1e-12)), -J.T @ r)
-        step = _NormalEquations(packer, x, packer._predict(x)).step(lam)
+        step = _NormalEquations(packer, packer._predict(packer.start)).step(lam)
         assert np.linalg.norm(step - dense) <= 1e-8 * np.linalg.norm(dense)
 
 
 def oracle_block(cam, anchors, seed):
-    """A packer and a perturbed x on a noisy block with two measurements
+    """A packer and a perturbed state on a noisy block with two measurements
     behind their cameras, measurements on every anchored pose and one
     measurement repeated in its image (two terms in one bin)."""
     poses, points, meas = synthetic_block(cam, n_cams=5, n_points=12, sigma=0.3, seed=seed)
@@ -586,9 +621,7 @@ def oracle_block(cam, anchors, seed):
                    ("img_0003", 99, np.array([900.0, 100.0])), meas[7]]
     anchors = {"all": set(poses), "one": {"img_0000"}, "two": {"img_0000", "img_0003"}}[anchors]
     packer = _Packer(BundleProblem(cam, poses, points, meas, anchors=anchors))
-    rng = np.random.default_rng(seed)
-    x = packer.initial_vector()
-    return packer, x + rng.normal(0, 1e-2, x.size) * np.maximum(np.abs(x), 1.0)
+    return packer, moved_start(packer, 1e-2, seed)
 
 
 class TestComponentMajorBuild:
@@ -598,22 +631,23 @@ class TestComponentMajorBuild:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("anchors", ["one", "two", "all"])
     def test_linearize_equals_einsum_oracle(self, aerial_cam, anchors, seed):
-        packer, x = oracle_block(aerial_cam, anchors, seed)
-        res, J_cam, J_point = packer.linearize(packer._predict(x))
-        ref_res, ref_cam, ref_point = reference_linearize(packer, x)
+        packer, state = oracle_block(aerial_cam, anchors, seed)
+        res, J_cam, J_point = packer.linearize(packer._predict(state))
+        ref_res, ref_cam, ref_point = reference_linearize(packer, state)
         assert J_cam.shape == (2, 6, len(ref_res))
-        assert packer.residuals(x)[1][-3:-1].all()  # point 99's two measurements
+        assert packer.residuals(state)[1][-3:-1].all()  # point 99's two measurements
         assert np.array_equal(res.T, ref_res)
-        assert np.array_equal(packer.residuals(x)[0], ref_res.ravel())
+        assert np.array_equal(packer.residuals(state)[0], ref_res.ravel())
         assert np.array_equal(J_cam.transpose(2, 0, 1), ref_cam)
         assert np.array_equal(J_point.transpose(2, 0, 1), ref_point)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("anchors", ["one", "two", "all"])
     def test_normal_equations_equal_einsum_oracle(self, aerial_cam, anchors, seed):
-        packer, x = oracle_block(aerial_cam, anchors, seed)
-        normal = _NormalEquations(packer, x, packer._predict(x))
-        ref = ReferenceNormalEquations(packer, x, None)  # it projects x on its own
+        packer, state = oracle_block(aerial_cam, anchors, seed)
+        projected = packer._predict(state)
+        normal = _NormalEquations(packer, projected)
+        ref = ReferenceNormalEquations(packer, projected)  # it projects the state on its own
         for name in ("U", "V", "W", "g", "D"):
             assert np.array_equal(getattr(normal, name), getattr(ref, name)), name
 
@@ -651,9 +685,8 @@ class TestNormalEquationsStep:
         problem = BundleProblem(aerial_cam, start, points, meas,
                                 anchors={"img_0000", "img_0005"})
         packer = _Packer(problem)
-        x = packer.initial_vector()
-        J, r = analytic_jacobian(packer, x)
-        normal = _NormalEquations(packer, x, packer._predict(x))
+        J, r = analytic_jacobian(packer, packer.start)
+        normal = _NormalEquations(packer, packer._predict(packer.start))
         delta = normal.step(lam)
         model = r + J @ delta
         expected = r @ r - model @ model

@@ -163,6 +163,7 @@ class TestTriangulateTags:
         result = triangulate_tags(obs, poses, aerial_cam)
         assert set(result.failures) == {3}
         assert isinstance(result.failures[3], InsufficientObservations)
+        assert str(result.failures[3]) == "tag 3: 1 observation(s), need at least 2"
         assert {lm.tag_id for lm in result.landmarks} == {1, 2, 4, 5, 6, 7}
 
     def test_empty_observations(self, aerial_cam):
