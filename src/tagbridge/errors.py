@@ -1,6 +1,10 @@
 """Exception types shared across the toolkit.
 
-Every error derives from TagbridgeError; callers catch the classes directly.
+An invalid argument (a wrong shape, type or range, an unknown id) raises
+ValueError. The classes here, TagbridgeError and its subclasses, report input
+that is well formed but cannot support a result: degenerate geometry, too few
+rays, views or pairs, no anchor, a singular system, a reflection, no common
+ids.
 """
 
 
@@ -19,14 +23,6 @@ class InsufficientObservations(TagbridgeError):
 
 class DegenerateGeometry(TagbridgeError):
     """Geometry does not constrain the solution (parallel rays, collinear points, ...)."""
-
-
-class MissingPose(TagbridgeError):
-    """An observation references an image id with no known pose."""
-
-    def __init__(self, image_id):
-        self.image_id = image_id
-        super().__init__(f"no pose for image id {image_id!r}")
 
 
 class TooFewCorrespondences(TagbridgeError):
@@ -51,18 +47,6 @@ class Underconstrained(TagbridgeError):
 
 class SingularNormalEquations(TagbridgeError):
     """Damped normal equations could not be solved."""
-
-
-class ImageTooSmall(TagbridgeError):
-    """Image smaller than the census window."""
-
-
-class DimensionMismatch(TagbridgeError):
-    """Raster dimensions disagree."""
-
-
-class InvalidSpec(TagbridgeError):
-    """A synthetic scene specification violates its constraints."""
 
 
 class NoCommonIds(TagbridgeError):

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionMismatch, ImageTooSmall
 from .fusion import PointCloud
 from .geometry import CameraIntrinsics, Pose, _pixels_to_normalized
 
@@ -162,7 +161,7 @@ def census_transform(image: np.ndarray, window=(5, 5)) -> np.ndarray:
     wh, ww = window
     H, W = image.shape
     if H < wh or W < ww:
-        raise ImageTooSmall(f"{W}x{H} image with {ww}x{wh} census window")
+        raise ValueError(f"{W}x{H} image with {ww}x{wh} census window")
 
     ph, pw = wh // 2, ww // 2
     padded = np.pad(image, ((ph, ph), (pw, pw)), mode="edge")
@@ -198,8 +197,7 @@ def matching_cost_volume(base_desc: np.ndarray, match_desc: np.ndarray,
     max(max_cost, n_words * word bits) <= 255, else uint16.
     """
     if base_desc.shape != match_desc.shape:
-        raise DimensionMismatch(
-            f"raster shapes differ: {base_desc.shape} vs {match_desc.shape}")
+        raise ValueError(f"raster shapes differ: {base_desc.shape} vs {match_desc.shape}")
     _check_disparity_range(d_min, d_max)
     if base not in ("left", "right"):
         raise ValueError("base must be 'left' or 'right'")
@@ -433,7 +431,6 @@ def _wta(costs: np.ndarray, bounds: _InBounds, d_min: int, wide: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         offset = 0.5 * (cm - cp) / denom
     offset = np.where(usable & (denom > 1e-12), offset, 0.0)
-    offset = np.clip(offset, -0.5, 0.5)
 
     disparity = (d_min + best_idx + offset).astype(np.float32)
     return disparity, near
@@ -479,7 +476,7 @@ def select_disparity(aggregated: CostVolume, params: SgmParams,
     if aggregated.base != "left" or right_aggregated.base != "right":
         raise ValueError("the left-right check takes a left-base volume and a right-base one")
     if right_aggregated.costs.shape != aggregated.costs.shape:
-        raise DimensionMismatch("left and right volumes differ in shape")
+        raise ValueError("left and right volumes differ in shape")
     # uniqueness on raw costs; aggregation would break the all-tie case via
     # the border wedge (see CostVolume.raw)
     if aggregated.raw is None:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import InvalidSpec
 from .geometry import (
     CameraIntrinsics,
     Pose,
@@ -72,22 +71,22 @@ class SceneSpec:
             object.__setattr__(self, "tags", default_tag_layout())
         if not self.tags or not all(np.shape(p) == (3,) and np.all(np.isfinite(p))
                                     for p in self.tags.values()):
-            raise InvalidSpec("tags must be a non-empty map of finite (3,) positions")
+            raise ValueError("tags must be a non-empty map of finite (3,) positions")
         if not 0 < self.flight.altitude < np.inf:
-            raise InvalidSpec("flight altitude must be positive and finite")
+            raise ValueError("flight altitude must be positive and finite")
         if not 0.0 <= self.flight.overlap < 1.0:
-            raise InvalidSpec("overlap must be in [0, 1)")
+            raise ValueError("overlap must be in [0, 1)")
         if not (isinstance(self.flight.strips, (int, np.integer)) and self.flight.strips >= 1):
-            raise InvalidSpec("flight strips must be an integer of at least 1")
+            raise ValueError("flight strips must be an integer of at least 1")
         if not (0 < self.walk.speed < np.inf and 0 < self.walk.rate_hz < np.inf):
-            raise InvalidSpec("walk speed and rate must be positive and finite")
+            raise ValueError("walk speed and rate must be positive and finite")
         wp = np.asarray(self.walk.waypoints, dtype=float)
         if wp.ndim != 2 or wp.shape[1] != 3 or len(wp) < 2 or not np.all(np.isfinite(wp)):
-            raise InvalidSpec("walk needs at least two finite (3,) waypoints")
+            raise ValueError("walk needs at least two finite (3,) waypoints")
         if not np.all(np.linalg.norm(np.diff(wp, axis=0), axis=1) > 0):
-            raise InvalidSpec("consecutive walk waypoints must differ")
+            raise ValueError("consecutive walk waypoints must differ")
         if not (isinstance(self.n_tie_points, (int, np.integer)) and self.n_tie_points >= 0):
-            raise InvalidSpec("n_tie_points must be a non-negative integer")
+            raise ValueError("n_tie_points must be a non-negative integer")
 
 
 def default_tag_layout() -> dict:
@@ -276,7 +275,7 @@ def gen_stereo_pair(depth: np.ndarray, baseline: float,
     """
     depth = np.asarray(depth, dtype=float)
     if not np.all(depth > 0):
-        raise InvalidSpec("depth plan must be strictly positive")
+        raise ValueError("depth plan must be strictly positive")
     H, W = depth.shape
     disparity = (intrinsics.focal_px * baseline / depth).astype(np.float32)
 

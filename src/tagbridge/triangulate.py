@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, InsufficientObservations, MissingPose
+from .errors import DegenerateGeometry, InsufficientObservations
 from .geometry import (CameraIntrinsics, _checked, _group_sums, pixels_to_directions,
                        rotation_from_angles)
 
@@ -87,7 +87,7 @@ def _solve_groups(group, labels, origins, dirs):
     dots = np.abs(padded @ padded.transpose(0, 2, 1))
     real = np.arange(width) < counts[:, None]
     dots[~(real[:, :, None] & real[:, None, :])] = 1.0
-    parallel = dots.min(axis=(1, 2), initial=1.0) > math.cos(math.radians(MIN_PAIR_ANGLE_DEG))
+    parallel = dots.min(axis=(1, 2)) > math.cos(math.radians(MIN_PAIR_ANGLE_DEG))
 
     P = np.eye(3) - dirs[:, :, None] * dirs[:, None, :]
     A = _group_sums(group, P.reshape(-1, 9), len(labels)).reshape(-1, 3, 3)
@@ -118,7 +118,7 @@ def _solve_groups(group, labels, origins, dirs):
 def triangulate_tags(observations, poses, intrinsics: CameraIntrinsics) -> TriangulationResult:
     """Triangulate every tag seen in an iterable of observations.
 
-    `poses` maps image_id -> Pose. Raises MissingPose if any observation
+    `poses` maps image_id -> Pose. Raises ValueError if any observation
     references an unknown image; per-tag geometric failures are collected in
     the result instead of aborting the batch.
     Observations whose point-to-ray distance exceeds 3x the bundle RMS are
@@ -128,7 +128,7 @@ def triangulate_tags(observations, poses, intrinsics: CameraIntrinsics) -> Trian
     observations = list(observations)
     for obs in observations:
         if obs.image_id not in poses:
-            raise MissingPose(obs.image_id)
+            raise ValueError(f"observation references unknown image {obs.image_id!r}")
     if not observations:
         return TriangulationResult(landmarks=[], failures={})
 

@@ -350,6 +350,30 @@ class TestSolve:
             solve(problem)
         assert info.value.__cause__ is None and info.value.__suppress_context__
 
+    def test_no_acceptable_step(self, aerial_cam, monkeypatch, caplog):
+        # every trial is predicted to lower the cost and leaves the state as
+        # it was, so each is rejected and the damping rises x10 per trial
+        # until it passes LAMBDA_MAX
+        poses, points, meas = synthetic_block(aerial_cam, n_cams=3, n_points=4)
+        start = perturb(poses, {"img_0000"})
+        problem = BundleProblem(aerial_cam, start, points, meas, anchors={"img_0000"})
+        monkeypatch.setattr(_NormalEquations, "predicted_decrease",
+                            lambda normal, lam, delta: math.inf)
+        monkeypatch.setattr(_Packer, "retract", lambda packer, state, step: state)
+        with caplog.at_level("WARNING", logger="tagbridge.bundle"):
+            _, report = solve(problem)
+        assert report.stop == "no_acceptable_step"
+        assert report.converged is False
+        assert report.iterations == 1
+        trace = report.damping_trace
+        assert trace[0] == LAMBDA_INIT
+        ratios = [b / a for a, b in zip(trace, trace[1:])]
+        assert ratios == pytest.approx([10.0] * len(ratios))
+        assert trace[-2] <= LAMBDA_MAX < trace[-1]
+        assert len(report.cost_trace) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"LM stopped on no_acceptable_step after 1 iterations (rms {report.final_rms:.3e} px)"]
+
     def test_underconstrained_point(self, aerial_cam):
         poses, points, meas = synthetic_block(aerial_cam, n_points=3)
         meas = [m for m in meas if not (m[1] == 2 and m[0] != "img_0000")]

@@ -177,6 +177,11 @@ class TestPointCloud:
         with pytest.raises(ValueError, match="colors"):
             PointCloud(positions=[[0, 0, 0]], colors=np.array(colors))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_positions_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="positions must be finite"):
+            PointCloud(positions=[[0.0, bad, 0.0]])
+
     def test_byte_colors_accepted(self):
         every = np.arange(256, dtype=np.uint8).repeat(3).reshape(256, 3)
         assert np.array_equal(PointCloud(positions=np.zeros((256, 3)), colors=every).colors,
@@ -538,6 +543,15 @@ class TestColorize:
         rgb = np.full((480, 640, 3), value)
         with pytest.raises(ValueError, match="colors"):
             colorize_with_occlusion(cloud, grid, rgb, cam, pose)
+
+    @pytest.mark.parametrize("shape", [(480, 640), (480, 640, 4), (480, 640, 3, 1)],
+                             ids=["grayscale", "four-channel", "four-axis"])
+    def test_rgb_must_be_an_hw3_raster(self, shape):
+        cloud = PointCloud(positions=np.array([[0.0, 0.0, 3.0]]))
+        grid = accumulate(VoxelGrid(voxel_size=0.1), cloud)
+        with pytest.raises(ValueError, match=r"rgb must be an \(H, W, 3\) raster"):
+            colorize_with_occlusion(cloud, grid, np.zeros(shape, np.uint8), small_cam(),
+                                    nadirless_pose())
 
     def test_far_point_on_same_ray_uncolored(self):
         cam = small_cam()

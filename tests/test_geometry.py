@@ -224,8 +224,12 @@ class TestRigidTransform:
         assert np.allclose(apply_transform(T.inverse(), apply_transform(T, p)), p, atol=1e-12)
 
     def test_rejects_improper_rotation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"rotation must be proper \(det \+1\)"):
             RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+    def test_rejects_non_orthonormal_rotation(self):
+        with pytest.raises(ValueError, match="rotation must be orthonormal"):
+            RigidTransform(np.diag([1.0, 1.0, 1.0 + 1e-9]), np.zeros(3))
 
 
 class TestValidation:

@@ -91,6 +91,10 @@ class TestEstimateRigidTransform:
         with pytest.raises(TooFewCorrespondences):
             estimate_rigid_transform(np.zeros((2, 3)), np.zeros((2, 3)))
 
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="local and world must have matching shapes"):
+            estimate_rigid_transform(np.zeros((4, 3)), np.zeros((5, 3)))
+
     @pytest.mark.parametrize("side, bad", [("local", np.nan), ("world", np.inf)])
     def test_non_finite_pair_rejected(self, side, bad):
         # not numpy's "SVD did not converge" from inside the fit

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tagbridge import sgm
-from tagbridge.errors import DimensionMismatch, ImageTooSmall
 from tagbridge.geometry import CameraIntrinsics, Pose
 from tagbridge.sgm import (
     MIN_CLOUD_DISPARITY,
@@ -112,8 +111,12 @@ class TestCensus:
         assert np.array_equal(a, b)
 
     def test_too_small_raises(self):
-        with pytest.raises(ImageTooSmall):
+        with pytest.raises(ValueError, match="3x3 image with 5x5 census window"):
             census_transform(np.zeros((3, 3), np.uint8), (5, 5))
+
+    def test_colour_image_raises(self):
+        with pytest.raises(ValueError, match="image must be 2-D grayscale"):
+            census_transform(np.zeros((10, 12, 3), np.uint8), (3, 3))
 
     def test_wide_window_multiword(self):
         rng = np.random.default_rng(2)
@@ -271,8 +274,14 @@ class TestCostVolume:
     def test_dimension_mismatch(self):
         a = census_transform(np.zeros((10, 10), np.uint8), (3, 3))
         b = census_transform(np.zeros((10, 12), np.uint8), (3, 3))
-        with pytest.raises(DimensionMismatch):
+        shapes = r"raster shapes differ: \(10, 10, 1\) vs \(10, 12, 1\)"
+        with pytest.raises(ValueError, match=shapes):
             matching_cost_volume(a, b, 0, 4, max_cost=8)
+
+    def test_base_must_be_left_or_right(self):
+        d = census_transform(np.arange(120, dtype=np.uint8).reshape(10, 12), (3, 3))
+        with pytest.raises(ValueError, match="base must be 'left' or 'right'"):
+            matching_cost_volume(d, d, 0, 4, max_cost=8, base="up")
 
     @pytest.mark.parametrize("max_cost", [24.7, 24.0, -1, UINT16_MAX + 1, None],
                              ids=["fractional", "integer-valued-float", "negative",
@@ -572,6 +581,15 @@ class TestParams:
         with pytest.raises(ValueError):
             params(**kw)
 
+    @pytest.mark.parametrize("kw,message", [
+        (dict(d_min=16, d_max=16), "d_min must be < d_max"),
+        (dict(p1=120.0, p2=120.0), "penalties must satisfy 0 < P1 < P2"),
+        (dict(p1=130.0, p2=120.0), "penalties must satisfy 0 < P1 < P2"),
+    ], ids=["empty-disparity-range", "p1-equals-p2", "p1-above-p2"])
+    def test_rejects_empty_ranges(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            params(**kw)
+
     @pytest.mark.parametrize("kw", [dict(d_max=15.5), dict(d_max=15.0), dict(d_min=0.5),
                                     dict(d_min=0.5, d_max=4), dict(d_max=np.float64(4)),
                                     dict(census_window=(5.0, 5.0)), dict(census_window=(5, 4.5))],
@@ -653,6 +671,17 @@ class TestSelectDisparity:
         assert vol.raw is None
         with pytest.raises(ValueError, match="raw costs"):
             select_disparity(vol, p, right_agg)
+
+    def test_volumes_must_share_a_shape(self):
+        left, right = random_dot_pair(shape=(20, 40), shift=3, seed=15)
+        p = params(d_max=6)
+        ld, rd = census_transform(left), census_transform(right)
+        bits = census_bits(p.census_window)
+        agg = aggregate_costs(matching_cost_volume(ld, rd, p.d_min, p.d_max, max_cost=bits), p)
+        right_agg = aggregate_costs(matching_cost_volume(rd[:, 1:], ld[:, 1:], p.d_min, p.d_max,
+                                                         max_cost=bits, base="right"), p)
+        with pytest.raises(ValueError, match="left and right volumes differ in shape"):
+            select_disparity(agg, p, right_agg)
 
     def test_determinism(self):
         left, right = random_dot_pair(shape=(40, 80), shift=4, seed=13)

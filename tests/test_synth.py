@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from tagbridge.errors import InvalidSpec
 from tagbridge.geometry import apply_transform, project_points
 from tagbridge.synth import (
     _KEY_TEXTURE,
@@ -63,34 +62,40 @@ class TestSceneSpec:
         assert len(scene.tags) == 4
 
     def test_invalid_plans_rejected(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ValueError, match="flight altitude must be positive and finite"):
             spec_with(flight=FlightPlan(altitude=-5.0))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ValueError, match=r"overlap must be in \[0, 1\)"):
             spec_with(flight=FlightPlan(overlap=1.0))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ValueError, match=r"walk needs at least two finite \(3,\) waypoints"):
             spec_with(walk=WalkPlan(waypoints=((0, 0, 0),)))
 
-    @pytest.mark.parametrize("field", [
-        {"flight": FlightPlan(altitude=np.nan)}, {"flight": FlightPlan(altitude=np.inf)},
-        {"walk": WalkPlan(speed=np.nan)}, {"walk": WalkPlan(speed=np.inf)},
-        {"walk": WalkPlan(rate_hz=np.nan)}, {"walk": WalkPlan(rate_hz=np.inf)},
-        {"walk": WalkPlan(waypoints=((0, 0, 1.7), (0, np.inf, 1.7)))},
-        {"walk": WalkPlan(waypoints=((0, 0), (0, 14)))},
-        {"flight": FlightPlan(strips=1.5)}, {"n_tie_points": 2.5},
-        {"tags": {}}, {"tags": {1: np.array([0.0, 1.0])}},
-        {"tags": {**default_tag_layout(), 8: np.array([np.nan, 0.0, 0.0])}},
+    @pytest.mark.parametrize("field,message", [
+        ({"flight": FlightPlan(altitude=np.nan)}, "flight altitude"),
+        ({"flight": FlightPlan(altitude=np.inf)}, "flight altitude"),
+        ({"walk": WalkPlan(speed=np.nan)}, "walk speed and rate"),
+        ({"walk": WalkPlan(speed=np.inf)}, "walk speed and rate"),
+        ({"walk": WalkPlan(rate_hz=np.nan)}, "walk speed and rate"),
+        ({"walk": WalkPlan(rate_hz=np.inf)}, "walk speed and rate"),
+        ({"walk": WalkPlan(waypoints=((0, 0, 1.7), (0, np.inf, 1.7)))}, "two finite"),
+        ({"walk": WalkPlan(waypoints=((0, 0), (0, 14)))}, "two finite"),
+        ({"flight": FlightPlan(strips=1.5)}, "strips must be an integer of at least 1"),
+        ({"n_tie_points": 2.5}, "n_tie_points must be a non-negative integer"),
+        ({"tags": {}}, "tags must be a non-empty map"),
+        ({"tags": {1: np.array([0.0, 1.0])}}, "tags must be a non-empty map"),
+        ({"tags": {**default_tag_layout(), 8: np.array([np.nan, 0.0, 0.0])}},
+         "tags must be a non-empty map"),
     ], ids=["altitude-nan", "altitude-inf", "speed-nan", "speed-inf", "rate-nan", "rate-inf",
             "waypoint-inf", "waypoint-2d", "strips-fractional", "tie-points-fractional",
             "no-tags", "tag-2d", "tag-nan"])
-    def test_bad_field_rejected(self, field):
-        with pytest.raises(InvalidSpec):
+    def test_bad_field_rejected(self, field, message):
+        with pytest.raises(ValueError, match=message):
             spec_with(**field)
 
     @pytest.mark.parametrize("waypoints", [((0, 0, 1.7), (0, 14, 1.7), (0, 14, 1.7)),
                                            ((0, 0, 1.7), (0, 0, 1.7), (0, 14, 1.7))],
                              ids=["repeated-last", "repeated-first"])
     def test_coincident_consecutive_waypoints_rejected(self, waypoints):
-        with pytest.raises(InvalidSpec, match="waypoints"):
+        with pytest.raises(ValueError, match="consecutive walk waypoints must differ"):
             spec_with(walk=WalkPlan(waypoints=waypoints))
 
 
@@ -205,7 +210,7 @@ class TestStereoPair:
     def test_non_positive_depth_rejected(self, stereo_cam, bad):
         depth = np.full((8, 16), stereo_cam.focal_px * 0.2 / 4.0)
         depth[3, 5] = bad
-        with pytest.raises(InvalidSpec, match="depth"):
+        with pytest.raises(ValueError, match="depth plan must be strictly positive"):
             gen_stereo_pair(depth, 0.2, stereo_cam)
         depth[3, 5] = np.inf  # disparity 0: at infinity, accepted
         assert gen_stereo_pair(depth, 0.2, stereo_cam).disparity[3, 5] == 0.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tagbridge.errors import DegenerateGeometry, InsufficientObservations, MissingPose
+from tagbridge.errors import DegenerateGeometry, InsufficientObservations
 from tagbridge.geometry import (
     CameraIntrinsics,
     Pose,
@@ -14,7 +14,7 @@ from tagbridge.geometry import (
     rotation_from_angles,
 )
 from tagbridge.synth import default_tag_layout
-from tagbridge.triangulate import TagObservation, _solve_groups, triangulate_tags
+from tagbridge.triangulate import TagLandmark, TagObservation, _solve_groups, triangulate_tags
 
 from conftest import observe_tags, strip_poses
 
@@ -89,6 +89,28 @@ class TestTriangulatePoint:
                 (np.array([0.0, 0.0, 100.0]), np.array([0.0, 0.0, -1.0])),
                 (np.array([1.0, 0.0, -100.0]), np.array([math.sin(tilt), 0.0, math.cos(tilt)])),
             ))
+
+    def test_ill_conditioned_bundle_fails_the_condition_test(self):
+        # 100 parallel rays and one tilted by 0.055 deg pass the pair test,
+        # but their normal matrix is conditioned about 101^2 / (100 sin^2(tilt));
+        # at 0.06 deg the same bundle stays under MAX_CONDITION and solves
+        def bundle(tilt_deg):
+            tilt = math.radians(tilt_deg)
+            down = np.array([0.0, 0.0, -1.0])
+            return rays(*[(np.array([float(i), 0.0, 100.0]), down) for i in range(100)],
+                        (np.array([0.0, 1.0, 100.0]),
+                         np.array([math.sin(tilt), 0.0, -math.cos(tilt)])))
+
+        with pytest.raises(DegenerateGeometry,
+                           match=r"^near-parallel ray bundle \(condition number 1\.11e\+08\)$"):
+            solve_one_group(*bundle(0.055))
+        point, _ = solve_one_group(*bundle(0.06))
+        assert np.all(np.isfinite(point))
+
+    def test_landmark_needs_two_rays(self):
+        TagLandmark(1, np.zeros(3), 0.0, n_rays=2)
+        with pytest.raises(ValueError, match="a landmark needs at least 2 rays"):
+            TagLandmark(1, np.zeros(3), 0.0, n_rays=1)
 
     def test_matches_lstsq_oracle_with_noise(self):
         rng = np.random.default_rng(42)
@@ -173,7 +195,7 @@ class TestTriangulateTags:
 
     def test_missing_pose_raises(self, aerial_cam):
         obs = [TagObservation(image_id="nope", tag_id=1, pixel=(100.0, 100.0))]
-        with pytest.raises(MissingPose):
+        with pytest.raises(ValueError, match="observation references unknown image 'nope'"):
             triangulate_tags(obs, strip_poses(2), aerial_cam)
 
     def test_invariant_under_common_rigid_motion(self, aerial_cam):
