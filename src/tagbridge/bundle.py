@@ -70,6 +70,7 @@ logger = logging.getLogger(__name__)
 BEHIND_RESIDUAL = 1e6
 LAMBDA_INIT = 1e-3
 LAMBDA_MAX = 1e15
+MAX_ITERS = 100
 # The rules that can end `solve` (`SolveReport.stop`), each with whether it
 # counts as converged
 STOP_RULES = {"predicted_decrease": True, "no_free_parameters": True,
@@ -231,10 +232,6 @@ class _Packer:
         res[:, behind] = BEHIND_RESIDUAL
         return res, behind, (state, R, safe, norm, focal)
 
-    def residuals(self, state):
-        res, behind, _ = self._predict(state)
-        return res.T.ravel(), behind
-
     def linearize(self, projected):
         """Residuals and closed-form Jacobian blocks of `projected` =
         `_predict(state)`, component-major; the state is not projected again.
@@ -378,10 +375,11 @@ def _check_preconditions(problem: BundleProblem, packer: _Packer):
     n_images = np.bincount(pairs // n_poses, minlength=len(packer.point_ids))
     few = np.flatnonzero(n_images < 2)
     if few.size:
-        raise Underconstrained(packer.point_ids[few[0]], int(n_images[few[0]]))
+        raise Underconstrained(f"point {packer.point_ids[few[0]]!r} seen in "
+                               f"{n_images[few[0]]} image(s), need at least 2")
 
 
-def solve(problem: BundleProblem, max_iters: int = 100):
+def solve(problem: BundleProblem):
     """Levenberg-Marquardt over the unanchored poses and every point.
 
     Each iteration builds the closed-form Jacobian blocks, from the
@@ -400,7 +398,7 @@ def solve(problem: BundleProblem, max_iters: int = 100):
       no `gradient_tol` or `step_tol`.
     - "no_acceptable_step": the damping passed LAMBDA_MAX without a trial
       that lowered the cost.
-    - "max_iters".
+    - "max_iters": MAX_ITERS iterations ran.
     - "no_free_parameters": nothing to solve for.
     """
     packer = _Packer(problem)
@@ -422,7 +420,7 @@ def solve(problem: BundleProblem, max_iters: int = 100):
     eps = np.finfo(float).eps
     floor = (eps * np.linalg.norm(packer.obs)) ** 2  # the residuals' own rounding
     stop = "max_iters"
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         normal = _NormalEquations(packer, projected)
         rounding = r.size * eps * cost + floor
         while True:

@@ -15,11 +15,6 @@ class TagbridgeError(Exception):
 class InsufficientObservations(TagbridgeError):
     """Fewer than two rays/observations for a triangulation target."""
 
-    def __init__(self, tag_id, n):
-        self.tag_id = tag_id
-        self.n = n
-        super().__init__(f"tag {tag_id}: {n} observation(s), need at least 2")
-
 
 class DegenerateGeometry(TagbridgeError):
     """Geometry does not constrain the solution (parallel rays, collinear points, ...)."""
@@ -39,10 +34,6 @@ class GaugeNotFixed(TagbridgeError):
 
 class Underconstrained(TagbridgeError):
     """A free point is observed in fewer than two images."""
-
-    def __init__(self, point_id, n_images):
-        self.point_id = point_id
-        super().__init__(f"point {point_id!r} seen in {n_images} image(s), need at least 2")
 
 
 class SingularNormalEquations(TagbridgeError):

@@ -31,8 +31,6 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, Pose, _group_sums, project_points
 
-DEFAULT_VOXEL_SIZE = 0.1
-
 _AXIS_BITS = 21  # per axis in a packed voxel key
 _HALF_SPAN = 1 << (_AXIS_BITS - 1)  # offsets from the base voxel lie in [-2**20, 2**20)
 _KEY_SHIFTS = np.array([2 * _AXIS_BITS, _AXIS_BITS, 0])  # bit offset of x, y, z in a key
@@ -96,7 +94,7 @@ class VoxelGrid:
     No accumulated cloud is kept: memory follows the voxels, not the points.
     """
 
-    voxel_size: float = DEFAULT_VOXEL_SIZE
+    voxel_size: float
 
     def __post_init__(self):
         if not 0 < self.voxel_size < np.inf:

@@ -143,8 +143,9 @@ class DisparityMap:
     flags: np.ndarray  # (H, W) uint8
 
 
-def census_transform(image: np.ndarray, window=(5, 5)) -> np.ndarray:
-    """Census descriptor raster: bit i set iff neighbor i < center.
+def census_transform(image: np.ndarray, window) -> np.ndarray:
+    """Census descriptor raster over a (height, width) `window`: bit i set
+    iff neighbor i < center.
 
     Neighbors are enumerated in row-major order over the window with the
     center excluded; borders use edge-clamped neighborhoods. Returns an
@@ -181,7 +182,7 @@ def census_transform(image: np.ndarray, window=(5, 5)) -> np.ndarray:
     return desc
 
 
-def census_bits(window=(5, 5)) -> int:
+def census_bits(window) -> int:
     return window[0] * window[1] - 1
 
 

@@ -33,6 +33,12 @@ _KEY_OBSERVATIONS = 3
 _KEY_SIGHTINGS = 4
 _KEY_TEXTURE = 5
 
+# The ground rig's walk: along the waypoints at a constant speed, one pose
+# per 1 / WALK_RATE_HZ s
+WALK_WAYPOINTS = np.array([[0.0, -30.0, 1.7], [0.0, 30.0, 1.7]])
+WALK_SPEED = 1.4  # m/s
+WALK_RATE_HZ = 10.0
+
 
 def _stream(seed, *key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
@@ -52,23 +58,13 @@ class FlightPlan:
 
 
 @dataclass(frozen=True)
-class WalkPlan:
-    waypoints: tuple = ((0.0, -30.0, 1.7), (0.0, 30.0, 1.7))
-    speed: float = 1.4
-    rate_hz: float = 10.0
-
-
-@dataclass(frozen=True)
 class SceneSpec:
-    tags: dict = None
+    tags: dict
     flight: FlightPlan = FlightPlan()
-    walk: WalkPlan = WalkPlan()
     seed: int = 0
     n_tie_points: int = 40
 
     def __post_init__(self):
-        if self.tags is None:
-            object.__setattr__(self, "tags", default_tag_layout())
         if not self.tags or not all(np.shape(p) == (3,) and np.all(np.isfinite(p))
                                     for p in self.tags.values()):
             raise ValueError("tags must be a non-empty map of finite (3,) positions")
@@ -78,13 +74,6 @@ class SceneSpec:
             raise ValueError("overlap must be in [0, 1)")
         if not (isinstance(self.flight.strips, (int, np.integer)) and self.flight.strips >= 1):
             raise ValueError("flight strips must be an integer of at least 1")
-        if not (0 < self.walk.speed < np.inf and 0 < self.walk.rate_hz < np.inf):
-            raise ValueError("walk speed and rate must be positive and finite")
-        wp = np.asarray(self.walk.waypoints, dtype=float)
-        if wp.ndim != 2 or wp.shape[1] != 3 or len(wp) < 2 or not np.all(np.isfinite(wp)):
-            raise ValueError("walk needs at least two finite (3,) waypoints")
-        if not np.all(np.linalg.norm(np.diff(wp, axis=0), axis=1) > 0):
-            raise ValueError("consecutive walk waypoints must differ")
         if not (isinstance(self.n_tie_points, (int, np.integer)) and self.n_tie_points >= 0):
             raise ValueError("n_tie_points must be a non-negative integer")
 
@@ -117,23 +106,23 @@ def _heading_angles(theta: float) -> np.ndarray:
     return np.array([-math.pi / 2, 0.0, math.atan2(-math.cos(theta), math.sin(theta))])
 
 
-def _walk_trajectory(walk: WalkPlan) -> Trajectory:
-    wp = np.asarray(walk.waypoints, dtype=float)
-    seg = np.diff(wp, axis=0)
+def _walk_trajectory() -> Trajectory:
+    seg = np.diff(WALK_WAYPOINTS, axis=0)
     seg_len = np.linalg.norm(seg, axis=1)
     total = float(seg_len.sum())
-    dt = 1.0 / walk.rate_hz
-    n = int(math.floor(total / walk.speed / dt)) + 1
+    dt = 1.0 / WALK_RATE_HZ
+    n = int(math.floor(total / WALK_SPEED / dt)) + 1
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
     timestamps = np.arange(n) * dt
-    s = np.minimum(timestamps * walk.speed, total)
+    s = np.minimum(timestamps * WALK_SPEED, total)
     k = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(seg) - 1)
     frac = (s - cum[k]) / seg_len[k]
     headings = np.array([_heading_angles(math.atan2(d[1], d[0])) for d in seg])
-    return Trajectory(timestamps=timestamps, t=wp[k] + frac[:, None] * seg[k], r=headings[k])
+    return Trajectory(timestamps=timestamps, t=WALK_WAYPOINTS[k] + frac[:, None] * seg[k],
+                      r=headings[k])
 
 
-def gen_scene(spec: SceneSpec, intrinsics: CameraIntrinsics = None) -> Scene:
+def gen_scene(spec: SceneSpec, intrinsics: CameraIntrinsics) -> Scene:
     """Deterministic scene: aerial camera grid, tie points, walk trajectory.
 
     The camera grid covers the tag/tie-point area at the planned altitude
@@ -146,11 +135,8 @@ def gen_scene(spec: SceneSpec, intrinsics: CameraIntrinsics = None) -> Scene:
     frames. Overlap sets only the spacing, not how far the grid reaches: a
     tag field smaller than one footprint gets a few frames per strip that
     each see every tag.
-    `intrinsics` (aerial) defaults to a 50 mm / 7.4 um / 16 MPix camera.
+    `intrinsics` is the aerial camera.
     """
-    if intrinsics is None:
-        intrinsics = CameraIntrinsics(f=50.0, pixel_pitch=0.0074, x0=2432.0, y0=1616.0,
-                                      width=4864, height=3232)
     tag_pts = np.array(list(spec.tags.values()), dtype=float).reshape(-1, 3)
 
     footprint_x = spec.flight.altitude * intrinsics.width * intrinsics.pixel_pitch / intrinsics.f
@@ -182,7 +168,7 @@ def gen_scene(spec: SceneSpec, intrinsics: CameraIntrinsics = None) -> Scene:
         translation=np.array([rng_T.uniform(-50, 50), rng_T.uniform(-50, 50),
                               rng_T.uniform(-2, 2)]))
 
-    trajectory_world = _walk_trajectory(spec.walk)
+    trajectory_world = _walk_trajectory()
     trajectory_local = apply_to_trajectory(world_from_local.inverse(), trajectory_world)
     return Scene(tags=dict(spec.tags), camera_poses=camera_poses,
                  tie_points=tie_points, trajectory_world=trajectory_world,
@@ -252,11 +238,11 @@ class StereoPair:
 
 def two_plane_depth(intrinsics: CameraIntrinsics, baseline: float,
                     shape, d_background: int, d_foreground: int,
-                    rect=None) -> np.ndarray:
-    """Depth plan with exact integer disparities for two parallel planes; disparity 0 is +inf."""
+                    rect) -> np.ndarray:
+    """Depth plan with exact integer disparities for two parallel planes,
+    the foreground over the rows r0:r1 and columns c0:c1 of `rect` = (r0,
+    r1, c0, c1); disparity 0 is +inf."""
     H, W = shape
-    if rect is None:
-        rect = (H // 4, H * 3 // 4, W // 4, W * 3 // 4)
     disparity = np.full((H, W), d_background, dtype=np.float64)
     r0, r1, c0, c1 = rect
     disparity[r0:r1, c0:c1] = d_foreground

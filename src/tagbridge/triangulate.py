@@ -105,7 +105,8 @@ def _solve_groups(group, labels, origins, dirs):
     errors = {}
     for g in np.flatnonzero(~ok).tolist():
         if counts[g] < 2:
-            errors[g] = InsufficientObservations(tag_id=labels[g], n=int(counts[g]))
+            errors[g] = InsufficientObservations(
+                f"tag {labels[g]}: {counts[g]} observation(s), need at least 2")
         elif parallel[g]:
             errors[g] = DegenerateGeometry(
                 f"all ray pairs within {MIN_PAIR_ANGLE_DEG} deg of parallel")

@@ -3,8 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from tagbridge.geometry import CameraIntrinsics, Pose, project_points
+from tagbridge.geometry import (
+    CameraIntrinsics,
+    Pose,
+    RigidTransform,
+    angles_from_rotation,
+    apply_transform,
+    project_points,
+    rotation_from_angles,
+)
 from tagbridge.triangulate import TagObservation
+
+# The rigid move of the equivariance tests: every input is moved by it, and
+# each answer is compared with the move of the unmoved problem's answer
+WORLD_MOVE = RigidTransform(rotation_from_angles((0.2, -0.1, 0.7)),
+                            np.array([120.0, -40.0, 15.0]))
 
 
 @pytest.fixture
@@ -29,6 +42,12 @@ def strip_poses(n_images, altitude=100.0, spacing=10.0, y=0.0):
             r=np.array([math.pi, 0.0, 0.0]),
         )
     return poses
+
+
+def moved_pose(T, pose):
+    """`pose` moved by the rigid transform T: centre T(t), rotation T.R R."""
+    return Pose(t=apply_transform(T, pose.t),
+                r=angles_from_rotation(T.rotation @ pose.rotation()))
 
 
 def observe_tags(tags, poses, cam, sigma=0.0, rng=None):

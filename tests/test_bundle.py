@@ -25,7 +25,7 @@ from tagbridge.geometry import (
     rotation_from_angles,
 )
 
-from conftest import strip_poses
+from conftest import WORLD_MOVE, moved_pose, strip_poses
 from oracles import ReferenceNormalEquations, numeric_jacobian, reference_linearize
 
 
@@ -116,11 +116,18 @@ def analytic_jacobian(packer, state):
     return np.delete(J, np.s_[packer.n_cam:packer.n_cam_cols], axis=1), res.ravel()
 
 
+def residuals(packer, state):
+    """(residuals (2M,), behind-camera mask (M,)) of a state, the residuals
+    pixel-major: each measurement's two components adjacent."""
+    res, behind, _ = packer._predict(state)
+    return res.T.ravel(), behind
+
+
 def residuals_near(packer, state):
     """The residuals of `packer.retract(state, v)` as a function of the step
     v, which `numeric_jacobian` differentiates at v = 0: along exp(h e_j)
     for a rotation column."""
-    return lambda v: packer.residuals(packer.retract(state, v))[0]
+    return lambda v: residuals(packer, packer.retract(state, v))[0]
 
 
 def moved_start(packer, sigma, seed):
@@ -129,7 +136,15 @@ def moved_start(packer, sigma, seed):
     return packer.retract(packer.start, step)
 
 
-def reference_solve(problem, max_iters=100, gradient_tol=1e-10, step_tol=1e-12):
+def moved_problem(problem, T):
+    """`problem` with every pose and point moved by the rigid transform T."""
+    return BundleProblem(problem.intrinsics,
+                         {i: moved_pose(T, p) for i, p in problem.poses.items()},
+                         {k: apply_transform(T, v) for k, v in problem.points.items()},
+                         problem.measurements, problem.anchors)
+
+
+def reference_solve(problem, gradient_tol=1e-10, step_tol=1e-12):
     """The LM loop on a central-difference Jacobian and dense normal equations.
 
     The oracle that `solve`'s early stop is measured against: the same
@@ -141,11 +156,11 @@ def reference_solve(problem, max_iters=100, gradient_tol=1e-10, step_tol=1e-12):
     """
     packer = _Packer(problem)
     state = packer.start
-    r = packer.residuals(state)[0]
+    r = residuals(packer, state)[0]
     cost = float(r @ r)
     lam = LAMBDA_INIT
     converged = False
-    for _ in range(max_iters):
+    for _ in range(bundle.MAX_ITERS):
         J = numeric_jacobian(residuals_near(packer, state), np.zeros(packer.n_params))
         g = J.T @ r
         if np.max(np.abs(g)) < gradient_tol:
@@ -161,7 +176,7 @@ def reference_solve(problem, max_iters=100, gradient_tol=1e-10, step_tol=1e-12):
                 converged = True
                 break
             state_new = packer.retract(state, delta)
-            r_new = packer.residuals(state_new)[0]
+            r_new = residuals(packer, state_new)[0]
             cost_new = float(r_new @ r_new)
             if cost_new < cost:
                 state, r, cost = state_new, r_new, cost_new
@@ -177,7 +192,7 @@ def reference_solve(problem, max_iters=100, gradient_tol=1e-10, step_tol=1e-12):
 def initial_residuals(problem):
     """(residuals (2M,), behind-camera mask (M,)) at the problem's initial state."""
     packer = _Packer(problem)
-    return packer.residuals(packer.start)
+    return residuals(packer, packer.start)
 
 
 class TestResiduals:
@@ -228,11 +243,11 @@ class TestState:
         # or retracted before: the packer keeps no state of its own
         poses, points, meas = synthetic_block(aerial_cam, n_cams=4, n_points=8, sigma=0.3, seed=2)
         packer = _Packer(BundleProblem(aerial_cam, poses, points, meas, anchors={"img_0000"}))
-        before = packer.residuals(packer.start)[0]
+        before = residuals(packer, packer.start)[0]
         moved = moved_start(packer, 1e-2, seed=4)
-        packer.residuals(moved)
-        packer.residuals(packer.retract(moved, np.full(packer.n_params, 1e-3)))
-        assert np.array_equal(packer.residuals(packer.start)[0], before)
+        residuals(packer, moved)
+        residuals(packer, packer.retract(moved, np.full(packer.n_params, 1e-3)))
+        assert np.array_equal(residuals(packer, packer.start)[0], before)
 
     @pytest.mark.parametrize("anchors", ["one", "two", "all"])
     def test_zero_step_keeps_state(self, aerial_cam, anchors):
@@ -378,7 +393,8 @@ class TestSolve:
         poses, points, meas = synthetic_block(aerial_cam, n_points=3)
         meas = [m for m in meas if not (m[1] == 2 and m[0] != "img_0000")]
         problem = BundleProblem(aerial_cam, poses, points, meas, anchors={"img_0000"})
-        with pytest.raises(Underconstrained):
+        with pytest.raises(Underconstrained,
+                           match=r"^point 2 seen in 1 image\(s\), need at least 2$"):
             solve(problem)
 
     def test_repeat_in_one_image_counts_once(self, aerial_cam):
@@ -415,15 +431,12 @@ class TestSolve:
         anchors = {"img_0000", "img_0005"}
         start = perturb(poses, anchors, dt=0.3, dr_deg=0.3, seed=5)
         Q = RigidTransform(rotation_from_angles((0.0, math.pi / 2, 0.0)), np.zeros(3))
-        turned = {i: Pose(t=apply_transform(Q, p.t),
-                          r=angles_from_rotation(Q.rotation @ p.rotation()))
-                  for i, p in start.items()}
-        assert all(abs(p.r[1]) > math.radians(89.5) for p in turned.values())
-        turned_points = {k: apply_transform(Q, v) for k, v in points.items()}
+        problem = BundleProblem(aerial_cam, start, points, meas, anchors=anchors)
+        turned = moved_problem(problem, Q)
+        assert all(abs(p.r[1]) > math.radians(89.5) for p in turned.poses.values())
 
-        ref, ref_report = solve(BundleProblem(aerial_cam, start, points, meas, anchors=anchors))
-        got, report = solve(BundleProblem(aerial_cam, turned, turned_points, meas,
-                                          anchors=anchors))
+        ref, ref_report = solve(problem)
+        got, report = solve(turned)
         assert report.converged and ref_report.converged
         assert report.final_rms == pytest.approx(ref_report.final_rms, rel=1e-12)
         for p in points:
@@ -447,7 +460,7 @@ class TestSolve:
 
         def gradient_ratio(problem):
             packer = _Packer(problem)
-            r = packer.residuals(packer.start)[0]
+            r = residuals(packer, packer.start)[0]
             J = numeric_jacobian(residuals_near(packer, packer.start), np.zeros(packer.n_params))
             return np.linalg.norm(J.T @ r) / (np.linalg.norm(J) * np.linalg.norm(r))
 
@@ -521,7 +534,9 @@ class TestSolve:
             return predict(packer, state)
 
         monkeypatch.setattr(_Packer, "_predict", counted)
-        _, report = solve(problem, max_iters=1 if case == "one_iteration" else 100)
+        if case == "one_iteration":
+            monkeypatch.setattr(bundle, "MAX_ITERS", 1)
+        _, report = solve(problem)
         assert len({b"".join(a.tobytes() for a in state) for state in calls}) == len(calls)
         assert all(map(np.array_equal, calls[0], _Packer(problem).start))
         assert report.residual_evals == len(calls) == len(report.damping_trace)
@@ -532,7 +547,7 @@ class TestSolve:
         ("one_iteration", "max_iters"),
         ("all_fixed", "no_free_parameters"),
     ])
-    def test_stop_rule_reported(self, aerial_cam, case, stop):
+    def test_stop_rule_reported(self, aerial_cam, monkeypatch, case, stop):
         sigma = 0.0 if case == "exact" else 0.5
         poses, points, meas = synthetic_block(aerial_cam, n_points=15, sigma=sigma, seed=4)
         if case != "exact":
@@ -541,7 +556,9 @@ class TestSolve:
         if case == "all_fixed":  # every pose anchored, no points
             points, meas, anchors = {}, [], set(poses)
         problem = BundleProblem(aerial_cam, poses, points, meas, anchors=anchors)
-        refined, report = solve(problem, max_iters=1 if case == "one_iteration" else 100)
+        if case == "one_iteration":
+            monkeypatch.setattr(bundle, "MAX_ITERS", 1)
+        refined, report = solve(problem)
         assert report.stop == stop
         assert report.converged == STOP_RULES[stop]
         assert report.residual_evals == len(report.damping_trace)
@@ -593,7 +610,7 @@ class TestJacobian:
         J_num = numeric_jacobian(residuals_near(packer, state), np.zeros(packer.n_params),
                                  rel_step=1e-5)
         assert J.shape == J_num.shape == (2 * len(meas), packer.n_params)
-        behind = packer.residuals(state)[1]
+        behind = residuals(packer, state)[1]
         assert behind.sum() == 2 and behind[-2:].all()
         assert not J[-4:].any() and not J_num[-4:].any()
         for j in range(packer.n_params):  # the behind point's own columns are all zero
@@ -659,9 +676,9 @@ class TestComponentMajorBuild:
         res, J_cam, J_point = packer.linearize(packer._predict(state))
         ref_res, ref_cam, ref_point = reference_linearize(packer, state)
         assert J_cam.shape == (2, 6, len(ref_res))
-        assert packer.residuals(state)[1][-3:-1].all()  # point 99's two measurements
+        assert residuals(packer, state)[1][-3:-1].all()  # point 99's two measurements
         assert np.array_equal(res.T, ref_res)
-        assert np.array_equal(packer.residuals(state)[0], ref_res.ravel())
+        assert np.array_equal(residuals(packer, state)[0], ref_res.ravel())
         assert np.array_equal(J_cam.transpose(2, 0, 1), ref_cam)
         assert np.array_equal(J_point.transpose(2, 0, 1), ref_point)
 
@@ -718,21 +735,60 @@ class TestNormalEquationsStep:
         assert normal.predicted_decrease(lam, delta) == pytest.approx(expected, rel=1e-8)
 
 
+class TestEquivariance:
+    # Two anchors that see points fix the datum, so moving every pose and
+    # point by one rigid transform moves the solution with them. Each solve
+    # stops on its predicted decrease, not at one exact point: over seeds
+    # 3-12 of this block the worst differences were 1.6e-9 m at the points,
+    # 1.0e-8 m at the centres and 1.1e-10 in a rotation entry, with or
+    # without relabelling; the bounds are 5 to 9 times that. With one
+    # anchor the scale is free, and the two solves part by up to 0.48 m.
+    @pytest.mark.parametrize("relabel", [False, True], ids=["moved", "moved-relabelled"])
+    def test_solution_moves_with_the_world(self, aerial_cam, relabel):
+        poses, points, meas = synthetic_block(aerial_cam, n_points=20, sigma=0.5, seed=3)
+        anchors = {"img_0000", "img_0005"}
+        start = perturb(poses, anchors, dt=0.3, dr_deg=0.3, seed=5)
+        problem = BundleProblem(aerial_cam, start, points, meas, anchors=anchors)
+        moved = moved_problem(problem, WORLD_MOVE)
+        image, point = {i: i for i in poses}, {p: p for p in points}
+        if relabel:
+            # ids that sort in another order and shuffled measurements: the
+            # bins add in another order, so the bits may differ
+            rng = np.random.default_rng(4)
+            image = {i: f"cam_{k}" for i, k in zip(sorted(poses), rng.permutation(len(poses)))}
+            point = {p: 100 + int(k) for p, k in zip(sorted(points), rng.permutation(len(points)))}
+            moved = BundleProblem(aerial_cam, {image[i]: p for i, p in moved.poses.items()},
+                                  {point[k]: v for k, v in moved.points.items()},
+                                  [(image[i], point[k], px) for i, k, px in
+                                   (meas[m] for m in rng.permutation(len(meas)))],
+                                  anchors={image[i] for i in anchors})
+
+        ref, ref_report = solve(problem)
+        got, report = solve(moved)
+        assert ref_report.converged and report.converged
+        for k in points:
+            want = apply_transform(WORLD_MOVE, ref.points[k])
+            assert np.max(np.abs(got.points[point[k]] - want)) < 1e-8
+        for i in poses:
+            pose = got.poses[image[i]]
+            assert np.max(np.abs(pose.t - apply_transform(WORLD_MOVE, ref.poses[i].t))) < 5e-8
+            R = WORLD_MOVE.rotation @ ref.poses[i].rotation()
+            assert np.max(np.abs(pose.rotation() - R)) < 1e-9
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("block", ["monotone", "noise_100", "noise_101", "noise_102"])
     def test_final_cost_matches_central_difference_solver(self, aerial_cam, block):
         if block == "monotone":
             poses, points, meas = synthetic_block(aerial_cam, n_points=15, sigma=0.5, seed=4)
             poses = perturb(poses, {"img_0000"}, dt=0.3, dr_deg=0.3, seed=5)
-            max_iters = 100
         else:
             poses, points, meas = synthetic_block(aerial_cam, n_cams=6, n_points=50, sigma=0.5,
                                                   seed=int(block[-3:]))
-            max_iters = 30
         problem = BundleProblem(aerial_cam, dict(poses), dict(points), meas,
                                 anchors={"img_0000"})
-        ref_cost, ref_converged = reference_solve(problem, max_iters=max_iters)
-        _, report = solve(problem, max_iters=max_iters)
+        ref_cost, ref_converged = reference_solve(problem)
+        _, report = solve(problem)
         assert ref_converged and report.converged
         assert report.stop == "predicted_decrease"
         assert abs(report.cost_trace[-1] - ref_cost) <= 1e-12 * ref_cost
@@ -750,7 +806,7 @@ class TestNoiseFloor:
                 aerial_cam, n_cams=6, n_points=50, sigma=sigma, seed=100 + trial)
             problem = BundleProblem(aerial_cam, dict(poses), dict(points), meas,
                                     anchors={"img_0000"})
-            _, report = solve(problem, max_iters=30)
+            _, report = solve(problem)
             n_res = 2 * len(meas)
             n_par = 6 * 5 + 3 * 50
             expected = sigma * math.sqrt(1.0 - n_par / n_res)

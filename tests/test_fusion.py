@@ -206,8 +206,7 @@ class TestPointCloud:
 class TestAccumulate:
     @pytest.mark.parametrize("size", [0.0, np.nan, np.inf])
     def test_voxel_size_positive_and_finite(self, size):
-        VoxelGrid()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^voxel size must be positive and finite$"):
             VoxelGrid(voxel_size=size)
 
     def test_empty_cloud_no_change(self):
@@ -330,6 +329,38 @@ class TestAccumulate:
         assert len(state) == 2
         assert {name: len(a) for name, a in state.items()} == dict.fromkeys(state, 8)
         assert sum(a.nbytes for a in state.values()) == 72 * grid.n_voxels  # key + (8,) row
+
+    def test_equivariant_under_whole_voxel_translation(self):
+        # points on a 2**-30 m lattice and a power-of-two voxel: every shifted
+        # coordinate and its quotient by the voxel size are exact, so the
+        # shifted grid holds the same table under a base moved by the shift.
+        # A centroid, (index + offset) * size, then differs from the shifted
+        # centroid by the rounding of that sum on each side and of the
+        # shift's add, each at most half a unit in the last place
+        size = 0.25
+        steps = np.array([480, -160, 60])  # (120, -40, 15) m
+        rng = np.random.default_rng(21)
+        pts = np.rint(rng.normal(0.0, 2.0, (3000, 3)) * 2.0 ** 30) * 2.0 ** -30
+        colors = rng.integers(0, 256, (len(pts), 3)).astype(np.uint8)
+        valid = rng.random(len(pts)) < 0.7
+        chunks = np.array_split(rng.permutation(len(pts)), 3)
+
+        def fused(shift):
+            grid = VoxelGrid(voxel_size=size)
+            for c in chunks:
+                accumulate(grid, PointCloud(positions=pts[c] + shift, colors=colors[c],
+                                            color_valid=valid[c]))
+            return grid, filter_voxels(grid, min_points=2)
+
+        (grid, out), (moved_grid, moved) = fused(0.0), fused(steps * size)
+        assert np.array_equal(moved_grid._table, grid._table)
+        assert np.array_equal(moved_grid._base, grid._base + steps)
+        assert 0 < len(out) < grid.n_voxels
+        assert np.array_equal(moved.colors, out.colors)
+        assert np.array_equal(moved.color_valid, out.color_valid)
+        want = out.positions + steps * size
+        ulp = np.spacing(np.maximum(np.abs(want), np.abs(out.positions)))
+        assert np.all(np.abs(moved.positions - want) <= 1.5 * ulp)
 
     def test_chunked_reordered_and_split_grids_equal(self):
         # one cloud; shuffled chunks; the same chunks in reverse; and a split
@@ -496,13 +527,13 @@ class TestFilterVoxels:
 
     def test_min_points_below_one_rejected(self):
         grid = accumulate(VoxelGrid(voxel_size=0.1), PointCloud(positions=[[0.05, 0.05, 0.05]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^min_points must be at least 1$"):
             filter_voxels(grid, min_points=0)
 
     def test_min_points_nan_rejected(self):
         # NaN fails every count comparison: it would keep no voxel, silently
         grid = accumulate(VoxelGrid(voxel_size=0.1), PointCloud(positions=[[0.05, 0.05, 0.05]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^min_points must be at least 1$"):
             filter_voxels(grid, min_points=np.nan)
 
     def test_rgb_fraction_zero_emits_geometry_only(self):
@@ -749,15 +780,18 @@ class TestKeyPacking:
         near = np.sign(far) * (abs(far) - 1)  # the last packable index on that side
         accumulate(grid, PointCloud(positions=[[(near + 0.2) * size, 0.01, 0.01]]))
         assert grid.count((near, 0, 0)) == 1
-        with pytest.raises(ValueError):
-            accumulate(grid, PointCloud(positions=[[0.5, 0.5, 0.5], [(far + 0.2) * size, 0.01, 0.01]]))
+        # the first point beyond the span is named: the second of the cloud
+        with pytest.raises(ValueError, match=r"^point \[-?5242\d\.\d+, 0\.01, 0\.01\] lies beyond"):
+            accumulate(grid, PointCloud(positions=[[0.5, 0.5, 0.5],
+                                                   [(far + 0.2) * size, 0.01, 0.01]]))
         assert (grid.n_voxels, grid.n_points) == (2, 2)
         assert len(filter_voxels(grid, min_points=1)) == 2
         assert grid.count((far, 0, 0)) == 0
 
     def test_first_cloud_wider_than_span_raises(self):
         grid = VoxelGrid(voxel_size=0.05)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^point \[0\.0, 104857\.6, 0\.0\] lies beyond "
+                                             r"\+-2\*\*20 voxels of the grid's base voxel"):
             accumulate(grid, PointCloud(positions=[[0.0, 0.0, 0.0], [0.0, 0.05 * 2 ** 21, 0.0]]))
         assert grid.n_voxels == 0
         accumulate(grid, PointCloud(positions=[[0.0, 0.05 * 2 ** 21, 0.0]]))

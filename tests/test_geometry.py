@@ -234,11 +234,11 @@ class TestRigidTransform:
 
 class TestValidation:
     def test_intrinsics_invariants(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^focal length must be positive and finite$"):
             aerial_camera(f=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^pixel pitch must be positive and finite$"):
             aerial_camera(pixel_pitch=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^principal point must lie inside the sensor$"):
             aerial_camera(x0=9999.0)
 
     @pytest.mark.parametrize("size", [dict(width=np.inf), dict(height=np.inf),
@@ -262,7 +262,7 @@ class TestValidation:
             assert not cam.in_bounds((cam.width, 0))
 
     def test_pose_requires_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^t must be finite$"):
             Pose(t=np.array([np.nan, 0, 0]), r=np.zeros(3))
 
     def test_in_bounds_takes_pixel_arrays(self):
@@ -306,18 +306,20 @@ class TestValueTypes:
         a[-1] += 1.0  # the caller's array stays the caller's
         assert np.array_equal(held, initial)
 
-    @pytest.mark.parametrize("build", [
-        lambda: RigidTransform(np.full((3, 3), np.nan), np.zeros(3)),
-        lambda: TagLandmark(1, np.array([0.0, np.nan, 0.0]), 0.0, 2),
-        lambda: TagLandmark(1, np.zeros(3), np.nan, 2),
-        lambda: Trajectory(np.array([np.nan]), np.zeros((1, 3)), np.zeros((1, 3))),
-        lambda: Trajectory(np.array([0.0, np.inf]), np.zeros((2, 3)), np.zeros((2, 3))),
-        lambda: aerial_camera(f=np.inf),
-        lambda: aerial_camera(pixel_pitch=np.inf),
+    @pytest.mark.parametrize("build,message", [
+        (lambda: RigidTransform(np.full((3, 3), np.nan), np.zeros(3)), "rotation must be finite"),
+        (lambda: TagLandmark(1, np.array([0.0, np.nan, 0.0]), 0.0, 2), "position must be finite"),
+        (lambda: TagLandmark(1, np.zeros(3), np.nan, 2), "rms_residual must be non-negative"),
+        (lambda: Trajectory(np.array([np.nan]), np.zeros((1, 3)), np.zeros((1, 3))),
+         "timestamps must be finite"),
+        (lambda: Trajectory(np.array([0.0, np.inf]), np.zeros((2, 3)), np.zeros((2, 3))),
+         "timestamps must be finite"),
+        (lambda: aerial_camera(f=np.inf), "focal length must be positive and finite"),
+        (lambda: aerial_camera(pixel_pitch=np.inf), "pixel pitch must be positive and finite"),
     ], ids=["rotation-nan", "position-nan", "rms-nan", "timestamp-nan", "timestamp-inf",
             "focal-length-inf", "pixel-pitch-inf"])
-    def test_rejects_non_finite(self, build):
-        with pytest.raises(ValueError):
+    def test_rejects_non_finite(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             build()
 
     def test_shape_message_names_the_array(self):

@@ -237,7 +237,8 @@ class TestCostVolume:
         # under a fifth of that, may be held
         shape = (128, 256, 128)
         rng = np.random.default_rng(15)
-        left, right = (census_transform(rng.integers(0, 256, shape[:2]).astype(np.uint8))
+        left, right = (census_transform(rng.integers(0, 256, shape[:2]).astype(np.uint8),
+                                        (5, 5))
                        for _ in range(2))
         for base in ("left", "right"):
             tracemalloc.start()
@@ -573,12 +574,14 @@ class TestParams:
         with pytest.raises(ValueError, match="integer"):
             params(p2=120.25)
 
-    @pytest.mark.parametrize("kw", [dict(lr_max_diff=np.nan), dict(uniqueness_ratio=np.nan),
-                                    dict(uniqueness_ratio=np.inf)],
-                             ids=["lr-max-diff-nan", "uniqueness-nan", "uniqueness-inf"])
-    def test_rejects_non_finite(self, kw):
+    @pytest.mark.parametrize("kw,message", [
+        (dict(lr_max_diff=np.nan), "lr_max_diff must be positive"),
+        (dict(uniqueness_ratio=np.nan), "uniqueness_ratio must be finite and >= 1"),
+        (dict(uniqueness_ratio=np.inf), "uniqueness_ratio must be finite and >= 1"),
+    ], ids=["lr-max-diff-nan", "uniqueness-nan", "uniqueness-inf"])
+    def test_rejects_non_finite(self, kw, message):
         params(d_max=63)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             params(**kw)
 
     @pytest.mark.parametrize("kw,message", [
@@ -649,7 +652,7 @@ class TestSelectDisparity:
     def test_lr_check_takes_left_then_right_base(self):
         left, right = random_dot_pair(shape=(20, 40), shift=3, seed=15)
         p = params(d_max=6)
-        ld, rd = census_transform(left), census_transform(right)
+        ld, rd = census_transform(left, p.census_window), census_transform(right, p.census_window)
         bits = census_bits(p.census_window)
         agg = {base: aggregate_costs(matching_cost_volume(a, b, p.d_min, p.d_max,
                                                           max_cost=bits, base=base), p)
@@ -663,7 +666,7 @@ class TestSelectDisparity:
         # matching_cost_volume output has no raw costs; uniqueness reads them
         left, right = random_dot_pair(shape=(20, 40), shift=3, seed=15)
         p = params(d_max=6)
-        ld, rd = census_transform(left), census_transform(right)
+        ld, rd = census_transform(left, p.census_window), census_transform(right, p.census_window)
         bits = census_bits(p.census_window)
         vol = matching_cost_volume(ld, rd, p.d_min, p.d_max, max_cost=bits)
         right_agg = aggregate_costs(matching_cost_volume(rd, ld, p.d_min, p.d_max,
@@ -675,7 +678,7 @@ class TestSelectDisparity:
     def test_volumes_must_share_a_shape(self):
         left, right = random_dot_pair(shape=(20, 40), shift=3, seed=15)
         p = params(d_max=6)
-        ld, rd = census_transform(left), census_transform(right)
+        ld, rd = census_transform(left, p.census_window), census_transform(right, p.census_window)
         bits = census_bits(p.census_window)
         agg = aggregate_costs(matching_cost_volume(ld, rd, p.d_min, p.d_max, max_cost=bits), p)
         right_agg = aggregate_costs(matching_cost_volume(rd[:, 1:], ld[:, 1:], p.d_min, p.d_max,

@@ -10,7 +10,6 @@ from tagbridge.synth import (
     Scene,
     SceneSpec,
     StereoPair,
-    WalkPlan,
     default_tag_layout,
     gen_scene,
     gen_stereo_pair,
@@ -23,7 +22,7 @@ from tagbridge.triangulate import triangulate_tags
 
 
 def spec_with(**kw):
-    return SceneSpec(**kw)
+    return SceneSpec(**{"tags": default_tag_layout(), **kw})
 
 
 def reference_stereo_pair(depth, baseline, intrinsics, texture_seed=0):
@@ -51,14 +50,14 @@ def reference_stereo_pair(depth, baseline, intrinsics, texture_seed=0):
 
 
 class TestSceneSpec:
-    def test_default_has_seven_tags(self):
-        scene = gen_scene(spec_with(seed=42))
+    def test_default_has_seven_tags(self, aerial_cam):
+        scene = gen_scene(spec_with(seed=42), aerial_cam)
         assert len(scene.tags) == 7
 
-    def test_collinear_tags_accepted(self):
+    def test_collinear_tags_accepted(self, aerial_cam):
         # registration, not the spec, rejects collinear tags (DegenerateGeometry)
         tags = {i: np.array([float(i), 0.0, 0.0]) for i in range(1, 5)}
-        scene = gen_scene(spec_with(tags=tags))
+        scene = gen_scene(spec_with(tags=tags), aerial_cam)
         assert len(scene.tags) == 4
 
     def test_invalid_plans_rejected(self):
@@ -66,43 +65,27 @@ class TestSceneSpec:
             spec_with(flight=FlightPlan(altitude=-5.0))
         with pytest.raises(ValueError, match=r"overlap must be in \[0, 1\)"):
             spec_with(flight=FlightPlan(overlap=1.0))
-        with pytest.raises(ValueError, match=r"walk needs at least two finite \(3,\) waypoints"):
-            spec_with(walk=WalkPlan(waypoints=((0, 0, 0),)))
 
     @pytest.mark.parametrize("field,message", [
         ({"flight": FlightPlan(altitude=np.nan)}, "flight altitude"),
         ({"flight": FlightPlan(altitude=np.inf)}, "flight altitude"),
-        ({"walk": WalkPlan(speed=np.nan)}, "walk speed and rate"),
-        ({"walk": WalkPlan(speed=np.inf)}, "walk speed and rate"),
-        ({"walk": WalkPlan(rate_hz=np.nan)}, "walk speed and rate"),
-        ({"walk": WalkPlan(rate_hz=np.inf)}, "walk speed and rate"),
-        ({"walk": WalkPlan(waypoints=((0, 0, 1.7), (0, np.inf, 1.7)))}, "two finite"),
-        ({"walk": WalkPlan(waypoints=((0, 0), (0, 14)))}, "two finite"),
         ({"flight": FlightPlan(strips=1.5)}, "strips must be an integer of at least 1"),
         ({"n_tie_points": 2.5}, "n_tie_points must be a non-negative integer"),
         ({"tags": {}}, "tags must be a non-empty map"),
         ({"tags": {1: np.array([0.0, 1.0])}}, "tags must be a non-empty map"),
         ({"tags": {**default_tag_layout(), 8: np.array([np.nan, 0.0, 0.0])}},
          "tags must be a non-empty map"),
-    ], ids=["altitude-nan", "altitude-inf", "speed-nan", "speed-inf", "rate-nan", "rate-inf",
-            "waypoint-inf", "waypoint-2d", "strips-fractional", "tie-points-fractional",
+    ], ids=["altitude-nan", "altitude-inf", "strips-fractional", "tie-points-fractional",
             "no-tags", "tag-2d", "tag-nan"])
     def test_bad_field_rejected(self, field, message):
         with pytest.raises(ValueError, match=message):
             spec_with(**field)
 
-    @pytest.mark.parametrize("waypoints", [((0, 0, 1.7), (0, 14, 1.7), (0, 14, 1.7)),
-                                           ((0, 0, 1.7), (0, 0, 1.7), (0, 14, 1.7))],
-                             ids=["repeated-last", "repeated-first"])
-    def test_coincident_consecutive_waypoints_rejected(self, waypoints):
-        with pytest.raises(ValueError, match="consecutive walk waypoints must differ"):
-            spec_with(walk=WalkPlan(waypoints=waypoints))
-
 
 class TestDeterminism:
-    def test_scene_bit_identical_under_seed(self):
-        a = gen_scene(spec_with(seed=42))
-        b = gen_scene(spec_with(seed=42))
+    def test_scene_bit_identical_under_seed(self, aerial_cam):
+        a = gen_scene(spec_with(seed=42), aerial_cam)
+        b = gen_scene(spec_with(seed=42), aerial_cam)
         assert sorted(a.camera_poses) == sorted(b.camera_poses)
         for k in a.camera_poses:
             assert np.array_equal(a.camera_poses[k].t, b.camera_poses[k].t)
@@ -177,27 +160,27 @@ class TestRenderObservations:
 
 
 class TestSightingsAndTrajectory:
-    def test_local_trajectory_maps_back_to_world(self):
-        scene = gen_scene(spec_with(seed=6))
+    def test_local_trajectory_maps_back_to_world(self, aerial_cam):
+        scene = gen_scene(spec_with(seed=6), aerial_cam)
         T = scene.world_from_local
         for pw, pl in zip(scene.trajectory_world.poses[:20], scene.trajectory_local.poses[:20]):
             assert np.allclose(apply_transform(T, pl.t), pw.t, atol=1e-9)
 
-    def test_sightings_match_transform(self):
-        scene = gen_scene(spec_with(seed=7))
+    def test_sightings_match_transform(self, aerial_cam):
+        scene = gen_scene(spec_with(seed=7), aerial_cam)
         sightings = render_sightings(scene, sigma_m=0.0)
         inv = scene.world_from_local.inverse()
         for s in sightings:
             assert np.allclose(s.local_vector, apply_transform(inv, scene.tags[s.tag_id]),
                                atol=1e-9)
 
-    def test_walk_length_and_rate(self):
-        walk = WalkPlan(waypoints=((0.0, 0.0, 1.7), (50.0, 0.0, 1.7)), speed=2.0,
-                        rate_hz=10.0)
-        scene = gen_scene(spec_with(seed=8, walk=walk))
-        traj = scene.trajectory_world
-        assert abs(traj.timestamps[1] - traj.timestamps[0] - 0.1) < 1e-12
-        assert np.allclose(traj.poses[-1].t, (50.0, 0.0, 1.7), atol=2.0 * 0.1 + 1e-9)
+    def test_walk_length_and_rate(self, aerial_cam):
+        # 60 m at 1.4 m/s: 42.86 s, sampled at 10 Hz from t = 0
+        traj = gen_scene(spec_with(seed=8), aerial_cam).trajectory_world
+        assert len(traj) == 429
+        assert np.allclose(np.diff(traj.timestamps), 0.1, rtol=0, atol=1e-12)
+        assert np.allclose(traj.poses[0].t, (0.0, -30.0, 1.7), rtol=0, atol=1e-12)
+        assert np.allclose(traj.poses[-1].t, (0.0, 30.0, 1.7), rtol=0, atol=1.4 * 0.1 + 1e-9)
 
 
 class TestStereoPair:
@@ -216,7 +199,8 @@ class TestStereoPair:
         assert gen_stereo_pair(depth, 0.2, stereo_cam).disparity[3, 5] == 0.0
 
     def test_two_plane_step_edge(self, stereo_cam):
-        depth = two_plane_depth(stereo_cam, 0.2, (40, 80), d_background=6, d_foreground=14)
+        depth = two_plane_depth(stereo_cam, 0.2, (40, 80), d_background=6, d_foreground=14,
+                                rect=(10, 30, 20, 60))
         pair = gen_stereo_pair(depth, 0.2, stereo_cam, texture_seed=2)
         vals = np.unique(pair.disparity)
         assert set(vals.tolist()) == {6.0, 14.0}

@@ -7,16 +7,14 @@ from tagbridge.errors import DegenerateGeometry, InsufficientObservations
 from tagbridge.geometry import (
     CameraIntrinsics,
     Pose,
-    RigidTransform,
     apply_transform,
     pixels_to_directions,
     project_points,
-    rotation_from_angles,
 )
 from tagbridge.synth import default_tag_layout
 from tagbridge.triangulate import TagLandmark, TagObservation, _solve_groups, triangulate_tags
 
-from conftest import observe_tags, strip_poses
+from conftest import WORLD_MOVE, moved_pose, observe_tags, strip_poses
 
 
 def ray_towards(origin, target):
@@ -65,7 +63,8 @@ class TestTriangulatePoint:
         assert rms < 1e-12
 
     def test_single_ray_raises(self):
-        with pytest.raises(InsufficientObservations):
+        with pytest.raises(InsufficientObservations,
+                           match=r"^tag None: 1 observation\(s\), need at least 2$"):
             solve_one_group(*rays(ray_towards((0, 0, 100), (0, 0, 0))))
 
     def test_parallel_bundle_raises(self):
@@ -199,22 +198,21 @@ class TestTriangulateTags:
             triangulate_tags(obs, strip_poses(2), aerial_cam)
 
     def test_invariant_under_common_rigid_motion(self, aerial_cam):
-        rng = np.random.default_rng(3)
-        tags = default_tag_layout()
+        # every pose and tag moved by one rigid transform leaves the pixels as
+        # they are: each landmark moves with them, its rms and rays unchanged.
+        # The worst position difference over 20 noise seeds was 1.1e-12 m, of
+        # rms 8.7e-15 m
         poses = strip_poses(5)
-        obs = observe_tags(tags, poses, aerial_cam)
+        obs = observe_tags(default_tag_layout(), poses, aerial_cam, sigma=0.5,
+                           rng=np.random.default_rng(3))
         base = triangulate_tags(obs, poses, aerial_cam)
-
-        T = RigidTransform(rotation_from_angles((0.2, -0.1, 0.7)), np.array([40.0, -25.0, 5.0]))
-        moved = {}
-        for image_id, pose in poses.items():
-            moved[image_id] = Pose(
-                t=apply_transform(T, pose.t),
-                r=np.array(_compose_angles(T, pose)),
-            )
-        shifted = triangulate_tags(obs, moved, aerial_cam)
-        for lm0, lm1 in zip(base.landmarks, shifted.landmarks):
-            assert np.linalg.norm(apply_transform(T, lm0.position) - lm1.position) < 1e-9
+        moved = triangulate_tags(obs, {i: moved_pose(WORLD_MOVE, p) for i, p in poses.items()},
+                                 aerial_cam)
+        assert len(moved.landmarks) == len(base.landmarks) == 7
+        for lm0, lm1 in zip(base.landmarks, moved.landmarks):
+            assert (lm1.tag_id, lm1.n_rays) == (lm0.tag_id, lm0.n_rays)
+            assert np.max(np.abs(lm1.position - apply_transform(WORLD_MOVE, lm0.position))) < 1e-11
+            assert abs(lm1.rms_residual - lm0.rms_residual) < 1e-13
 
     def test_outlier_observation_removed(self, aerial_cam):
         # a lone gross outlier only exceeds 3x the bundle RMS for larger bundles
@@ -309,8 +307,3 @@ class TestBatchedTriangulation:
         assert any("tag 6: dropping 1 outlier" in r.getMessage() for r in caplog.records)
         assert str(result.failures[6]).startswith("all ray pairs within")
         assert result.landmarks == []
-
-def _compose_angles(T, pose):
-    from tagbridge.geometry import angles_from_rotation
-
-    return angles_from_rotation(T.rotation @ pose.rotation())
