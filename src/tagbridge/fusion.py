@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, _group_sums, project_points
+from .geometry import CameraIntrinsics, Pose, _group_sums, _in_raster, project_points
 
 _AXIS_BITS = 21  # per axis in a packed voxel key
 _HALF_SPAN = 1 << (_AXIS_BITS - 1)  # offsets from the base voxel lie in [-2**20, 2**20)
@@ -387,16 +387,14 @@ def colorize_with_occlusion(cloud: PointCloud, grid: VoxelGrid, rgb: np.ndarray,
         raise ValueError("rgb must be an (H, W, 3) raster")
     H, W = rgb.shape[:2]
 
-    pixels, in_front = project_points(intrinsics, rgb_pose, cloud.positions)
-    pixels = np.nan_to_num(pixels, nan=-1.0)  # behind-camera pixels are masked below
-    cols = np.round(pixels[:, 0]).astype(int)
-    rows = np.round(pixels[:, 1]).astype(int)
-    candidates = np.flatnonzero(in_front & (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H))
+    pixels, _ = project_points(intrinsics, rgb_pose, cloud.positions)
+    candidates = np.flatnonzero(_in_raster(pixels, W, H))  # behind-camera pixels are NaN
     visible = candidates[~_occluded(grid, rgb_pose.t, cloud.positions[candidates])]
+    cols, rows = np.round(pixels[visible]).astype(int).T
 
     n = len(cloud)
     colors = np.zeros((n, 3), dtype=rgb.dtype)
     valid = np.zeros(n, dtype=bool)
-    colors[visible] = rgb[rows[visible], cols[visible]]
+    colors[visible] = rgb[rows, cols]
     valid[visible] = True
     return PointCloud(positions=cloud.positions.copy(), colors=colors, color_valid=valid)

@@ -54,6 +54,13 @@ def _group_sums(group, values, n):
     return sums
 
 
+def _in_raster(pixel, width, height):
+    """True where a (..., 2) pixel (u, v) falls on a width x height raster of unit cells
+    centered on integers, [-0.5, width - 0.5) x [-0.5, height - 0.5); NaN falls off."""
+    u, v = np.moveaxis(np.asarray(pixel, dtype=float), -1, 0)
+    return (-0.5 <= u) & (u < width - 0.5) & (-0.5 <= v) & (v < height - 0.5)
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Interior orientation: focal length, principal point and sensor size.
@@ -84,8 +91,7 @@ class CameraIntrinsics:
 
     def in_bounds(self, pixel):
         """True where a (..., 2) pixel falls on the physical sensor area."""
-        u, v = np.moveaxis(np.asarray(pixel, dtype=float), -1, 0)
-        return (-0.5 <= u) & (u < self.width - 0.5) & (-0.5 <= v) & (v < self.height - 0.5)
+        return _in_raster(pixel, self.width, self.height)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ closed form (Umeyama, TPAMI 1991, at unit scale).
 from __future__ import annotations
 
 import logging
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +48,13 @@ class LocalTagSighting:
 
 
 @dataclass(frozen=True)
-class Trajectory(Sequence):
-    """Timestamped poses stored as columns, read as a sequence of Pose.
+class Trajectory:
+    """Timestamped poses stored as columns.
 
     Row i of `t` (N, 3) and `r` (N, 3) holds the projection center and the
     (omega, phi, kappa) angles at timestamps[i]; timestamps strictly
-    increase. All three are read-only copies. Indexing builds a Pose only for
-    the index read.
+    increase. All three are read-only copies. An integer index builds the
+    Pose of that row only.
     """
 
     timestamps: np.ndarray
@@ -73,14 +72,12 @@ class Trajectory(Sequence):
     def __len__(self):
         return len(self.timestamps)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> Pose:
         return Pose(t=self.t[i], r=self.r[i])
 
     @property
     def poses(self) -> "Trajectory":
-        """The poses; the trajectory is itself their sequence."""
+        """The trajectory itself, indexed by integer."""
         return self
 
     def positions(self) -> np.ndarray:
@@ -95,9 +92,6 @@ class Correspondences:
     local: np.ndarray
     world: np.ndarray
     unmatched: list
-
-    def __len__(self):
-        return len(self.tag_ids)
 
 
 def collect_correspondences(sightings, landmarks) -> Correspondences:

@@ -50,17 +50,20 @@ def moved_pose(T, pose):
                 r=angles_from_rotation(T.rotation @ pose.rotation()))
 
 
+def rotation_angle(R):
+    """Angle of the rotation matrix R, in radians."""
+    # atan2 form is exact near zero, unlike acos of the trace
+    vec = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    return math.atan2(np.linalg.norm(vec), (np.trace(R) - 1.0) / 2.0)
+
+
 def observe_tags(tags, poses, cam, sigma=0.0, rng=None):
-    """Exact (optionally noisy) observations of tag positions in all poses."""
+    """Exact (optionally noisy) observations of the tags each pose sees on its sensor."""
     obs = []
     for image_id, pose in poses.items():
         ids = sorted(tags)
-        pts = np.array([tags[t] for t in ids])
-        px, in_front = project_points(cam, pose, pts)
-        for tag_id, p, ok in zip(ids, px, in_front):
-            if not ok or not cam.in_bounds(p):
-                continue
-            if sigma > 0:
-                p = p + rng.normal(0.0, sigma, 2)
-            obs.append(TagObservation(image_id=image_id, tag_id=tag_id, pixel=p))
+        px, _ = project_points(cam, pose, np.array([tags[t] for t in ids]))
+        for k in np.flatnonzero(cam.in_bounds(px)):  # behind-camera pixels are NaN
+            p = px[k] + rng.normal(0.0, sigma, 2) if sigma > 0 else px[k]
+            obs.append(TagObservation(image_id=image_id, tag_id=ids[k], pixel=p))
     return obs

@@ -147,7 +147,8 @@ def path_step(prev: np.ndarray, p1: float, p2: float) -> np.ndarray:
 def aggregate_one_path(volume, direction, p1: float, p2: float) -> np.ndarray:
     """Accumulated costs L_r of a CostVolume for one path direction r = (dy, dx); float32 (H, W, D).
 
-    The recursion starts at the image border with L_r = C.
+    The recursion starts at the image border with L_r = C. Each step of r is
+    -1, 0 or +1, not both 0, as in `sgm.PATHS`.
     """
     dy, dx = direction
     C = volume.costs.astype(np.float32)
@@ -157,23 +158,22 @@ def aggregate_one_path(volume, direction, p1: float, p2: float) -> np.ndarray:
     if flip_x:
         C = C[:, ::-1]
     ady, adx = abs(dy), abs(dx)
+    assert (ady, adx) in ((0, 1), (1, 0), (1, 1)), f"unsupported path direction {direction}"
 
     L = np.empty_like(C)
-    if (ady, adx) == (0, 1):
+    if ady == 0:
         L[:, 0] = C[:, 0]
         for x in range(1, C.shape[1]):
             L[:, x] = C[:, x] + path_step(L[:, x - 1], p1, p2)
-    elif (ady, adx) == (1, 0):
+    elif adx == 0:
         L[0] = C[0]
         for y in range(1, C.shape[0]):
             L[y] = C[y] + path_step(L[y - 1], p1, p2)
-    elif (ady, adx) == (1, 1):
+    else:
         L[0] = C[0]
         for y in range(1, C.shape[0]):
             L[y, 0] = C[y, 0]
             L[y, 1:] = C[y, 1:] + path_step(L[y - 1, :-1], p1, p2)
-    else:
-        raise ValueError(f"unsupported path direction {direction}")
 
     if flip_x:
         L = L[:, ::-1]

@@ -25,13 +25,8 @@ from tagbridge.geometry import (
     rotation_from_angles,
 )
 
-from conftest import WORLD_MOVE, moved_pose, strip_poses
+from conftest import WORLD_MOVE, moved_pose, rotation_angle, strip_poses
 from oracles import ReferenceNormalEquations, numeric_jacobian, reference_linearize
-
-
-def rotation_angle(R):
-    vec = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    return math.atan2(np.linalg.norm(vec), (np.trace(R) - 1.0) / 2.0)
 
 
 def synthetic_block(cam, n_cams=6, n_points=20, seed=0, sigma=0.0):
@@ -576,6 +571,61 @@ class TestSolve:
                                    rtol=0, atol=1e-15)
             for p in points:
                 assert np.array_equal(refined.points[p], points[p])
+
+
+def null_space_dimension(problem):
+    """Number of singular values below 1e-9 of the largest in the column-scaled
+    Jacobian at the start: the directions the measurements leave free."""
+    packer = _Packer(problem)
+    J, _ = analytic_jacobian(packer, packer.start)
+    norms = np.linalg.norm(J, axis=0)
+    s = np.linalg.svd(J / np.where(norms > 0, norms, 1.0), compute_uv=False)
+    return int(np.count_nonzero(s < 1e-9 * s[0]))
+
+
+def gauge_case(cam, anchors, far_frame):
+    """The 6-frame strip block, anchored at `anchors`; with `far_frame`, a 7th
+    frame 5 km away that sees none of the points."""
+    poses, points, meas = synthetic_block(cam)
+    if far_frame:
+        poses["img_far"] = Pose(t=np.array([5000.0, 0.0, 100.0]), r=np.array([math.pi, 0.0, 0.0]))
+    return BundleProblem(cam, poses, points, meas, anchors=anchors)
+
+
+# (anchors, far frame, null-space dimension): a datum fixes all 7 similarity
+# directions, and a free frame that sees nothing adds its 6
+GAUGE_CASES = {
+    "no-anchor": ((), False, 7),
+    "only-unseen-anchored": (("img_far",), True, 7),
+    "one-anchor": (("img_0000",), False, 1),
+    "two-anchors": (("img_0000", "img_0005"), False, 0),
+    "two-anchors-unseen-free": (("img_0000", "img_0005"), True, 6),
+}
+GAUGE_DEFECT = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                 reason="ROADMAP direction 1")
+
+
+class TestGauge:
+    @pytest.mark.parametrize("case", GAUGE_CASES)
+    def test_null_space_dimension(self, aerial_cam, case):
+        anchors, far_frame, dimension = GAUGE_CASES[case]
+        assert null_space_dimension(gauge_case(aerial_cam, anchors, far_frame)) == dimension
+
+    @pytest.mark.parametrize("case", [
+        "no-anchor",
+        pytest.param("only-unseen-anchored", marks=GAUGE_DEFECT),
+        pytest.param("one-anchor", marks=GAUGE_DEFECT),
+        "two-anchors",
+        pytest.param("two-anchors-unseen-free", marks=GAUGE_DEFECT),
+    ])
+    def test_gauge_not_fixed_exactly_when_null_space(self, aerial_cam, case):
+        problem = gauge_case(aerial_cam, *GAUGE_CASES[case][:2])
+        try:
+            solve(problem)
+            raised = False
+        except GaugeNotFixed:
+            raised = True
+        assert raised == (null_space_dimension(problem) > 0)
 
 
 class TestJacobian:

@@ -23,6 +23,7 @@ from tagbridge.fusion import (
 )
 from tagbridge.geometry import CameraIntrinsics, Pose, project_points
 
+import oracles
 from oracles import reference_accumulate, walk_voxels
 
 
@@ -100,16 +101,15 @@ def reference_occluded(grid, start_point, point):
 def reference_colorize(cloud, grid, rgb, intrinsics, rgb_pose):
     """One `walk_voxels` walk per candidate point; returns (colors, color_valid)."""
     H, W = rgb.shape[:2]
-    pixels, in_front = project_points(intrinsics, rgb_pose, cloud.positions)
-    pixels = np.nan_to_num(pixels, nan=-1.0)
-    cols = np.round(pixels[:, 0]).astype(int)
-    rows = np.round(pixels[:, 1]).astype(int)
-    candidates = in_front & (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H)
+    pixels, _ = project_points(intrinsics, rgb_pose, cloud.positions)
+    u, v = pixels.T  # NaN behind the camera, so never a candidate
+    candidates = (-0.5 <= u) & (u < W - 0.5) & (-0.5 <= v) & (v < H - 0.5)
     colors = np.zeros((len(cloud), 3), dtype=np.uint8)
     valid = np.zeros(len(cloud), dtype=bool)
     for i in np.nonzero(candidates)[0]:
         if not reference_occluded(grid, rgb_pose.t, cloud.positions[i]):
-            colors[i] = rgb[rows[i], cols[i]]
+            col, row = np.round(pixels[i]).astype(int)
+            colors[i] = rgb[row, col]
             valid[i] = True
     return colors, valid
 
@@ -397,12 +397,18 @@ class TestAccumulate:
         # a small stand-in for 2**53: points at the middle of their voxel add
         # 2**31 each, so the limit of 2**35 holds 15 of them and not 16
         monkeypatch.setattr(fusion, "_SUM_LIMIT", 2 ** 35)
-        grid = VoxelGrid(voxel_size=0.5)
-        accumulate(grid, PointCloud(positions=np.full((10, 3), 0.25)))
-        accumulate(grid, PointCloud(positions=np.full((5, 3), 0.25)))
-        with pytest.raises(ValueError, match="2\\*\\*53"):
-            accumulate(grid, PointCloud(positions=[[0.25, 0.25, 0.25], [3.0, 3.0, 3.0]]))
+        monkeypatch.setattr(oracles, "_SUM_LIMIT", 2 ** 35)
+        grid, ref = assert_accumulate_matches_reference(
+            [PointCloud(positions=np.full((10, 3), 0.25)),
+             PointCloud(positions=np.full((5, 3), 0.25))], voxel_size=0.5)
+        over = PointCloud(positions=[[0.25, 0.25, 0.25], [3.0, 3.0, 3.0]])
+        with pytest.raises(ValueError, match="2\\*\\*53") as raised:
+            accumulate(grid, over)
+        with pytest.raises(ValueError) as expected:
+            reference_accumulate(ref, over)
+        assert str(raised.value) == str(expected.value)
         assert (grid.n_voxels, grid.n_points) == (1, 15)
+        assert (ref.n_voxels, ref.n_points) == (1, 15)
         assert np.array_equal(filter_voxels(grid, min_points=1).positions, [[0.25] * 3])
 
     def test_matches_per_voxel_reference(self):
@@ -455,6 +461,9 @@ def reference_case(case):
         return [PointCloud(positions=pts, colors=colors, color_valid=rng.random(len(pts)) < 0.6)]
     if case == "single-point":
         return [PointCloud(positions=pts[:1], colors=colors[:1])]
+    if case == "empty-first-and-between":
+        empty = PointCloud(positions=np.zeros((0, 3)))
+        return [empty, PointCloud(positions=pts, colors=colors), empty]
     # chunks, colored and colorless, then the whole cloud and a chunk again
     valid = rng.random(len(pts)) < 0.7
     clouds = [PointCloud(positions=pts[c], colors=colors[c], color_valid=valid[c]) if i % 2
@@ -465,7 +474,7 @@ def reference_case(case):
 
 class TestAccumulateMatchesReference:
     @pytest.mark.parametrize("case", ["coloured", "colourless", "partly-valid", "single-point",
-                                      "chunked-and-re-added"])
+                                      "empty-first-and-between", "chunked-and-re-added"])
     def test_grid_equals_reference(self, case):
         clouds = reference_case(case)
         grid, _ = assert_accumulate_matches_reference(clouds)
@@ -583,6 +592,22 @@ class TestColorize:
         with pytest.raises(ValueError, match=r"rgb must be an \(H, W, 3\) raster"):
             colorize_with_occlusion(cloud, grid, np.zeros(shape, np.uint8), small_cam(),
                                     nadirless_pose())
+
+    def test_raster_rule_is_in_bounds(self):
+        # an odd 5x3 raster and a 1 px focal length: the point (x, y, 1) projects
+        # exactly to (2 + x, 1 + y). u = 4.5 rounds to column 4, yet lies on
+        # the raster's open edge, as it does for `CameraIntrinsics.in_bounds`
+        cam = CameraIntrinsics(f=1.0, pixel_pitch=1.0, x0=2.0, y0=1.0, width=5, height=3)
+        pixels = np.array([[-0.5, 0.0], [-0.51, 0.0], [4.49, 2.0], [4.5, 0.0],
+                           [0.0, -0.5], [0.0, 2.5], [2.0, 2.49], [1.5, 0.5]])
+        cloud = PointCloud(positions=np.column_stack([pixels - (2.0, 1.0), np.ones(8)]))
+        rgb = np.arange(45, dtype=np.uint8).reshape(3, 5, 3)
+        out = colorize_with_occlusion(cloud, VoxelGrid(voxel_size=0.1), rgb, cam,
+                                      nadirless_pose())
+        expected = [True, False, True, False, True, False, True, True]
+        assert out.color_valid.tolist() == cam.in_bounds(pixels).tolist() == expected
+        col, row = np.round(pixels[out.color_valid]).astype(int).T
+        assert np.array_equal(out.colors[out.color_valid], rgb[row, col])
 
     def test_far_point_on_same_ray_uncolored(self):
         cam = small_cam()

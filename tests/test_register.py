@@ -20,7 +20,7 @@ from tagbridge.register import (
 from tagbridge.synth import default_tag_layout
 from tagbridge.triangulate import TagLandmark
 
-from conftest import WORLD_MOVE
+from conftest import WORLD_MOVE, rotation_angle
 
 
 def landmark(tag_id, pos):
@@ -31,12 +31,6 @@ def landmark(tag_id, pos):
 def random_transform(rng):
     angles = rng.uniform(-math.pi / 2 + 0.1, math.pi / 2 - 0.1, 3)
     return RigidTransform(rotation_from_angles(angles), rng.uniform(-20, 20, 3))
-
-
-def rotation_angle(R):
-    # atan2 form is exact near zero, unlike acos of the trace
-    vec = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    return math.atan2(np.linalg.norm(vec), (np.trace(R) - 1.0) / 2.0)
 
 
 def walk_trajectory(n=20, speed=1.4, dt=0.5):
@@ -51,7 +45,7 @@ class TestCollectCorrespondences:
         sightings = [LocalTagSighting(i, np.array([float(i), 0.0, 0.0])) for i in (1, 2, 3)]
         lms = [landmark(i, [0, 0, i]) for i in (1, 2, 3)]
         corr = collect_correspondences(sightings, lms)
-        assert len(corr) == 3
+        assert len(corr.tag_ids) == 3
         assert corr.unmatched == []
 
     def test_repeated_sightings_average(self):
@@ -65,7 +59,7 @@ class TestCollectCorrespondences:
     def test_unknown_tag_reported(self):
         sightings = [LocalTagSighting(99, np.zeros(3))]
         corr = collect_correspondences(sightings, [landmark(1, [1, 1, 1])])
-        assert len(corr) == 0
+        assert len(corr.tag_ids) == 0
         assert corr.unmatched == [99]
 
 
@@ -208,7 +202,7 @@ class TestApplyToTrajectory:
     def test_identity(self):
         traj = walk_trajectory()
         out = apply_to_trajectory(RigidTransform(np.eye(3), np.zeros(3)), traj)
-        for a, b in zip(traj.poses, out.poses):
+        for a, b in zip(traj, out):
             assert np.allclose(a.t, b.t, atol=1e-12)
             assert np.allclose(a.rotation(), b.rotation(), atol=1e-12)
 
@@ -216,7 +210,7 @@ class TestApplyToTrajectory:
         traj = walk_trajectory()
         T = RigidTransform(np.eye(3), np.array([5.0, -2.0, 1.0]))
         out = apply_to_trajectory(T, traj)
-        for a, b in zip(traj.poses, out.poses):
+        for a, b in zip(traj, out):
             assert np.allclose(b.t - a.t, (5.0, -2.0, 1.0), atol=1e-12)
             assert np.allclose(a.r, b.r, atol=1e-12)
 
@@ -231,8 +225,8 @@ class TestApplyToTrajectory:
         assert np.max(np.abs(d0 - d1)) < 1e-12 * max(1.0, d0.max())
         # relative rotations unchanged
         for i in range(len(traj) - 1):
-            rel0 = traj.poses[i].rotation().T @ traj.poses[i + 1].rotation()
-            rel1 = out.poses[i].rotation().T @ out.poses[i + 1].rotation()
+            rel0 = traj[i].rotation().T @ traj[i + 1].rotation()
+            rel1 = out[i].rotation().T @ out[i + 1].rotation()
             assert np.max(np.abs(rel0 - rel1)) < 1e-12
 
     def test_matches_per_pose_loop(self):
@@ -242,7 +236,7 @@ class TestApplyToTrajectory:
                           r=rng.uniform((-math.pi, -1.5, -math.pi), (math.pi, 1.5, math.pi), (n, 3)))
         T = random_transform(rng)
         out = apply_to_trajectory(T, traj)
-        for i, pose in enumerate(traj.poses):
+        for i, pose in enumerate(traj):
             t = T.rotation @ pose.t + T.translation
             r = angles_from_rotation(T.rotation @ pose.rotation())
             assert np.max(np.abs(out.t[i] - t)) < 1e-12 * max(1.0, np.abs(t).max())
@@ -267,8 +261,8 @@ class TestTrajectoryValidation:
         traj = walk_trajectory(5)
         for column in (traj.timestamps, traj.t, traj.r):
             assert not column.flags.writeable
-        assert len(traj.poses) == 5
-        assert np.array_equal(traj.poses[-1].t, traj.t[4])
-        assert np.array_equal(traj.poses[3].r, traj.r[3])
-        assert [p.t[0] for p in traj.poses[1:3]] == list(traj.t[1:3, 0])
+        assert len(traj) == 5
+        assert np.array_equal(traj[-1].t, traj.t[4])
+        assert np.array_equal(traj[3].r, traj.r[3])
+        assert traj.poses is traj
         assert traj.positions() is traj.t

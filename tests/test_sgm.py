@@ -948,8 +948,11 @@ class TestDisparityToCloud:
                             valid=np.full((4, 4), any_valid), flags=np.zeros((4, 4), np.uint8))
         pose = Pose(t=np.zeros(3), r=np.zeros(3))
         assert len(disparity_to_cloud(disp, stereo_cam, 0.2, pose)) == 16 * any_valid
-        with pytest.raises(ValueError, match="baseline must be positive and finite"):
+        with pytest.raises(ValueError, match="baseline must be positive and finite") as raised:
             disparity_to_cloud(disp, stereo_cam, baseline, pose)
+        with pytest.raises(ValueError) as expected:
+            reference_disparity_to_cloud(disp, stereo_cam, baseline, pose)
+        assert str(raised.value) == str(expected.value)
 
     def test_color_outside_byte_range_rejected(self, stereo_cam):
         from tagbridge.sgm import DisparityMap
@@ -974,5 +977,8 @@ class TestDisparityToCloud:
         pose = Pose(t=np.zeros(3), r=np.zeros(3))
         cloud = disparity_to_cloud(disp, stereo_cam, 0.2, pose, color=np.zeros((20, 40, 3)))
         assert len(cloud) == 800
-        with pytest.raises(ValueError, match=r"\(20, 40, 3\)"):
+        with pytest.raises(ValueError, match=r"\(20, 40, 3\)") as raised:
             disparity_to_cloud(disp, stereo_cam, 0.2, pose, color=np.zeros(shape))
+        with pytest.raises(ValueError) as expected:
+            reference_disparity_to_cloud(disp, stereo_cam, 0.2, pose, color=np.zeros(shape))
+        assert str(raised.value) == str(expected.value)

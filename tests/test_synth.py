@@ -163,8 +163,8 @@ class TestSightingsAndTrajectory:
     def test_local_trajectory_maps_back_to_world(self, aerial_cam):
         scene = gen_scene(spec_with(seed=6), aerial_cam)
         T = scene.world_from_local
-        for pw, pl in zip(scene.trajectory_world.poses[:20], scene.trajectory_local.poses[:20]):
-            assert np.allclose(apply_transform(T, pl.t), pw.t, atol=1e-9)
+        world, local = scene.trajectory_world, scene.trajectory_local
+        assert np.allclose(apply_transform(T, local.t[:20]), world.t[:20], atol=1e-9)
 
     def test_sightings_match_transform(self, aerial_cam):
         scene = gen_scene(spec_with(seed=7), aerial_cam)
@@ -179,8 +179,8 @@ class TestSightingsAndTrajectory:
         traj = gen_scene(spec_with(seed=8), aerial_cam).trajectory_world
         assert len(traj) == 429
         assert np.allclose(np.diff(traj.timestamps), 0.1, rtol=0, atol=1e-12)
-        assert np.allclose(traj.poses[0].t, (0.0, -30.0, 1.7), rtol=0, atol=1e-12)
-        assert np.allclose(traj.poses[-1].t, (0.0, 30.0, 1.7), rtol=0, atol=1.4 * 0.1 + 1e-9)
+        assert np.allclose(traj.t[0], (0.0, -30.0, 1.7), rtol=0, atol=1e-12)
+        assert np.allclose(traj.t[-1], (0.0, 30.0, 1.7), rtol=0, atol=1.4 * 0.1 + 1e-9)
 
 
 class TestStereoPair:
